@@ -3,8 +3,8 @@
 
 Sweeps 2 incident profiles x 2 graph families x 3 repetitions — 12
 cells, each driving a fresh :class:`~repro.serve.QueryServer` over a
-:class:`~repro.dyn.live.LiveGraph` through the discrete-event load
-harness with a seeded :class:`~repro.dyn.stream.IncidentStream`:
+:class:`~repro.dyn.live.LiveGraph` through the discrete-event serving
+loop with a seeded :class:`~repro.dyn.stream.IncidentStream`:
 
 * **increase-only** — closures and congestion only (``p_clear=0``,
   ``p_reopen=0``): every batch can satisfy the Yamane–Kitajima-style
@@ -57,44 +57,49 @@ def cell_seed(master: int, profile: str, graph: str, rep: int) -> int:
     return zlib.crc32(key.encode("utf-8"))
 
 
+def cell_row(profile: str, graph: str, rep: int, *, master: int, horizon: float) -> dict:
+    """One committed row: a seeded smoke run on one (profile, graph, rep)."""
+    seed = cell_seed(master, profile, graph, rep)
+    payload = run_smoke(
+        graph_name=graph,
+        scale="tiny",
+        seed=seed,
+        horizon=horizon,
+        stream_kwargs=PROFILES[profile],
+    )
+    m = payload["metrics"]
+    info = payload["cache_info"]
+    return {
+        "profile": profile,
+        "graph": graph,
+        "rep": rep,
+        "seed": seed,
+        "queries": m["queries"],
+        "served": m["served"],
+        "complete_rate": m["complete_rate"],
+        "failed_rate": m["failed_rate"],
+        "mutation_batches": m["mutation_batches"],
+        "final_version": payload["final_version"],
+        "prune_reused": info["prune_reused"],
+        "prune_cold": info["prune_cold"],
+        "prune_reuse_rate": payload["prune_reuse_rate"],
+        "cache_retained": info["retained"],
+        "cache_invalidated": info["invalidated"],
+        "sssp_cache_hits": info["hits"],
+        "sssp_cache_misses": info["misses"],
+    }
+
+
 def main() -> None:
     master = int(os.environ.get("REPRO_DYN_SEED", "0"))
     horizon = float(os.environ.get("REPRO_DYN_HORIZON", "4.0"))
 
     t0 = time.perf_counter()
     rows = []
-    for profile, stream_kwargs in PROFILES.items():
+    for profile in PROFILES:
         for graph in GRAPHS:
             for rep in range(REPS):
-                seed = cell_seed(master, profile, graph, rep)
-                payload = run_smoke(
-                    graph_name=graph,
-                    scale="tiny",
-                    seed=seed,
-                    horizon=horizon,
-                    stream_kwargs=stream_kwargs,
-                )
-                m = payload["metrics"]
-                info = payload["cache_info"]
-                row = {
-                    "profile": profile,
-                    "graph": graph,
-                    "rep": rep,
-                    "seed": seed,
-                    "queries": m["queries"],
-                    "served": m["served"],
-                    "complete_rate": m["complete_rate"],
-                    "failed_rate": m["failed_rate"],
-                    "mutation_batches": m["mutation_batches"],
-                    "final_version": payload["final_version"],
-                    "prune_reused": info["prune_reused"],
-                    "prune_cold": info["prune_cold"],
-                    "prune_reuse_rate": payload["prune_reuse_rate"],
-                    "cache_retained": info["retained"],
-                    "cache_invalidated": info["invalidated"],
-                    "sssp_cache_hits": info["hits"],
-                    "sssp_cache_misses": info["misses"],
-                }
+                row = cell_row(profile, graph, rep, master=master, horizon=horizon)
                 rows.append(row)
                 print(
                     f"{profile:>14} {graph} rep{rep}: "

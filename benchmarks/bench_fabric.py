@@ -58,6 +58,17 @@ KILL_SPEC = "fabric.heartbeat:rankfail:3@R1"
 MIX_SPEC = {"kind": "hotspot", "scc": True, "k": {"dist": "small_heavy", "k_max": 8}}
 
 
+STEADY = {"kind": "poisson", "rate": 300.0}
+
+#: scenario name -> :func:`run_scenario` keyword arguments, in table order
+SCENARIOS = {
+    "steady": dict(workload=STEADY),
+    "mmpp_kill": dict(workload=MMPP_SPEC, inject=[KILL_SPEC]),
+    "mmpp_kill_elastic": dict(workload=MMPP_SPEC, inject=[KILL_SPEC], elastic=True),
+    "mutate_kill": dict(workload=MMPP_SPEC, inject=[KILL_SPEC], mutations=True),
+}
+
+
 def run_scenario(
     name: str,
     graph,
@@ -123,23 +134,9 @@ def main() -> None:
     graph_name = os.environ.get("REPRO_FABRIC_GRAPH", "LJ")
     graph = suite_graph(graph_name, SCALE)
 
-    steady = {"kind": "poisson", "rate": 300.0}
-    scenarios = [
-        ("steady", dict(workload=steady)),
-        ("mmpp_kill", dict(workload=MMPP_SPEC, inject=[KILL_SPEC])),
-        (
-            "mmpp_kill_elastic",
-            dict(workload=MMPP_SPEC, inject=[KILL_SPEC], elastic=True),
-        ),
-        (
-            "mutate_kill",
-            dict(workload=MMPP_SPEC, inject=[KILL_SPEC], mutations=True),
-        ),
-    ]
-
     t0 = time.perf_counter()
     rows = []
-    for name, kwargs in scenarios:
+    for name, kwargs in SCENARIOS.items():
         row = run_scenario(name, graph, seed, **kwargs)
         check_row(row)
         rows.append(row)
@@ -169,7 +166,7 @@ def main() -> None:
         "horizon": HORIZON,
         "max_queries": MAX_QUERIES,
         "mix": MIX_SPEC,
-        "workloads": {"steady": steady, "mmpp": MMPP_SPEC},
+        "workloads": {"steady": STEADY, "mmpp": MMPP_SPEC},
         "kill": KILL_SPEC,
         "rows": rows,
     }

@@ -5,8 +5,8 @@ Sweeps 4 traffic patterns (steady Poisson, 7x-overload Poisson, bursty
 MMPP, a closed-loop population) x 2 graph families (LJ, WL) x 2 server
 configs (relaxed deadline vs tight deadline with tier-1 budget
 splitting) x 3 repetitions — 48 cells, each driving a fresh
-:class:`~repro.serve.QueryServer` through the discrete-event load
-harness.  Two regimes must show up or the run aborts:
+:class:`~repro.serve.QueryServer` through the discrete-event serving
+loop.  Two regimes must show up or the run aborts:
 
 * **overload shedding** — the overload pattern exceeds station capacity
   (~max_in_flight / mean service time), so the baseline config sheds;

@@ -34,8 +34,8 @@ Virtual time
 ------------
 The time source itself is injectable: :func:`install_clock` /
 :func:`clock_scope` swap the ``perf_counter`` every deadline comparison
-reads for any zero-argument float callable.  The load harness
-(:mod:`repro.load`) installs a :class:`~repro.load.simclock.SimClock`
+reads for any zero-argument float callable.  The serving loop
+(:class:`~repro.fabric.fabric.ServingFabric`) installs a :class:`~repro.load.simclock.SimClock`
 that *advances at every checkpoint* by a per-stage cost, so deadline
 expiry — and therefore degradation, partial results, and shedding —
 becomes a deterministic function of work done, reproducible from seeds

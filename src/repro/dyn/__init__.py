@@ -3,7 +3,7 @@
 :class:`TerraceGraph` is the hierarchical mutable spine;
 :class:`LiveGraph` wraps it with monotone-versioned immutable snapshots;
 :class:`MutationBatch` / :class:`IncidentStream` are the mutation-stream
-API the load harness feeds through
+API the serving loop feeds through
 :meth:`QueryServer.apply_mutations <repro.serve.QueryServer.apply_mutations>`.
 """
 

@@ -29,9 +29,9 @@ from random import Random
 
 from repro.dyn.live import LiveGraph
 from repro.dyn.stream import IncidentStream
+from repro.fabric.fabric import ServingFabric
 from repro.graph.suite import SCALES, suite_graph
 from repro.load.arrivals import PoissonArrivals
-from repro.load.harness import LoadHarness
 from repro.serve.query import Query
 from repro.serve.server import QueryServer
 
@@ -124,8 +124,7 @@ def run_smoke(
         rate=mutation_rate,
         **(stream_kwargs or {}),
     )
-    harness = LoadHarness(server, mix=None, timeout=timeout, seed=seed)
-    report = harness.run(
+    report = ServingFabric.mount(server, timeout=timeout, seed=seed).run(
         queries, horizon=horizon, mutations=stream.batches(live, horizon)
     )
 
@@ -194,7 +193,9 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return _cmd_smoke(args)
+    # the serving loop's fleet branches build servers outside any query;
+    # every query still validates inside QueryServer.serve
+    return _cmd_smoke(args)  # contracts: disable=CTR501 (validated in serve)
 
 
 if __name__ == "__main__":

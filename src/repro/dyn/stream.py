@@ -60,8 +60,8 @@ class MutationBatch:
     edge deleted earlier in the same batch is therefore a no-op, and an
     insert toward a vertex tombstoned in the same batch is stored dead.
 
-    ``at`` is the simulated instant the batch takes effect (the load
-    harness applies it before dispatching any query issued at or after
+    ``at`` is the simulated instant the batch takes effect (the serving
+    loop applies it before dispatching any query issued at or after
     ``at``); it is descriptive for direct :meth:`QueryServer.apply_mutations
     <repro.serve.QueryServer.apply_mutations>` calls.
     """
@@ -237,6 +237,11 @@ class IncidentStream:
         self._closed: list[tuple[int, int, float]] = []
         #: congested edges available for clearing: (src, dst, original w)
         self._congested: dict[tuple[int, int], float] = {}
+        #: vertices this stream tombstoned in earlier batches; a consumer
+        #: that draws batch N+1 before applying batch N (the fabric fleet
+        #: does) still sees them alive, and an update on a dead source
+        #: would fail the whole batch
+        self._tombstoned: set[int] = set()
 
     # ------------------------------------------------------------------
     def batches(self, live, horizon: float):
@@ -245,7 +250,7 @@ class IncidentStream:
         ``live`` is the :class:`~repro.dyn.live.LiveGraph` the batches
         will be applied to; each batch is generated against the graph
         state *as of the previous batch* (the stream assumes its batches
-        are applied in order, which the load harness guarantees).
+        are applied in order, which the serving loop guarantees).
         """
         t = 0.0
         while True:
@@ -275,7 +280,11 @@ class IncidentStream:
                     e = int(rng.integers(0, m))
                     u, v = int(src_all[e]), int(graph.indices[e])
                     w = float(graph.weights[e])
-                    if (u, v) in chosen or not (alive[u] and alive[v]):
+                    if (
+                        (u, v) in chosen
+                        or not (alive[u] and alive[v])
+                        or u in self._tombstoned
+                    ):
                         continue
                     chosen.add((u, v))
                     if kind == 0:
@@ -295,7 +304,7 @@ class IncidentStream:
             elif kind == 2 and self._congested:  # clear congestion (decrease)
                 i = int(rng.integers(0, len(self._congested)))
                 (u, v) = list(self._congested.keys())[i]
-                if not (alive[u] and alive[v]):
+                if not (alive[u] and alive[v]) or u in self._tombstoned:
                     # an endpoint was tombstoned since: never clearable
                     del self._congested[(u, v)]
                     continue
@@ -306,7 +315,7 @@ class IncidentStream:
             elif kind == 3 and self._closed:  # reopen a closed edge
                 i = int(rng.integers(0, len(self._closed)))
                 u, v, w = self._closed.pop(i)
-                if not (alive[u] and alive[v]):
+                if not (alive[u] and alive[v]) or u in self._tombstoned:
                     continue  # dropped: the road no longer has endpoints
                 if (u, v) in chosen:
                     self._closed.append((u, v, w))  # try again another batch
@@ -319,6 +328,7 @@ class IncidentStream:
                     continue
                 x = int(candidates[int(rng.integers(0, candidates.size))])
                 tombstones.append(x)
+        self._tombstoned.update(tombstones)
         return MutationBatch.build(
             inserts=inserts,
             deletes=deletes,

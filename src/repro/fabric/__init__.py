@@ -17,9 +17,12 @@ checksummed :class:`~repro.distributed.checkpoint.CheckpointStore`
   checkpoint/restore over the CRC-verified store;
 * :class:`~repro.fabric.elastic.ElasticPolicy` — utilization-driven
   scale up/down under bursty (MMPP) load;
-* :class:`~repro.fabric.fabric.ServingFabric` — the deterministic event
-  loop tying heartbeats, kills, hedged retries, recoveries, mutations
-  and queries onto one simulated timeline.
+* :class:`~repro.fabric.fabric.ServingFabric` — the repo's one
+  deterministic serving loop, tying heartbeats, kills, hedged retries,
+  recoveries, mutations and open- or closed-loop queries onto one
+  simulated timeline; :meth:`ServingFabric.mount
+  <repro.fabric.fabric.ServingFabric.mount>` runs it over a single
+  caller-built server.
 
 Everything is a pure function of the seeds: two runs of the same
 configuration produce byte-identical reports (the CI ``fabric-faults``

@@ -1,16 +1,20 @@
-"""``ServingFabric`` — the deterministic replicated-serving event loop.
+"""``ServingFabric`` — the one discrete-event serving loop.
 
-One fabric run interleaves five event streams on a single simulated
-timeline, in a fixed priority order at equal instants (recoveries →
-heartbeats → mutations → query arrivals):
+Every simulated serving run goes through this loop: a run-table cell, a
+``peek-dyn`` smoke, a ``peek-load replay``, a replicated fleet under
+seeded kills.  One run interleaves five event streams on a single
+simulated timeline, in a fixed priority order at equal instants
+(recoveries → heartbeats → mutations → query arrivals):
 
-* **queries** — open-loop arrivals (or a replayed trace) routed by
-  shard through the bounded-load consistent-hash
-  :class:`~repro.fabric.router.Router` and served *eagerly* on the
-  shared :class:`~repro.load.simclock.SimClock` (the same
-  jump-and-advance discipline as :class:`~repro.load.harness.
-  LoadHarness`, so a one-replica fabric reproduces the single-server
-  harness exactly);
+* **queries** — open-loop arrivals, a replayed trace, or a closed-loop
+  user population, routed by shard through the bounded-load
+  consistent-hash :class:`~repro.fabric.router.Router` and served
+  *eagerly* on the shared :class:`~repro.load.simclock.SimClock`: the
+  clock jumps to the query's start instant, the real pipeline advances
+  it per checkpoint, and the completion becomes a flight on the
+  replica's worker slots.  A closed-loop user wakes one think time after
+  its query's *final* response: a hedge moves it, and a shed or expired
+  query wakes the user at the instant that disposition was decided;
 * **heartbeats** — every ``heartbeat_interval`` simulated seconds the
   fabric's :class:`~repro.distributed.comm.SimComm` runs a barrier
   (stage ``fabric.heartbeat``); a seeded
@@ -33,17 +37,34 @@ heartbeats → mutations → query arrivals):
   ``draining`` replica; dead or recovering replicas catch up from the
   batch log during recovery.
 
-Everything downstream of the seeds is deterministic, so a fabric
-report — availability, latency percentiles under failure, disposition
-counts, time-to-recovery per kill — is reproducible byte-for-byte.
+Two ways to build the loop.  ``ServingFabric(graph, ...)`` is the
+replicated fleet: the fabric owns the authority, clones one server per
+replica, and runs all five streams.  :meth:`ServingFabric.mount` puts
+one caller-built :class:`~repro.serve.QueryServer` in as replica 0 with
+no authority, no supervisor and no heartbeats; mutation batches go
+through that server's own ``apply_mutations`` as the queries reach them.
+The single-server path mounts the caller's server instead of running a
+one-replica fleet because a fleet's clones differ measurably: they are
+built over a ``LiveGraph``, whose versioned ``BatchPeeK`` reuses
+prepared decisions a static-graph server re-solves.  On the medium
+serving table's ``poisson_overload``/LJ/baseline rep-0 cell the
+caller's server made 9 degraded attempts and 98 SSSP cache hits; a
+one-replica fleet made 7 and 106, with one reused prune decision.  The
+fleet's heartbeats also add checkpoint and superstep counters to every
+cell's trace.
+
+Everything downstream of the seeds is deterministic, so a report —
+availability, latency percentiles under failure, disposition counts,
+time-to-recovery per kill — is reproducible byte-for-byte.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from itertools import islice
 from random import Random
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -69,11 +90,12 @@ from repro.load.harness import (
     EXPIRED,
     MIX_STREAM_OFFSET,
     SHED,
+    THINK_STREAM_OFFSET,
     LoadReport,
     QueryLog,
-    disposition_summary,
 )
 from repro.load.simclock import CostModel, SimClock, virtual_time
+from repro.load.trace import open_loop_queries
 from repro.obs.tracer import get_tracer
 from repro.serve.query import Query
 from repro.serve.server import QueryServer, RetryPolicy
@@ -160,33 +182,27 @@ class KillRecord:
 
 
 @dataclass
-class FabricReport:
-    """Everything one fabric run produced."""
+class FabricReport(LoadReport):
+    """Everything one run of the loop produced.
 
-    logs: list[QueryLog]
-    horizon: float
-    kills: list[KillRecord]
-    elastic_events: list[ElasticEvent]
-    peak_in_flight: int = 0
-    clock_ticks: int = 0
-    mutation_batches: int = 0
+    :meth:`metrics` is the single-server table
+    (:meth:`LoadReport.metrics <repro.load.harness.LoadReport.metrics>`)
+    for a mounted server, and that table plus the availability/recovery
+    columns for a fleet.
+    """
+
+    kills: list[KillRecord] = field(default_factory=list)
+    elastic_events: list[ElasticEvent] = field(default_factory=list)
     heartbeats: int = 0
     spills: int = 0
     router_rejected: int = 0
-    #: merged per-outcome counters across every replica server mounted
-    server_counters: dict[str, int] = field(default_factory=dict)
     #: final replica states, id-ordered
     replica_states: dict[int, str] = field(default_factory=dict)
-    #: BSP accounting of the fabric communicator
+    #: BSP accounting of the fleet's communicator (empty for a mounted
+    #: server, which has none)
     dist: dict[str, float] = field(default_factory=dict)
     #: request_id -> ((vertices, distance), ...) when ``keep_results``
     results: dict[str, tuple] | None = None
-
-    def dispositions(self) -> dict:
-        """Unified SLO ledger (:func:`~repro.load.harness.
-        disposition_summary`) — the same code path ``bench_serving``
-        uses, so single-server and fabric availability are comparable."""
-        return disposition_summary(self.logs, self.server_counters)
 
     def recovery_window_dispositions(self) -> dict[str, int]:
         """Disposition counts of queries issued while a replica was down."""
@@ -201,17 +217,9 @@ class FabricReport:
         return dict(sorted(counts.items()))
 
     def metrics(self) -> dict[str, Any]:
-        """A superset of :meth:`LoadReport.metrics
-        <repro.load.harness.LoadReport.metrics>` — run-table cells with a
-        ``replicas`` axis stay schema-compatible with single-server
-        cells — plus the fabric-only availability/recovery columns."""
-        base = LoadReport(
-            logs=self.logs,
-            horizon=self.horizon,
-            peak_in_flight=self.peak_in_flight,
-            clock_ticks=self.clock_ticks,
-            mutation_batches=self.mutation_batches,
-        ).metrics()
+        base = super().metrics()
+        if not self.dist:
+            return base
         summary = self.dispositions()
         ttrs = [k.ttr for k in self.kills if k.ttr is not None]
         base.update(
@@ -236,21 +244,88 @@ class FabricReport:
         return base
 
 
-class _FabricFeed:
-    """Lazy, time-ordered mutation feed (fabric twin of ``_MutationFeed``)."""
+class _Feed:
+    """Lazy, time-ordered mutation feed.
 
-    def __init__(self, batches, fabric: "ServingFabric") -> None:
+    For a mounted server the next batch is pulled from the stream only
+    after the previous one was applied, so generators that sample the
+    *current* graph state (:meth:`~repro.dyn.stream.IncidentStream.
+    batches`) see exactly the state their batch applies to.  A fleet
+    pulls one batch ahead: batch N+1 is drawn before batch N lands on
+    the authority.  The committed ``BENCH_dyn_serving.json`` and
+    ``BENCH_fabric.json`` each pin their order.
+    """
+
+    def __init__(self, batches, *, pull_ahead: bool) -> None:
         self._it = iter(batches) if batches is not None else iter(())
-        self._fabric = fabric
+        self._pull_ahead = pull_ahead
         self._next = next(self._it, None)
 
     def peek(self) -> float | None:
         return self._next.at if self._next is not None else None
 
-    def pop_apply(self) -> None:
+    def pop_apply(self, apply) -> None:
         batch = self._next
-        self._next = next(self._it, None)
-        self._fabric._apply_batch(batch)
+        if self._pull_ahead:
+            self._next = next(self._it, None)
+        apply(batch)
+        if not self._pull_ahead:
+            self._next = next(self._it, None)
+
+
+class _Users:
+    """A closed-loop population: one pending wake-up per user.
+
+    Initial wake-ups are spread uniformly over the ramp window, and each
+    think time is drawn at dispatch, in dispatch order, from the think
+    stream.  The heap holds one live entry per user (a moved wake-up
+    leaves a stale entry behind, skipped on the way out), which keeps
+    in-flight <= population by construction even for a million users.
+    """
+
+    def __init__(self, population: ClosedLoop, seed: int) -> None:
+        self._rng = Random(seed + THINK_STREAM_OFFSET)
+        self._rate = 1.0 / population.think_mean
+        ramp = (
+            population.ramp
+            if population.ramp is not None
+            else population.think_mean
+        )
+        self._wake = [self._rng.random() * ramp for _ in range(population.users)]
+        self._heap = [(t, user) for user, t in enumerate(self._wake)]
+        heapq.heapify(self._heap)
+        #: request_id -> (user, think time) of every issued query
+        self._issued: dict[str, tuple[int, float]] = {}
+
+    def peek(self) -> float:
+        """The earliest live wake-up instant."""
+        heap = self._heap
+        while heap and self._wake[heap[0][1]] != heap[0][0]:
+            heapq.heappop(heap)  # stale: a hedge moved this user's wake-up
+        return heap[0][0] if heap else float("inf")
+
+    def pop(self) -> int:
+        """Take the user behind :meth:`peek`'s wake-up."""
+        self.peek()
+        return heapq.heappop(self._heap)[1]
+
+    def issue(self, user: int, log: QueryLog) -> None:
+        """Draw the think time of ``user``'s new query and schedule the
+        wake-up after its response."""
+        think = self._rng.expovariate(self._rate)
+        self._issued[log.request_id] = (user, think)
+        self._schedule(user, log, log.issued_at, think)
+
+    def move(self, log: QueryLog, at: float) -> None:
+        """Re-anchor the wake-up on a hedged query's new final log,
+        decided at ``at``."""
+        user, think = self._issued[log.request_id]
+        self._schedule(user, log, at, think)
+
+    def _schedule(self, user: int, log: QueryLog, at: float, think: float) -> None:
+        response = log.issued_at + log.latency if log.served else at
+        self._wake[user] = response + think
+        heapq.heappush(self._heap, (response + think, user))
 
 
 class ServingFabric:
@@ -263,7 +338,7 @@ class ServingFabric:
         authoritative :class:`~repro.dyn.live.LiveGraph` built over it,
         and every replica serves an independent clone).
     mix:
-        Query-content sampler for open-loop traffic (optional when every
+        Query-content sampler for generated traffic (optional when every
         run replays a trace).
     config:
         The :class:`FabricConfig`.
@@ -272,6 +347,8 @@ class ServingFabric:
     fault_plan:
         Seeded :class:`~repro.distributed.comm.FaultPlan`; ``@R<N>``
         rules target replicas (identity-mapped onto the fabric's ranks).
+
+    :meth:`mount` builds the single-server variant instead.
     """
 
     def __init__(
@@ -291,9 +368,7 @@ class ServingFabric:
         )
         if provisioned < cfg.replicas:
             raise ValueError("max_replicas must cover the initial replicas")
-        self.config = cfg
-        self.mix = mix
-        self.cost_model = cost_model if cost_model is not None else CostModel()
+        self._setup(mix, cfg, cost_model)
         self.authority = LiveGraph(graph)
         self.shard_map = ShardMap(graph, cfg.shards)
         self.comm = SimComm(
@@ -302,8 +377,6 @@ class ServingFabric:
             fault_plan=fault_plan,
         )
         self.supervisor = FabricSupervisor(self.comm, self.shard_map)
-        self.ring = HashRing(range(provisioned))
-        self.replicas: dict[int, Replica] = {}
         for rid in range(provisioned):  # contracts: disable=CTR201 (bounded)
             if rid < cfg.replicas:
                 server = self._clone_server()
@@ -315,8 +388,66 @@ class ServingFabric:
                     rid, None, queue_depth=cfg.queue_depth, state=STANDBY
                 )
         self.router = Router(
-            self.ring, self.replicas, load_factor=cfg.load_factor
+            HashRing(range(provisioned)), self.replicas, load_factor=cfg.load_factor
         )
+
+    @classmethod
+    def mount(
+        cls,
+        server: QueryServer,
+        mix=None,
+        *,
+        timeout: float | None = None,
+        queue_depth: int = 0,
+        cost_model: CostModel | None = None,
+        seed: int = 0,
+    ) -> "ServingFabric":
+        """The loop over one caller-built server: a G/G/c/K station.
+
+        ``c = server.max_in_flight`` worker slots (the server's own
+        admission bound) and a FIFO wait queue of ``queue_depth``
+        requests (0 = shed on busy, the live server's semantics).
+        ``timeout`` is the per-query budget in simulated seconds,
+        anchored at the *arrival* instant, so queue wait burns it
+        (``None`` = no deadline).  ``seed`` drives arrival times, query
+        content and think times (docs/load_testing.md, "The seeding
+        contract").
+
+        The server is used as built — no clone, no supervisor, no
+        heartbeats — and a run's mutation batches go through its own
+        :meth:`~repro.serve.QueryServer.apply_mutations` (so it must be
+        built over a :class:`~repro.dyn.live.LiveGraph` to take any).
+        """
+        if queue_depth < 0:
+            raise ValueError("queue_depth must be >= 0")
+        fabric = cls.__new__(cls)
+        fabric._setup(
+            mix,
+            FabricConfig(
+                replicas=1,
+                timeout=timeout,
+                max_in_flight=server.max_in_flight,
+                queue_depth=queue_depth,
+                seed=seed,
+            ),
+            cost_model,
+        )
+        fabric.authority = None
+        fabric.shard_map = ShardMap(server.graph, 1)
+        fabric.comm = None
+        fabric.supervisor = None
+        fabric.replicas[0] = Replica(
+            0, server, queue_depth=queue_depth, state=ACTIVE
+        )
+        fabric.router = Router(HashRing([0]), fabric.replicas)
+        return fabric
+
+    def _setup(self, mix, config: FabricConfig, cost_model: CostModel | None) -> None:
+        """State both constructors share: config, clock, event queues."""
+        self.config = config
+        self.mix = mix
+        self.cost_model = cost_model if cost_model is not None else CostModel()
+        self.replicas: dict[int, Replica] = {}
         #: (version_after, batch) per applied batch — the recovery replay log
         self._batch_log: list[tuple[int, Any]] = []
         #: pending timed events: (at, seq, kind, replica_id, kill_record)
@@ -329,7 +460,7 @@ class ServingFabric:
         self.elastic_events: list[ElasticEvent] = []
         self._logs: dict[str, QueryLog] = {}
         self._results: dict[str, tuple] | None = None
-        self._outstanding: list[float] = []
+        self._users: _Users | None = None
         self._peak = 0
         self._clock = SimClock()
 
@@ -360,35 +491,26 @@ class ServingFabric:
     # -- the run --------------------------------------------------------
     def run(
         self,
-        traffic: ArrivalProcess | Iterable[Query],
+        traffic: ArrivalProcess | ClosedLoop | Iterable[Query],
         *,
         horizon: float,
         max_queries: int | None = None,
         mutations=None,
         keep_results: bool = False,
     ) -> FabricReport:
-        """Run one fabric experiment; see the module docstring.
+        """Run one experiment; see the module docstring.
 
-        ``traffic`` is an open-loop arrival process or a query trace —
-        closed-loop populations are rejected because a hedge shifts the
-        response instant the user's next think time would anchor on,
-        which would make the population's schedule depend on failure
-        timing (use the single-server harness for closed-loop studies).
+        ``traffic`` is an open-loop arrival process, a closed-loop
+        population, or a query trace (unique request ids).
+        ``mutations`` is an optional time-ordered iterable of
+        :class:`~repro.dyn.stream.MutationBatch`; each batch is applied
+        before dispatching any query issued at or after its ``at``
+        instant.  A fleet also runs its timeline out to ``horizon``, so
+        kills near the end still record their recovery; a mounted server
+        applies no batch later than its last query.
         """
-        if isinstance(traffic, ClosedLoop):
-            raise ValueError(
-                "the fabric serves open-loop traffic (or traces) only; "
-                "closed-loop populations couple think times to failover "
-                "timing — run those through LoadHarness"
-            )
         self._results = {} if keep_results else None
-        feed = _FabricFeed(mutations, self)
-        if isinstance(traffic, ArrivalProcess):
-            queries: Iterable[Query] = self._generate(
-                traffic, horizon, max_queries
-            )
-        else:
-            queries = self._cap(iter(traffic), max_queries)
+        feed = _Feed(mutations, pull_ahead=self.authority is not None)
         with virtual_time(self._clock, self.cost_model):
             restore = [
                 (r, r.server._sleep) for r in self.replicas.values()
@@ -397,12 +519,28 @@ class ServingFabric:
             for r, _ in restore:
                 r.server._sleep = self._clock.sleep
             try:
-                # t=0 coordinated checkpoint: recovery always has a base
-                self.supervisor.save_shards(self.authority)
-                for q in queries:
-                    self._advance_to(q.issued_at, feed)
-                    self._dispatch(q)
-                self._advance_to(horizon, feed)
+                if self.authority is not None:
+                    # t=0 coordinated checkpoint: recovery always has a base
+                    self.supervisor.save_shards(self.authority)
+                if isinstance(traffic, ClosedLoop):
+                    self._run_closed(traffic, horizon, max_queries, feed)
+                else:
+                    if isinstance(traffic, ArrivalProcess):
+                        queries = open_loop_queries(
+                            traffic,
+                            self.mix,
+                            horizon=horizon,
+                            seed=self.config.seed,
+                            timeout=self.config.timeout,
+                            max_queries=max_queries,
+                        )
+                    else:
+                        queries = islice(traffic, max_queries)
+                    for q in queries:
+                        self._advance_to(q.issued_at, feed)
+                        self._dispatch(q)
+                if self.authority is not None:
+                    self._advance_to(horizon, feed)
             finally:
                 for r, sleep in restore:
                     r.server._sleep = sleep
@@ -410,67 +548,73 @@ class ServingFabric:
             self.replicas[rid].commit_until(float("inf"))
         return self._report(horizon)
 
-    # -- traffic --------------------------------------------------------
-    def _generate(
-        self, process: ArrivalProcess, horizon: float, max_queries: int | None
-    ) -> Iterator[Query]:
+    def _run_closed(
+        self,
+        population: ClosedLoop,
+        horizon: float,
+        max_queries: int | None,
+        feed: _Feed,
+    ) -> None:
         if self.mix is None:
-            raise ValueError("an open-loop fabric run needs a query mix")
+            raise ValueError("a closed-loop run needs a query mix")
         cfg = self.config
-        rng_arrivals = Random(cfg.seed)
+        users = self._users = _Users(population, cfg.seed)
         rng_mix = Random(cfg.seed + MIX_STREAM_OFFSET)
-        for i, t in enumerate(process.arrivals(rng_arrivals, horizon)):
-            if max_queries is not None and i >= max_queries:
-                return
+        issued = 0
+        while True:
+            t = users.peek()
+            if t >= horizon or (max_queries is not None and issued >= max_queries):
+                return  # every remaining user retires
+            if self._step(t, feed):
+                continue  # a kill may have moved a wake-up earlier
+            user = users.pop()
             source, target, k = self.mix.sample(rng_mix)
-            yield Query(
+            q = Query(
                 source=source,
                 target=target,
                 k=k,
                 timeout=cfg.timeout,
-                request_id=f"q{i:06d}",
+                request_id=f"q{issued:06d}",
                 issued_at=t,
             )
-
-    @staticmethod
-    def _cap(queries: Iterator[Query], max_queries: int | None) -> Iterator[Query]:
-        for i, q in enumerate(queries):
-            if max_queries is not None and i >= max_queries:
-                return
-            yield q
+            issued += 1
+            users.issue(user, self._dispatch(q))
 
     # -- the event loop --------------------------------------------------
-    def _advance_to(self, t: float, feed: _FabricFeed) -> None:
-        """Process every timed event at or before ``t``, in time order.
+    def _advance_to(self, t: float, feed: _Feed) -> None:
+        """Process every timed event at or before ``t``, in time order."""
+        while self._step(t, feed):
+            pass
+
+    def _step(self, t: float, feed: _Feed) -> bool:
+        """Process the earliest timed event at or before ``t``, if any.
 
         Equal-instant priority: recoveries, then heartbeats, then
         mutations — a replica that recovers exactly when a batch lands
-        receives that batch like any other survivor.
+        receives that batch like any other survivor.  A mounted server
+        has no heartbeats and no recoveries.
         """
-        hb = self.config.heartbeat_interval
-        while True:
-            next_recover = self._pending[0][0] if self._pending else None
-            next_tick = (self._ticks_done + 1) * hb
-            if next_tick > t:
-                next_tick = None
-            next_mut = feed.peek()
-            if next_mut is not None and next_mut > t:
-                next_mut = None
-            candidates = [
-                v
-                for v in (next_recover, next_tick, next_mut)
-                if v is not None and v <= t
-            ]
-            if not candidates:
-                return
-            at = min(candidates)
-            if next_recover is not None and next_recover <= at:
-                self._process_pending()
-            elif next_tick is not None and next_tick <= at:
-                self._ticks_done += 1
-                self._heartbeat(self._ticks_done * hb)
-            else:
-                feed.pop_apply()
+        next_recover = self._pending[0][0] if self._pending else None
+        next_tick = None
+        if self.authority is not None:
+            next_tick = (self._ticks_done + 1) * self.config.heartbeat_interval
+        next_mut = feed.peek()
+        candidates = [
+            v
+            for v in (next_recover, next_tick, next_mut)
+            if v is not None and v <= t
+        ]
+        if not candidates:
+            return False
+        at = min(candidates)
+        if next_recover is not None and next_recover <= at:
+            self._process_pending()
+        elif next_tick is not None and next_tick <= at:
+            self._ticks_done += 1
+            self._heartbeat(self._ticks_done * self.config.heartbeat_interval)
+        else:
+            feed.pop_apply(self._apply_batch)
+        return True
 
     def _process_pending(self) -> None:
         at, _, kind, rid, kill = heapq.heappop(self._pending)
@@ -566,27 +710,12 @@ class ServingFabric:
     def _hedge(self, flight: Flight, tk: float) -> None:
         q = flight.query
         hedges = flight.hedges + 1
-        tracer = get_tracer()
-        tracer.add("fabric.hedges")
-        if hedges > self.config.max_hedges:
-            self._log(
-                QueryLog(
-                    request_id=q.request_id,
-                    source=q.source,
-                    target=q.target,
-                    k=q.k,
-                    issued_at=q.issued_at,
-                    disposition=SHED,
-                    queue_time=tk - q.issued_at,
-                    replica=flight.replica,
-                    hedges=hedges,
-                )
-            )
-            return
-        shard = self.shard_map.shard_of(q.source)
-        rid = self.router.place(shard, tk)
+        get_tracer().add("fabric.hedges")
+        rid = None
+        if hedges <= self.config.max_hedges:
+            rid = self.router.place(self.shard_map.shard_of(q.source), tk)
         if rid is None:
-            self._log(
+            log = self._log(
                 QueryLog(
                     request_id=q.request_id,
                     source=q.source,
@@ -599,16 +728,26 @@ class ServingFabric:
                     hedges=hedges,
                 )
             )
-            return
-        self._serve_on(self.replicas[rid], q, tk, hedges)
+        else:
+            log = self._serve_on(self.replicas[rid], q, tk, hedges)
+        if self._users is not None:
+            self._users.move(log, tk)
 
     # -- dispatch --------------------------------------------------------
-    def _dispatch(self, q: Query) -> None:
+    def _dispatch(self, q: Query) -> QueryLog:
         t = q.issued_at
-        shard = self.shard_map.shard_of(q.source)
-        rid = self.router.place(shard, t)
+        if q.request_id in self._logs:
+            raise ValueError(
+                f"duplicate request_id {q.request_id!r}: the loop keys "
+                "flights and logs by request id"
+            )
+        # the in-system count only rises at arrivals, so its peak is
+        # taken here; lost flights left their replica at the kill, so a
+        # hedged query counts once
+        in_system = sum(r.load_at(t) for r in self.replicas.values())
+        rid = self.router.place(self.shard_map.shard_of(q.source), t)
         if rid is None:
-            self._log(
+            return self._log(
                 QueryLog(
                     request_id=q.request_id,
                     source=q.source,
@@ -618,17 +757,19 @@ class ServingFabric:
                     disposition=SHED,
                 )
             )
-            return
-        self._serve_on(self.replicas[rid], q, t, 0)
+        log = self._serve_on(self.replicas[rid], q, t, 0)
+        if log.served:
+            self._peak = max(self._peak, in_system + 1)
+        return log
 
     def _serve_on(
         self, replica: Replica, q: Query, now_t: float, hedges: int
-    ) -> None:
+    ) -> QueryLog:
         start = replica.next_start(now_t)
         queue_time = start - q.issued_at  # total wait since *issue*
         timeout = q.timeout
         if timeout is not None and queue_time >= timeout:
-            self._log(
+            return self._log(
                 QueryLog(
                     request_id=q.request_id,
                     source=q.source,
@@ -641,26 +782,26 @@ class ServingFabric:
                     hedges=hedges,
                 )
             )
-            return
         budget = None if timeout is None else timeout - queue_time
         self._clock.jump_to(start)
         res = replica.server.serve(q.with_timeout(budget), queue_time=queue_time)
         finish = self._clock.now()
-        flight = Flight(
-            query=q,
-            replica=replica.id,
-            issued_at=q.issued_at,
-            start=start,
-            finish=finish,
-            result=res,
-            hedges=hedges,
+        replica.occupy(
+            Flight(
+                query=q,
+                replica=replica.id,
+                issued_at=q.issued_at,
+                start=start,
+                finish=finish,
+                result=res,
+                hedges=hedges,
+            )
         )
-        replica.occupy(flight)
-        while self._outstanding and self._outstanding[0] <= start:
-            heapq.heappop(self._outstanding)
-        heapq.heappush(self._outstanding, finish)
-        self._peak = max(self._peak, len(self._outstanding))
-        self._log(
+        if self._results is not None:
+            self._results[q.request_id] = tuple(
+                (p.vertices, p.distance) for p in res.paths
+            )
+        return self._log(
             QueryLog(
                 request_id=q.request_id,
                 source=q.source,
@@ -676,20 +817,22 @@ class ServingFabric:
                 paths=len(res.paths),
                 replica=replica.id,
                 hedges=hedges,
+                graph_version=res.graph_version,
             )
         )
-        if self._results is not None:
-            self._results[q.request_id] = tuple(
-                (p.vertices, p.distance) for p in res.paths
-            )
 
-    def _log(self, log: QueryLog) -> None:
+    def _log(self, log: QueryLog) -> QueryLog:
         self._logs[log.request_id] = log
         if self._results is not None and log.disposition in (SHED, EXPIRED):
             self._results.pop(log.request_id, None)
+        return log
 
     # -- mutations -------------------------------------------------------
     def _apply_batch(self, batch) -> None:
+        self._mutations_applied += 1
+        if self.authority is None:  # a mounted server owns its graph
+            self.replicas[0].server.apply_mutations(batch)
+            return
         touched_shards = self.shard_map.shards_touching(
             batch.touched_vertices()
         )
@@ -715,7 +858,6 @@ class ServingFabric:
             replica = self.replicas[rid]
             if replica.state in (ACTIVE, DRAINING):
                 replica.server.apply_mutations(batch)
-        self._mutations_applied += 1
 
     # -- recovery --------------------------------------------------------
     def _finish_recovery(self, tr: float, rid: int, kill: KillRecord) -> None:
@@ -779,12 +921,6 @@ class ServingFabric:
 
     # -- reporting -------------------------------------------------------
     def _report(self, horizon: float) -> FabricReport:
-        logs = [
-            self._logs[rid]
-            for rid in sorted(
-                self._logs, key=lambda r: (self._logs[r].issued_at, r)
-            )
-        ]
         counters: dict[str, int] = {}
         for rid in sorted(self.replicas):
             server = self.replicas[rid].server
@@ -792,29 +928,32 @@ class ServingFabric:
                 continue
             for key, value in server.counters.items():
                 counters[key] = counters.get(key, 0) + value
-        rep = self.comm.report
-        return FabricReport(
-            logs=logs,
-            horizon=horizon,
-            kills=self.kills,
-            elastic_events=self.elastic_events,
-            peak_in_flight=self._peak,
-            clock_ticks=self._clock.ticks,
-            mutation_batches=self._mutations_applied,
-            heartbeats=self._ticks_done,
-            spills=self.router.spills,
-            router_rejected=self.router.rejected,
-            server_counters=dict(sorted(counters.items())),
-            replica_states={
-                rid: self.replicas[rid].state for rid in sorted(self.replicas)
-            },
-            dist={
+        dist: dict[str, float] = {}
+        if self.authority is not None:
+            rep = self.comm.report
+            dist = {
                 "failures": rep.failures,
                 "supersteps": rep.supersteps,
                 "checkpoint_units": round(rep.checkpoint_units, 6),
                 "recovery_units": round(rep.recovery_units, 6),
                 "checkpoint_bytes": rep.checkpoint_bytes,
+            }
+        return FabricReport(
+            logs=list(self._logs.values()),  # dispatch order
+            horizon=horizon,
+            peak_in_flight=self._peak,
+            clock_ticks=self._clock.ticks,
+            mutation_batches=self._mutations_applied,
+            server_counters=dict(sorted(counters.items())),
+            kills=self.kills,
+            elastic_events=self.elastic_events,
+            heartbeats=self._ticks_done,
+            spills=self.router.spills,
+            router_rejected=self.router.rejected,
+            replica_states={
+                rid: self.replicas[rid].state for rid in sorted(self.replicas)
             },
+            dist=dist,
             results=self._results,
         )
 

@@ -2,11 +2,13 @@
 
 The load layer answers "what happens to this serving configuration
 under *that* traffic?" reproducibly: arrival processes and query mixes
-(:mod:`~repro.load.arrivals`, :mod:`~repro.load.mixes`) feed a
-discrete-event harness (:mod:`~repro.load.harness`) that drives a real
-:class:`~repro.serve.QueryServer` on a :class:`~repro.load.simclock.SimClock`,
-and the experiment runner (:mod:`~repro.load.runner`) sweeps run tables
-into ``BENCH_serving.json``.  See ``docs/load_testing.md``.
+(:mod:`~repro.load.arrivals`, :mod:`~repro.load.mixes`) feed the
+discrete-event serving loop (:class:`~repro.fabric.fabric.ServingFabric`)
+that drives a real :class:`~repro.serve.QueryServer` on a
+:class:`~repro.load.simclock.SimClock`, :mod:`~repro.load.harness` holds
+the run records, and the experiment runner (:mod:`~repro.load.runner`)
+sweeps run tables into ``BENCH_serving.json``.  See
+``docs/load_testing.md``.
 """
 
 from repro.load.arrivals import (
@@ -17,7 +19,7 @@ from repro.load.arrivals import (
     PoissonArrivals,
     arrival_process,
 )
-from repro.load.harness import LoadHarness, LoadReport, QueryLog
+from repro.load.harness import LoadReport, QueryLog
 from repro.load.mixes import HotspotMix, KSampler, QueryMix, UniformMix, make_mix
 from repro.load.runner import RunTable, ServerConfig, capacity_summary, run_table
 from repro.load.simclock import CostModel, SimClock, virtual_time
@@ -38,7 +40,6 @@ __all__ = [
     "SimClock",
     "CostModel",
     "virtual_time",
-    "LoadHarness",
     "LoadReport",
     "QueryLog",
     "RunTable",

@@ -28,9 +28,9 @@ import argparse
 import json
 import sys
 
+from repro.fabric.fabric import ServingFabric
 from repro.graph.suite import SCALES, suite_graph
 from repro.load.arrivals import arrival_process
-from repro.load.harness import LoadHarness
 from repro.load.mixes import make_mix
 from repro.load.runner import TABLES, ServerConfig, run_table, write_outputs
 from repro.load.trace import dump_trace, load_trace, record_open_loop
@@ -167,15 +167,14 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         queue_depth=args.queue_depth,
         tier1_budget_fraction=args.tier1_budget_fraction,
     )
-    harness = LoadHarness(
+    fabric = ServingFabric.mount(
         config.build(graph, seed=args.seed),
-        mix=None,  # trace replay carries its own query content
         timeout=args.timeout,
         queue_depth=args.queue_depth,
         seed=args.seed,
-    )
+    )  # no mix: a trace carries its own query content
     horizon = max((q.issued_at for q in queries), default=0.0) + 1e-9
-    report = harness.run(queries, horizon=horizon)
+    report = fabric.run(queries, horizon=horizon)
     print(json.dumps(report.metrics(), indent=2))
     return 0
 

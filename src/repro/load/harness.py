@@ -1,52 +1,22 @@
-"""The closed/open-loop load harness: a discrete-event driver over
-:class:`~repro.serve.QueryServer`, entirely on simulated time.
+"""The records of a serving run: per-query logs, the report, the ledger.
 
-The model is a G/G/c/K queueing station in front of the real server:
-
-* ``c = server.max_in_flight`` worker slots (the server's own admission
-  bound, so the simulated concurrency matches what the live server
-  would admit);
-* a FIFO wait queue of at most ``queue_depth`` requests (0 by default —
-  exactly the live server's shed-don't-queue semantics);
-* arrivals from an :class:`~repro.load.arrivals.ArrivalProcess`, a
-  replayed trace, or a :class:`~repro.load.arrivals.ClosedLoop` user
-  population.
-
-Each admitted query is *actually served* — the full PeeK → OptYen →
-partial degradation chain runs, with the per-query deadline anchored at
-the arrival instant — but on a :class:`~repro.load.simclock.SimClock`
-that advances per cooperative checkpoint.  A run may also carry a
-*mutation feed* (``run(..., mutations=...)``): timed
-:class:`~repro.dyn.stream.MutationBatch` values applied through
-:meth:`QueryServer.apply_mutations <repro.serve.QueryServer.apply_mutations>`
-before dispatching any query issued at or after each batch's ``at``
-instant, so live-graph serving runs on the same deterministic timeline
-as the queries themselves.  Queries overlap in simulated
-time while executing sequentially in real time: the harness jumps the
-clock to each query's start instant and lets the pipeline advance it,
-then schedules the completion back into the event heap.  Everything
-downstream of the seeds is deterministic, so a run's entire metrics
-table is reproducible byte-for-byte.
-
-Why a simulated station rather than threads: real threads would put
-wall-clock jitter in every latency and make overload behavior a race;
-the simulated station makes "p999 under 2× overload" a *fact* about the
-configuration, not about the test machine (and lets one process model a
-million-user population).
+The discrete-event loop itself is :class:`~repro.fabric.fabric.
+ServingFabric` (one caller-built server via :meth:`ServingFabric.mount
+<repro.fabric.fabric.ServingFabric.mount>`, or a replicated fleet); this
+module holds what it produces and what the benchmarks read:
+:class:`QueryLog` per request, :class:`LoadReport` per run with its
+metrics table, the unified :func:`disposition_summary` ledger, the
+nearest-rank :func:`percentile`, and the seed-stream offsets of the
+seeding contract (docs/load_testing.md).  It imports nothing of the
+fabric, so ``repro.load`` stays light.
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass
-from random import Random
-from typing import Iterable, Iterator
+from dataclasses import dataclass, field
+from typing import Iterable
 
-from repro.load.arrivals import ArrivalProcess, ClosedLoop
-from repro.load.mixes import QueryMix
-from repro.load.simclock import CostModel, SimClock, virtual_time
-from repro.serve.query import Query
-from repro.serve.server import OUTCOMES, QueryServer
+from repro.serve.server import OUTCOMES
 
 __all__ = [
     "SHED",
@@ -54,12 +24,11 @@ __all__ = [
     "DISPOSITIONS",
     "QueryLog",
     "LoadReport",
-    "LoadHarness",
     "percentile",
     "disposition_summary",
 ]
 
-#: harness-level dispositions, beyond the server's four outcomes
+#: loop-level dispositions, beyond the server's four outcomes
 SHED = "shed"  #: no worker and no queue room at arrival
 EXPIRED = "expired"  #: budget ran out while waiting in the queue
 
@@ -88,7 +57,7 @@ def percentile(sorted_values: list[float], q: float) -> float | None:
 
 @dataclass(frozen=True)
 class QueryLog:
-    """One request's journey through the station, in simulated seconds."""
+    """One request's journey through the serving loop, in simulated seconds."""
 
     request_id: str
     source: int
@@ -104,10 +73,13 @@ class QueryLog:
     latency: float = 0.0
     attempts: int = 0
     paths: int = 0
-    #: serving-fabric replica that answered (-1 = single-server harness)
+    #: replica that took the query (-1 = shed before reaching one)
     replica: int = -1
     #: hedged re-dispatches after a replica died mid-flight
     hedges: int = 0
+    #: graph version the answer was computed on (0 = static graph or no
+    #: answer)
+    graph_version: int = 0
 
     @property
     def served(self) -> bool:
@@ -138,7 +110,7 @@ def disposition_summary(
     :attr:`QueryServer.counters <repro.serve.server.QueryServer.counters>`):
     queries shed *inside* the server by admission control raise
     ``ServerOverloadError`` and bump its ``"shed"`` counter without ever
-    producing a harness log entry, so they would otherwise vanish from
+    producing a loop log entry, so they would otherwise vanish from
     the SLO accounting.  Both :mod:`benchmarks.bench_serving` and the
     fabric report consume this summary, so single-server and fabric SLOs
     are computed by literally the same code.
@@ -166,23 +138,31 @@ def disposition_summary(
 
 @dataclass
 class LoadReport:
-    """Everything one harness run produced."""
+    """Everything one run produced: the single-server part
+    (:class:`~repro.fabric.fabric.FabricReport` adds the fleet's)."""
 
     logs: list[QueryLog]
     horizon: float
-    #: highest number of simultaneously in-flight queries observed
+    #: most served queries in the system at once (counted at arrivals,
+    #: where the count rises)
     peak_in_flight: int = 0
     #: checkpoint ticks the clock advanced through (work proxy)
     clock_ticks: int = 0
     #: mutation batches applied from the run's mutation feed
     mutation_batches: int = 0
+    #: merged per-outcome counters of every server the run mounted
+    server_counters: dict[str, int] = field(default_factory=dict)
 
     def count(self, disposition: str) -> int:
         return sum(1 for log in self.logs if log.disposition == disposition)
 
     def dispositions(self, server_counters: dict | None = None) -> dict:
-        """Unified disposition ledger — see :func:`disposition_summary`."""
-        return disposition_summary(self.logs, server_counters)
+        """Unified disposition ledger — see :func:`disposition_summary`;
+        merges ``server_counters`` (default: the run's own)."""
+        return disposition_summary(
+            self.logs,
+            self.server_counters if server_counters is None else server_counters,
+        )
 
     def metrics(self) -> dict:
         """The aggregate table one run-table cell reports.
@@ -228,322 +208,3 @@ class LoadReport:
 
 def _round(value: float | None) -> float | None:
     return round(value, 6) if value is not None else None
-
-
-class _MutationFeed:
-    """Applies a time-ordered mutation stream as the run reaches it."""
-
-    def __init__(self, batches, server: QueryServer) -> None:
-        self._it = iter(batches) if batches is not None else iter(())
-        self._server = server
-        self._next = next(self._it, None)
-        self.applied = 0
-
-    def advance_to(self, t: float) -> None:
-        """Apply every pending batch with ``at <= t``, in order.
-
-        Lazy: the next batch is only pulled from the stream after the
-        previous one was applied, so generators that sample the *current*
-        graph state (:meth:`~repro.dyn.stream.IncidentStream.batches`)
-        see exactly the state their batch will apply to.
-        """
-        while self._next is not None and self._next.at <= t:
-            self._server.apply_mutations(self._next)
-            self.applied += 1
-            self._next = next(self._it, None)
-
-
-class _Station:
-    """The G/G/c/K bookkeeping: worker slots, wait queue, in-flight set."""
-
-    def __init__(self, workers: int, queue_depth: int) -> None:
-        self.capacity = workers + queue_depth
-        #: next-free instant per worker slot (a heap)
-        self.worker_free = [0.0] * workers
-        #: completion instants of in-flight queries (a heap)
-        self.outstanding: list[float] = []
-        self.peak = 0
-
-    def in_flight_at(self, t: float) -> int:
-        outstanding = self.outstanding
-        while outstanding and outstanding[0] <= t:
-            heapq.heappop(outstanding)
-        return len(outstanding)
-
-    def admit(self, t: float) -> float | None:
-        """Start instant for an arrival at ``t``, or None to shed."""
-        if self.in_flight_at(t) >= self.capacity:
-            return None
-        free_at = self.worker_free[0]
-        return max(t, free_at)
-
-    def occupy(self, start: float, finish: float) -> None:
-        heapq.heapreplace(self.worker_free, finish)
-        heapq.heappush(self.outstanding, finish)
-        self.peak = max(self.peak, len(self.outstanding))
-
-
-class LoadHarness:
-    """Drive one :class:`~repro.serve.QueryServer` with simulated traffic.
-
-    Parameters
-    ----------
-    server:
-        The server under test.  Its ``max_in_flight`` is the worker-slot
-        count of the simulated station; pass ``sleep=clock.sleep`` when
-        constructing it only if you build the clock yourself — by
-        default the harness rebinds the server's backoff sleep to the
-        simulated clock for the duration of each run.
-    mix:
-        Query-content sampler (required unless every run replays a
-        trace).
-    timeout:
-        Per-query budget in simulated seconds, anchored at the *arrival*
-        instant — queue wait burns budget, exactly like a client-side
-        deadline.  ``None`` = no deadline.
-    queue_depth:
-        Wait-queue length in front of the workers (0 = shed on busy,
-        the live server's semantics).
-    cost_model:
-        Per-checkpoint simulated costs; default :class:`CostModel`.
-    seed:
-        Master seed for the run; arrival times, query content, think
-        times, and retry jitter all derive from it (docs/load_testing.md,
-        "The seeding contract").
-    injector:
-        Optional :class:`~repro.serve.faults.FaultInjector` chained into
-        the checkpoint hook, so fault campaigns run under virtual time.
-    """
-
-    def __init__(
-        self,
-        server: QueryServer,
-        mix: QueryMix | None = None,
-        *,
-        timeout: float | None = None,
-        queue_depth: int = 0,
-        cost_model: CostModel | None = None,
-        seed: int = 0,
-        injector=None,
-    ) -> None:
-        if queue_depth < 0:
-            raise ValueError("queue_depth must be >= 0")
-        self.server = server
-        self.mix = mix
-        self.timeout = timeout
-        self.queue_depth = queue_depth
-        self.cost_model = cost_model if cost_model is not None else CostModel()
-        self.seed = seed
-        self.injector = injector
-
-    # -- entry points ---------------------------------------------------
-    def run(
-        self,
-        traffic: ArrivalProcess | ClosedLoop | Iterable[Query],
-        *,
-        horizon: float,
-        max_queries: int | None = None,
-        mutations=None,
-    ) -> LoadReport:
-        """Run one experiment: ``traffic`` may be an open-loop arrival
-        process, a closed-loop population, or a query list (trace).
-
-        ``mutations`` is an optional time-ordered iterable of
-        :class:`~repro.dyn.stream.MutationBatch` (e.g.
-        :meth:`IncidentStream.batches
-        <repro.dyn.stream.IncidentStream.batches>`); each batch is
-        applied via :meth:`QueryServer.apply_mutations
-        <repro.serve.QueryServer.apply_mutations>` before dispatching any
-        query issued at or after its ``at`` instant.  Requires a server
-        built over a :class:`~repro.dyn.live.LiveGraph`.
-        """
-        feed = _MutationFeed(mutations, self.server)
-        if isinstance(traffic, ClosedLoop):
-            return self._run_closed(traffic, horizon, max_queries, feed)
-        if isinstance(traffic, ArrivalProcess):
-            return self._run_open(
-                self._generate(traffic, horizon, max_queries), horizon, feed
-            )
-        return self._run_open(
-            self._cap(iter(traffic), max_queries), horizon, feed
-        )
-
-    # -- open loop ------------------------------------------------------
-    def _generate(
-        self,
-        process: ArrivalProcess,
-        horizon: float,
-        max_queries: int | None,
-    ) -> Iterator[Query]:
-        if self.mix is None:
-            raise ValueError("an open-loop run needs a query mix")
-        rng_arrivals = Random(self.seed)
-        rng_mix = Random(self.seed + MIX_STREAM_OFFSET)
-        for i, t in enumerate(process.arrivals(rng_arrivals, horizon)):
-            if max_queries is not None and i >= max_queries:
-                return
-            source, target, k = self.mix.sample(rng_mix)
-            yield Query(
-                source=source,
-                target=target,
-                k=k,
-                timeout=self.timeout,
-                request_id=f"q{i:06d}",
-                issued_at=t,
-            )
-
-    @staticmethod
-    def _cap(queries: Iterator[Query], max_queries: int | None) -> Iterator[Query]:
-        for i, q in enumerate(queries):
-            if max_queries is not None and i >= max_queries:
-                return
-            yield q
-
-    def _run_open(
-        self,
-        queries: Iterable[Query],
-        horizon: float,
-        feed: _MutationFeed,
-    ) -> LoadReport:
-        station = _Station(self.server.max_in_flight, self.queue_depth)
-        clock = SimClock()
-        logs: list[QueryLog] = []
-        with virtual_time(clock, self.cost_model, hook=self.injector):
-            prev_sleep = self._bind_clock(clock)
-            try:
-                for q in queries:
-                    feed.advance_to(q.issued_at)
-                    logs.append(self._dispatch(q, station, clock))
-            finally:
-                self.server._sleep = prev_sleep
-        return LoadReport(
-            logs=logs,
-            horizon=horizon,
-            peak_in_flight=station.peak,
-            clock_ticks=clock.ticks,
-            mutation_batches=feed.applied,
-        )
-
-    # -- closed loop ----------------------------------------------------
-    def _run_closed(
-        self,
-        population: ClosedLoop,
-        horizon: float,
-        max_queries: int | None,
-        feed: _MutationFeed,
-    ) -> LoadReport:
-        if self.mix is None:
-            raise ValueError("a closed-loop run needs a query mix")
-        rng_think = Random(self.seed + THINK_STREAM_OFFSET)
-        rng_mix = Random(self.seed + MIX_STREAM_OFFSET)
-        ramp = (
-            population.ramp
-            if population.ramp is not None
-            else population.think_mean
-        )
-        # Initial wake-ups, uniformly over the ramp window.  For a
-        # million-user population this is one float per user — the event
-        # heap never holds more than one entry per user, which is what
-        # keeps closed-loop in-flight <= population by construction.
-        events = [rng_think.random() * ramp for _ in range(population.users)]
-        heapq.heapify(events)
-
-        station = _Station(self.server.max_in_flight, self.queue_depth)
-        clock = SimClock()
-        logs: list[QueryLog] = []
-        issued = 0
-        with virtual_time(clock, self.cost_model, hook=self.injector):
-            prev_sleep = self._bind_clock(clock)
-            try:
-                while events:
-                    t = heapq.heappop(events)
-                    if t >= horizon:
-                        continue  # this user retires
-                    if max_queries is not None and issued >= max_queries:
-                        break
-                    source, target, k = self.mix.sample(rng_mix)
-                    q = Query(
-                        source=source,
-                        target=target,
-                        k=k,
-                        timeout=self.timeout,
-                        request_id=f"q{issued:06d}",
-                        issued_at=t,
-                    )
-                    issued += 1
-                    feed.advance_to(t)
-                    log = self._dispatch(q, station, clock)
-                    logs.append(log)
-                    # the user's next wake: after the response (or the
-                    # failed attempt) plus one think time
-                    response_at = t + log.latency if log.served else t
-                    think = rng_think.expovariate(1.0 / population.think_mean)
-                    heapq.heappush(events, response_at + think)
-            finally:
-                self.server._sleep = prev_sleep
-        report = LoadReport(
-            logs=logs,
-            horizon=horizon,
-            peak_in_flight=station.peak,
-            clock_ticks=clock.ticks,
-            mutation_batches=feed.applied,
-        )
-        assert report.peak_in_flight <= population.users, (
-            "closed-loop invariant violated: in-flight exceeded population"
-        )
-        return report
-
-    # -- the station ----------------------------------------------------
-    def _bind_clock(self, clock: SimClock):
-        """Point the server's backoff sleep at simulated time; returns
-        the previous sleep for restoration."""
-        prev = self.server._sleep
-        self.server._sleep = clock.sleep
-        return prev
-
-    def _dispatch(
-        self, q: Query, station: _Station, clock: SimClock
-    ) -> QueryLog:
-        t = q.issued_at
-        start = station.admit(t)
-        if start is None:
-            return QueryLog(
-                request_id=q.request_id,
-                source=q.source,
-                target=q.target,
-                k=q.k,
-                issued_at=t,
-                disposition=SHED,
-            )
-        queue_time = start - t
-        timeout = q.timeout
-        if timeout is not None and queue_time >= timeout:
-            # the budget died while queueing: never reaches a worker
-            return QueryLog(
-                request_id=q.request_id,
-                source=q.source,
-                target=q.target,
-                k=q.k,
-                issued_at=t,
-                disposition=EXPIRED,
-                queue_time=queue_time,
-            )
-        budget = None if timeout is None else timeout - queue_time
-        clock.jump_to(start)
-        res = self.server.serve(q.with_timeout(budget), queue_time=queue_time)
-        finish = clock.now()
-        station.occupy(start, finish)
-        return QueryLog(
-            request_id=q.request_id,
-            source=q.source,
-            target=q.target,
-            k=q.k,
-            issued_at=t,
-            disposition=res.outcome,
-            tier=res.tier,
-            queue_time=queue_time,
-            service_time=res.service_time,
-            latency=(finish - t),
-            attempts=res.attempts,
-            paths=len(res.paths),
-        )

@@ -27,7 +27,7 @@ from typing import Any, Callable
 
 from repro.graph.suite import suite_graph
 from repro.load.arrivals import arrival_process
-from repro.load.harness import DISPOSITIONS, LoadHarness
+from repro.load.harness import DISPOSITIONS
 from repro.load.mixes import make_mix
 from repro.load.simclock import CostModel
 from repro.obs.tracer import Tracer, use_tracer
@@ -46,7 +46,7 @@ __all__ = [
 
 SCHEMA_VERSION = 2  # v2: rows carry "replicas" + unified "dispositions"
 
-#: decorrelates the server-jitter RNG from the harness streams
+#: decorrelates the server-jitter RNG from the serving loop streams
 JITTER_STREAM_OFFSET = 0xB7E15162
 
 
@@ -54,7 +54,7 @@ JITTER_STREAM_OFFSET = 0xB7E15162
 class ServerConfig:
     """One server configuration under test (a run-table axis value).
 
-    ``timeout`` is the *client-side* budget the harness stamps on every
+    ``timeout`` is the *client-side* budget the serving loop stamps on every
     query (anchored at arrival, so queue wait burns it); the remaining
     fields go straight to :class:`~repro.serve.QueryServer`.
     """
@@ -62,14 +62,14 @@ class ServerConfig:
     name: str
     timeout: float | None = None
     max_in_flight: int = 4
-    #: harness wait-queue depth (0 = shed on busy, live-server semantics)
+    #: wait-queue depth (0 = shed on busy, live-server semantics)
     queue_depth: int = 0
     tier1_budget_fraction: float | None = None
     kernel: str = "delta"
     cache_size: int = 64
     jitter: float = 0.0
-    #: >1 routes the cell through :class:`~repro.fabric.fabric.ServingFabric`
-    #: (replicated serving; open-loop traffic only, jitter not plumbed)
+    #: 1 mounts the built server in :class:`~repro.fabric.fabric.ServingFabric`;
+    #: more runs a replicated fleet (jitter not plumbed)
     replicas: int = 1
 
     def build(self, graph, *, seed: int) -> QueryServer:
@@ -126,6 +126,38 @@ def cell_seed(table: RunTable, traffic: str, graph: str, config: str, rep: int) 
     return zlib.crc32(key.encode("utf-8"))
 
 
+def _mount(config: ServerConfig, graph, mix, *, seed: int, cost_model: CostModel):
+    """What one cell serves: a fresh caller-built server, or a fleet."""
+    # imported here: the fabric imports repro.load, and repro.load must
+    # stay importable without the fabric or the distributed layer
+    from repro.fabric.fabric import FabricConfig, ServingFabric
+
+    if config.replicas == 1:
+        return ServingFabric.mount(
+            config.build(graph, seed=seed),
+            mix,
+            timeout=config.timeout,
+            queue_depth=config.queue_depth,
+            cost_model=cost_model,
+            seed=seed,
+        )
+    return ServingFabric(
+        graph,
+        mix,
+        config=FabricConfig(
+            replicas=config.replicas,
+            timeout=config.timeout,
+            max_in_flight=config.max_in_flight,
+            queue_depth=config.queue_depth,
+            tier1_budget_fraction=config.tier1_budget_fraction,
+            kernel=config.kernel,
+            cache_size=config.cache_size,
+            seed=seed,
+        ),
+        cost_model=cost_model,
+    )
+
+
 def run_table(
     table: RunTable,
     *,
@@ -148,48 +180,12 @@ def run_table(
         graph = suite_graph(graph_name, table.scale)
         mix = make_mix(graph, table.mix)
         pattern = arrival_process(dict(spec))
+        fabric = _mount(config, graph, mix, seed=seed, cost_model=cost_model)
         tracer = Tracer()
-        if config.replicas > 1:
-            # replicated cell: the fabric owns its servers and clock
-            from repro.fabric.fabric import FabricConfig, ServingFabric
-
-            fabric = ServingFabric(
-                graph,
-                mix,
-                config=FabricConfig(
-                    replicas=config.replicas,
-                    timeout=config.timeout,
-                    max_in_flight=config.max_in_flight,
-                    queue_depth=config.queue_depth,
-                    tier1_budget_fraction=config.tier1_budget_fraction,
-                    kernel=config.kernel,
-                    cache_size=config.cache_size,
-                    seed=seed,
-                ),
-                cost_model=cost_model,
+        with use_tracer(tracer):
+            report = fabric.run(
+                pattern, horizon=table.horizon, max_queries=table.max_queries
             )
-            with use_tracer(tracer):
-                report = fabric.run(
-                    pattern, horizon=table.horizon, max_queries=table.max_queries
-                )
-            server_counters = report.server_counters
-            dispositions = report.dispositions()
-        else:
-            server = config.build(graph, seed=seed)
-            harness = LoadHarness(
-                server,
-                mix,
-                timeout=config.timeout,
-                queue_depth=config.queue_depth,
-                cost_model=cost_model,
-                seed=seed,
-            )
-            with use_tracer(tracer):
-                report = harness.run(
-                    pattern, horizon=table.horizon, max_queries=table.max_queries
-                )
-            server_counters = dict(server.counters)
-            dispositions = report.dispositions(server.counters)
         row: dict[str, Any] = {
             "traffic": label,
             "graph": graph_name,
@@ -200,9 +196,9 @@ def run_table(
             "offered_qps": round(pattern.mean_rate(), 6),
             **report.metrics(),
         }
-        row["dispositions"] = dispositions
+        row["dispositions"] = report.dispositions()
         row["counters"] = {
-            "server": dict(sorted(server_counters.items())),
+            "server": report.server_counters,
             "trace": tracer.counter_totals(),
         }
         rows.append(row)

@@ -2,7 +2,7 @@
 
 Reproducible load experiments cannot read the wall clock — two runs of
 the same seed would time out differently and the metrics tables would
-never be byte-identical.  Instead the harness runs the serving stack on
+never be byte-identical.  Instead the serving loop runs each query on
 a :class:`SimClock`, installed through :func:`repro.cancel.clock_scope`,
 and advances it at every cooperative cancellation checkpoint by a
 per-stage cost from a :class:`CostModel`.
@@ -42,7 +42,7 @@ class SimClock:
 
     Implements the zero-argument-callable protocol
     :mod:`repro.cancel` expects from a clock, so ``clock_scope(clock)``
-    routes every deadline comparison through it.  The harness *jumps*
+    routes every deadline comparison through it.  The serving loop *jumps*
     the clock to each query's start time (which may move backward
     relative to the previous query's finish — queries overlap in
     simulated time even though they execute one after another in real
@@ -73,7 +73,7 @@ class SimClock:
         self.advance(max(0.0, seconds))
 
     def jump_to(self, t: float) -> None:
-        """Set absolute time (the harness aligning to a query's start)."""
+        """Set absolute time (the serving loop aligning to a query's start)."""
         self._now = float(t)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -95,12 +95,6 @@ DEFAULT_COSTS: dict[str, float] = {
 }
 
 
-#: vertices settled between Dijkstra cancellation checkpoints — the
-#: cadence :func:`CostModel.calibrate` converts per-edge wall time into a
-#: per-checkpoint cost with (see ``repro/sssp/dijkstra.py``)
-SETTLES_PER_CHECKPOINT = 256
-
-
 @dataclass(frozen=True)
 class CostModel:
     """Stage-label prefix → simulated seconds per checkpoint visit.
@@ -109,11 +103,6 @@ class CostModel:
     :class:`~repro.serve.faults.FaultRule`): ``"prune.scan"`` beats
     ``"prune"`` beats the ``default``.  Frozen so a cost model can be a
     run-table cell key.
-
-    A model built by :meth:`calibrate` additionally carries the fitted
-    wall-time law (``per_edge_seconds``/``per_query_seconds``) so
-    :meth:`predict_seconds` can round-trip the fit against the measured
-    rows it came from.
     """
 
     costs: tuple[tuple[str, float], ...] = field(
@@ -122,100 +111,10 @@ class CostModel:
     #: cost for any stage no prefix matches (e.g. the per-iteration
     #: checkpoints of the deviation loop, labelled by algorithm name)
     default: float = 1e-4
-    #: fitted seconds per relaxed edge (None until :meth:`calibrate`)
-    per_edge_seconds: float | None = None
-    #: fitted fixed seconds per query (intercept of the calibration fit)
-    per_query_seconds: float | None = None
 
     @staticmethod
     def from_dict(costs: dict[str, float], default: float = 1e-4) -> "CostModel":
         return CostModel(costs=tuple(sorted(costs.items())), default=default)
-
-    @classmethod
-    def calibrate(
-        cls,
-        payload: dict,
-        *,
-        graph: str,
-        variant: str | None = "workspace",
-        algos: tuple[str, ...] = ("Yen", "OptYen"),
-        settle_batch: int = SETTLES_PER_CHECKPOINT,
-    ) -> "CostModel":
-        """Fit the per-stage constants to measured ``BENCH_hot_path.json``.
-
-        ``payload`` is the parsed benchmark file (top-level ``rows`` with
-        ``graph``/``algo``/``variant``/``wall_seconds``/``edges_relaxed``
-        keys, the ``bench_hot_path.py`` schema).  The fit is the affine
-        law ``wall ≈ a·edges_relaxed + b`` over the deviation-algorithm
-        rows of one graph family (``algos`` defaults to Yen/OptYen, whose
-        wall time *is* edge relaxation; PeeK rows are excluded because
-        their wall is dominated by pruning SSSPs whose relaxations are
-        not counted in ``edges_relaxed``).  ``a`` becomes the per-edge
-        wall cost; every stage constant is then the default ratio table
-        rescaled so one SSSP checkpoint (``settle_batch`` settles at the
-        family's mean degree) costs ``a · settle_batch · degree`` — the
-        measured machine's speed expressed in this clock's units.
-
-        Returns a new frozen model; :meth:`predict_seconds` applies the
-        fitted law, and the round-trip contract (fit → predict within
-        tolerance on the fitting rows) is tested in
-        ``tests/load/test_calibrate.py``.
-        """
-        rows = [
-            r
-            for r in payload.get("rows", ())
-            if r.get("graph") == graph
-            and r.get("algo") in algos
-            and (variant is None or r.get("variant", variant) == variant)
-            and r.get("edges_relaxed")
-            and r.get("wall_seconds") is not None
-        ]
-        if len(rows) < 2:
-            raise ValueError(
-                f"calibrate needs >= 2 {algos} rows for graph {graph!r} "
-                f"(variant={variant!r}); payload has {len(rows)}"
-            )
-        edges = [float(r["edges_relaxed"]) for r in rows]
-        walls = [float(r["wall_seconds"]) for r in rows]
-        n = len(rows)
-        mean_e = sum(edges) / n
-        mean_w = sum(walls) / n
-        var_e = sum((e - mean_e) ** 2 for e in edges)
-        if var_e <= 0.0:
-            raise ValueError(
-                f"calibrate needs rows with distinct edges_relaxed for "
-                f"graph {graph!r}"
-            )
-        cov = sum((e - mean_e) * (w - mean_w) for e, w in zip(edges, walls))
-        a = cov / var_e
-        b = max(0.0, mean_w - a * mean_e)
-        if a <= 0.0:
-            raise ValueError(
-                f"calibration fit for graph {graph!r} has non-positive "
-                f"per-edge cost ({a:.3e}); rows are not edge-dominated"
-            )
-        degree = sum(r["m"] / max(r["n"], 1) for r in rows if "m" in r and "n" in r)
-        degree = degree / n if degree else 8.0
-        scale = (a * settle_batch * degree) / DEFAULT_COSTS["sssp"]
-        return cls(
-            costs=tuple(
-                (stage, cost * scale) for stage, cost in sorted(DEFAULT_COSTS.items())
-            ),
-            default=1e-4 * scale,
-            per_edge_seconds=a,
-            per_query_seconds=b,
-        )
-
-    def predict_seconds(self, edges_relaxed: float) -> float:
-        """Wall seconds the calibration law predicts for one query."""
-        if self.per_edge_seconds is None:
-            raise ValueError(
-                "predict_seconds requires a calibrated model "
-                "(build one with CostModel.calibrate)"
-            )
-        return self.per_edge_seconds * float(edges_relaxed) + (
-            self.per_query_seconds or 0.0
-        )
 
     def cost(self, stage: str) -> float:
         best_len = -1

@@ -24,15 +24,17 @@ from __future__ import annotations
 import json
 from pathlib import Path
 from random import Random
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 from repro.load.arrivals import ArrivalProcess
+from repro.load.harness import MIX_STREAM_OFFSET
 from repro.load.mixes import QueryMix
 from repro.serve.query import Query
 
 __all__ = [
     "dump_trace",
     "load_trace",
+    "open_loop_queries",
     "record_open_loop",
 ]
 
@@ -109,6 +111,42 @@ def load_trace(path: str | Path) -> list[Query]:
     return out
 
 
+def open_loop_queries(
+    process: ArrivalProcess,
+    mix: QueryMix | None,
+    *,
+    horizon: float,
+    seed: int,
+    timeout: float | None = None,
+    max_queries: int | None = None,
+) -> Iterator[Query]:
+    """Lazily generate an open-loop workload, one :class:`Query` per arrival.
+
+    Two seeded RNG streams: one for arrival times (``seed``) and one for
+    query content (``seed + MIX_STREAM_OFFSET``), so the schedule does not
+    depend on the mix and vice versa.  This is the only open-loop
+    generator: :class:`~repro.fabric.fabric.ServingFabric` serves live
+    traffic from it and :func:`record_open_loop` materializes it, so a
+    recorded trace replays the identical schedule.
+    """
+    if mix is None:
+        raise ValueError("an open-loop run needs a query mix")
+    rng_arrivals = Random(seed)
+    rng_mix = Random(seed + MIX_STREAM_OFFSET)
+    for i, t in enumerate(process.arrivals(rng_arrivals, horizon)):
+        if max_queries is not None and i >= max_queries:
+            return
+        source, target, k = mix.sample(rng_mix)
+        yield Query(
+            source=source,
+            target=target,
+            k=k,
+            timeout=timeout,
+            request_id=f"q{i:06d}",
+            issued_at=t,
+        )
+
+
 def record_open_loop(
     process: ArrivalProcess,
     mix: QueryMix,
@@ -118,29 +156,15 @@ def record_open_loop(
     timeout: float | None = None,
     max_queries: int | None = None,
 ) -> list[Query]:
-    """Materialize an open-loop workload as a query list.
-
-    Uses the same two seeded RNG streams as the live harness (one for
-    arrival times, one for query content — see
-    :class:`~repro.load.harness.LoadHarness`), so recording a workload
-    and replaying the trace drives the server with the identical
-    schedule the live generator would have produced.
-    """
-    rng_arrivals = Random(seed)
-    rng_mix = Random(seed + 0x9E3779B9)  # decorrelated stream, same seed
-    out: list[Query] = []
-    for i, t in enumerate(process.arrivals(rng_arrivals, horizon)):
-        if max_queries is not None and i >= max_queries:
-            break
-        source, target, k = mix.sample(rng_mix)
-        out.append(
-            Query(
-                source=source,
-                target=target,
-                k=k,
-                timeout=timeout,
-                request_id=f"q{i:06d}",
-                issued_at=t,
-            )
+    """Materialize an open-loop workload as a query list (see
+    :func:`open_loop_queries`)."""
+    return list(
+        open_loop_queries(
+            process,
+            mix,
+            horizon=horizon,
+            seed=seed,
+            timeout=timeout,
+            max_queries=max_queries,
         )
-    return out
+    )

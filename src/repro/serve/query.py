@@ -12,7 +12,7 @@ same errors in the same order (range check → ``source == target`` →
 
 This module deliberately imports nothing heavier than
 :mod:`repro.errors`, so the request type is usable from traces, CLIs,
-and the load harness without dragging in the solver stack.
+and the serving loop without dragging in the solver stack.
 """
 
 from __future__ import annotations
@@ -42,14 +42,14 @@ class Query:
         :class:`~repro.serve.ServeResult` and trace records ("" = none).
     issued_at:
         When the request entered the system, on whatever clock the
-        caller uses (the load harness uses simulated seconds).  Purely
+        caller uses (the serving loop uses simulated seconds).  Purely
         descriptive: the server's budget runs from serve start, not from
         ``issued_at``.
 
     A query never names a graph version: it is always answered against
     the server's *current* snapshot, and the version actually used comes
     back on ``ServeResult.graph_version`` (0 for static graphs).  On a
-    live graph the load harness orders mutation batches against
+    live graph the serving loop orders mutation batches against
     ``issued_at``, so which snapshot a query sees is a deterministic
     function of the timeline, not of wall-clock races.
     """

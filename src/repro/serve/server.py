@@ -223,7 +223,7 @@ class QueryServer:
         degraded and partial ones.  ``None`` defers to ``RPR_SANITIZE``.
     sleep:
         Injectable sleep for backoff (tests pass a recording fake; the
-        load harness passes ``SimClock.sleep``).
+        serving loop passes ``SimClock.sleep``).
     rng:
         Injected RNG handed to :meth:`RetryPolicy.backoff` for jitter —
         part of the seeding contract (``docs/load_testing.md``).  ``None``

@@ -17,9 +17,9 @@ from repro.core.pruning import k_upper_bound_prune, prune_reuse_certificate
 from repro.dyn.live import LiveGraph
 from repro.dyn.stream import IncidentStream, MutationBatch, MutationSummary
 from repro.errors import SanitizerError, VertexError
+from repro.fabric.fabric import ServingFabric
 from repro.graph.build import from_edge_list
 from repro.graph.generators import erdos_renyi
-from repro.load.harness import LoadHarness
 from repro.serve.query import Query
 from repro.serve.server import QueryServer
 from repro.sssp.dijkstra import dijkstra
@@ -304,7 +304,7 @@ class TestServerLiveServing:
             MutationBatch.build(reweights=[(0, 5, 12.0)], at=0.6),
             MutationBatch.build(reweights=[(0, 5, 13.0)], at=9.9),  # late
         ]
-        report = LoadHarness(server, mix=None, seed=0).run(
+        report = ServingFabric.mount(server, seed=0).run(
             queries, horizon=1.5, mutations=iter(batches)
         )
         assert report.mutation_batches == 2  # the at=9.9 batch never fires

@@ -211,11 +211,56 @@ class TestElasticPolicy:
         assert "scale_down" in actions
 
 
-class TestGuards:
-    def test_closed_loop_rejected(self, graph):
-        fabric = build(graph)
-        with pytest.raises(ValueError, match="open-loop"):
-            fabric.run(
-                arrival_process({"kind": "closed", "users": 4, "think_mean": 0.01}),
-                horizon=0.1,
-            )
+def sweep_peak(logs) -> int:
+    """Most served queries in the system at once: the maximum over all
+    instants x of #{issued_at <= x < issued_at + latency}."""
+    served = [log for log in logs if log.served]
+    return max(
+        (
+            sum(1 for o in served if o.issued_at <= x < o.issued_at + o.latency)
+            for x in {log.issued_at for log in served}
+        ),
+        default=0,
+    )
+
+
+class TestPeakInFlight:
+    def test_counted_at_arrival_with_a_queue(self, graph):
+        report = build(graph, queue_depth=4).run(
+            arrival_process({"kind": "poisson", "rate": 3000.0}),
+            horizon=0.2,
+            max_queries=150,
+        )
+        assert any(log.queue_time > 0 for log in report.logs if log.served)
+        assert report.peak_in_flight == sweep_peak(report.logs)
+
+    def test_hedged_query_counts_once(self, graph):
+        # a saturated closed loop keeps the system near its peak, so a
+        # lost flight still counted after its hedge would show
+        report = run_closed(build(graph, inject=[KILL]))
+        hedged = [log for log in report.logs if log.hedges]
+        assert hedged and all(log.served for log in hedged)
+        assert report.peak_in_flight == sweep_peak(report.logs)
+
+
+def run_closed(fabric, users=12):
+    return fabric.run(
+        arrival_process({"kind": "closed", "users": users, "think_mean": 0.002}),
+        horizon=0.3,
+        max_queries=400,
+    )
+
+
+class TestClosedLoop:
+    def test_closed_loop_under_kill(self, graph):
+        report = run_closed(build(graph, inject=[KILL]), users=12)
+        assert len(report.kills) == 1
+        assert any(log.hedges for log in report.logs)
+        assert report.peak_in_flight <= 12
+
+    def test_deterministic_under_kill(self, graph):
+        rows = [
+            json.dumps(report_row("closed", run_closed(build(graph, inject=[KILL]))))
+            for _ in range(2)
+        ]
+        assert rows[0] == rows[1]

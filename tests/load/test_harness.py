@@ -1,20 +1,20 @@
-"""The discrete-event harness: virtual time, queueing, both loop shapes.
+"""The serving loop on one mounted server: virtual time, queueing, both
+loop shapes.
 
 Everything here runs on :class:`SimClock` — no assertion in this file
 depends on the wall clock, which is the point of the subsystem.
 """
 
-from random import Random
 
 import pytest
 
+from repro.fabric.fabric import ServingFabric
 from repro.graph.suite import suite_graph
 from repro.load.arrivals import ClosedLoop, PoissonArrivals
 from repro.load.harness import (
     DISPOSITIONS,
     EXPIRED,
     SHED,
-    LoadHarness,
     QueryLog,
     disposition_summary,
     percentile,
@@ -36,7 +36,7 @@ def make_harness(graph, **kwargs):
     server = QueryServer(graph, max_in_flight=kwargs.pop("max_in_flight", 4),
                          **server_kwargs)
     mix = UniformMix(graph, k=KSampler(k_max=4))
-    return LoadHarness(server, mix, **kwargs)
+    return ServingFabric.mount(server, mix, **kwargs)
 
 
 class TestSimClock:
@@ -44,7 +44,7 @@ class TestSimClock:
         clock = SimClock()
         clock.advance(1.5)
         assert clock.now() == 1.5
-        clock.jump_to(0.25)  # backwards jumps are the harness aligning
+        clock.jump_to(0.25)  # backwards jumps are the loop aligning
         assert clock() == 0.25
         with pytest.raises(ValueError, match="backwards"):
             clock.advance(-0.1)
@@ -144,7 +144,7 @@ class TestOpenLoop:
         assert report.count(DEGRADED) > 0
 
     def test_needs_a_mix(self, graph):
-        h = LoadHarness(QueryServer(graph), mix=None)
+        h = ServingFabric.mount(QueryServer(graph))
         with pytest.raises(ValueError, match="query mix"):
             h.run(PoissonArrivals(10.0), horizon=0.1)
 
@@ -249,7 +249,7 @@ class TestDispositionSummary:
         assert {d for d in DISPOSITIONS} <= set(s)
 
     def test_server_shed_counter_merged(self):
-        """Admission-control sheds never reach the harness log; the
+        """Admission-control sheds never reach the loop's log; the
         server counter folds them into the same ledger."""
         logs = [self.log("a", "complete")]
         s = disposition_summary(logs, {"shed": 3, "complete": 1})
