@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-fast test-slow lint contracts bench bench-hot bench-serving bench-dyn bench-fabric example-tuning
+.PHONY: test test-fast test-slow lint contracts bench bench-serving bench-dyn bench-fabric example-tuning
 
 ## Tier-1 suite: the full gate every change must keep green.
 test:
@@ -32,11 +32,11 @@ contracts:
 	$(PYTHON) -m repro.analysis.contracts --baseline contracts_baseline.json \
 		--report results/contracts_report.txt src/repro
 
-## KSP hot-path benchmark: workspace on/off for Yen/OptYen/PeeK.
-## Writes BENCH_hot_path.json and results/hot_path.txt.
-bench: bench-hot
-bench-hot:
-	$(PYTHON) benchmarks/bench_hot_path.py
+## The repository benchmark (perfbench/README.md): every workload, untraced
+## and traced, with warm-up, repeated cells and per-layer columns.  Prints
+## its results; writes no file.
+bench:
+	$(PYTHON) perfbench/run.py --workload all
 
 ## Serving-capacity benchmark: the medium run table on simulated time.
 ## Writes BENCH_serving.json and results/serving_capacity.txt.
@@ -54,6 +54,6 @@ bench-dyn:
 bench-fabric:
 	$(PYTHON) benchmarks/bench_fabric.py
 
-## The performance-tuning walkthrough (includes the workspace act).
+## The performance-tuning walkthrough.
 example-tuning:
 	$(PYTHON) examples/performance_tuning.py

@@ -14,7 +14,7 @@ loop.  Two regimes must show up or the run aborts:
   headroom for the OptYen fallback, so tight deadlines degrade instead
   of failing wholesale.
 
-Outputs (same convention as ``bench_hot_path.py``):
+Outputs (the repo's ``BENCH_*.json`` + ``results/*.txt`` convention):
 
 * ``BENCH_serving.json`` — the run-table payload, one row per cell;
 * ``results/serving_capacity.txt`` — the rendered capacity table.

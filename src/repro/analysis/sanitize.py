@@ -507,7 +507,8 @@ def run_sanitized(graph, source: int, target: int, k: int, algorithm: str, opts)
         comp = getattr(solver, "compaction_result", None)
         if comp is not None:
             check_graph(comp.compacted, name="compacted graph")
-        inner = getattr(solver, "_inner", None) or solver
+        prepared = getattr(solver, "prepared", None)
+        inner = prepared.inner if prepared is not None else solver
         ws = getattr(inner, "_workspace", None)
         if ws is not None:
             check_workspace(ws)

@@ -70,7 +70,7 @@ def solve(
     **opts:
         Algorithm options, validated against its
         :class:`~repro.ksp.registry.AlgorithmSpec`: ``deadline`` /
-        ``use_workspace`` / ``lawler`` where supported, plus
+        ``lawler`` where supported, plus
         algorithm-specific keywords (e.g. PeeK's ``alpha``, ``prune``,
         ``compact``, ``kernel``).
 

@@ -6,7 +6,11 @@
   (Figure 3(e)'s loop detection) with hash-set O(1) membership.
 * :mod:`repro.core.compaction` — the three compaction strategies of §5
   (status array, edge swap, regeneration) and the adaptive α-rule.
+* :mod:`repro.core.batch` — ``prepare_remnant``, the one compact →
+  remnant-solver stage every front end shares, and batched PeeK.
 * :mod:`repro.core.peek` — the PeeK pipeline: prune → compact → KSP.
+* :mod:`repro.core.integrate` — PeeK's pipeline in front of any registry
+  algorithm.
 """
 
 from repro.core.pruning import PruneResult, k_upper_bound_prune

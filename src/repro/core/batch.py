@@ -1,4 +1,14 @@
-"""Batched PeeK: many KSP queries against one graph.
+"""The prune → compact → remnant-solver pipeline, and batched PeeK.
+
+:func:`prepare_remnant` is the one implementation of the pipeline after
+the prune (the paper's Figure 2, stages 2–3): it compacts the graph to a
+:class:`~repro.core.pruning.PruneResult`, builds the inner solver on the
+regenerated graph or the view, and returns a :class:`PreparedQuery` that
+maps the remnant's paths back to original ids.
+:class:`~repro.core.peek.PeeK`, :class:`BatchPeeK` and
+:class:`~repro.core.integrate.PrunedKSP` differ only in how they prune.
+
+Batched PeeK: many KSP queries against one graph.
 
 Real deployments (the paper's routing and graph-database scenarios) issue
 *streams* of s→t queries against one mostly-static graph.  Two reuse
@@ -16,8 +26,9 @@ itself is per-query (each query's bound and remnant differ).
 
 The pruning decision is computed by the shared
 :func:`~repro.core.pruning.bound_and_masks` — the same Algorithm 2
-steps 2–3 code path as :func:`~repro.core.pruning.k_upper_bound_prune`,
-so batched results stay bitwise identical to single-query PeeK (tested).
+steps 2–3 code path as :func:`~repro.core.pruning.k_upper_bound_prune` —
+and the rest by :func:`prepare_remnant`, so batched results stay bitwise
+identical to single-query PeeK (tested).
 :class:`repro.serve.QueryServer` builds on :meth:`BatchPeeK.prepare` to
 drive the KSP stage incrementally under a deadline.
 
@@ -37,62 +48,90 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
+from repro.analysis.sanitize import check_dyn_reuse, sanitize_enabled_from_env
 from repro.core.compaction import (
     CompactionResult,
     RegeneratedGraph,
     adaptive_compact,
 )
-from repro.analysis.sanitize import check_dyn_reuse, sanitize_enabled_from_env
-from repro.core.peek import PeeKResult
 from repro.core.pruning import (
     PruneResult,
-    PruneStats,
     bound_and_masks,
     prune_reuse_certificate,
+    prune_sssp,
 )
-from repro.errors import KSPError, UnreachableTargetError, VertexError
-from repro.ksp.optyen import OptYenKSP
+from repro.ksp.base import KSPAlgorithm, KSPResult, KSPStats
+from repro.ksp.registry import make_algorithm
 from repro.obs.tracer import get_tracer
 from repro.paths import Path
-from repro.sssp.delta_stepping import delta_stepping
-from repro.sssp.dijkstra import dijkstra
+from repro.serve.query import Query, validate_query
 
-__all__ = ["BatchPeeK", "PreparedQuery"]
+__all__ = [
+    "BatchPeeK",
+    "PeeKResult",
+    "PreparedQuery",
+    "prepare_remnant",
+    "record_prune",
+]
+
+
+@dataclass
+class PeeKResult(KSPResult):
+    """A :class:`~repro.ksp.base.KSPResult` plus PeeK's stage artefacts."""
+
+    prune: PruneResult | None = None
+    compaction: CompactionResult | None = None
+    ksp_stats: KSPStats | None = None
+
+    @property
+    def pruned_vertex_fraction(self) -> float:
+        return self.prune.pruned_vertex_fraction if self.prune else 0.0
 
 
 @dataclass
 class PreparedQuery:
-    """Stages 1–2 of one batched query, ready for the KSP stage.
+    """One query after the prune and compact stages, ready for the KSP stage.
 
-    Produced by :meth:`BatchPeeK.prepare`.  ``inner`` is the OptYen solver
-    over the compacted graph; drive :meth:`inner.iter_paths` (mapping each
-    path through :meth:`map_paths`) for incremental consumption — the
-    serving layer does this to salvage partial results on timeout — or
-    call :meth:`run` for the classic all-at-once result.
+    Produced by :func:`prepare_remnant`.  ``inner`` is the remnant solver
+    over the compacted graph (or the original graph when nothing was
+    pruned); drive :meth:`inner.iter_paths` (mapping each path through
+    :meth:`map_paths`) for incremental consumption — the serving layer
+    does this to salvage partial results on timeout — or call :meth:`run`
+    for the classic all-at-once result.
     """
 
     source: int
     target: int
     k: int
-    inner: OptYenKSP
-    prune: PruneResult
-    compaction: CompactionResult
-    regen: RegeneratedGraph | None
+    inner: KSPAlgorithm
+    prune: PruneResult | None
+    compaction: CompactionResult | None
     #: graph snapshot version the prune/compaction were computed against
     #: (0 for static graphs; stamped by versioned :class:`BatchPeeK`)
     version: int = 0
 
     def map_paths(self, paths) -> list[Path]:
         """Inner-graph paths → original vertex ids."""
-        if self.regen is None:
+        regen = self.compaction.compacted if self.compaction else None
+        if not isinstance(regen, RegeneratedGraph):
             return list(paths)
         return [
-            Path(p.distance, self.regen.map_path_back(p.vertices))
-            for p in paths
+            Path(p.distance, regen.map_path_back(p.vertices)) for p in paths
         ]
+
+    def iter_paths(self):
+        """The inner solver's paths in original ids, stopping at K.
+
+        Only the first K paths are guaranteed correct — beyond that the
+        prune bound no longer covers the enumeration (Theorem 4.3 is a
+        statement about the top K).
+        """
+        for path in islice(self.inner.iter_paths(), self.k):
+            yield from self.map_paths([path])
 
     def run(self) -> PeeKResult:
         """Run the KSP stage to completion and assemble the PeeK result."""
@@ -105,6 +144,91 @@ class PreparedQuery:
             compaction=self.compaction,
             ksp_stats=result.stats,
         )
+
+
+def record_prune(span, prune: PruneResult) -> None:
+    """Fold one pruning decision into its ``prune`` span's counters."""
+    if span.enabled:
+        span.add("prune.inspected_paths", prune.stats.inspected_paths)
+        span.add("prune.inspected_invalid", prune.stats.inspected_invalid)
+        span.set_gauge("prune.pruned_vertex_fraction", prune.pruned_vertex_fraction)
+        span.set_gauge("prune.bound", prune.bound)
+
+
+def prepare_remnant(
+    graph,
+    source: int,
+    target: int,
+    k: int,
+    prune: PruneResult | None,
+    *,
+    alpha: float = 0.1,
+    force: str | None = None,
+    compaction: CompactionResult | None = None,
+    inner: str = "OptYen",
+    deadline: float | None = None,
+    version: int = 0,
+) -> PreparedQuery:
+    """Stages 2–3 of the pipeline: compact, then build the remnant solver.
+
+    This is the one implementation of the paper's Figure 2 after the
+    prune: :class:`~repro.core.peek.PeeK`, :class:`BatchPeeK` and
+    :class:`~repro.core.integrate.PrunedKSP` all call it.
+
+    Parameters
+    ----------
+    graph, source, target, k:
+        The query, on the original graph with original vertex ids.
+    prune:
+        The pruning decision for ``k``.  ``None`` skips compaction: the
+        inner solver runs on ``graph`` itself (PeeK's "Base" ablation).
+    alpha, force:
+        Forwarded to :func:`~repro.core.compaction.adaptive_compact`
+        (``force="status-array"`` is PeeK's "Base + Pruning" ablation).
+    compaction:
+        A compaction already built for ``prune`` (a memoised decision);
+        the compact stage is then skipped.
+    inner:
+        Registry name of the remnant solver.
+    deadline:
+        Absolute deadline, observed by the compaction build and by the
+        returned inner solver.
+    version:
+        Graph snapshot version stamped on the result.
+    """
+    if prune is not None and compaction is None:
+        tracer = get_tracer()
+        with tracer.span("compact") as span:
+            compaction = adaptive_compact(
+                graph,
+                prune.keep_vertices,
+                prune.keep_edges,
+                alpha=alpha,
+                force=force,
+                deadline=deadline,
+            )
+            if span.enabled:
+                span.attrs["strategy"] = compaction.strategy
+                span.add("compact.build_work", compaction.build_work)
+                span.set_gauge("compact.remaining_edges", compaction.remaining_edges)
+                span.set_gauge(
+                    "compact.remaining_vertices", compaction.remaining_vertices
+                )
+    remnant, src, tgt = graph, source, target
+    if compaction is not None:
+        remnant = compaction.compacted
+        if isinstance(remnant, RegeneratedGraph):
+            src, tgt = remnant.map_vertex(source), remnant.map_vertex(target)
+            remnant = remnant.graph
+    return PreparedQuery(
+        source=source,
+        target=target,
+        k=k,
+        inner=make_algorithm(inner, remnant, src, tgt, deadline=deadline),
+        prune=prune,
+        compaction=compaction,
+        version=version,
+    )
 
 
 class BatchPeeK:
@@ -126,10 +250,6 @@ class BatchPeeK:
     strong_edge_prune:
         Enable the edge-level Lemma-4.2 extension, exactly as in
         :class:`~repro.core.peek.PeeK` (default off, matching the paper).
-    use_workspace:
-        Let each query's KSP stage reuse an epoch-stamped SSSP workspace
-        across its spur searches, exactly as :class:`~repro.core.peek.PeeK`
-        does (default).  ``False`` restores fresh-allocation searches.
     versioned:
         Serve a *live* graph: :meth:`rebind` accepts new snapshots, the
         SSSP cache is invalidated region-by-region instead of wholesale,
@@ -151,7 +271,6 @@ class BatchPeeK:
         cache_size: int = 64,
         alpha: float = 0.1,
         strong_edge_prune: bool = False,
-        use_workspace: bool = True,
         versioned: bool = False,
         prepared_cache_size: int = 32,
         sanitize: bool = False,
@@ -164,7 +283,6 @@ class BatchPeeK:
         self.kernel = kernel
         self.alpha = alpha
         self.strong_edge_prune = strong_edge_prune
-        self.use_workspace = use_workspace
         self.versioned = versioned
         self.sanitize = sanitize
         self._cache_size = cache_size
@@ -175,8 +293,10 @@ class BatchPeeK:
         #: current snapshot version (monotone; stays 0 for static graphs)
         self.version = 0
         self._prepared_size = prepared_cache_size
-        #: memoised pruning decisions, keyed (source, target, k)
-        self._prepared: OrderedDict[tuple[int, int, int], dict] = OrderedDict()
+        #: memoised (prune, compaction) decisions, keyed (source, target, k)
+        self._prepared: OrderedDict[
+            tuple[int, int, int], tuple[PruneResult, CompactionResult]
+        ] = OrderedDict()
         self.invalidated = 0
         self.retained = 0
         self.prune_reused = 0
@@ -193,10 +313,7 @@ class BatchPeeK:
             return res
         self.misses += 1
         get_tracer().add("batch.cache_misses")
-        if self.kernel == "delta":
-            res = delta_stepping(graph, root, deadline=deadline)
-        else:
-            res = dijkstra(graph, root, deadline=deadline)
+        res = prune_sssp(graph, root, kernel=self.kernel, deadline=deadline)
         self._cache[key] = res
         if len(self._cache) > self._cache_size:
             self._cache.popitem(last=False)
@@ -224,8 +341,8 @@ class BatchPeeK:
           reachable — finite, touched — source);
         * a memoised pruning decision survives iff
           :func:`~repro.core.pruning.prune_reuse_certificate` accepts the
-          batch, in which case it is re-stamped to ``version`` (eager
-          per-batch evaluation, so certificates compose across batches).
+          batch, and is then answered at ``version`` (eager per-batch
+          evaluation, so certificates compose across batches).
 
         ``summary`` is the :class:`~repro.dyn.stream.MutationSummary` of
         the batch that produced ``graph``; ``version`` the new snapshot's
@@ -247,13 +364,11 @@ class BatchPeeK:
             del self._cache[key]
         dead = [
             key
-            for key, entry in self._prepared.items()
-            if not prune_reuse_certificate(entry["prune"], summary)
+            for key, (prune, _) in self._prepared.items()
+            if not prune_reuse_certificate(prune, summary)
         ]
         for key in dead:
             del self._prepared[key]
-        for entry in self._prepared.values():
-            entry["version"] = version
         self.invalidated += len(stale) + len(dead)
         self.retained += len(self._cache) + len(self._prepared)
         tracer = get_tracer()
@@ -271,49 +386,52 @@ class BatchPeeK:
     ) -> PreparedQuery:
         """Run the prune and compact stages for one query.
 
-        Reuses any cached SSSP halves; ``deadline`` (absolute
+        Rejects a bad request with
+        :func:`~repro.serve.query.validate_query`.  Reuses any cached SSSP
+        halves; ``deadline`` (absolute
         ``time.perf_counter()``) is threaded into every stage — a cache
         *miss* SSSP, the spSum scan, the compaction build, and the
         returned inner solver all observe it cooperatively and raise
         :class:`~repro.errors.KSPTimeout`.
         """
-        n = self.graph.num_vertices
-        if not 0 <= source < n or not 0 <= target < n:
-            raise VertexError(f"query ({source}, {target}) out of range")
-        if source == target:
-            raise KSPError("source and target must differ for a KSP query")
-        if k < 1:
-            raise ValueError("k must be >= 1")
+        validate_query(self.graph, Query(source, target, k))
+        key = (source, target, k)
         tracer = get_tracer()
         if self.versioned:
-            entry = self._prepared.get((source, target, k))
-            if entry is not None:
+            memo = self._prepared.get(key)
+            if memo is not None:
                 # certificate-carried (or same-version) reuse: skip both
                 # SSSPs, the spSum scan, and the compaction build
-                self._prepared.move_to_end((source, target, k))
+                self._prepared.move_to_end(key)
                 self.prune_reused += 1
                 tracer.add("batch.prune_reuse")
+                prune, compaction = memo
                 if self.sanitize or sanitize_enabled_from_env():
                     check_dyn_reuse(
                         self.graph,
-                        entry["prune"],
+                        prune,
                         source,
                         target,
                         k,
                         kernel=self.kernel,
                         strong_edge_prune=self.strong_edge_prune,
                     )
-                return self._materialise(entry, deadline)
+                return prepare_remnant(
+                    self.graph,
+                    source,
+                    target,
+                    k,
+                    prune,
+                    compaction=compaction,
+                    deadline=deadline,
+                    version=self.version,
+                )
             self.prune_cold += 1
             tracer.add("batch.prune_cold")
-        with tracer.span("prune", k=k, kernel=self.kernel):
+        with tracer.span("prune", k=k, kernel=self.kernel) as span:
             fwd = self.forward_sssp(source, deadline=deadline)
             rev = self.reverse_sssp(target, deadline=deadline)
-            if not np.isfinite(fwd.dist[target]):
-                raise UnreachableTargetError(
-                    f"target {target} unreachable from {source}"
-                )
-            pr = bound_and_masks(
+            prune = bound_and_masks(
                 fwd,
                 rev,
                 source,
@@ -321,74 +439,24 @@ class BatchPeeK:
                 k,
                 graph=self.graph,
                 strong_edge_prune=self.strong_edge_prune,
-                stats=PruneStats(),
                 deadline=deadline,
             )
-        with tracer.span("compact") as span:
-            comp = adaptive_compact(
-                self.graph,
-                pr.keep_vertices,
-                pr.keep_edges,
-                alpha=self.alpha,
-                deadline=deadline,
-            )
-            if tracer.enabled:
-                span.attrs["strategy"] = comp.strategy
-        regen = (
-            comp.compacted
-            if isinstance(comp.compacted, RegeneratedGraph)
-            else None
+            record_prune(span, prune)
+        prep = prepare_remnant(
+            self.graph,
+            source,
+            target,
+            k,
+            prune,
+            alpha=self.alpha,
+            deadline=deadline,
+            version=self.version,
         )
-        entry = {
-            "source": source,
-            "target": target,
-            "k": k,
-            "prune": pr,
-            "compaction": comp,
-            "regen": regen,
-            "version": self.version,
-        }
         if self.versioned:
-            self._prepared[(source, target, k)] = entry
+            self._prepared[key] = (prune, prep.compaction)
             if len(self._prepared) > self._prepared_size:
                 self._prepared.popitem(last=False)
-        return self._materialise(entry, deadline)
-
-    def _materialise(self, entry: dict, deadline: float | None) -> PreparedQuery:
-        """Build a fresh inner solver over a (possibly cached) compaction.
-
-        The solver is per-call because the deadline is per-query; the
-        expensive parts (prune + compaction) come from ``entry``.
-        """
-        comp: CompactionResult = entry["compaction"]
-        regen = entry["regen"]
-        source, target, k = entry["source"], entry["target"], entry["k"]
-        if regen is not None:
-            inner = OptYenKSP(
-                regen.graph,
-                regen.map_vertex(source),
-                regen.map_vertex(target),
-                deadline=deadline,
-                use_workspace=self.use_workspace,
-            )
-        else:
-            inner = OptYenKSP(
-                comp.compacted,
-                source,
-                target,
-                deadline=deadline,
-                use_workspace=self.use_workspace,
-            )
-        return PreparedQuery(
-            source=source,
-            target=target,
-            k=k,
-            inner=inner,
-            prune=entry["prune"],
-            compaction=comp,
-            regen=regen,
-            version=entry["version"],
-        )
+        return prep
 
     def query(
         self,

@@ -4,27 +4,26 @@ The paper's third novelty claim: "PeeK can integrate with existing KSP
 algorithms to boost their performance.  In particular, K upper bound
 pruning can serve as a preprocessing step for existing algorithms."
 
-:class:`PrunedKSP` is that claim as code: it runs Algorithm 2 and the
-adaptive compaction, then hands the remnant to any algorithm from the
-registry (Yen, NC, OptYen, SB, SB*, PNC...), translating vertex ids back
-when the compaction regenerated.  Theorem 4.3 guarantees the result is
-unchanged; the ``bench_integration.py`` benchmark measures the boost each
-baseline gets.
+:class:`PrunedKSP` is that claim as code: it is :class:`~repro.core.peek.PeeK`
+with the remnant solver swapped for any algorithm from the registry (Yen,
+NC, OptYen, SB, SB*, PNC...).  The prune, the adaptive compaction, the
+mapping of vertex ids back and the deadline handling are PeeK's own
+(:func:`~repro.core.batch.prepare_remnant`).  Theorem 4.3 guarantees the
+result is unchanged; the ``bench_integration.py`` benchmark measures the
+boost each baseline gets.
 """
 
 from __future__ import annotations
 
-from repro.core.compaction import RegeneratedGraph, adaptive_compact
-from repro.core.pruning import k_upper_bound_prune
+from repro.core.batch import PeeKResult
+from repro.core.peek import PeeK
 from repro.errors import KSPError
-from repro.ksp.base import KSPAlgorithm, KSPResult
-from repro.ksp.registry import ALGORITHMS, make_algorithm
-from repro.paths import Path
+from repro.ksp.registry import ALGORITHMS
 
 __all__ = ["PrunedKSP", "pruned_ksp"]
 
 
-class PrunedKSP(KSPAlgorithm):
+class PrunedKSP(PeeK):
     """K-upper-bound pruning + compaction in front of a registry algorithm.
 
     Parameters
@@ -32,9 +31,9 @@ class PrunedKSP(KSPAlgorithm):
     inner:
         Registry name of the algorithm to accelerate ("Yen", "NC", "SB*",
         ...).  Asking for "PeeK" is rejected — that would prune twice.
-    alpha, kernel, strong_edge_prune:
-        Forwarded to the pruning/compaction stages, as in
-        :class:`~repro.core.peek.PeeK`.
+    alpha, kernel, strong_edge_prune, deadline:
+        As in :class:`~repro.core.peek.PeeK`; the deadline covers the
+        prune and compaction stages as well as the inner solver.
     """
 
     def __init__(
@@ -49,7 +48,15 @@ class PrunedKSP(KSPAlgorithm):
         strong_edge_prune: bool = False,
         deadline: float | None = None,
     ) -> None:
-        super().__init__(graph, source, target, deadline=deadline)
+        super().__init__(
+            graph,
+            source,
+            target,
+            alpha=alpha,
+            kernel=kernel,
+            strong_edge_prune=strong_edge_prune,
+            deadline=deadline,
+        )
         if inner == "PeeK":
             raise KSPError("PrunedKSP('PeeK') would prune twice; use PeeK")
         if inner not in ALGORITHMS:
@@ -59,61 +66,10 @@ class PrunedKSP(KSPAlgorithm):
             )
         self.inner_name = inner
         self.name = f"Pruned-{inner}"
-        self.alpha = alpha
-        self.kernel = kernel
-        self.strong_edge_prune = strong_edge_prune
-        self.prune_result = None
-        self.compaction_result = None
-
-    def run(self, k: int) -> KSPResult:
-        if k < 1:
-            raise ValueError("k must be >= 1")
-        pr = k_upper_bound_prune(
-            self.graph,
-            self.source,
-            self.target,
-            k,
-            kernel=self.kernel,
-            strong_edge_prune=self.strong_edge_prune,
-        )
-        self.prune_result = pr
-        comp = adaptive_compact(
-            self.graph, pr.keep_vertices, pr.keep_edges, alpha=self.alpha
-        )
-        self.compaction_result = comp
-
-        if isinstance(comp.compacted, RegeneratedGraph):
-            regen = comp.compacted
-            inner = make_algorithm(
-                self.inner_name,
-                regen.graph,
-                regen.map_vertex(self.source),
-                regen.map_vertex(self.target),
-                deadline=self.deadline,
-            )
-            result = inner.run(k)
-            result.paths = [
-                Path(
-                    distance=p.distance,
-                    vertices=regen.map_path_back(p.vertices),
-                )
-                for p in result.paths
-            ]
-        else:
-            inner = make_algorithm(
-                self.inner_name,
-                comp.compacted,
-                self.source,
-                self.target,
-                deadline=self.deadline,
-            )
-            result = inner.run(k)
-        self.stats = result.stats
-        return result
 
 
 def pruned_ksp(
     graph, source: int, target: int, k: int, *, inner: str = "SB*", **kwargs
-) -> KSPResult:
+) -> PeeKResult:
     """Convenience wrapper: ``PrunedKSP(graph, s, t, inner=...).run(k)``."""
     return PrunedKSP(graph, source, target, inner=inner, **kwargs).run(k)

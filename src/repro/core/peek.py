@@ -12,6 +12,12 @@ The three stages map one-to-one onto the paper's Figure 2:
    graph repairs it.  Here that is exactly
    :class:`~repro.ksp.optyen.OptYenKSP` instantiated on the compacted graph.
 
+:class:`PeeK` runs stage 1 itself and hands the decision to
+:func:`~repro.core.batch.prepare_remnant`, which owns stages 2–3 and the
+mapping of remnant paths back to original ids for every front end
+(:class:`PeeK`, :class:`~repro.core.batch.BatchPeeK` and
+:class:`~repro.core.integrate.PrunedKSP`).
+
 Feature flags reproduce the paper's ablation (Figure 8): ``prune=False,
 compact=False`` is the "Base" configuration (plain OptYen), ``prune=True,
 compact=False`` is "Base + Pruning" (status-array masks, no compaction),
@@ -20,37 +26,14 @@ and the default is full PeeK.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-import numpy as np
-
-from repro.core.compaction import (
-    CompactionResult,
-    RegeneratedGraph,
-    adaptive_compact,
-    compact_status_array,
-)
+from repro.core.batch import PeeKResult, PreparedQuery, prepare_remnant, record_prune
+from repro.core.compaction import CompactionResult
 from repro.core.pruning import PruneResult, k_upper_bound_prune
 from repro.errors import KSPError
-from repro.ksp.base import KSPAlgorithm, KSPResult, KSPStats
-from repro.ksp.optyen import OptYenKSP
+from repro.ksp.base import KSPAlgorithm
 from repro.obs.tracer import get_tracer
-from repro.paths import Path
 
 __all__ = ["PeeK", "PeeKResult", "peek_ksp"]
-
-
-@dataclass
-class PeeKResult(KSPResult):
-    """A :class:`~repro.ksp.base.KSPResult` plus PeeK's stage artefacts."""
-
-    prune: PruneResult | None = None
-    compaction: CompactionResult | None = None
-    ksp_stats: KSPStats | None = None
-
-    @property
-    def pruned_vertex_fraction(self) -> float:
-        return self.prune.pruned_vertex_fraction if self.prune else 0.0
 
 
 class PeeK(KSPAlgorithm):
@@ -77,13 +60,6 @@ class PeeK(KSPAlgorithm):
         :func:`~repro.core.pruning.k_upper_bound_prune`).
     compaction_force:
         Pin one compaction strategy regardless of the α rule (benchmarks).
-    use_workspace:
-        Let the inner KSP stage reuse one epoch-stamped SSSP workspace
-        across all of its spur searches (default; see
-        :mod:`repro.sssp.workspace`).  ``False`` restores fresh-allocation
-        searches — the benchmark baseline.  Either way the paths are
-        identical; the workspace binds to whatever graph the compaction
-        stage produced, so the two optimisations compose.
 
     Notes
     -----
@@ -93,6 +69,8 @@ class PeeK(KSPAlgorithm):
     """
 
     name = "PeeK"
+    #: registry name of the remnant solver
+    inner_name = "OptYen"
 
     def __init__(
         self,
@@ -108,7 +86,6 @@ class PeeK(KSPAlgorithm):
         strong_edge_prune: bool = False,
         compaction_force: str | None = None,
         deadline: float | None = None,
-        use_workspace: bool = True,
     ) -> None:
         super().__init__(graph, source, target, deadline=deadline)
         self.alpha = alpha
@@ -118,10 +95,8 @@ class PeeK(KSPAlgorithm):
         self.sssp_backend = sssp_backend
         self.strong_edge_prune = strong_edge_prune
         self.compaction_force = compaction_force
-        self.use_workspace = use_workspace
-        self._prepared_k: int | None = None
-        self._inner: OptYenKSP | None = None
-        self._regen: RegeneratedGraph | None = None
+        #: the prepared query of the last :meth:`prepare`
+        self.prepared: PreparedQuery | None = None
         self.prune_result: PruneResult | None = None
         self.compaction_result: CompactionResult | None = None
 
@@ -130,111 +105,46 @@ class PeeK(KSPAlgorithm):
         """Run stages 1–2 for a given K and build the inner KSP solver."""
         if k < 1:
             raise ValueError("k must be >= 1")
-        self._prepared_k = k
-        self._regen = None
+        self.prepared = None
         self.prune_result = None
         self.compaction_result = None
-
-        if not self.enable_prune:
-            # Base configuration: plain OptYen on the original graph.
-            self._inner = OptYenKSP(
-                self.graph,
-                self.source,
-                self.target,
-                deadline=self.deadline,
-                use_workspace=self.use_workspace,
-            )
-            return
-
-        tracer = get_tracer()
-        with tracer.span("prune", k=k, kernel=self.kernel) as span:
-            pr = k_upper_bound_prune(
-                self.graph,
-                self.source,
-                self.target,
-                k,
-                kernel=self.kernel,
-                sssp_backend=self.sssp_backend,
-                strong_edge_prune=self.strong_edge_prune,
-                deadline=self.deadline,
-            )
-            if tracer.enabled:
-                span.add("prune.inspected_paths", pr.stats.inspected_paths)
-                span.add("prune.inspected_invalid", pr.stats.inspected_invalid)
-                span.set_gauge(
-                    "prune.pruned_vertex_fraction", pr.pruned_vertex_fraction
-                )
-                span.set_gauge("prune.bound", pr.bound)
-        self.prune_result = pr
-
-        with tracer.span("compact") as span:
-            if self.enable_compact:
-                comp = adaptive_compact(
+        if self.enable_prune:
+            with get_tracer().span("prune", k=k, kernel=self.kernel) as span:
+                self.prune_result = k_upper_bound_prune(
                     self.graph,
-                    pr.keep_vertices,
-                    pr.keep_edges,
-                    alpha=self.alpha,
-                    force=self.compaction_force,
+                    self.source,
+                    self.target,
+                    k,
+                    kernel=self.kernel,
+                    sssp_backend=self.sssp_backend,
+                    strong_edge_prune=self.strong_edge_prune,
                     deadline=self.deadline,
                 )
-            else:
-                # "Base + Pruning" ablation: original CSR + status arrays.
-                view = compact_status_array(
-                    self.graph, pr.keep_vertices, pr.keep_edges
-                )
-                comp = CompactionResult(
-                    strategy="status-array",
-                    compacted=view,
-                    remaining_vertices=int(pr.keep_vertices.sum()),
-                    remaining_edges=view.num_edges,
-                    original_edges=self.graph.num_edges,
-                    build_work=self.graph.num_vertices + self.graph.num_edges,
-                )
-            if tracer.enabled:
-                span.attrs["strategy"] = comp.strategy
-                span.add("compact.build_work", comp.build_work)
-                span.set_gauge("compact.remaining_edges", comp.remaining_edges)
-                span.set_gauge(
-                    "compact.remaining_vertices", comp.remaining_vertices
-                )
-        self.compaction_result = comp
-
-        if isinstance(comp.compacted, RegeneratedGraph):
-            self._regen = comp.compacted
-            src = self._regen.map_vertex(self.source)
-            tgt = self._regen.map_vertex(self.target)
-            inner_graph = self._regen.graph
-        else:
-            src, tgt = self.source, self.target
-            inner_graph = comp.compacted
-        self._inner = OptYenKSP(
-            inner_graph,
-            src,
-            tgt,
+                record_prune(span, self.prune_result)
+        # prune=False is the "Base" configuration: plain OptYen on the
+        # original graph; compact=False is "Base + Pruning": status arrays.
+        self.prepared = prepare_remnant(
+            self.graph,
+            self.source,
+            self.target,
+            k,
+            self.prune_result,
+            alpha=self.alpha,
+            force=self.compaction_force if self.enable_compact else "status-array",
+            inner=self.inner_name,
             deadline=self.deadline,
-            use_workspace=self.use_workspace,
         )
+        self.compaction_result = self.prepared.compaction
 
     def iter_paths(self):
         """Yield paths from the prepared pipeline (original vertex ids).
 
-        Only the first ``prepared_k`` paths are guaranteed correct — beyond
-        that the prune bound no longer covers the enumeration (Theorem 4.3
-        is a statement about the top K).  Iteration therefore stops at K.
+        Only the first ``k`` paths of :meth:`prepare` are guaranteed
+        correct, so iteration stops there.
         """
-        if self._inner is None or self._prepared_k is None:
-            raise KSPError("PeeK.iter_paths requires prepare(k) first")
-        produced = 0
-        for path in self._inner.iter_paths():
-            if self._regen is not None:
-                path = Path(
-                    distance=path.distance,
-                    vertices=self._regen.map_path_back(path.vertices),
-                )
-            yield path
-            produced += 1
-            if produced >= self._prepared_k:
-                return
+        if self.prepared is None:
+            raise KSPError(f"{self.name}.iter_paths requires prepare(k) first")
+        return self.prepared.iter_paths()
 
     def run(self, k: int) -> PeeKResult:
         """Full pipeline: prune for K, compact, compute the K paths.
@@ -243,27 +153,11 @@ class PeeK(KSPAlgorithm):
         nested stage spans — ``prune`` / ``compact`` / ``ksp`` — carrying
         the per-stage counters (see ``docs/observability.md``).
         """
-        tracer = get_tracer()
-        with tracer.span("peek", algorithm="PeeK", k=k):
+        with get_tracer().span("peek", algorithm=self.name, k=k):
             self.prepare(k)
-            assert self._inner is not None
-            paths = []
-            with tracer.span("ksp", algorithm=self._inner.name, k=k) as span:
-                for path in self.iter_paths():
-                    paths.append(path)
-                    if len(paths) == k:
-                        break
-                if tracer.enabled:
-                    self._inner._emit_obs(span)
-            self.stats = self._inner.stats  # expose KSP-stage counters
-        return PeeKResult(
-            paths=paths,
-            k_requested=k,
-            stats=self._inner.stats,
-            prune=self.prune_result,
-            compaction=self.compaction_result,
-            ksp_stats=self._inner.stats,
-        )
+            result = self.prepared.run()
+            self.stats = result.stats  # expose KSP-stage counters
+        return result
 
 
 def peek_ksp(graph, source: int, target: int, k: int, **kwargs) -> PeeKResult:

@@ -34,6 +34,7 @@ __all__ = [
     "bound_and_masks",
     "k_upper_bound_prune",
     "prune_reuse_certificate",
+    "prune_sssp",
 ]
 
 
@@ -114,6 +115,28 @@ class PruneResult:
         return 1.0 - float(live.sum()) / m
 
 
+def prune_sssp(
+    graph,
+    root: int,
+    *,
+    kernel: str = "delta",
+    backend: str = "vectorized",
+    deadline: float | None = None,
+):
+    """One of Algorithm 2's two SSSPs, on the named kernel.
+
+    The single kernel dispatch behind :func:`k_upper_bound_prune` and
+    :class:`~repro.core.batch.BatchPeeK`'s SSSP cache.  ``kernel`` is
+    ``"delta"`` (Δ-stepping on execution ``backend``) or ``"dijkstra"``
+    (``backend`` ignored).
+    """
+    if kernel == "delta":
+        return delta_stepping(graph, root, deadline=deadline, backend=backend)
+    if kernel == "dijkstra":
+        return dijkstra(graph, root, deadline=deadline)
+    raise ValueError(f"unknown SSSP kernel {kernel!r}")
+
+
 def bound_and_masks(
     fwd,
     rev,
@@ -153,7 +176,16 @@ def bound_and_masks(
         Absolute ``time.perf_counter()`` value; the scan checks it every
         :data:`repro.cancel.SCAN_CHECK_INTERVAL` inspected vertices and
         raises :class:`~repro.errors.KSPTimeout`.
+
+    Raises
+    ------
+    UnreachableTargetError
+        When ``fwd`` does not reach ``target``.
     """
+    if not np.isfinite(fwd.dist[target]):
+        raise UnreachableTargetError(
+            f"target {target} unreachable from {source}"
+        )
     n = graph.num_vertices
     if stats is None:
         stats = PruneStats()
@@ -324,29 +356,20 @@ def k_upper_bound_prune(
     stats = PruneStats()
 
     # ---- Step 1: the two SSSPs -------------------------------------------
+    fwd = prune_sssp(
+        graph, source, kernel=kernel, backend=sssp_backend, deadline=deadline
+    )
+    rev = prune_sssp(
+        graph.reverse(), target, kernel=kernel, backend=sssp_backend,
+        deadline=deadline,
+    )
     if kernel == "delta":
-        fwd = delta_stepping(
-            graph, source, deadline=deadline, backend=sssp_backend
-        )
-        rev = delta_stepping(
-            graph.reverse(), target, deadline=deadline, backend=sssp_backend
-        )
         stats.sssp_phase_work = list(fwd.stats.phase_work) + list(
             rev.stats.phase_work
         )
-    elif kernel == "dijkstra":
-        fwd = dijkstra(graph, source, deadline=deadline)
-        rev = dijkstra(graph.reverse(), target, deadline=deadline)
-    else:
-        raise ValueError(f"unknown SSSP kernel {kernel!r}")
     for r in (fwd, rev):
         stats.edges_relaxed += r.stats.edges_relaxed
         stats.vertices_settled += r.stats.vertices_settled
-
-    if not np.isfinite(fwd.dist[target]):
-        raise UnreachableTargetError(
-            f"target {target} unreachable from {source}"
-        )
 
     return bound_and_masks(
         fwd,

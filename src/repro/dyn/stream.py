@@ -238,9 +238,8 @@ class IncidentStream:
         #: congested edges available for clearing: (src, dst, original w)
         self._congested: dict[tuple[int, int], float] = {}
         #: vertices this stream tombstoned in earlier batches; a consumer
-        #: that draws batch N+1 before applying batch N (the fabric fleet
-        #: does) still sees them alive, and an update on a dead source
-        #: would fail the whole batch
+        #: that draws batch N+1 before applying batch N still sees them
+        #: alive, and an update on a dead source would fail the whole batch
         self._tombstoned: set[int] = set()
 
     # ------------------------------------------------------------------

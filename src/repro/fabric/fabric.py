@@ -247,30 +247,23 @@ class FabricReport(LoadReport):
 class _Feed:
     """Lazy, time-ordered mutation feed.
 
-    For a mounted server the next batch is pulled from the stream only
-    after the previous one was applied, so generators that sample the
-    *current* graph state (:meth:`~repro.dyn.stream.IncidentStream.
-    batches`) see exactly the state their batch applies to.  A fleet
-    pulls one batch ahead: batch N+1 is drawn before batch N lands on
-    the authority.  The committed ``BENCH_dyn_serving.json`` and
-    ``BENCH_fabric.json`` each pin their order.
+    The next batch is pulled from the stream only after the previous one
+    was applied — to a mounted server or to a fleet's authority alike —
+    so generators that sample the *current* graph state
+    (:meth:`~repro.dyn.stream.IncidentStream.batches`) see exactly the
+    state their batch applies to.
     """
 
-    def __init__(self, batches, *, pull_ahead: bool) -> None:
+    def __init__(self, batches) -> None:
         self._it = iter(batches) if batches is not None else iter(())
-        self._pull_ahead = pull_ahead
         self._next = next(self._it, None)
 
     def peek(self) -> float | None:
         return self._next.at if self._next is not None else None
 
     def pop_apply(self, apply) -> None:
-        batch = self._next
-        if self._pull_ahead:
-            self._next = next(self._it, None)
-        apply(batch)
-        if not self._pull_ahead:
-            self._next = next(self._it, None)
+        apply(self._next)
+        self._next = next(self._it, None)
 
 
 class _Users:
@@ -510,7 +503,7 @@ class ServingFabric:
         applies no batch later than its last query.
         """
         self._results = {} if keep_results else None
-        feed = _Feed(mutations, pull_ahead=self.authority is not None)
+        feed = _Feed(mutations)
         with virtual_time(self._clock, self.cost_model):
             restore = [
                 (r, r.server._sleep) for r in self.replicas.values()

@@ -199,12 +199,10 @@ class DeviationKSP(KSPAlgorithm):
     deadline:
         ``time.perf_counter()`` value after which :class:`KSPTimeout` is
         raised — benchmark harness support for the paper's 1-hour cap.
-    use_workspace:
-        Reuse one epoch-stamped :class:`~repro.sssp.workspace.SSSPWorkspace`
-        across every spur-search Dijkstra of the run (default).  Per-search
-        setup drops from O(n) to O(1) and the banned-vertex mask is
-        maintained incrementally; results are identical.  ``False`` restores
-        the historical fresh-allocation path (the benchmark baseline).
+
+    Every spur-search Dijkstra of the run reuses one epoch-stamped
+    :class:`~repro.sssp.workspace.SSSPWorkspace`: per-search setup is O(1)
+    and the banned-vertex mask is maintained incrementally.
     """
 
     lawler_default = True
@@ -217,19 +215,15 @@ class DeviationKSP(KSPAlgorithm):
         *,
         lawler: bool | None = None,
         deadline: float | None = None,
-        use_workspace: bool = True,
     ) -> None:
         super().__init__(graph, source, target, deadline=deadline)
         self.lawler = self.lawler_default if lawler is None else lawler
-        self.use_workspace = use_workspace
         self._workspace = None
         self._pool: list[Candidate] = []
         self._seen: set[tuple[int, ...]] = set()
 
     def _get_workspace(self):
-        """The solver's shared SSSP workspace (``None`` when disabled)."""
-        if not self.use_workspace:
-            return None
+        """The solver's shared SSSP workspace, built on first use."""
         if self._workspace is None:
             from repro.sssp.workspace import SSSPWorkspace
 
@@ -406,8 +400,8 @@ class DeviationKSP(KSPAlgorithm):
     ):
         """Target-stopped Dijkstra — Yen's (and every repair's) suffix.
 
-        Runs on the solver's shared epoch-stamped workspace when enabled,
-        so back-to-back spur searches pay O(1) setup and only the ban-set
+        Runs on the solver's shared epoch-stamped workspace, so
+        back-to-back spur searches pay O(1) setup and only the ban-set
         delta; results are identical to the fresh-allocation kernel.
         """
         res = dijkstra(

@@ -166,29 +166,14 @@ class NodeClassificationKSP(DeviationKSP):
 
         from repro.paths import INF, reconstruct_path
 
-        graph = self.graph
-        n = graph.num_vertices
+        # Epoch-stamped reuse: O(1) setup, incremental ban mask, and the
+        # scalar loop runs over the workspace's Python-list CSR mirror.
         ws = self._get_workspace()
-        if ws is not None:
-            # Epoch-stamped reuse: O(1) setup, incremental ban mask, and the
-            # scalar loop runs over the workspace's Python-list CSR mirror.
-            ep = ws.next_epoch()
-            dist, parent, dstamp, sstamp = ws.scalar_state()
-            begins, ends, indices, weights, edge_mask = ws.adjacency_lists()
-            ws.apply_bans(banned_vertices)
-            ban = ws.ban_bytes
-        else:
-            # Fresh-allocation baseline: same loop over NumPy storage with a
-            # trivially-fresh epoch, so the two modes cannot drift apart.
-            ep = 1
-            dist = np.full(n, INF, dtype=np.float64)
-            parent = np.full(n, -1, dtype=np.int64)
-            dstamp = np.zeros(n, dtype=np.int64)
-            sstamp = np.zeros(n, dtype=np.int64)
-            begins, ends, indices, weights, edge_mask = graph.adjacency_arrays()
-            ban = np.zeros(n, dtype=bool)
-            if banned_vertices:
-                ban[np.fromiter(banned_vertices, np.int64, len(banned_vertices))] = True
+        ep = ws.next_epoch()
+        dist, parent, dstamp, sstamp = ws.scalar_state()
+        begins, ends, indices, weights, edge_mask = ws.adjacency_lists()
+        ws.apply_bans(banned_vertices)
+        ban = ws.ban_bytes
         dev_vertex = int(dev_vertex)
         dist[dev_vertex] = 0.0
         parent[dev_vertex] = dev_vertex

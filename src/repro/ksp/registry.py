@@ -30,8 +30,8 @@ class AlgorithmSpec:
 
     The capability flags drive keyword validation (each flag admits its
     keyword) and let harnesses select algorithms structurally — e.g. "every
-    deviation-based algorithm" for a workspace A/B, or "everything that
-    supports a deadline" for the timeout sweep.
+    deviation-based algorithm" for an integration sweep, or "everything
+    that supports a deadline" for the timeout sweep.
 
     The spec is callable with the factory's signature, after validating the
     keywords, so ``ALGORITHMS[name](graph, s, t, **kw)`` keeps working.
@@ -42,8 +42,6 @@ class AlgorithmSpec:
     summary: str = ""
     #: accepts ``deadline=`` (the benchmark harness' 1-hour cap)
     supports_deadline: bool = True
-    #: accepts ``use_workspace=`` (epoch-stamped SSSP workspace reuse)
-    supports_workspace: bool = True
     #: accepts ``lawler=`` (Lawler's deviation-index optimisation)
     supports_lawler: bool = True
     #: built on the :class:`~repro.ksp.base.DeviationKSP` loop
@@ -60,8 +58,6 @@ class AlgorithmSpec:
         out = set(self.extra_kwargs)
         if self.supports_deadline:
             out.add("deadline")
-        if self.supports_workspace:
-            out.add("use_workspace")
         if self.supports_lawler:
             out.add("lawler")
         if self.supports_sssp_backend:
@@ -169,7 +165,7 @@ def make_algorithm(name: str, graph, source: int, target: int, **kwargs):
 
     ``kwargs`` are validated against the :class:`AlgorithmSpec` (a bad
     keyword raises ``TypeError`` naming the valid ones) and forwarded —
-    ``deadline``, ``lawler``, ``use_workspace``, and for PeeK the
+    ``deadline``, ``lawler``, and for PeeK the
     pruning/compaction flags.
     """
     try:

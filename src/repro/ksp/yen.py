@@ -7,8 +7,7 @@ this is the baseline everything else beats.
 Being nothing *but* spur searches, Yen benefits the most from the shared
 epoch-stamped SSSP workspace (:mod:`repro.sssp.workspace`): all of its
 Dijkstras reuse one set of traversal arrays with O(1) per-search setup and
-an incrementally-maintained banned-vertex mask.  Pass
-``use_workspace=False`` for the historical fresh-allocation behaviour.
+an incrementally-maintained banned-vertex mask.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ server config × repetition*; :func:`run_table` drives every cell through
 a fresh :class:`~repro.serve.QueryServer` on simulated time and collects
 one metrics row per cell (the :meth:`~repro.load.harness.LoadReport.metrics`
 dict plus the cell key).  The output payload follows the repo's bench
-convention (``BENCH_hot_path.json``): a top-level descriptor plus a flat
+convention (as ``BENCH_dyn_serving.json``): a top-level descriptor plus a flat
 ``rows`` list, so downstream tooling can treat every benchmark file
 alike.
 

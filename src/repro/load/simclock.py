@@ -14,9 +14,8 @@ degradation, every queue wait — is a pure function of (graph, query
 stream, cost model).  No wall-clock enters the loop anywhere.
 
 The default cost constants are calibrated so a tiny-suite PeeK query
-lands in the low milliseconds of simulated time — the same order as the
-real wall times in ``BENCH_hot_path.json`` scaled down to tiny graphs —
-but their *absolute* scale is irrelevant to the experiments: only the
+lands in the low milliseconds of simulated time — the order of a real
+PeeK query on a tiny graph — but their *absolute* scale is irrelevant to the experiments: only the
 ratios between stages and between service time and arrival rate matter.
 """
 

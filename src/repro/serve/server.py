@@ -198,7 +198,7 @@ class QueryServer:
         :class:`~repro.graph.csr.CSRGraph` (historical behaviour,
         bit-for-bit unchanged) or a :class:`~repro.dyn.live.LiveGraph`,
         which enables :meth:`apply_mutations` and versioned serving.
-    kernel, alpha, cache_size, use_workspace:
+    kernel, alpha, cache_size:
         Forwarded to the underlying :class:`~repro.core.batch.BatchPeeK`.
     default_timeout:
         Per-query budget in seconds when :meth:`serve` is called without
@@ -237,7 +237,6 @@ class QueryServer:
         kernel: str = "delta",
         alpha: float = 0.1,
         cache_size: int = 64,
-        use_workspace: bool = True,
         default_timeout: float | None = None,
         retry: RetryPolicy | None = None,
         max_in_flight: int = 64,
@@ -261,11 +260,9 @@ class QueryServer:
             kernel=kernel,
             cache_size=cache_size,
             alpha=alpha,
-            use_workspace=use_workspace,
             versioned=self.live is not None,
             sanitize=bool(sanitize),
         )
-        self.use_workspace = use_workspace
         self.default_timeout = default_timeout
         self.retry = retry if retry is not None else RetryPolicy()
         self.max_in_flight = max_in_flight
@@ -485,13 +482,7 @@ class QueryServer:
         # --- tier 2: plain OptYen on the original, unpruned graph ---
         get_tracer().add("serve.degraded_attempts")
         try:
-            fallback = OptYenKSP(
-                self.graph,
-                source,
-                target,
-                deadline=deadline,
-                use_workspace=self.use_workspace,
-            )
+            fallback = OptYenKSP(self.graph, source, target, deadline=deadline)
             paths, cut = self._enumerate(fallback, k, None)
             if not cut:
                 return _Attempt(

@@ -13,9 +13,7 @@ millions of wasted writes.  :class:`SSSPWorkspace` amortises all of it:
   per-query setup is O(1) instead of O(n).
 * the graph's CSR arrays are mirrored once into flat Python lists, because
   a scalar Dijkstra loop over list storage runs ~2x faster than the same
-  loop doing per-element NumPy indexing (measured by
-  ``benchmarks/bench_hot_path.py``; see also the repo's HPC-Python notes).
-  The mirror is built lazily, so solvers that never need a repair search
+  loop doing per-element NumPy indexing.  The mirror is built lazily, so solvers that never need a repair search
   (OptYen on friendly graphs) never pay it.
 * the banned-vertex mask is maintained **incrementally**: consecutive spur
   searches of one deviation pass differ by a single prefix vertex, so

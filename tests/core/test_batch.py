@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.batch import BatchPeeK
+from repro.core.integrate import PrunedKSP
 from repro.core.peek import PeeK, peek_ksp
 from repro.errors import UnreachableTargetError, VertexError
 from repro.graph.build import from_edge_list
@@ -51,22 +52,84 @@ class TestCorrectness:
             BatchPeeK(medium_er, cache_size=0)
 
 
-class TestBitwiseEquivalence:
-    """BatchPeeK shares ``bound_and_masks`` with single-query PeeK, so the
-    two front ends must agree *bitwise* — exact float distances, identical
-    vertex tuples, identical pruning decision — not just approximately."""
+def _front_end_run(front, batch, graph, s, t, k, kernel, strong, alpha):
+    """One query through a shared-pipeline front end, plus its artefacts."""
+    if front == "batch":
+        res = batch.query(s, t, k)
+        return res, res.prune, res.compaction, res.ksp_stats
+    solver = PrunedKSP(
+        graph,
+        s,
+        t,
+        inner="OptYen",
+        alpha=alpha,
+        kernel=kernel,
+        strong_edge_prune=strong,
+    )
+    res = solver.run(k)
+    return res, solver.prune_result, solver.compaction_result, solver.stats
 
-    @pytest.mark.parametrize("kernel", ["delta", "dijkstra"])
-    def test_query_bitwise_identical_to_peek(self, medium_er, kernel):
-        batch = BatchPeeK(medium_er, kernel=kernel)
+
+#: alpha -> compaction strategy it forces (None: the default rule decides)
+_ALPHAS = {0.1: None, 1.0: "regeneration", 0.0: "edge-swap"}
+
+
+def _bitwise_case_id(front, kernel, strong, alpha):
+    if front == "batch" and not strong and alpha == 0.1:
+        return kernel  # the original two cases keep their ids
+    parts = [front, kernel] + (["strong"] if strong else [])
+    return "-".join(parts + [f"alpha{alpha}"])
+
+
+_BITWISE_CASES = [
+    pytest.param(
+        front, kernel, strong, alpha, id=_bitwise_case_id(front, kernel, strong, alpha)
+    )
+    for front in ("batch", "pruned")
+    for kernel in ("delta", "dijkstra")
+    for strong in (False, True)
+    for alpha in _ALPHAS
+]
+
+
+class TestBitwiseEquivalence:
+    """BatchPeeK and PrunedKSP(inner="OptYen") run the same prune → compact
+    → remnant-solver pipeline as single-query PeeK, so all three must agree
+    *bitwise* — exact float distances, identical vertex tuples, identical
+    pruning decision, compaction strategy and inner-solver counters — not
+    just approximately."""
+
+    @pytest.mark.parametrize("front, kernel, strong, alpha", _BITWISE_CASES)
+    def test_query_bitwise_identical_to_peek(
+        self, medium_er, front, kernel, strong, alpha
+    ):
+        batch = BatchPeeK(
+            medium_er, kernel=kernel, alpha=alpha, strong_edge_prune=strong
+        )
         for seed in range(4):
             s, t = random_reachable_pair(medium_er, seed=seed)
-            ref = PeeK(medium_er, s, t, kernel=kernel).run(5)
-            got = batch.query(s, t, 5)
+            ref = PeeK(
+                medium_er,
+                s,
+                t,
+                kernel=kernel,
+                alpha=alpha,
+                strong_edge_prune=strong,
+            ).run(5)
+            got, prune, comp, ksp_stats = _front_end_run(
+                front, batch, medium_er, s, t, 5, kernel, strong, alpha
+            )
             assert got.distances == ref.distances  # exact, no tolerance
             assert [p.vertices for p in got.paths] == [
                 p.vertices for p in ref.paths
             ]
+            assert prune.bound == ref.prune.bound
+            assert np.array_equal(prune.keep_vertices, ref.prune.keep_vertices)
+            assert np.array_equal(prune.keep_edges, ref.prune.keep_edges)
+            assert comp.strategy == ref.compaction.strategy
+            if _ALPHAS[alpha] is not None:
+                assert comp.strategy == _ALPHAS[alpha]
+            assert ksp_stats == ref.ksp_stats
 
     def test_prune_decision_bitwise_identical(self, medium_er):
         s, t = random_reachable_pair(medium_er, seed=2)

@@ -1,10 +1,12 @@
 """Tests for pruning-as-preprocessing over every baseline (novelty iii)."""
 
+import time
+
 import numpy as np
 import pytest
 
 from repro.core.integrate import PrunedKSP, pruned_ksp
-from repro.errors import KSPError
+from repro.errors import KSPError, KSPTimeout
 from repro.graph.generators import erdos_renyi
 from repro.ksp import ALGORITHMS, make_algorithm
 from tests.conftest import random_reachable_pair
@@ -61,3 +63,16 @@ class TestBoost:
         assert wrapper.stats.total_work < plain.stats.total_work
         assert wrapper.prune_result is not None
         assert wrapper.compaction_result is not None
+
+
+class TestDeadline:
+    def test_expired_deadline_stops_before_compaction(self, medium_er):
+        """The deadline covers the prune and compaction stages too, not only
+        the inner solver: an expired one raises before anything is built."""
+        s, t = random_reachable_pair(medium_er, seed=51)
+        solver = PrunedKSP(
+            medium_er, s, t, inner="Yen", deadline=time.perf_counter() - 1.0
+        )
+        with pytest.raises(KSPTimeout):
+            solver.run(4)
+        assert solver.compaction_result is None

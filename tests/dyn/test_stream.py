@@ -120,9 +120,9 @@ class TestIncidentStream:
             live.apply(batch)
 
     def test_batches_drawn_ahead_still_apply(self):
-        """A consumer may draw batch N+1 before applying batch N (the
-        fabric fleet does): no batch updates a source an earlier batch
-        tombstoned, so the batches still apply in order."""
+        """A consumer may draw batch N+1 before applying batch N: no
+        batch updates a source an earlier batch tombstoned, so the
+        batches still apply in order."""
         live = LiveGraph(erdos_renyi(40, 4.0, seed=4))
         stream = IncidentStream(seed=5, batch_size=8, p_tombstone=0.4)
         batches = [stream.next_batch(live, at=0.1 * i) for i in range(30)]

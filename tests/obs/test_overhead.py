@@ -5,7 +5,7 @@ the default :class:`~repro.obs.tracer.NoOpTracer` installed must be
 negligible.  The uninstrumented program no longer exists to A/B against,
 so the bound is established constructively:
 
-1. run one ``bench_hot_path``-style PeeK query on a medium-suite graph
+1. run one cold PeeK query on a medium-suite graph
    under a *counting* no-op tracer (``enabled=False``, so every
    ``tracer.enabled`` gate takes the disabled branch) to count exactly how
    many tracer touch-points the query executes;

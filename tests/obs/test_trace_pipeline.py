@@ -101,7 +101,7 @@ def test_standalone_algorithm_emits_ksp_span(medium_er):
 def test_workspace_reuse_visible_in_trace(medium_er):
     s, t = random_reachable_pair(medium_er, seed=9)
     with use_tracer(Tracer()) as tracer:
-        repro.solve(medium_er, s, t, k=6, algorithm="OptYen", use_workspace=True)
+        repro.solve(medium_er, s, t, k=6, algorithm="OptYen")
     ksp = _one(tracer, "ksp")
     assert ksp.gauges.get("workspace.epochs", 0) >= 1
     assert tracer.total("workspace.queries") > 0

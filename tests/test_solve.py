@@ -104,8 +104,8 @@ def test_spec_capability_flags():
     assert "lawler" not in peek.valid_kwargs
 
     yen = repro.algorithm_spec("Yen")
-    assert yen.supports_deadline and yen.supports_workspace and yen.supports_lawler
-    assert yen.valid_kwargs == frozenset({"deadline", "use_workspace", "lawler"})
+    assert yen.supports_deadline and yen.supports_lawler
+    assert yen.valid_kwargs == frozenset({"deadline", "lawler"})
 
     psb3 = repro.algorithm_spec("PSB-v3")
     assert {"threshold", "memory_budget_bytes"} <= psb3.valid_kwargs
