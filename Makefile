@@ -18,16 +18,14 @@ test-fast:
 test-slow:
 	REPRO_RUN_SLOW=1 $(PYTHON) -m pytest -q -m slow
 
-## Lint (CI runs this; requires ruff, which is not a runtime dependency).
-## repro-lint is the repo-specific AST pass (rules RPR001-RPR005; see
-## docs/correctness_tooling.md).
+## Lint (CI runs this; requires ruff, which is not a runtime dependency):
+## ruff, then the repo's static analyzer (the `contracts` target).
 lint: contracts
 	ruff check src tests
-	$(PYTHON) -m repro.analysis.lint src
 
-## Whole-program contract analyzer (rules CTR101-CTR501; see
-## docs/correctness_tooling.md).  Fails on any finding not in the
-## checked-in baseline; also refreshes the coverage self-report.
+## The static analyzer, repro-contracts (rules CTR101-CTR501 and
+## RPR001-RPR005; see docs/correctness_tooling.md).  Fails on any finding
+## not in the checked-in baseline; also refreshes the coverage self-report.
 contracts:
 	$(PYTHON) -m repro.analysis.contracts --baseline contracts_baseline.json \
 		--report results/contracts_report.txt src/repro

@@ -1,11 +1,12 @@
-"""Correctness tooling: lint, runtime sanitizers, and race detection.
+"""Correctness tooling: static analysis, runtime sanitizers, race detection.
 
 Three legs, one shared :class:`~repro.analysis.findings.Finding` record
 (see ``docs/correctness_tooling.md`` for the full catalogue):
 
-* :mod:`repro.analysis.lint` — AST lint with repo-specific rules
-  RPR001–RPR005 (``python -m repro.analysis.lint src/`` or the
-  ``repro-lint`` console script);
+* :mod:`repro.analysis.contracts` — the static analyzer: interprocedural
+  rules CTR101–CTR501 and module-local rules RPR001–RPR005
+  (``python -m repro.analysis.contracts src/repro`` or the
+  ``repro-contracts`` console script);
 * :mod:`repro.analysis.sanitize` — runtime invariant checks enabled by
   ``repro.solve(..., sanitize=True)`` or ``RPR_SANITIZE=1``;
 * :mod:`repro.analysis.race` — vector-clock race detection over declared
@@ -14,10 +15,8 @@ Three legs, one shared :class:`~repro.analysis.findings.Finding` record
 
 from repro.analysis.findings import (
     Finding,
-    exit_code,
     findings_to_json,
     render_findings,
-    worst_severity,
 )
 from repro.analysis.race import (
     DeltaSteppingFootprints,
@@ -28,8 +27,6 @@ from repro.analysis.sanitize import run_sanitized, sanitize_enabled_from_env
 
 __all__ = [
     "Finding",
-    "worst_severity",
-    "exit_code",
     "render_findings",
     "findings_to_json",
     "RaceDetector",

@@ -1,11 +1,10 @@
-"""repro-contracts: the whole-program contract analyzer.
+"""repro-contracts: the repo's static analyzer.
 
-Where :mod:`repro.analysis.lint` pattern-matches single functions, this
-package builds a *project-wide* view — every module's AST, a per-function
-control-flow graph with exception edges, and an interprocedural call
-graph that resolves through the ``AlgorithmSpec`` registry indirection —
-and checks the contracts that make the repo's reproducibility claims
-*provable* rather than merely tested:
+This package builds a *project-wide* view — every module's AST, a
+per-function control-flow graph with exception edges, and an
+interprocedural call graph that resolves through the ``AlgorithmSpec``
+registry indirection — and checks the contracts that make the repo's
+reproducibility claims *provable* rather than merely tested:
 
 * **determinism discipline** (``CTR101``–``CTR103``) — no reachable use
   of unseeded module-level RNG state, no wall-clock reads outside the
@@ -21,7 +20,11 @@ and checks the contracts that make the repo's reproducibility claims
   parallel phase actually writes match the :class:`Footprint`
   declarations the dynamic race detector trusts;
 * **entry-point contracts** (``CTR501``) — every public entry validates
-  the request before touching kernel code.
+  the request before touching kernel code;
+* **module-local rules** (``RPR001``–``RPR005``) — CSR arrays are
+  immutable, spans live in ``with`` blocks, hot loops allocate no O(n)
+  buffers, float costs are never compared exactly, and the registry
+  aliases stay thin (:mod:`repro.analysis.contracts.local`).
 
 Run as ``python -m repro.analysis.contracts`` or via the installed
 ``repro-contracts`` script; see ``docs/correctness_tooling.md``.

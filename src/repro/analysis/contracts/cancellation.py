@@ -67,13 +67,11 @@ def _loop_region(loop: ast.stmt):
     return region
 
 
-def run(ctx, only_modules=None) -> list[Finding]:
+def run(ctx) -> list[Finding]:
     findings: list[Finding] = []
     covered_keys = cancellation_reachable(ctx)
     for fn in ctx.project.functions():
         if fn.key not in covered_keys:
-            continue
-        if only_modules is not None and fn.module.module not in only_modules:
             continue
         # call sites by AST node identity, for per-loop attribution
         site_by_node = {site.node: site for site in fn.calls}

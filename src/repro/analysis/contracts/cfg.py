@@ -14,7 +14,7 @@ the entry-contract pass needs for its must-validate dataflow.
 
 ``with`` statements are kept opaque on purpose: a ``with`` pairs enter
 and exit natively on every path, so its context expressions are exempt
-from manual-pairing analysis (mirroring lint rule RPR002).
+from manual-pairing analysis (the local rule RPR002 requires them).
 """
 
 from __future__ import annotations

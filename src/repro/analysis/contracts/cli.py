@@ -3,7 +3,6 @@
     repro-contracts src/repro                      # text, fail on findings
     repro-contracts --format sarif src/repro       # CI artifact
     repro-contracts --baseline contracts_baseline.json src/repro
-    repro-contracts --incremental --cache .contracts_cache.json src/repro
     repro-contracts --report results/contracts_report.txt src/repro
 
 Exit status: 0 when no *new* finding (new = not in the baseline, or any
@@ -61,17 +60,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="rewrite --baseline with the current findings and exit 0",
     )
     parser.add_argument(
-        "--incremental",
-        action="store_true",
-        help="reuse cached per-module results keyed on content hashes",
-    )
-    parser.add_argument(
-        "--cache",
-        metavar="FILE",
-        default=".contracts_cache.json",
-        help="cache file for --incremental (default: .contracts_cache.json)",
-    )
-    parser.add_argument(
         "--report",
         metavar="FILE",
         help="also write the coverage/finding self-report to FILE",
@@ -103,10 +91,7 @@ def main(argv=None) -> int:
             print(f"repro-contracts: no such path: {p}", file=sys.stderr)
             return 2
     try:
-        result = analyze_paths(
-            args.paths,
-            cache_path=args.cache if args.incremental else None,
-        )
+        result = analyze_paths(args.paths)
     except SyntaxError as exc:
         print(f"repro-contracts: {exc}", file=sys.stderr)
         return 2
@@ -155,13 +140,6 @@ def main(argv=None) -> int:
             + (f", {result.suppressed} suppressed" if result.suppressed else "")
         )
         print(summary, file=sys.stderr)
-        if args.incremental:
-            print(
-                f"repro-contracts: incremental — "
-                f"{len(result.cache_hits)} cached, "
-                f"{len(result.cache_misses)} re-analyzed",
-                file=sys.stderr,
-            )
     if baseline_note:
         print(f"repro-contracts: {baseline_note}", file=sys.stderr)
     return 1 if new else 0

@@ -11,7 +11,7 @@ fixture exercises exactly the code path CI runs on the real tree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = ["AuditGroup", "ContractConfig", "default_config"]
 
@@ -89,32 +89,6 @@ class ContractConfig:
     span_open_attr: str = "span"
     #: call names / attrs that close a manually-held span
     span_close_attrs: frozenset[str] = frozenset({"__exit__", "close"})
-
-    def digest_fields(self) -> dict:
-        """JSON-ready view used in cache keys (order-stable)."""
-        return {
-            "entry_names": sorted(self.entry_names),
-            "cancellation_roots": sorted(self.cancellation_roots),
-            "clock_modules": sorted(self.clock_modules),
-            "checkpoint_names": sorted(self.checkpoint_names),
-            "validator_names": sorted(self.validator_names),
-            "kernel_prefixes": list(self.kernel_prefixes),
-            "indirection_names": sorted(self.indirection_names),
-            "registry_module": self.registry_module,
-            "declarations_module": self.declarations_module,
-            "audits": [
-                {
-                    "label": a.label,
-                    "recorder": a.recorder,
-                    "functions": [list(f) for f in a.functions],
-                    "shared": sorted(a.shared),
-                    "name_map": [list(m) for m in a.name_map],
-                }
-                for a in self.audits
-            ],
-            "span_open_attr": self.span_open_attr,
-            "span_close_attrs": sorted(self.span_close_attrs),
-        }
 
 
 def default_config() -> ContractConfig:

@@ -143,11 +143,9 @@ def _is_rng_construction(value: ast.expr, maps) -> bool:
     return bool(chain) and chain[-1] in _RNG_CONSTRUCTORS
 
 
-def run(ctx, only_modules=None) -> list[Finding]:
+def run(ctx) -> list[Finding]:
     findings: list[Finding] = []
     for mod in ctx.project.modules:
-        if only_modules is not None and mod.module not in only_modules:
-            continue
         if mod.syntax_error:
             continue
         maps = _import_maps(mod.tree)

@@ -163,15 +163,13 @@ def compute_validation_summaries(ctx) -> dict[str, str]:
     return summaries
 
 
-def run(ctx, only_modules=None) -> list[Finding]:
+def run(ctx) -> list[Finding]:
     findings: list[Finding] = []
     summaries = compute_validation_summaries(ctx)
     for fn in ctx.project.functions():
         if fn.name not in ctx.config.entry_names:
             continue
         if _is_kernel(fn.module.module, ctx.config):
-            continue
-        if only_modules is not None and fn.module.module not in only_modules:
             continue
         _, violations = _analyze_function(fn, ctx, summaries)
         for stmt, label in violations:

@@ -296,7 +296,7 @@ def _audit_functions(ctx, group):
                 yield fn
 
 
-def run(ctx, only_modules=None) -> list[Finding]:
+def run(ctx) -> list[Finding]:
     findings: list[Finding] = []
     decl_mod = ctx.project.find_module(ctx.config.declarations_module)
     if decl_mod is None:
@@ -314,8 +314,6 @@ def run(ctx, only_modules=None) -> list[Finding]:
                     inferred[resource] = (lineno, fn)
         for resource in sorted(set(inferred) - declared):
             lineno, fn = inferred[resource]
-            if only_modules is not None and fn.module.module not in only_modules:
-                continue
             findings.append(
                 Finding(
                     tool="contracts",
@@ -341,8 +339,6 @@ def run(ctx, only_modules=None) -> list[Finding]:
             group.resource_of(n) for n in group.shared
         } - {None}
         for resource in sorted((declared & shared_resources) - set(inferred)):
-            if only_modules is not None and decl_mod.module not in only_modules:
-                continue
             findings.append(
                 Finding(
                     tool="contracts",

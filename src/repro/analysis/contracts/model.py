@@ -1,8 +1,8 @@
 """Project loading: modules, functions, and raw call sites.
 
 The analyzer works on a *project* — a set of parsed modules treated as
-one program.  Like the lint pass, nothing here imports the library under
-analysis; a tree that does not import cleanly must still analyze.
+one program.  Nothing here imports the library under analysis; a tree
+that does not import cleanly must still analyze.
 
 Module paths are repo-relative (``repro/serve/server.py``), anchored at
 the last ``repro`` path component, and overridable per file with a
@@ -13,16 +13,12 @@ masquerade as library modules.
 from __future__ import annotations
 
 import ast
-import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.analysis.pragmas import expand_disabled_lines, parse_pragmas
 
 __all__ = ["CallSite", "FunctionInfo", "ModuleInfo", "Project", "load_project"]
-
-PRAGMA_TOOL = "contracts"
-
 
 @dataclass(frozen=True)
 class CallSite:
@@ -78,7 +74,6 @@ class ModuleInfo:
     module: str  # repo-relative module path used for scoping
     source: str
     tree: ast.Module
-    sha: str
     functions: list[FunctionInfo] = field(default_factory=list)
     disabled: dict[int, frozenset[str]] = field(default_factory=dict)
     #: module-level ``NAME = {"k": fn, ...}`` dispatch tables
@@ -252,9 +247,8 @@ def load_source(
     source: str, filename: str, *, module: str | None = None
 ) -> ModuleInfo:
     """Parse one source string into a :class:`ModuleInfo`."""
-    raw_disabled, override = parse_pragmas(source, PRAGMA_TOOL)
+    raw_disabled, override = parse_pragmas(source)
     mod_path = _module_path(filename, module or override)
-    sha = hashlib.sha256(source.encode("utf-8")).hexdigest()
     try:
         tree = ast.parse(source, filename=filename)
     except SyntaxError as exc:
@@ -263,7 +257,6 @@ def load_source(
             module=mod_path,
             source=source,
             tree=ast.Module(body=[], type_ignores=[]),
-            sha=sha,
             syntax_error=f"{exc.msg} (line {exc.lineno})",
         )
     mod = ModuleInfo(
@@ -271,7 +264,6 @@ def load_source(
         module=mod_path,
         source=source,
         tree=tree,
-        sha=sha,
         disabled=expand_disabled_lines(tree, raw_disabled),
     )
     _collect_imports(mod)

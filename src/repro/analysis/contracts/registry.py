@@ -1,11 +1,8 @@
 """The pass catalogue and the context handed to every pass.
 
-Each pass is a module exposing ``run(ctx, only_modules=None) ->
-list[Finding]``; ``only_modules`` restricts which modules may *carry*
-findings (incremental mode re-analyzes dirty modules only), while the
-interprocedural structures — call graph, summaries — always span the
-whole project, which is what makes an incremental run agree with a full
-one by construction.
+Each pass is a module exposing ``run(ctx) -> list[Finding]``; the
+context carries the whole parsed project and its call graph, so a pass
+reads whichever of the two it needs.
 """
 
 from __future__ import annotations
@@ -17,6 +14,7 @@ from repro.analysis.contracts import (
     determinism,
     entrypoints,
     footprints,
+    local,
     spans,
 )
 from repro.analysis.contracts.callgraph import CallGraph
@@ -38,7 +36,7 @@ class PassInfo:
     pass_id: str
     title: str
     rules: tuple[str, ...]
-    run: object  # run(ctx, only_modules=None) -> list[Finding]
+    run: object  # run(ctx) -> list[Finding]
 
 
 PASSES: tuple[PassInfo, ...] = (
@@ -72,6 +70,12 @@ PASSES: tuple[PassInfo, ...] = (
         ("CTR501",),
         entrypoints.run,
     ),
+    PassInfo(
+        "local",
+        "module-local rules",
+        ("RPR001", "RPR002", "RPR003", "RPR004", "RPR005"),
+        local.run,
+    ),
 )
 
 #: rule id → one-line description (drives --list-rules and SARIF metadata)
@@ -84,4 +88,9 @@ RULES: dict[str, str] = {
     "CTR401": "parallel phase writes a shared array its recorder never declares",
     "CTR402": "recorder declares a write no audited phase performs",
     "CTR501": "public entry reaches kernel code before validate_query()",
+    "RPR001": "CSRGraph backing array mutated outside repro/graph/ and compaction",
+    "RPR002": "Tracer.span used outside a `with` statement (repro/obs/ exempt)",
+    "RPR003": "O(n) numpy allocation inside a loop on the hot path",
+    "RPR004": "float cost or time compared with == / != (use costs_close)",
+    "RPR005": "registry alias is not a thin alias of repro.solve",
 }

@@ -1,10 +1,10 @@
 """Pass 3 — interprocedural span pairing (CTR301).
 
-Lint rule RPR002 already insists that a tracer span opened with
-``__enter__`` is closed in the *same function, lexically*.  Real code
-outgrew that: a span handle is opened in one function and handed to a
-helper that closes it, or stashed until a later phase.  This pass
-upgrades the check to CFG paths across function boundaries:
+The local rule RPR002 bans manually held spans outside ``repro/obs/``;
+where one is held anyway (inside ``repro/obs/``, or under a pragma), a
+span handle may be opened in one function and handed to a helper that
+closes it, or stashed until a later phase.  This pass checks the
+pairing along CFG paths across function boundaries:
 
 * a *manual open* is ``handle = <obj>.span(...)`` (optionally chained
   with ``.__enter__()``) outside a ``with`` header — ``with`` pairs
@@ -185,13 +185,11 @@ def _stmt_closes(
     return False
 
 
-def run(ctx, only_modules=None) -> list[Finding]:
+def run(ctx) -> list[Finding]:
     findings: list[Finding] = []
     closes = compute_close_summaries(ctx)
     open_attr = ctx.config.span_open_attr
     for fn in ctx.project.functions():
-        if only_modules is not None and fn.module.module not in only_modules:
-            continue
         has_open = any(
             isinstance(site.node.func, ast.Attribute)
             and site.node.func.attr == open_attr

@@ -1,16 +1,14 @@
 """The common finding record shared by every correctness tool.
 
-The three legs of :mod:`repro.analysis` — the AST lint pass, the runtime
+The three legs of :mod:`repro.analysis` — the static analyzer, the runtime
 sanitizer, and the simulated-race detector — all report through one
 structured :class:`Finding` type, so a CI job, a test helper, or a human
 reading a terminal sees the same shape regardless of which tool spoke:
 
-    src/repro/ksp/yen.py:42:8: RPR003 error [lint] O(n) np.full inside ...
+    src/repro/ksp/yen.py:42:8: RPR003 error [contracts] np.zeros(...) inside ...
 
-Severity is ordinal (``error`` > ``warning`` > ``note``); the shared
-:func:`worst_severity` / :func:`exit_code` helpers give every tool the same
-pass/fail semantics.  Nothing here imports the rest of the library — the
-lint CLI must be runnable on a tree that does not import cleanly.
+Nothing here imports the rest of the library — the analyzer CLI must be
+runnable on a tree that does not import cleanly.
 """
 
 from __future__ import annotations
@@ -21,8 +19,6 @@ from dataclasses import asdict, dataclass, field
 __all__ = [
     "Finding",
     "SEVERITIES",
-    "worst_severity",
-    "exit_code",
     "render_findings",
     "findings_to_json",
 ]
@@ -38,17 +34,18 @@ class Finding:
     Attributes
     ----------
     tool:
-        Which leg produced it: ``"lint"``, ``"sanitize"`` or ``"race"``.
+        Which leg produced it: ``"contracts"``, ``"sanitize"`` or ``"race"``.
     rule:
-        Stable identifier — a lint rule id (``RPR001``...), a sanitizer
-        check id (``SAN-...``), or a race class (``RACE-WW`` / ``RACE-RW``).
+        Stable identifier — an analyzer rule id (``CTR201``,
+        ``RPR001``...), a sanitizer check id (``SAN-...``), or a race
+        class (``RACE-WW`` / ``RACE-RW``).
     severity:
         One of :data:`SEVERITIES`.
     message:
         Human-readable description naming the offending object (vertex,
         edge, expression) so the report is actionable without re-running.
     path, line, column:
-        Source location for lint findings (``None`` for runtime findings).
+        Source location for static findings (``None`` for runtime findings).
     context:
         Free-form extra detail — the conflicting tasks of a race, the
         resource key, the epoch numbers of a stale workspace read.
@@ -86,25 +83,6 @@ class Finding:
         return asdict(self)
 
 
-def worst_severity(findings) -> str | None:
-    """The most severe severity present, or ``None`` when empty."""
-    worst = None
-    for f in findings:
-        if worst is None or SEVERITIES.index(f.severity) < SEVERITIES.index(worst):
-            worst = f.severity
-    return worst
-
-
-def exit_code(findings) -> int:
-    """Process exit status for a tool run: non-zero on any finding.
-
-    Every tool in this package treats any finding — including warnings —
-    as a failure; a rule that should not gate CI belongs out of the
-    default rule set, not at a softer severity.
-    """
-    return 1 if list(findings) else 0
-
-
 def render_findings(findings, *, header: str | None = None) -> str:
     """Multi-line text report, stable order (path, line, rule)."""
     items = sorted(
@@ -118,5 +96,5 @@ def render_findings(findings, *, header: str | None = None) -> str:
 
 
 def findings_to_json(findings) -> str:
-    """The findings as a JSON array (the lint CLI's ``--format json``)."""
+    """The findings as a JSON array (the analyzer CLI's ``--format json``)."""
     return json.dumps([f.to_dict() for f in findings], indent=2)

@@ -1,15 +1,10 @@
-"""Suppression pragmas shared by the static-analysis tools.
+"""Suppression pragmas of the static analyzer (``repro-contracts``).
 
-Both AST tools in :mod:`repro.analysis` — the per-function lint pass
-(``# repro-lint: disable=RPR003``) and the whole-program contract
-analyzer (``# contracts: disable=CTR201``) — speak the same pragma
-dialect, differing only in the tool tag:
-
-* ``# <tool>: disable=ID1,ID2`` (or ``disable=all``) suppresses the
-  named rules;
-* ``# <tool>: module=repro/ksp/foo.py`` overrides the inferred module
-  path (the fixture corpora use it to exercise path-scoped rules from
-  outside the source tree).
+* ``# contracts: disable=ID1,ID2`` (or ``disable=all``) suppresses the
+  named rules (``CTR201``, ``RPR003``, ...);
+* ``# contracts: module=<path>`` overrides the inferred module path
+  (the fixture corpora use it to exercise path-scoped rules such as
+  ``repro/ksp/`` from outside the source tree).
 
 Statement-span expansion
 ------------------------
@@ -39,7 +34,7 @@ from __future__ import annotations
 import ast
 import re
 
-__all__ = ["parse_pragmas", "expand_disabled_lines", "pragma_re"]
+__all__ = ["parse_pragmas", "expand_disabled_lines"]
 
 _COMPOUND = (
     ast.For,
@@ -54,27 +49,20 @@ _COMPOUND = (
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def pragma_re(tool: str) -> re.Pattern:
-    """The pragma pattern for one tool tag (``repro-lint``, ``contracts``)."""
-    return re.compile(
-        rf"#\s*{re.escape(tool)}:\s*(disable|module)\s*=\s*([\w./,\- ]+)"
-    )
+_PRAGMA_RE = re.compile(r"#\s*contracts:\s*(disable|module)\s*=\s*([\w./,\- ]+)")
 
 
-def parse_pragmas(
-    source: str, tool: str
-) -> tuple[dict[int, frozenset[str]], str | None]:
+def parse_pragmas(source: str) -> tuple[dict[int, frozenset[str]], str | None]:
     """Raw per-line disabled-rule sets and the optional module override.
 
     The returned mapping is *unexpanded* — pass it through
     :func:`expand_disabled_lines` with the parsed tree to apply the
     statement-span semantics documented above.
     """
-    pattern = pragma_re(tool)
     disabled: dict[int, frozenset[str]] = {}
     module_override: str | None = None
     for lineno, line in enumerate(source.splitlines(), start=1):
-        m = pattern.search(line)
+        m = _PRAGMA_RE.search(line)
         if not m:
             continue
         kind, value = m.group(1), m.group(2)

@@ -499,7 +499,7 @@ def ft_checkpoint_sweep(
             # exact equality is the claim under test: recovery must be
             # bitwise, not merely close
             identical = (
-                rep.result.distances == base.result.distances  # repro-lint: disable=RPR004
+                rep.result.distances == base.result.distances  # contracts: disable=RPR004
             )
             overhead = (
                 100.0 * (rep.time_units - base.time_units) / base.time_units

@@ -21,7 +21,7 @@ below ``α · m`` and edge-swaps otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,6 +45,8 @@ def _combined_edge_mask(
     base: CSRGraph, keep_vertices: np.ndarray, keep_edges: np.ndarray | None
 ) -> np.ndarray:
     """An edge survives iff it is kept and both endpoints are kept."""
+    if keep_vertices.size != base.num_vertices:
+        raise GraphFormatError("keep_vertices length must equal n")
     live = keep_vertices[base.edge_sources()] & keep_vertices[base.indices]
     if keep_edges is not None:
         live &= keep_edges
@@ -88,8 +90,6 @@ class StatusArrayView(_CompactViewBase):
         keep_edges: np.ndarray | None = None,
     ) -> None:
         keep_vertices = np.asarray(keep_vertices, dtype=bool)
-        if keep_vertices.size != base.num_vertices:
-            raise GraphFormatError("keep_vertices length must equal n")
         self.base = base
         self.keep_vertices = keep_vertices
         self.edge_mask = _combined_edge_mask(base, keep_vertices, keep_edges)
@@ -154,8 +154,6 @@ class EdgeSwapView(_CompactViewBase):
         keep_edges: np.ndarray | None = None,
     ) -> None:
         keep_vertices = np.asarray(keep_vertices, dtype=bool)
-        if keep_vertices.size != base.num_vertices:
-            raise GraphFormatError("keep_vertices length must equal n")
         self.base = base
         self.keep_vertices = keep_vertices
         live = _combined_edge_mask(base, keep_vertices, keep_edges)

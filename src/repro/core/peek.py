@@ -51,10 +51,6 @@ class PeeK(KSPAlgorithm):
         uses the paper's status-array fallback.
     kernel:
         SSSP kernel for the pruning stage: ``"delta"`` or ``"dijkstra"``.
-    sssp_backend:
-        Δ-stepping execution backend for the pruning SSSPs (``"scalar"``,
-        ``"vectorized"``, or ``"mp"``); bitwise-equivalent, purely a
-        performance knob.  Ignored when ``kernel="dijkstra"``.
     strong_edge_prune:
         Enable the edge-level Lemma-4.2 extension (see
         :func:`~repro.core.pruning.k_upper_bound_prune`).
@@ -82,7 +78,6 @@ class PeeK(KSPAlgorithm):
         prune: bool = True,
         compact: bool = True,
         kernel: str = "delta",
-        sssp_backend: str = "vectorized",
         strong_edge_prune: bool = False,
         compaction_force: str | None = None,
         deadline: float | None = None,
@@ -92,7 +87,6 @@ class PeeK(KSPAlgorithm):
         self.enable_prune = prune
         self.enable_compact = compact
         self.kernel = kernel
-        self.sssp_backend = sssp_backend
         self.strong_edge_prune = strong_edge_prune
         self.compaction_force = compaction_force
         #: the prepared query of the last :meth:`prepare`
@@ -116,7 +110,6 @@ class PeeK(KSPAlgorithm):
                     self.target,
                     k,
                     kernel=self.kernel,
-                    sssp_backend=self.sssp_backend,
                     strong_edge_prune=self.strong_edge_prune,
                     deadline=self.deadline,
                 )

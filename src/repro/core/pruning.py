@@ -59,6 +59,15 @@ class PruneStats:
     edges_relaxed: int = 0
     vertices_settled: int = 0
 
+    @classmethod
+    def from_sssp(cls, fwd, rev) -> "PruneStats":
+        """Fresh stats carrying the two SSSPs' counters (step 1's work)."""
+        return cls(
+            sssp_phase_work=list(fwd.stats.phase_work) + list(rev.stats.phase_work),
+            edges_relaxed=fwd.stats.edges_relaxed + rev.stats.edges_relaxed,
+            vertices_settled=fwd.stats.vertices_settled + rev.stats.vertices_settled,
+        )
+
     @property
     def total_work(self) -> int:
         return (
@@ -120,18 +129,16 @@ def prune_sssp(
     root: int,
     *,
     kernel: str = "delta",
-    backend: str = "vectorized",
     deadline: float | None = None,
 ):
     """One of Algorithm 2's two SSSPs, on the named kernel.
 
     The single kernel dispatch behind :func:`k_upper_bound_prune` and
     :class:`~repro.core.batch.BatchPeeK`'s SSSP cache.  ``kernel`` is
-    ``"delta"`` (Δ-stepping on execution ``backend``) or ``"dijkstra"``
-    (``backend`` ignored).
+    ``"delta"`` (vectorized Δ-stepping) or ``"dijkstra"``.
     """
     if kernel == "delta":
-        return delta_stepping(graph, root, deadline=deadline, backend=backend)
+        return delta_stepping(graph, root, deadline=deadline)
     if kernel == "dijkstra":
         return dijkstra(graph, root, deadline=deadline)
     raise ValueError(f"unknown SSSP kernel {kernel!r}")
@@ -308,7 +315,6 @@ def k_upper_bound_prune(
     k: int,
     *,
     kernel: str = "delta",
-    sssp_backend: str = "vectorized",
     strong_edge_prune: bool = False,
     deadline: float | None = None,
 ) -> PruneResult:
@@ -319,12 +325,6 @@ def k_upper_bound_prune(
     kernel:
         ``"delta"`` (paper's choice; emits the parallel phase log) or
         ``"dijkstra"`` (faster serially on small remaining graphs).
-    sssp_backend:
-        Execution backend for the Δ-stepping kernel (``"scalar"``,
-        ``"vectorized"``, or ``"mp"``; see
-        :func:`~repro.sssp.delta_stepping.delta_stepping`).  All backends
-        are bitwise-equivalent, so this is purely a performance knob.
-        Ignored when ``kernel="dijkstra"``.
     strong_edge_prune:
         Library extension beyond the paper's weight rule: additionally drop
         every edge ``(u, v)`` with ``spSrc[u] + w + spTgt[v] > b`` — the
@@ -353,23 +353,9 @@ def k_upper_bound_prune(
     if k < 1:
         raise ValueError("k must be >= 1")
 
-    stats = PruneStats()
-
     # ---- Step 1: the two SSSPs -------------------------------------------
-    fwd = prune_sssp(
-        graph, source, kernel=kernel, backend=sssp_backend, deadline=deadline
-    )
-    rev = prune_sssp(
-        graph.reverse(), target, kernel=kernel, backend=sssp_backend,
-        deadline=deadline,
-    )
-    if kernel == "delta":
-        stats.sssp_phase_work = list(fwd.stats.phase_work) + list(
-            rev.stats.phase_work
-        )
-    for r in (fwd, rev):
-        stats.edges_relaxed += r.stats.edges_relaxed
-        stats.vertices_settled += r.stats.vertices_settled
+    fwd = prune_sssp(graph, source, kernel=kernel, deadline=deadline)
+    rev = prune_sssp(graph.reverse(), target, kernel=kernel, deadline=deadline)
 
     return bound_and_masks(
         fwd,
@@ -379,6 +365,6 @@ def k_upper_bound_prune(
         k,
         graph=graph,
         strong_edge_prune=strong_edge_prune,
-        stats=stats,
+        stats=PruneStats.from_sssp(fwd, rev),
         deadline=deadline,
     )

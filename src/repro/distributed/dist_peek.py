@@ -15,7 +15,11 @@ describes:
    onto computing nodes and the *inner* level (Δ-stepping) onto the cores
    of a node.
 
-Paths/distances are identical to serial PeeK (tested property); the
+The prune decision and the remnant solve go through the same
+:func:`~repro.core.pruning.bound_and_masks` and
+:func:`~repro.core.batch.prepare_remnant` as serial PeeK, fed with the
+distributed SSSP trees, so bound, masks and paths are bitwise-identical
+to serial PeeK (tested property); the
 returned :class:`~repro.distributed.comm.DistReport` carries the BSP time
 model that Figure 10's scaling/GTEPS curves are computed from.
 
@@ -41,7 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cancel import cancellation_active, checkpoint
-from repro.core.peek import PeeK, PeeKResult
+from repro.core.batch import PeeKResult, prepare_remnant
+from repro.core.pruning import PruneResult, PruneStats, bound_and_masks
 from repro.distributed.comm import CommModel, DistReport, FaultPlan, SimComm
 from repro.distributed.dist_sssp import distributed_delta_stepping
 from repro.distributed.partition import RowPartition
@@ -124,6 +129,8 @@ class DistributedPeeK:
         self.recovery = recovery
 
     def run(self, k: int, *, deadline: float | None = None) -> DistributedPeeKReport:
+        if k < 1:
+            raise ValueError("k must be >= 1")
         comm = SimComm(self.num_nodes, self.model, fault_plan=self.fault_plan)
         supervisor = (
             self.recovery.supervisor(comm) if self.recovery is not None else None
@@ -165,7 +172,6 @@ class DistributedPeeK:
         rev = distributed_delta_stepping(
             rev_part, self.target, comm, deadline=deadline, supervisor=supervisor
         )
-        edges_traversed = fwd.stats.edges_relaxed + rev.stats.edges_relaxed
 
         def stage_boundary(name: str) -> None:
             """Commit a completed stage: the SSSP arrays are now immutable
@@ -191,7 +197,7 @@ class DistributedPeeK:
         if check_cancel:
             checkpoint(deadline, "dist.peek.bound")
 
-        def bound_stage() -> PeeKResult:
+        def bound_stage() -> PruneResult:
             # spSum is computed rank-local (each rank owns a vertex slice)
             comm.compute([math.ceil(n / r)] * r)
             sp_sum = fwd.dist + rev.dist
@@ -199,55 +205,60 @@ class DistributedPeeK:
             if finite.size >= r:
                 distributed_sample_sort(finite, comm)
             # candidate window (a few K entries) to rank 0, scan, broadcast
-            # b — the scan itself is the serial PeeK code below; charge the
-            # gather
+            # b — the scan is serial PeeK's, over the distributed trees;
+            # charge the gather
             comm.allgather(
                 [np.empty(min(4 * k, max(finite.size, 1)))] * r,
                 stage="dist.bound.gather",
             )
-
-            # The actual prune/compact/KSP math is delegated to the serial
-            # PeeK implementation (identical results by construction); the
-            # charges below account for its distributed execution.
-            peek = PeeK(
-                graph, self.source, self.target, alpha=self.alpha,
+            pr = bound_and_masks(
+                fwd,
+                rev,
+                self.source,
+                self.target,
+                k,
+                graph=graph,
+                stats=PruneStats.from_sssp(fwd, rev),
                 deadline=deadline,
             )
-            res = peek.run(k)
-            comm.bcast(
-                float(res.prune.bound if res.prune else 0.0),
-                stage="dist.bound.bcast",
-            )
-            return res
+            comm.bcast(float(pr.bound), stage="dist.bound.bcast")
+            return pr
 
-        result = recovering(bound_stage)
+        prune = recovering(bound_stage)
         stage_boundary("compact")
 
         # ---- stage 3: per-rank compaction + allgather of the remnant -----
         if check_cancel:
             checkpoint(deadline, "dist.peek.compact")
+        prepared = prepare_remnant(
+            graph,
+            self.source,
+            self.target,
+            k,
+            prune,
+            alpha=self.alpha,
+            deadline=deadline,
+        )
 
         def compact_stage() -> None:
             # Run the *real* distributed compaction kernels so the charged
             # communication is actual traffic, and cross-check the remnant
             # against the serial pipeline's.
-            comp = result.compaction
-            if comp is not None and result.prune is not None:
-                from repro.distributed.dist_compact import (
-                    distributed_edge_swap_ends,
-                    distributed_regenerate,
-                )
+            from repro.distributed.dist_compact import (
+                distributed_edge_swap_ends,
+                distributed_regenerate,
+            )
 
-                pr = result.prune
-                if comp.is_regenerated:
-                    regen = distributed_regenerate(
-                        fwd_part, pr.keep_vertices, pr.keep_edges, comm
-                    )
-                    assert regen.graph.num_edges == comp.remaining_edges
-                else:
-                    distributed_edge_swap_ends(
-                        fwd_part, pr.keep_vertices, pr.keep_edges, comm
-                    )
+            comp = prepared.compaction
+            if comp.is_regenerated:
+                regen = distributed_regenerate(
+                    fwd_part, prune.keep_vertices, prune.keep_edges, comm
+                )
+                assert regen.graph.num_edges == comp.remaining_edges
+            else:
+                distributed_edge_swap_ends(
+                    fwd_part, prune.keep_vertices, prune.keep_edges, comm
+                )
 
         recovering(compact_stage)
         stage_boundary("ksp")
@@ -255,6 +266,7 @@ class DistributedPeeK:
         # ---- stage 4: two-level KSP over nodes × cores --------------------
         if check_cancel:
             checkpoint(deadline, "dist.peek.ksp")
+        result = prepared.run()
         ksp_units = self._schedule_ksp(result)
 
         comm.report.serial_work += float(result.stats.total_work)
@@ -262,9 +274,9 @@ class DistributedPeeK:
             result=result,
             comm=comm.report,
             ksp_units=ksp_units,
-            edges_traversed=edges_traversed
-            + result.stats.edges_relaxed
-            + (result.prune.stats.edges_relaxed if result.prune else 0),
+            # the two distributed SSSPs (in the prune stats) plus the
+            # remnant solver's traversals
+            edges_traversed=prune.stats.edges_relaxed + result.stats.edges_relaxed,
         )
 
     def _schedule_ksp(self, result: PeeKResult) -> float:

@@ -1,11 +1,9 @@
 """Per-shard checkpoint/restore for fabric replicas.
 
-:class:`FabricSupervisor` specialises the distributed layer's
-:class:`~repro.distributed.supervisor.DistSupervisor` for the serving
-fabric: the unit of checkpointing is a *shard* (a contiguous vertex
-range of the :class:`~repro.fabric.router.ShardMap`'s partition) of the
-fabric's authoritative :class:`~repro.dyn.live.LiveGraph`, not a rank's
-algorithm-state slice.  Each shard's payload is its CSR rows (row
+:class:`FabricSupervisor` checkpoints the serving fabric's
+authoritative :class:`~repro.dyn.live.LiveGraph` one *shard* (a
+contiguous vertex range of the :class:`~repro.fabric.router.ShardMap`'s
+partition) at a time.  Each shard's payload is its CSR rows (row
 pointer slice, targets, weights), its vertex-liveness slice, and the
 graph version — everything needed to reassemble a bitwise-identical
 snapshot.  Payloads live in the same CRC32-checksummed
@@ -23,7 +21,7 @@ import pickle
 
 import numpy as np
 
-from repro.distributed.supervisor import DistSupervisor
+from repro.distributed.checkpoint import CheckpointStore
 from repro.errors import SanitizerError
 from repro.graph.csr import CSRGraph
 from repro.obs.tracer import get_tracer
@@ -31,18 +29,13 @@ from repro.obs.tracer import get_tracer
 __all__ = ["FabricSupervisor"]
 
 
-class FabricSupervisor(DistSupervisor):
+class FabricSupervisor:
     """Checkpoint/restore of the authoritative graph, one shard per slot."""
 
-    def __init__(self, comm, shard_map, *, store=None, max_recoveries: int = 8):
-        super().__init__(
-            comm,
-            policy="restart",
-            checkpoint_interval=1,
-            max_recoveries=max_recoveries,
-            store=store,
-        )
+    def __init__(self, comm, shard_map, *, store: CheckpointStore | None = None):
+        self.comm = comm
         self.shard_map = shard_map
+        self.store = store if store is not None else CheckpointStore()
 
     # ------------------------------------------------------------------
     def save_shards(self, live) -> list[int]:

@@ -307,47 +307,6 @@ class CSRGraph:
             and np.allclose(a.weights, b.weights)
         )
 
-    def induced_subgraph(
-        self, keep: np.ndarray
-    ) -> tuple["CSRGraph", np.ndarray, np.ndarray]:
-        """Regenerate a CSR over ``keep``-masked vertices.
-
-        Parameters
-        ----------
-        keep:
-            ``bool[n]`` mask of vertices to retain.  Edges survive only when
-            both endpoints are kept.
-
-        Returns
-        -------
-        (subgraph, new_id, old_id):
-            ``new_id[v]`` maps an original vertex to its id in the subgraph
-            (``-1`` when dropped); ``old_id`` is the inverse map.
-
-        This is the same renumbering the regeneration-based compaction does;
-        the compaction layer wraps it with instrumentation.
-        """
-        keep = np.asarray(keep, dtype=bool)
-        if keep.size != self.num_vertices:
-            raise GraphFormatError("keep mask length must equal num_vertices")
-        old_id = np.flatnonzero(keep).astype(np.int64)
-        new_id = np.full(self.num_vertices, -1, dtype=np.int64)
-        new_id[old_id] = np.arange(old_id.size, dtype=np.int64)
-
-        src = self.edge_sources()
-        edge_keep = keep[src] & keep[self.indices]
-        new_src = new_id[src[edge_keep]]
-        new_dst = new_id[self.indices[edge_keep]]
-        new_w = self.weights[edge_keep]
-
-        counts = np.bincount(new_src, minlength=old_id.size)
-        indptr = np.zeros(old_id.size + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        # new_src is already non-decreasing because edge_sources is, so the
-        # filtered edges are already grouped by source: no sort needed.
-        sub = CSRGraph(indptr, new_dst, new_w, check=False)
-        return sub, new_id, old_id
-
     # ------------------------------------------------------------------
     # misc
     # ------------------------------------------------------------------

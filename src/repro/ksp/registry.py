@@ -46,9 +46,6 @@ class AlgorithmSpec:
     supports_lawler: bool = True
     #: built on the :class:`~repro.ksp.base.DeviationKSP` loop
     is_deviation_based: bool = True
-    #: accepts ``sssp_backend=`` (Δ-stepping execution backend:
-    #: scalar / vectorized / mp — see :func:`repro.sssp.delta_stepping`)
-    supports_sssp_backend: bool = False
     #: algorithm-specific keywords beyond the capability-implied ones
     extra_kwargs: frozenset[str] = field(default_factory=frozenset)
 
@@ -60,8 +57,6 @@ class AlgorithmSpec:
             out.add("deadline")
         if self.supports_lawler:
             out.add("lawler")
-        if self.supports_sssp_backend:
-            out.add("sssp_backend")
         return frozenset(out)
 
     def validate_kwargs(self, kwargs: dict) -> None:
@@ -144,7 +139,6 @@ ALGORITHMS: dict[str, AlgorithmSpec] = {
             "SC '23: K-upper-bound prune + adaptive compaction + OptYen",
             supports_lawler=False,
             is_deviation_based=False,
-            supports_sssp_backend=True,
             extra_kwargs=frozenset(
                 {
                     "alpha",

@@ -182,9 +182,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "run":
-        # replicated cells clone graphs in ServingFabric.__init__; every
-        # query still validates inside QueryServer.serve
-        return _cmd_run(args)  # contracts: disable=CTR501 (validated in serve)
+        return _cmd_run(args)
     if args.command == "record":
         return _cmd_record(args)
     return _cmd_replay(args)

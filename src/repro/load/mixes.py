@@ -86,7 +86,7 @@ class KSampler:
 
     def sample(self, rng: Random) -> int:
         # `dist` is the distribution *name*, not a path cost
-        if self.dist == "uniform":  # repro-lint: disable=RPR004
+        if self.dist == "uniform":  # contracts: disable=RPR004
             return rng.randint(self.k_min, self.k_max)
         k = self.k_min
         while k < self.k_max and rng.random() < self.p:

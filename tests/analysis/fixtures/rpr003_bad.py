@@ -1,5 +1,5 @@
 """RPR003 regression fixture: per-spur O(n) allocation in the hot loop."""
-# repro-lint: module=repro/ksp/fixture.py
+# contracts: module=repro/ksp/rpr003_bad.py
 
 import numpy as np
 

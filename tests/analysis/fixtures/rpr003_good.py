@@ -1,5 +1,5 @@
 """RPR003 good fixture: hoisted buffer; small constant scratch allowed."""
-# repro-lint: module=repro/ksp/fixture.py
+# contracts: module=repro/ksp/rpr003_good.py
 
 import numpy as np
 

@@ -1,5 +1,5 @@
 """RPR005 regression fixture: an alias that grew its own behaviour."""
-# repro-lint: module=repro/ksp/fixture.py
+# contracts: module=repro/ksp/rpr005_bad.py
 
 
 def yen_ksp(graph, source, target, k, **kwargs):

@@ -1,5 +1,5 @@
 """RPR005 good fixture: the sanctioned thin-alias shape."""
-# repro-lint: module=repro/ksp/fixture.py
+# contracts: module=repro/ksp/rpr005_good.py
 
 
 def yen_ksp(graph, source, target, k, **kwargs):

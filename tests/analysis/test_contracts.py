@@ -1,7 +1,6 @@
-"""repro-contracts: fixture corpus, call graph, incremental mode, CLI."""
+"""repro-contracts: fixture corpus, call graph, CLI."""
 
 import json
-import shutil
 from pathlib import Path
 
 import pytest
@@ -20,7 +19,6 @@ from repro.analysis.contracts.sarif import findings_to_sarif
 from repro.analysis.findings import findings_to_json
 
 FIXTURES = Path(__file__).parent / "fixtures" / "contracts"
-SRC = Path(__file__).resolve().parents[2] / "src"
 
 RULE_IDS = (
     "CTR101",
@@ -31,6 +29,11 @@ RULE_IDS = (
     "CTR401",
     "CTR402",
     "CTR501",
+    "RPR001",
+    "RPR002",
+    "RPR003",
+    "RPR004",
+    "RPR005",
 )
 
 
@@ -42,7 +45,7 @@ def _rules(paths, config=None):
 def test_rule_catalogue_is_complete():
     assert tuple(sorted(RULES)) == RULE_IDS
     assert tuple(sorted(r for info in PASSES for r in info.rules)) == RULE_IDS
-    assert len(PASSES) == 5
+    assert len(PASSES) == 6
 
 
 # ----------------------------------------------------------------------
@@ -69,13 +72,15 @@ def test_cancellation_good_fixture_is_silent():
 
 def test_spans_bad_fixture_fires_on_exception_path():
     result = analyze_paths([str(FIXTURES / "spans_bad.py")])
-    assert [f.rule for f in result.findings] == ["CTR301"]
+    # the local pass's RPR002 also bans the manual open itself
+    assert [f.rule for f in result.findings] == ["CTR301", "RPR002"]
     assert "exception path" in result.findings[0].message
 
 
 def test_spans_good_fixture_is_silent():
-    # try/finally pairing AND the interprocedural closing-helper idiom
-    assert _rules(["spans_good.py"]) == set()
+    # try/finally pairing AND the interprocedural closing-helper idiom:
+    # CTR301 is silent; RPR002 still flags manual spans outside repro/obs/
+    assert _rules(["spans_good.py"]) == {"RPR002"}
 
 
 def test_entry_bad_fixture_fires():
@@ -180,9 +185,15 @@ def test_whole_corpus_rules_and_good_modules_silent():
         "CTR201",
         "CTR301",
         "CTR501",
+        "RPR002",
     }
-    for f in result.findings:
-        assert "_good" not in str(f.context.get("module", "")), f
+    good = [
+        (f.rule, f.line)
+        for f in result.findings
+        if "_good" in str(f.context.get("module", ""))
+    ]
+    # only RPR002 on the two manual opens CTR301 accepts as paired
+    assert good == [("RPR002", 6), ("RPR002", 19)]
 
 
 def test_two_runs_are_byte_identical():
@@ -255,48 +266,6 @@ def test_pragma_on_loop_header_does_not_blanket_the_body(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# incremental mode
-
-
-def test_incremental_cold_then_warm_agrees_with_full(tmp_path):
-    full = analyze_paths([str(FIXTURES)])
-    cache = tmp_path / "cache.json"
-    cold = analyze_paths([str(FIXTURES)], cache_path=cache)
-    assert cold.cache_misses and not cold.cache_hits
-    warm = analyze_paths([str(FIXTURES)], cache_path=cache)
-    assert warm.cache_hits and not warm.cache_misses
-    for run in (cold, warm):
-        assert [f.to_dict() for f in run.findings] == [
-            f.to_dict() for f in full.findings
-        ]
-        assert run.suppressed == full.suppressed
-
-
-def test_incremental_reanalyzes_only_changed_modules_and_dependents(tmp_path):
-    corpus = tmp_path / "corpus"
-    shutil.copytree(FIXTURES, corpus)
-    cache = tmp_path / "cache.json"
-    analyze_paths([str(corpus)], cache_path=cache)
-
-    # touching the kernel module dirties it and its entry-point callers
-    kernel = corpus / "entry_kernel.py"
-    kernel.write_text(kernel.read_text() + "\n\nEXTRA_CONSTANT = 1\n")
-
-    inc = analyze_paths([str(corpus)], cache_path=cache)
-    misses = set(inc.cache_misses)
-    assert "repro/ksp/fixture_kernel.py" in misses
-    assert "repro/fixture/entry_bad.py" in misses
-    assert "repro/fixture/entry_good.py" in misses
-    assert "repro/fixture/determinism_bad.py" in inc.cache_hits
-    assert "repro/fixture/cancellation_bad.py" in inc.cache_hits
-
-    fresh = analyze_paths([str(corpus)])
-    assert [f.to_dict() for f in inc.findings] == [
-        f.to_dict() for f in fresh.findings
-    ]
-
-
-# ----------------------------------------------------------------------
 # CLI
 
 
@@ -324,7 +293,7 @@ def test_cli_syntax_error_exits_2(tmp_path, capsys):
 def test_cli_json_format(capsys):
     assert main(["--format", "json", str(FIXTURES / "spans_bad.py")]) == 1
     payload = json.loads(capsys.readouterr().out)
-    assert [item["rule"] for item in payload] == ["CTR301"]
+    assert [item["rule"] for item in payload] == ["CTR301", "RPR002"]
     assert all(item["tool"] == "contracts" for item in payload)
 
 
@@ -362,22 +331,10 @@ def test_cli_baseline_ratchet(tmp_path, capsys):
     assert "stale" in capsys.readouterr().err
 
 
-def test_cli_incremental_and_report(tmp_path, capsys):
-    cache = tmp_path / "cache.json"
+def test_cli_report(tmp_path):
     report = tmp_path / "report.txt"
-    rc = main(
-        [
-            "--incremental",
-            "--cache",
-            str(cache),
-            "--report",
-            str(report),
-            str(FIXTURES / "determinism_good.py"),
-        ]
-    )
+    rc = main(["--report", str(report), str(FIXTURES / "determinism_good.py")])
     assert rc == 0
-    assert "incremental" in capsys.readouterr().err
-    assert cache.exists()
     text = report.read_text()
     assert "modules analyzed" in text and "findings by pass" in text
 
@@ -394,6 +351,5 @@ def test_cli_output_is_deterministic(tmp_path, capsys):
 
 
 @pytest.mark.slow
-def test_source_tree_holds_its_contracts():
-    result = analyze_paths([str(SRC / "repro")])
-    assert result.findings == []
+def test_source_tree_holds_its_contracts(source_analysis):
+    assert source_analysis.findings == []

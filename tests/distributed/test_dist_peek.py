@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core.peek import peek_ksp
-from repro.distributed.comm import CommModel
+from repro.core.peek import PeeK, peek_ksp
+from repro.distributed.comm import CommModel, SimComm
 from repro.distributed.dist_peek import DistributedPeeK, distributed_peek
+from repro.distributed.dist_sssp import distributed_delta_stepping
+from repro.distributed.partition import RowPartition
 from repro.errors import UnreachableTargetError
 from repro.graph.build import from_edge_list
 from repro.graph.generators import preferential_attachment
@@ -26,6 +28,29 @@ class TestCorrectness:
         ref = peek_ksp(g, s, t, 6).distances
         rep = distributed_peek(g, s, t, 6, nodes)
         assert np.allclose(rep.result.distances, ref)
+
+    @pytest.mark.parametrize("alpha", [0.1, 0.0])
+    @pytest.mark.parametrize("nodes", [1, 2, 4])
+    def test_bitwise_equal_to_serial_peek(self, pa_case, nodes, alpha):
+        g, s, t = pa_case
+        ref = PeeK(g, s, t, alpha=alpha).run(6)
+        got = distributed_peek(g, s, t, 6, nodes, alpha=alpha).result
+        assert [p.vertices for p in got.paths] == [p.vertices for p in ref.paths]
+        assert got.distances == ref.distances
+        assert got.prune.bound == ref.prune.bound
+        assert np.array_equal(got.prune.keep_vertices, ref.prune.keep_vertices)
+        assert np.array_equal(got.prune.keep_edges, ref.prune.keep_edges)
+        assert got.compaction.strategy == ref.compaction.strategy
+
+    def test_edges_traversed_counts_each_traversal_once(self, pa_case):
+        """The two pruning SSSPs are counted once, plus the KSP stage."""
+        g, s, t = pa_case
+        rep = distributed_peek(g, s, t, 6, 2)
+        comm = SimComm(2, CommModel())
+        fwd = distributed_delta_stepping(RowPartition.build(g, 2), s, comm)
+        rev = distributed_delta_stepping(RowPartition.build(g.reverse(), 2), t, comm)
+        sssp_edges = fwd.stats.edges_relaxed + rev.stats.edges_relaxed
+        assert rep.edges_traversed == sssp_edges + rep.result.stats.edges_relaxed
 
     def test_unreachable(self):
         g = from_edge_list(4, [(0, 1, 1.0), (2, 3, 1.0)])

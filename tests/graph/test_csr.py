@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.compaction import compact_regenerate
 from repro.errors import GraphFormatError, InvalidWeightError, VertexError
 from repro.graph.build import from_edge_list
 from repro.graph.csr import CSRGraph
@@ -192,12 +193,15 @@ class TestSortedCopy:
 
 
 class TestSubgraph:
+    """Vertex-induced subgraphs come from the compaction layer's regeneration."""
+
     def test_induced_subgraph_keeps_internal_edges(self):
         g = simple_graph()
         keep = np.array([True, True, False, True])
-        sub, new_id, old_id = g.induced_subgraph(keep)
+        regen = compact_regenerate(g, keep)
+        sub, new_id = regen.graph, regen.new_id
         assert sub.num_vertices == 3
-        assert list(old_id) == [0, 1, 3]
+        assert list(regen.old_id) == [0, 1, 3]
         # edges 0->1 and 1->3 survive; 0->2 and 2->3 die
         assert sub.num_edges == 2
         assert sub.has_edge(int(new_id[0]), int(new_id[1]))
@@ -206,13 +210,13 @@ class TestSubgraph:
     def test_bad_mask_length(self):
         g = simple_graph()
         with pytest.raises(GraphFormatError):
-            g.induced_subgraph(np.array([True]))
+            compact_regenerate(g, np.array([True]))
 
     def test_keep_everything_is_identity(self):
         g = erdos_renyi(30, 3.0, seed=2)
-        sub, new_id, old_id = g.induced_subgraph(np.ones(30, dtype=bool))
-        assert sub.structurally_equal(g)
-        assert list(new_id) == list(range(30))
+        regen = compact_regenerate(g, np.ones(30, dtype=bool))
+        assert regen.graph.structurally_equal(g)
+        assert list(regen.new_id) == list(range(30))
 
 
 def test_memory_bytes_positive():

@@ -48,20 +48,6 @@ def test_degree_sums(case):
     assert int(rev.out_degrees().sum()) == g.num_edges
 
 
-@given(edge_sets(), st.integers(0, 2**31 - 1))
-@settings(max_examples=40, deadline=None)
-def test_induced_subgraph_edges_subset(case, mask_seed):
-    n, src, dst, w = case
-    g = from_edge_array(n, src, dst, w)
-    keep = np.random.default_rng(mask_seed).random(n) < 0.6
-    sub, new_id, old_id = g.induced_subgraph(keep)
-    # every subgraph edge maps to an original edge between kept vertices
-    for u, v, weight in sub.iter_edges():
-        ou, ov = int(old_id[u]), int(old_id[v])
-        assert keep[ou] and keep[ov]
-        assert g.edge_weight(ou, ov) is not None
-
-
 @given(edge_sets())
 @settings(max_examples=40, deadline=None)
 def test_dedup_idempotent(case):
