@@ -4,7 +4,9 @@
 toward Dijkstra (many cheap phases, no wasted work), huge Δ toward
 Bellman–Ford (few phases, heavy re-relaxation).  The sweep measures real
 runtime, relaxation count, and phase count around the
-:func:`~repro.sssp.delta_stepping.choose_delta` heuristic.
+:func:`~repro.sssp.delta_stepping.choose_delta` heuristic.  Each cell runs
+one warm-up, then reports the median and the spread (max − min) of
+:data:`REPEATS` timed runs.
 """
 
 import time
@@ -13,7 +15,10 @@ import numpy as np
 
 from repro.sssp.delta_stepping import choose_delta, delta_stepping
 
-MULTIPLIERS = (0.1, 0.5, 1.0, 2.0, 10.0)
+MULTIPLIERS = (0.1, 0.5, 1.0, 2.0, 4.0, 8.0, 10.0)
+
+#: timed runs per cell, after one untimed warm-up
+REPEATS = 5
 
 
 def run(runner, graph_name: str):
@@ -22,11 +27,20 @@ def run(runner, graph_name: str):
     base = choose_delta(g)
     rows = []
     for mult in MULTIPLIERS:
-        t0 = time.perf_counter()
-        res = delta_stepping(g, s, delta=base * mult)
-        secs = time.perf_counter() - t0
+        res = delta_stepping(g, s, delta=base * mult)  # warm-up
+        secs = []
+        for _ in range(REPEATS):
+            t0 = time.perf_counter()
+            delta_stepping(g, s, delta=base * mult)
+            secs.append(time.perf_counter() - t0)
         rows.append(
-            (mult, secs, res.stats.edges_relaxed, res.stats.phases)
+            (
+                mult,
+                float(np.median(secs)),
+                max(secs) - min(secs),
+                res.stats.edges_relaxed,
+                res.stats.phases,
+            )
         )
     return rows
 
@@ -41,13 +55,19 @@ def test_ablation_delta(benchmark, runner, emit):
         ExperimentReport(
             experiment="ablation_delta",
             title="Ablation — delta-stepping bucket width on GT",
-            header=["x heuristic", "seconds", "relaxations", "phases"],
+            header=[
+                "x heuristic",
+                "median s",
+                "spread s",
+                "relaxations",
+                "phases",
+            ],
             rows=[list(r) for r in rows],
             digits=4,
         )
     )
-    phases = [r[3] for r in rows]
-    relaxed = [r[2] for r in rows]
+    phases = [r[4] for r in rows]
+    relaxed = [r[3] for r in rows]
     # the structural trade-off must hold: wider buckets -> fewer phases,
     # more (or equal) re-relaxation work
     assert phases[0] >= phases[-1]

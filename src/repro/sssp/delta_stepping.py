@@ -8,13 +8,15 @@ data-parallel unit the paper parallelises with OpenMP.
 The kernel is split into a shared *bucket driver* and pluggable *relaxation
 engines*, GBBS-style (frontier arrays in, improved-vertex arrays out):
 
-* the driver owns the bucket schedule — the dirty-list frontier tracking,
-  the ``needs``/``in_r`` flags, the per-phase work log, deadline
-  checkpoints, and footprint recording — and is the same for every backend,
-  so each backend sees the identical sequence of relaxation batches;
+* the driver owns the bucket schedule — lazy per-bucket frontier lists
+  keyed by ``floor(dist / Δ)``, the ``needs``/``in_r`` flags, the per-phase
+  work log, deadline checkpoints, and footprint recording — and is the same
+  for every backend, so each backend sees the identical sequence of
+  relaxation batches;
 * a ``"vectorized"`` engine (default) expands each frontier with the
   repeat/cumsum edge map over the graph's cached light/heavy split
-  (:meth:`~repro.graph.csr.CSRGraph.light_heavy_split`) and reduces
+  (:meth:`~repro.graph.csr.CSRGraph.light_heavy_split`), drops the
+  relaxation requests that do not improve their target, and reduces
   duplicate targets with one packed-key sort + ``np.minimum.reduceat``;
 * a ``"scalar"`` engine relaxes the same batches one edge at a time in
   plain Python — the auditable reference the fast engines are verified
@@ -32,6 +34,8 @@ Figure 9.
 """
 
 from __future__ import annotations
+
+import heapq
 
 import numpy as np
 
@@ -107,6 +111,16 @@ def _expand_frontier(
     return edge_idx, edge_src
 
 
+def _sorted_unique(a: np.ndarray) -> np.ndarray:
+    """``np.unique`` for a non-empty int array, by sort and adjacent-compare
+    (several times faster than ``np.unique``'s hash path on these sizes)."""
+    a = np.sort(a)
+    first = np.empty(a.size, dtype=bool)
+    first[0] = True
+    np.not_equal(a[1:], a[:-1], out=first[1:])
+    return a[first]
+
+
 def _relax_batch(
     dist: np.ndarray,
     parent: np.ndarray,
@@ -116,14 +130,24 @@ def _relax_batch(
 ) -> np.ndarray:
     """Apply a batch of relaxation requests; return the improved vertices.
 
-    Duplicate targets are reduced to their minimum candidate first, ties
+    The batch is first cut down to its *improving* requests (candidate
+    strictly below the target's current distance).  That filter keeps every
+    winner: a target's minimum candidate and the earliest batch position
+    attaining it survive unchanged, and a target with no improving request
+    was never going to be updated.  Most of a batch usually fails the test,
+    so it never reaches the reduction.
+
+    Duplicate targets are then reduced to their minimum candidate, ties
     broken by batch position (earliest wins), so ``parent`` stays consistent
     with ``dist``.  The reduction packs ``(target, position)`` into one
     int64 key, sorts once, and takes per-group minima with
     ``np.minimum.reduceat`` — ~2× faster than the two-key lexsort it
     replaces, with identical winner selection (the lexsort path survives as
-    the fallback for batches too large to pack).
+    the fallback for batches too large to pack).  The improved vertices are
+    returned in ascending order.
     """
+    keep = cands < dist[targets]
+    targets, cands, sources = targets[keep], cands[keep], sources[keep]
     bs = int(targets.size)
     if bs == 0:
         return targets
@@ -156,11 +180,10 @@ def _relax_batch(
         best_t = t_sorted[group_first]
         best_d = cands[order][group_first]
         best_p = sources[order][group_first]
-    improved = best_d < dist[best_t]
-    upd_t = best_t[improved]
-    dist[upd_t] = best_d[improved]
-    parent[upd_t] = best_p[improved]
-    return upd_t
+    # every surviving group minimum improves its target
+    dist[best_t] = best_d
+    parent[best_t] = best_p
+    return best_t
 
 
 # ----------------------------------------------------------------------
@@ -344,11 +367,30 @@ def _run_buckets(
 
     The driver is backend-independent: every engine receives the identical
     sequence of (frontier, edge-class) batches, which is what makes the
-    backends bitwise-interchangeable.  Frontier membership is tracked with
-    a *dirty list* (arrays of recently-improved vertices) instead of an
-    O(n) flag scan per phase; stale entries (vertices whose flag was
-    cleared, or re-improved vertices appended twice) are dropped lazily at
-    bucket-selection time.
+    backends bitwise-interchangeable.
+
+    Frontier membership is tracked with *lazy per-bucket lists*
+    (GBBS/Julienne-style): whenever a vertex's distance improves outside
+    the bucket being processed, it is appended to the list of its bucket
+    id ``floor(dist / Δ)``, and a min-heap over the ids yields the next
+    bucket.  Entries are never removed eagerly; when a bucket is popped,
+    those whose ``needs`` flag is clear (already processed) are dropped,
+    and what is left is sorted and deduped.  Selecting a bucket therefore
+    costs O(its own entries), not O(every pending vertex).  The frontier is
+    the ascending set of flagged vertices in the smallest bucket, exactly
+    as a full rescan would find it: a flagged vertex's distance has not
+    changed since its newest entry, so that entry sits in its current
+    bucket, and any older entry sits in a higher bucket (``floor_divide``
+    is monotone), which is popped only after the newer one — so a vertex
+    still flagged there has re-entered that very bucket.
+
+    Cancellation checkpoints fall once per bucket, once per light step, and
+    once more after the last bucket if, since the last bucket selection, a
+    flagged vertex was left outside the chosen bucket or a newly flagged
+    vertex was listed.  That is the cadence of the earlier single-list
+    driver, kept because the virtual-time serving loop bills per
+    checkpoint; ``pending`` (the number of flagged vertices) and ``listed``
+    track the trailing condition.
     """
     dist = engine.dist
     parent = engine.parent
@@ -357,25 +399,46 @@ def _run_buckets(
     needs[source] = True
     if touched is not None:
         touched.append(int(source))
-    dirty: list[np.ndarray] = [np.asarray([source], dtype=np.int64)]
+    buckets: dict[int, list[np.ndarray]] = {}
+    bucket_ids: list[int] = []  # min-heap over the keys of ``buckets``
+
+    def push(vertices: np.ndarray) -> None:
+        ids = np.floor_divide(dist[vertices], delta).astype(np.int64)
+        order = np.argsort(ids)
+        ids, vertices = ids[order], vertices[order]
+        cuts = np.flatnonzero(ids[1:] != ids[:-1]) + 1
+        heads = ids[np.concatenate(([0], cuts))].tolist()
+        for b, part in zip(heads, np.split(vertices, cuts)):
+            entries = buckets.get(b)
+            if entries is None:
+                buckets[b] = [part]
+                heapq.heappush(bucket_ids, b)
+            else:
+                entries.append(part)
+
+    push(np.asarray([source], dtype=np.int64))
+    pending = 1  # vertices whose ``needs`` flag is set
+    listed = True  # whether the loop's next checkpoint is due
     check_cancel = cancellation_active(deadline)
 
-    while dirty:
+    while listed:
         if check_cancel:
             checkpoint(deadline, "sssp.delta")
-        pending = dirty[0] if len(dirty) == 1 else np.concatenate(dirty)
-        # lazy deletion: drop cleared flags, then duplicates from re-improves
-        pending = pending[needs[pending]]
-        if pending.size == 0:
+        frontier = _EMPTY_I64
+        # skips stale buckets; its work is bounded by the entries that the
+        # (checkpointed) relaxation steps pushed
+        while bucket_ids and not frontier.size:
+            i = heapq.heappop(bucket_ids)
+            entries = buckets[i]
+            del buckets[i]
+            cand = entries[0] if len(entries) == 1 else np.concatenate(entries)
+            cand = cand[needs[cand]]
+            if cand.size:
+                frontier = _sorted_unique(cand)
+        if not frontier.size:
             break
-        pending = np.unique(pending)
-        bucket_ids = np.floor_divide(dist[pending], delta).astype(np.int64)
-        i = int(bucket_ids.min())
-        lo, hi = i * delta, (i + 1) * delta
-        in_bucket = bucket_ids == i
-        frontier = pending[in_bucket]
-        rest = pending[~in_bucket]
-        dirty = [rest] if rest.size else []
+        listed = pending > frontier.size
+        hi = (i + 1) * delta
         settles: list[np.ndarray] = []
 
         # ---- light-edge inner loop: may reinsert into bucket i ----
@@ -383,6 +446,7 @@ def _run_buckets(
             if check_cancel:
                 checkpoint(deadline, "sssp.delta")
             needs[frontier] = False
+            pending -= int(frontier.size)
             newly_removed = frontier[~in_r[frontier]]
             if newly_removed.size:
                 in_r[newly_removed] = True
@@ -394,14 +458,15 @@ def _run_buckets(
             if improved.size:
                 if touched is not None:
                     touched.extend(improved.tolist())
-                here = dist[improved] < hi  # improvements never drop below lo
-                outside = improved[~here]
-                # only vertices not already flagged join the dirty list —
-                # every needs-True vertex stays listed at most once per flip
-                fresh_outside = outside[~needs[outside]]
+                fresh = ~needs[improved]
+                pending += int(np.count_nonzero(fresh))
                 needs[improved] = True
-                if fresh_outside.size:
-                    dirty.append(fresh_outside)
+                here = dist[improved] < hi  # improvements never drop below lo
+                if not here.all():
+                    # a re-improved vertex is re-listed even when already
+                    # flagged: its bucket moved
+                    push(improved[~here])
+                    listed = listed or bool(fresh[~here].any())
                 frontier = improved[here]
             else:
                 frontier = _EMPTY_I64
@@ -417,10 +482,11 @@ def _run_buckets(
             if touched is not None:
                 touched.extend(improved.tolist())
             # heavy candidates exceed lo + Δ = hi, so all land in later buckets
-            fresh = improved[~needs[improved]]
+            fresh = int(np.count_nonzero(~needs[improved]))
             needs[improved] = True
-            if fresh.size:
-                dirty.append(fresh)
+            pending += fresh
+            listed = listed or fresh > 0
+            push(improved)
         in_r[settled_now] = False  # sparse reset for the next bucket
 
 

@@ -20,6 +20,19 @@ from repro.sssp.delta_stepping import BACKENDS, delta_stepping
 from repro.sssp.workspace import SSSPWorkspace
 
 
+#: continuous weights (ties are rare) or small integers (ties everywhere:
+#: equal-cost paths, so the first-minimum tie-break decides ``parent``)
+WEIGHTS = {
+    "continuous": st.floats(
+        min_value=0.001,
+        max_value=100.0,
+        allow_nan=False,
+        allow_infinity=False,
+    ),
+    "tied": st.integers(1, 3).map(float),
+}
+
+
 @st.composite
 def graphs(draw, max_n=24, max_m=80):
     """An arbitrary positively-weighted digraph plus a source vertex."""
@@ -27,18 +40,8 @@ def graphs(draw, max_n=24, max_m=80):
     m = draw(st.integers(min_value=0, max_value=max_m))
     src = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
     dst = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
-    w = draw(
-        st.lists(
-            st.floats(
-                min_value=0.001,
-                max_value=100.0,
-                allow_nan=False,
-                allow_infinity=False,
-            ),
-            min_size=m,
-            max_size=m,
-        )
-    )
+    weight = WEIGHTS[draw(st.sampled_from(sorted(WEIGHTS)))]
+    w = draw(st.lists(weight, min_size=m, max_size=m))
     g = from_edge_array(
         n,
         np.asarray(src, dtype=np.int64),
