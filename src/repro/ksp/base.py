@@ -395,14 +395,13 @@ class DeviationKSP(KSPAlgorithm):
         dev_vertex: int,
         banned_vertices: frozenset[int],
         banned_edges: frozenset[tuple[int, int]],
-        *,
-        cutoff: float | None = None,
     ):
-        """Target-stopped Dijkstra — Yen's (and every repair's) suffix.
+        """Target-stopped Dijkstra — Yen's suffix search, and the one every
+        other algorithm falls back to when its shortcut does not apply.
 
         Runs on the solver's shared epoch-stamped workspace, so
         back-to-back spur searches pay O(1) setup and only the ban-set
-        delta; results are identical to the fresh-allocation kernel.
+        delta.
         """
         res = dijkstra(
             self.graph,
@@ -410,7 +409,6 @@ class DeviationKSP(KSPAlgorithm):
             target=self.target,
             banned_vertices=banned_vertices,
             banned_edges=banned_edges,
-            cutoff=cutoff,
             workspace=self._get_workspace(),
             deadline=self.deadline,
         )

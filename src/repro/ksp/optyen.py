@@ -10,7 +10,8 @@ up front) and uses it for an *express* candidate at each deviation vertex:
 2. if ``w*``'s tree path to the target is *clean* (touches no banned vertex,
    does not revisit the deviation vertex or prefix), it achieves the lower
    bound and is therefore the optimal suffix — no SSSP needed;
-3. otherwise *repair* with a fresh Dijkstra, exactly like Yen.
+3. otherwise fall back to a target-stopped Dijkstra suffix search, exactly
+   like Yen.
 
 Unlike NC, nothing is ever updated: the tree is computed once, which is what
 makes OptYen parallel-friendly (the paper's §1.1 observation).
@@ -29,7 +30,7 @@ __all__ = ["OptYenKSP", "optyen_ksp"]
 
 
 class OptYenKSP(DeviationKSP):
-    """OptYen: static reverse SP tree, express-or-repair suffix search."""
+    """OptYen: static reverse SP tree, express-or-Dijkstra suffix search."""
 
     name = "OptYen"
     lawler_default = True

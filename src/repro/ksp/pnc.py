@@ -17,7 +17,7 @@ Repair SSSPs run through the solver-shared epoch-stamped workspace
 (:mod:`repro.sssp.workspace`).  Unlike the in-order deviation searches,
 repairs jump to an *older* banned-vertex set, which the workspace's
 incremental mask handles by flipping the symmetric difference — still far
-cheaper than the O(n) mask rebuild of the fresh-allocation path.
+cheaper than an O(n) mask rebuild.
 """
 
 from __future__ import annotations

@@ -4,7 +4,8 @@ Four kernels with one result contract (:class:`SSSPResult`):
 
 * :mod:`repro.sssp.dijkstra` — binary-heap Dijkstra; the workhorse used
   inside every KSP algorithm (supports target early-stop and banned
-  vertices/edges for Yen-style deviations).
+  vertices/edges for Yen-style deviations).  One scalar loop, always run
+  on an :class:`SSSPWorkspace` — the caller's, or a throwaway one.
 * :mod:`repro.sssp.delta_stepping` — Meyer–Sanders Δ-stepping, the
   "parallel SSSP" of the paper; a frontier-centric bucket driver with
   three bitwise-equivalent relax engines selected by ``backend=``
@@ -19,8 +20,8 @@ Four kernels with one result contract (:class:`SSSPResult`):
 Plus the reuse layer the KSP hot path is built on:
 
 * :mod:`repro.sssp.workspace` — epoch-stamped :class:`SSSPWorkspace` state
-  that ``dijkstra(..., workspace=...)`` and :class:`LazyDijkstra` reuse
-  across back-to-back queries, making per-query setup O(1) instead of O(n).
+  that ``dijkstra(..., workspace=...)`` reuses across back-to-back queries,
+  making per-query setup O(1) instead of O(n).
 """
 
 from repro.sssp.result import SSSPResult, SSSPStats

@@ -361,7 +361,6 @@ def _run_buckets(
     recorder,
     needs: np.ndarray,
     in_r: np.ndarray,
-    touched: list[int] | None,
 ) -> None:
     """Drive the bucket schedule over ``engine``; mutates engine.dist/parent.
 
@@ -397,8 +396,6 @@ def _run_buckets(
     dist[source] = 0.0
     parent[source] = source
     needs[source] = True
-    if touched is not None:
-        touched.append(int(source))
     buckets: dict[int, list[np.ndarray]] = {}
     bucket_ids: list[int] = []  # min-heap over the keys of ``buckets``
 
@@ -456,8 +453,6 @@ def _run_buckets(
             stats.phases += 1
             stats.phase_work.append(nedges)
             if improved.size:
-                if touched is not None:
-                    touched.extend(improved.tolist())
                 fresh = ~needs[improved]
                 pending += int(np.count_nonzero(fresh))
                 needs[improved] = True
@@ -479,8 +474,6 @@ def _run_buckets(
         stats.phases += 1
         stats.phase_work.append(nedges)
         if improved.size:
-            if touched is not None:
-                touched.extend(improved.tolist())
             # heavy candidates exceed lo + Δ = hi, so all land in later buckets
             fresh = int(np.count_nonzero(~needs[improved]))
             needs[improved] = True
@@ -499,7 +492,6 @@ def delta_stepping(
     footprint_recorder=None,
     deadline: float | None = None,
     backend: str = "vectorized",
-    workspace=None,
     num_workers: int = 2,
     executor=None,
 ) -> SSSPResult:
@@ -512,7 +504,8 @@ def delta_stepping(
     vertex_mask:
         Optional ``bool[n]`` of *usable* vertices; masked-out vertices are
         treated as deleted (this is how the status-array compaction strategy
-        runs its downstream SSSP without rebuilding the CSR).
+        runs its downstream SSSP without rebuilding the CSR).  A mask of any
+        other shape raises :class:`~repro.errors.VertexError`.
     footprint_recorder:
         Optional :class:`repro.analysis.race.DeltaSteppingFootprints` (or
         any object with its ``record_step`` signature).  When given, every
@@ -535,15 +528,6 @@ def delta_stepping(
         shared-memory multiprocessing
         (:class:`repro.parallel.mp_backend.SharedMemoryDeltaExecutor`).
         All three produce bitwise-identical ``dist`` and ``parent``.
-    workspace:
-        A :class:`~repro.sssp.workspace.SSSPWorkspace` bound to ``graph``.
-        When given, the run borrows the workspace's reusable Δ-stepping
-        buffers (:meth:`~repro.sssp.workspace.SSSPWorkspace.acquire_delta`)
-        instead of allocating O(n) arrays, and the returned result's
-        ``dist``/``parent`` are *views of the live buffers* — copy them
-        before the workspace's next acquisition if they must outlive it.
-        Cancellation mid-run leaves the workspace reusable.  Not accepted
-        by the mp backend (its state lives in shared memory).
     num_workers:
         mp backend only: worker-process count (≥ 1).
     executor:
@@ -561,8 +545,13 @@ def delta_stepping(
     n = graph.num_vertices
     if not 0 <= source < n:
         raise VertexError(f"source {source} out of range [0, {n})")
-    if vertex_mask is not None and not vertex_mask[source]:
-        raise VertexError(f"source {source} is masked out")
+    if vertex_mask is not None:
+        if vertex_mask.shape != (n,):
+            raise VertexError(
+                f"vertex mask has shape {vertex_mask.shape}, expected ({n},)"
+            )
+        if not vertex_mask[source]:
+            raise VertexError(f"source {source} is masked out")
     if backend not in BACKENDS:
         raise ValueError(
             f"unknown backend {backend!r}; choose from {BACKENDS}"
@@ -574,15 +563,9 @@ def delta_stepping(
 
     stats = SSSPStats()
     tracer = get_tracer()
-    touched: list[int] | None = None
 
     with tracer.span("sssp.delta", backend=backend):
         if backend == "mp":
-            if workspace is not None:
-                raise ValueError(
-                    "the mp backend keeps its state in shared memory and "
-                    "does not accept workspace="
-                )
             from repro.parallel.mp_backend import SharedMemoryDeltaExecutor
 
             own_executor = executor is None
@@ -605,7 +588,6 @@ def delta_stepping(
                     footprint_recorder,
                     needs,
                     in_r,
-                    None,
                 )
                 dist = executor.dist.copy()
                 parent = executor.parent.copy()
@@ -613,18 +595,10 @@ def delta_stepping(
                 if own_executor:
                     executor.close()
         else:
-            if workspace is not None:
-                if workspace.graph is not graph:
-                    raise ValueError(
-                        "workspace is bound to a different graph; create one "
-                        "per graph"
-                    )
-                dist, parent, needs, in_r, touched = workspace.acquire_delta()
-            else:
-                dist = np.full(n, INF, dtype=np.float64)
-                parent = np.full(n, -1, dtype=np.int64)
-                needs = np.zeros(n, dtype=bool)
-                in_r = np.zeros(n, dtype=bool)
+            dist = np.full(n, INF, dtype=np.float64)
+            parent = np.full(n, -1, dtype=np.int64)
+            needs = np.zeros(n, dtype=bool)
+            in_r = np.zeros(n, dtype=bool)
             engine_cls = (
                 _ScalarEngine if backend == "scalar" else _VectorizedEngine
             )
@@ -638,7 +612,6 @@ def delta_stepping(
                 footprint_recorder,
                 needs,
                 in_r,
-                touched,
             )
 
     if tracer.enabled:

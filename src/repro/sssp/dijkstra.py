@@ -2,21 +2,19 @@
 
 This kernel is deliberately a tight scalar loop: inside a KSP run it is
 called thousands of times on small remaining graphs, where the fixed cost of
-vectorised machinery would dominate.  The numpy arrays of the CSR are read
-directly (local-variable aliases hoisted out of the loop, per the
-optimisation guide), and lazy deletion keeps the heap simple.
+vectorised machinery would dominate.  It runs over the Python-list mirror of
+the CSR that an :class:`~repro.sssp.workspace.SSSPWorkspace` keeps (~2x
+faster than per-element NumPy indexing), with epoch-stamped labels and lazy
+deletion keeping the heap simple.
 
-Two execution modes share the same relaxation logic and produce
-bitwise-identical labels:
+There is one relaxation loop and two ways to call it:
 
-* **fresh allocation** (``workspace=None``, the default): every call
-  allocates its own ``dist``/``parent``/``settled`` arrays — simple,
-  re-entrant, and exactly the historical behaviour;
-* **workspace reuse** (``workspace=SSSPWorkspace(graph)``): per-query setup
-  is O(1) via epoch stamps, the banned-vertex mask is maintained
-  incrementally, and the scalar loop runs over the workspace's Python-list
-  mirror of the CSR (~2x faster than per-element NumPy indexing).  This is
-  the KSP spur-search hot path.
+* **with** ``workspace=SSSPWorkspace(graph)`` — the KSP spur-search hot
+  path: per-query setup is O(1) via epoch stamps, the banned-vertex mask is
+  maintained incrementally, and the result is a
+  :class:`~repro.sssp.workspace.WorkspaceResult` read through its epoch;
+* **without** — the loop runs on a throwaway workspace and the result is an
+  :class:`~repro.sssp.result.SSSPResult` that owns its arrays.
 """
 
 from __future__ import annotations
@@ -30,7 +28,6 @@ from repro.cancel import SETTLE_CHECK_INTERVAL, cancellation_active, checkpoint
 from repro.errors import VertexError
 from repro.graph.csr import CSRGraph
 from repro.obs.tracer import get_tracer
-from repro.paths import INF
 from repro.sssp.result import SSSPResult, SSSPStats
 from repro.sssp.workspace import SSSPWorkspace, WorkspaceResult
 
@@ -44,7 +41,6 @@ def dijkstra(
     target: int | None = None,
     banned_vertices: Collection[int] | np.ndarray | None = None,
     banned_edges: Collection[tuple[int, int]] | None = None,
-    cutoff: float | None = None,
     workspace: SSSPWorkspace | None = None,
     deadline: float | None = None,
 ) -> SSSPResult | WorkspaceResult:
@@ -61,14 +57,12 @@ def dijkstra(
         every vertex settled before the stop.
     banned_vertices:
         Vertices to treat as deleted (Yen's prefix/"red" vertices).  Either
-        an iterable of ids or a ``bool[n]`` mask.  The source itself must
-        not be banned.
+        an iterable of ids or a ``bool[n]`` mask; an id outside ``[0, n)``
+        or a mask of another length raises
+        :class:`~repro.errors.VertexError`.  The source itself must not be
+        banned.
     banned_edges:
         Set of ``(u, v)`` pairs to skip (Yen's removed deviation edges).
-    cutoff:
-        Abandon label values strictly greater than this (used by the
-        K-upper-bound-aware repair searches: any suffix longer than the
-        bound can never enter the K results).
     workspace:
         A :class:`~repro.sssp.workspace.SSSPWorkspace` bound to ``graph``.
         When given, the query reuses the workspace's epoch-stamped state
@@ -76,7 +70,9 @@ def dijkstra(
         :class:`~repro.sssp.workspace.WorkspaceResult` — same values, valid
         until the workspace's next query unless materialised.  Id-iterable
         ``banned_vertices`` are folded into the workspace's incremental
-        mask; a ``bool[n]`` mask is honoured directly in either mode.
+        mask; a ``bool[n]`` mask is honoured directly.  Without a
+        workspace the query runs on a throwaway one and returns an
+        :class:`~repro.sssp.result.SSSPResult` owning its arrays.
     deadline:
         Absolute ``time.perf_counter()`` value after which the kernel
         cooperatively raises :class:`~repro.errors.KSPTimeout`, checked at
@@ -94,103 +90,13 @@ def dijkstra(
     if target is not None and not 0 <= target < n:
         raise VertexError(f"target {target} out of range [0, {n})")
 
-    if workspace is not None:
-        if workspace.graph is not graph:
-            raise ValueError(
-                "workspace is bound to a different graph; create one "
-                "SSSPWorkspace per graph"
-            )
-        return _dijkstra_workspace(
-            workspace, source, target, banned_vertices, banned_edges, cutoff, deadline
+    if workspace is not None and workspace.graph is not graph:
+        raise ValueError(
+            "workspace is bound to a different graph; create one "
+            "SSSPWorkspace per graph"
         )
+    ws = SSSPWorkspace(graph) if workspace is None else workspace
 
-    banned_mask: np.ndarray | None
-    if banned_vertices is None:
-        banned_mask = None
-    elif isinstance(banned_vertices, np.ndarray) and banned_vertices.dtype == bool:
-        banned_mask = banned_vertices
-    else:
-        banned_mask = np.zeros(n, dtype=bool)
-        ids = list(banned_vertices)
-        if ids:
-            banned_mask[np.asarray(ids, dtype=np.int64)] = True
-    if banned_mask is not None and banned_mask[source]:
-        raise VertexError(f"source {source} is banned")
-
-    dist = np.full(n, INF, dtype=np.float64)
-    parent = np.full(n, -1, dtype=np.int64)
-    settled = np.zeros(n, dtype=bool)
-    stats = SSSPStats()
-
-    dist[source] = 0.0
-    parent[source] = source
-    heap: list[tuple[float, int]] = [(0.0, source)]
-    push = heapq.heappush
-    pop = heapq.heappop
-
-    begins, ends, indices, weights, edge_mask = graph.adjacency_arrays()
-    check_edges = bool(banned_edges)
-    check_cancel = cancellation_active(deadline)
-    if check_cancel:
-        checkpoint(deadline, "sssp.dijkstra")
-
-    while heap:
-        d, u = pop(heap)
-        if settled[u]:
-            continue  # stale heap entry (lazy deletion)
-        settled[u] = True
-        stats.vertices_settled += 1
-        if (
-            check_cancel
-            and stats.vertices_settled & (SETTLE_CHECK_INTERVAL - 1) == 0
-        ):
-            checkpoint(deadline, "sssp.dijkstra")
-        if u == target:
-            break
-        lo, hi = begins[u], ends[u]
-        for e in range(lo, hi):
-            if edge_mask is not None and not edge_mask[e]:
-                continue
-            v = indices[e]
-            if settled[v]:
-                continue
-            if banned_mask is not None and banned_mask[v]:
-                continue
-            if check_edges and (u, v) in banned_edges:  # type: ignore[operator]
-                continue
-            stats.edges_relaxed += 1
-            nd = d + weights[e]
-            if cutoff is not None and nd > cutoff:
-                continue
-            if nd < dist[v]:
-                dist[v] = nd
-                parent[v] = u
-                push(heap, (nd, v))
-                stats.heap_pushes += 1
-
-    # A serial Dijkstra settles one vertex per step, which is exactly its
-    # parallel-phase structure: report it so the simulator can model the
-    # non-scalable inner loop.
-    stats.phases = stats.vertices_settled
-    tracer = get_tracer()
-    if tracer.enabled:
-        tracer.add("sssp.calls")
-        tracer.add("sssp.edges_relaxed", stats.edges_relaxed)
-        tracer.add("sssp.vertices_settled", stats.vertices_settled)
-        tracer.add("sssp.heap_pushes", stats.heap_pushes)
-    return SSSPResult(source=source, dist=dist, parent=parent, stats=stats)
-
-
-def _dijkstra_workspace(
-    ws: SSSPWorkspace,
-    source: int,
-    target: int | None,
-    banned_vertices,
-    banned_edges,
-    cutoff: float | None,
-    deadline: float | None,
-) -> WorkspaceResult:
-    """The epoch-stamped kernel: same labels, O(1) per-query setup."""
     # Resolve the banned-vertex input.  A caller-supplied bool mask is
     # honoured as-is (it is already O(1) to consume); id iterables fold into
     # the workspace's incremental mask so repeat callers pay only the delta
@@ -202,21 +108,24 @@ def _dijkstra_workspace(
     elif (
         isinstance(banned_vertices, np.ndarray) and banned_vertices.dtype == bool
     ):
+        if banned_vertices.shape != (n,):
+            raise VertexError(
+                f"banned-vertex mask has shape {banned_vertices.shape}, "
+                f"expected ({n},)"
+            )
         ban = banned_vertices
-        if ban[source]:
-            raise VertexError(f"source {source} is banned")
     else:
         ws.apply_bans(banned_vertices)
         ban = ws.ban_bytes
-        if ban[source]:
-            raise VertexError(f"source {source} is banned")
+    if ban is not None and ban[source]:
+        raise VertexError(f"source {source} is banned")
 
     stats = SSSPStats()
     ep = ws.next_epoch()
     dist, parent, dstamp, sstamp = ws.scalar_state()
     begins, ends, indices, weights, edge_mask = ws.adjacency_lists()
 
-    source = int(source)
+    src = int(source)
     tgt = -1 if target is None else int(target)
     check_edges = bool(banned_edges)
     check_ban = ban is not None
@@ -224,10 +133,10 @@ def _dijkstra_workspace(
     if check_cancel:
         checkpoint(deadline, "sssp.dijkstra")
 
-    dist[source] = 0.0
-    parent[source] = source
-    dstamp[source] = ep
-    heap: list[tuple[float, int]] = [(0.0, source)]
+    dist[src] = 0.0
+    parent[src] = src
+    dstamp[src] = ep
+    heap: list[tuple[float, int]] = [(0.0, src)]
     push = heapq.heappush
     pop = heapq.heappop
 
@@ -254,12 +163,10 @@ def _dijkstra_workspace(
                 continue
             if check_ban and ban[v]:
                 continue
-            if check_edges and (u, v) in banned_edges:
+            if check_edges and (u, v) in banned_edges:  # type: ignore[operator]
                 continue
             relaxed += 1
             nd = d + weights[e]
-            if cutoff is not None and nd > cutoff:
-                continue
             if dstamp[v] != ep or nd < dist[v]:
                 dist[v] = nd
                 parent[v] = u
@@ -270,6 +177,9 @@ def _dijkstra_workspace(
     stats.vertices_settled = settled_ct
     stats.edges_relaxed = relaxed
     stats.heap_pushes = pushes
+    # A serial Dijkstra settles one vertex per step, which is exactly its
+    # parallel-phase structure: report it so the simulator can model the
+    # non-scalable inner loop.
     stats.phases = settled_ct
     tracer = get_tracer()
     if tracer.enabled:
@@ -277,7 +187,11 @@ def _dijkstra_workspace(
         tracer.add("sssp.edges_relaxed", relaxed)
         tracer.add("sssp.vertices_settled", settled_ct)
         tracer.add("sssp.heap_pushes", pushes)
-        tracer.add("workspace.queries")
-        if ep > 1:
-            tracer.add("workspace.epoch_reuses")
-    return WorkspaceResult(ws, source, ep, stats)
+        if workspace is not None:
+            tracer.add("workspace.queries")
+            if ep > 1:
+                tracer.add("workspace.epoch_reuses")
+    res = WorkspaceResult(ws, src, ep, stats)
+    if workspace is not None:
+        return res
+    return SSSPResult(source=source, dist=res.dist, parent=res.parent, stats=stats)

@@ -36,16 +36,10 @@ class LazyDijkstra:
     banned_vertices:
         Vertices excluded from the search, fixed for the lifetime of this
         instance (a new removal set needs a new instance — SB* shares
-        instances between deviations with the same removal set).
-    workspace:
-        A :class:`~repro.sssp.workspace.SSSPWorkspace` bound to ``graph``.
-        When given, ``dist``/``parent``/``settled`` are *borrowed* from the
-        workspace's reusable buffer pool instead of freshly allocated, and
-        the previous tenant's writes are undone sparsely (O(its work), not
-        O(n)).  Only one workspace-backed instance may be live at a time —
-        acquiring revokes the previous tenant — so this suits sequential
-        throwaway trees, not SB's simultaneous cache.  :meth:`snapshot`
-        copies out of the pool and is safe to keep.
+        instances between deviations with the same removal set).  Either
+        an iterable of ids or a ``bool[n]`` mask; an id outside ``[0, n)``
+        or a mask of another length raises
+        :class:`~repro.errors.VertexError`.
     """
 
     def __init__(
@@ -54,43 +48,35 @@ class LazyDijkstra:
         source: int,
         *,
         banned_vertices: Collection[int] | np.ndarray | None = None,
-        workspace=None,
     ) -> None:
         n = graph.num_vertices
         if not 0 <= source < n:
             raise VertexError(f"source {source} out of range [0, {n})")
         self.graph = graph
         self.source = source
-        if workspace is not None:
-            if workspace.graph is not graph:
-                raise ValueError(
-                    "workspace is bound to a different graph; create one "
-                    "SSSPWorkspace per graph"
-                )
-            self.dist, self.parent, self.settled, self._touched = (
-                workspace.acquire_numpy()
-            )
-        else:
-            self.dist = np.full(n, INF, dtype=np.float64)
-            self.parent = np.full(n, -1, dtype=np.int64)
-            self.settled = np.zeros(n, dtype=bool)
-            self._touched = None
+        self.dist = np.full(n, INF, dtype=np.float64)
+        self.parent = np.full(n, -1, dtype=np.int64)
+        self.settled = np.zeros(n, dtype=bool)
         self.stats = SSSPStats()
         if banned_vertices is None:
             self._banned = None
         elif isinstance(banned_vertices, np.ndarray) and banned_vertices.dtype == bool:
+            if banned_vertices.shape != (n,):
+                raise VertexError(
+                    f"banned-vertex mask has shape {banned_vertices.shape}, "
+                    f"expected ({n},)"
+                )
             self._banned = banned_vertices.copy()
         else:
             self._banned = np.zeros(n, dtype=bool)
-            ids = list(banned_vertices)
-            if ids:
-                self._banned[np.asarray(ids, dtype=np.int64)] = True
+            ids = np.asarray(list(banned_vertices), dtype=np.int64)
+            if not ((ids >= 0) & (ids < n)).all():
+                raise VertexError(f"banned vertex out of range [0, {n})")
+            self._banned[ids] = True
         if self._banned is not None and self._banned[source]:
             raise VertexError(f"source {source} is banned")
         self.dist[source] = 0.0
         self.parent[source] = source
-        if self._touched is not None:
-            self._touched.append(source)
         self._heap: list[tuple[float, int]] = [(0.0, source)]
 
     @property
@@ -117,7 +103,6 @@ class LazyDijkstra:
         parent = self.parent
         settled = self.settled
         banned = self._banned
-        touched = self._touched
         begins, ends, indices, weights, edge_mask = self.graph.adjacency_arrays()
         stats = self.stats
         push = heapq.heappush
@@ -143,8 +128,6 @@ class LazyDijkstra:
                 if nd < dist[t]:
                     dist[t] = nd
                     parent[t] = u
-                    if touched is not None:
-                        touched.append(t)
                     push(heap, (nd, t))
                     stats.heap_pushes += 1
             if u == v:
@@ -176,7 +159,6 @@ class LazyDijkstra:
         clone.dist = self.dist.copy()
         clone.parent = self.parent.copy()
         clone.settled = self.settled.copy()
-        clone._touched = None  # the copy owns its arrays outright
         clone.stats = SSSPStats(
             edges_relaxed=self.stats.edges_relaxed,
             vertices_settled=self.stats.vertices_settled,

@@ -1,10 +1,10 @@
 """Reusable, epoch-stamped SSSP workspaces — the KSP hot-path engine.
 
 A Yen-style KSP run issues thousands of spur-search Dijkstras against one
-graph.  Each fresh-allocation call pays O(n) before a single edge is
-relaxed: three ``np.full`` arrays, plus a banned-vertex mask rebuilt from a
-Python collection.  For a K=64 query on a 100k-vertex graph that is tens of
-millions of wasted writes.  :class:`SSSPWorkspace` amortises all of it:
+graph.  A search that allocates its own state pays O(n) before a single
+edge is relaxed: three ``np.full`` arrays, plus a banned-vertex mask
+rebuilt from a Python collection.  For a K=64 query on a 100k-vertex graph
+that is tens of millions of wasted writes.  :class:`SSSPWorkspace` amortises all of it:
 
 * ``dist``/``parent`` and the settled flags live in flat arrays that are
   **never cleared**.  A per-vertex *epoch stamp* records which query last
@@ -13,19 +13,20 @@ millions of wasted writes.  :class:`SSSPWorkspace` amortises all of it:
   per-query setup is O(1) instead of O(n).
 * the graph's CSR arrays are mirrored once into flat Python lists, because
   a scalar Dijkstra loop over list storage runs ~2x faster than the same
-  loop doing per-element NumPy indexing.  The mirror is built lazily, so solvers that never need a repair search
-  (OptYen on friendly graphs) never pay it.
+  loop doing per-element NumPy indexing.  The mirror is built lazily, so
+  solvers that never fall back to a Dijkstra suffix search (OptYen on
+  friendly graphs) never pay it.
 * the banned-vertex mask is maintained **incrementally**: consecutive spur
   searches of one deviation pass differ by a single prefix vertex, so
   :meth:`apply_bans` flips only the set difference instead of rebuilding a
   ``bool[n]`` mask per call.
 
 ``dijkstra(..., workspace=ws)`` runs on this state and returns a
-:class:`WorkspaceResult` whose values are bitwise-identical to the
-fresh-allocation kernel's output (the property tests assert exactly that).
-A workspace serves **one query at a time**: results read the shared state
-through their epoch, and a result left over from an earlier epoch raises
-``RuntimeError`` on access unless it was materialised first.
+:class:`WorkspaceResult`; a ``dijkstra`` call without a workspace runs the
+same loop on a throwaway one.  A workspace serves **one query at a time**:
+results read the shared state through their epoch, and a result left over
+from an earlier epoch raises ``RuntimeError`` on access unless it was
+materialised first.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from typing import Iterable
 
 import numpy as np
 
+from repro.errors import VertexError
 from repro.paths import INF
 
 __all__ = ["SSSPWorkspace", "WorkspaceResult"]
@@ -70,15 +72,6 @@ class SSSPWorkspace:
         "ban",
         "_ban_current",
         "_adj",
-        "_np_dist",
-        "_np_parent",
-        "_np_settled",
-        "_np_touched",
-        "_ds_dist",
-        "_ds_parent",
-        "_ds_needs",
-        "_ds_inr",
-        "_ds_touched",
     )
 
     def __init__(self, graph) -> None:
@@ -98,17 +91,6 @@ class SSSPWorkspace:
         self.ban = np.frombuffer(self._ban_bytes, dtype=np.uint8).view(np.bool_)
         self._ban_current: set[int] = set()
         self._adj: tuple | None = None
-        # reusable NumPy buffers for array-based tenants (LazyDijkstra)
-        self._np_dist: np.ndarray | None = None
-        self._np_parent: np.ndarray | None = None
-        self._np_settled: np.ndarray | None = None
-        self._np_touched: list[int] = []
-        # reusable Δ-stepping buffers (delta_stepping tenancy)
-        self._ds_dist: np.ndarray | None = None
-        self._ds_parent: np.ndarray | None = None
-        self._ds_needs: np.ndarray | None = None
-        self._ds_inr: np.ndarray | None = None
-        self._ds_touched: list[int] = []
 
     # ------------------------------------------------------------------
     # epoch-stamped scalar state
@@ -149,16 +131,23 @@ class SSSPWorkspace:
         Consecutive deviations of one KSP iteration grow the prefix by one
         vertex, so this is O(1) amortised there; arbitrary jumps (e.g.
         PNC's deferred repairs) cost the symmetric difference — still far
-        below the O(n) rebuild the fresh-allocation path performs.
+        below an O(n) mask rebuild.  Only the newly banned ids are checked
+        against ``[0, n)``, before the mask is touched, so a bad id raises
+        :class:`~repro.errors.VertexError` and leaves the mask in sync.
         """
         new = ids if isinstance(ids, (set, frozenset)) else {int(v) for v in ids}
         cur = self._ban_current
         if new == cur:
             return
+        added = new - cur
+        n = self.n
+        for v in added:
+            if not 0 <= v < n:
+                raise VertexError(f"banned vertex {v} out of range [0, {n})")
         bb = self._ban_bytes
         for v in cur - new:
             bb[v] = 0
-        for v in new - cur:
+        for v in added:
             bb[v] = 1
         self._ban_current = set(new)
 
@@ -172,67 +161,6 @@ class SSSPWorkspace:
         return self._ban_bytes
 
     # ------------------------------------------------------------------
-    # reusable NumPy buffers (LazyDijkstra tenancy)
-    # ------------------------------------------------------------------
-    def acquire_numpy(
-        self,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
-        """Lend the reusable ``dist``/``parent``/``settled`` NumPy buffers.
-
-        The previous tenant's writes are undone *sparsely*: tenants append
-        every labelled vertex to the returned ``touched`` list, and the next
-        acquisition resets exactly those slots — O(previous query's work),
-        not O(n).  Only one tenant may hold the buffers at a time; acquiring
-        again revokes the previous tenant's view.
-        """
-        if self._np_dist is None:
-            n = self.n
-            self._np_dist = np.full(n, INF, dtype=np.float64)
-            self._np_parent = np.full(n, -1, dtype=np.int64)
-            self._np_settled = np.zeros(n, dtype=bool)
-        elif self._np_touched:
-            idx = np.asarray(self._np_touched, dtype=np.int64)
-            self._np_dist[idx] = INF
-            self._np_parent[idx] = -1
-            self._np_settled[idx] = False
-        self._np_touched = []
-        return self._np_dist, self._np_parent, self._np_settled, self._np_touched
-
-    def acquire_delta(
-        self,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[int]]:
-        """Lend the reusable Δ-stepping buffers.
-
-        Returns ``(dist, parent, needs, in_r, touched)`` under the same
-        tenancy contract as :meth:`acquire_numpy`: the previous tenant's
-        writes are undone sparsely from its ``touched`` list (every vertex
-        the kernel labelled — including a run cancelled mid-bucket, whose
-        partial writes are all in ``touched`` because the kernel appends
-        eagerly), so acquisition costs O(previous query's work), not O(n).
-        Only one tenant may hold the buffers at a time.
-        """
-        if self._ds_dist is None:
-            n = self.n
-            self._ds_dist = np.full(n, INF, dtype=np.float64)
-            self._ds_parent = np.full(n, -1, dtype=np.int64)
-            self._ds_needs = np.zeros(n, dtype=bool)
-            self._ds_inr = np.zeros(n, dtype=bool)
-        elif self._ds_touched:
-            idx = np.asarray(self._ds_touched, dtype=np.int64)
-            self._ds_dist[idx] = INF
-            self._ds_parent[idx] = -1
-            self._ds_needs[idx] = False
-            self._ds_inr[idx] = False
-        self._ds_touched = []
-        return (
-            self._ds_dist,
-            self._ds_parent,
-            self._ds_needs,
-            self._ds_inr,
-            self._ds_touched,
-        )
-
-    # ------------------------------------------------------------------
     def memory_bytes(self) -> int:
         """Approximate resident size of the workspace state."""
         n = self.n
@@ -242,12 +170,6 @@ class SSSPWorkspace:
             total += 8 * (len(begins) * 2 + len(indices) + len(weights))
             if edge_mask is not None:
                 total += 8 * len(edge_mask)
-        if self._np_dist is not None:
-            total += self._np_dist.nbytes + self._np_parent.nbytes
-            total += self._np_settled.nbytes
-        if self._ds_dist is not None:
-            total += self._ds_dist.nbytes + self._ds_parent.nbytes
-            total += self._ds_needs.nbytes + self._ds_inr.nbytes
         return int(total)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -270,8 +192,8 @@ class WorkspaceResult:
     the workspace starts its next query**; after that they raise
     ``RuntimeError``.  Accessing ``.dist``/``.parent`` (or calling
     :meth:`materialize`) snapshots the values into private arrays that stay
-    valid forever — that is the slow compatibility path, equal element-wise
-    to what the fresh-allocation kernel would have returned.
+    valid forever — that is the O(n) compatibility path, and what a
+    ``dijkstra`` call without a workspace returns.
     """
 
     __slots__ = ("source", "stats", "_ws", "_epoch", "_dist_arr", "_parent_arr")
@@ -305,8 +227,7 @@ class WorkspaceResult:
         if self._dist_arr is not None:
             return int(np.isfinite(self._dist_arr).sum())
         self._check_fresh()
-        ep = self._epoch
-        return sum(1 for s in self._ws._dstamp if s == ep)
+        return int(np.count_nonzero(np.asarray(self._ws._dstamp) == self._epoch))
 
     def dist_of(self, v: int) -> float:
         """O(1) distance read (``inf`` when unreached)."""
@@ -356,19 +277,9 @@ class WorkspaceResult:
             return
         self._check_fresh()
         ws = self._ws
-        ep = self._epoch
-        n = ws.n
-        dist_arr = np.full(n, INF, dtype=np.float64)
-        parent_arr = np.full(n, -1, dtype=np.int64)
-        dstamp = ws._dstamp
-        wdist = ws._dist
-        wparent = ws._parent
-        for v in range(n):
-            if dstamp[v] == ep:
-                dist_arr[v] = wdist[v]
-                parent_arr[v] = wparent[v]
-        self._dist_arr = dist_arr
-        self._parent_arr = parent_arr
+        hit = np.asarray(ws._dstamp) == self._epoch
+        self._dist_arr = np.where(hit, np.asarray(ws._dist, dtype=np.float64), INF)
+        self._parent_arr = np.where(hit, np.asarray(ws._parent, dtype=np.int64), -1)
 
     @property
     def dist(self) -> np.ndarray:

@@ -92,12 +92,6 @@ class TestBans:
         )
         assert res.dist[3] == INF
 
-    def test_cutoff_prunes_long_labels(self, diamond_graph):
-        res = dijkstra(diamond_graph, 0, cutoff=2.5)
-        assert res.dist[3] == pytest.approx(2.0)
-        res2 = dijkstra(diamond_graph, 0, cutoff=1.5, banned_vertices=[1])
-        assert res2.dist[3] == INF
-
 
 class TestStats:
     def test_counters_populated(self, small_grid):

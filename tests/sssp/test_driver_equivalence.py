@@ -6,8 +6,8 @@ both sides would change together.  This module keeps the earlier
 single-dirty-list driver verbatim as :func:`reference_run_buckets` (it
 rescans every pending vertex at each bucket selection) and asserts that the
 shipped driver hands the engines the identical batch sequence: the same
-``dist`` and ``parent``, the same phase log, the same workspace ``touched``
-list, and the same cancellation-checkpoint cadence.
+``dist`` and ``parent``, the same phase log, and the same
+cancellation-checkpoint cadence.
 """
 
 import importlib
@@ -20,12 +20,10 @@ from hypothesis import strategies as st
 
 from repro.cancel import cancellation_active, checkpoint, fault_scope
 from repro.core.compaction import compact_status_array
-from repro.errors import KSPTimeout
 from repro.graph.build import from_edge_array
 from repro.graph.generators import erdos_renyi, grid_network
 from repro.parallel.mp_backend import SharedMemoryDeltaExecutor
 from repro.sssp.delta_stepping import _EMPTY_I64, delta_stepping
-from repro.sssp.workspace import SSSPWorkspace
 
 # the module, not the same-named function the package re-exports
 ds = importlib.import_module("repro.sssp.delta_stepping")
@@ -40,7 +38,6 @@ def reference_run_buckets(
     recorder,
     needs,
     in_r,
-    touched,
 ) -> None:
     """The single-dirty-list bucket driver, kept as the reference."""
     dist = engine.dist
@@ -48,8 +45,6 @@ def reference_run_buckets(
     dist[source] = 0.0
     parent[source] = source
     needs[source] = True
-    if touched is not None:
-        touched.append(int(source))
     dirty: list[np.ndarray] = [np.asarray([source], dtype=np.int64)]
     check_cancel = cancellation_active(deadline)
 
@@ -85,8 +80,6 @@ def reference_run_buckets(
             stats.phases += 1
             stats.phase_work.append(nedges)
             if improved.size:
-                if touched is not None:
-                    touched.extend(improved.tolist())
                 here = dist[improved] < hi  # improvements never drop below lo
                 outside = improved[~here]
                 # only vertices not already flagged join the dirty list —
@@ -107,8 +100,6 @@ def reference_run_buckets(
         stats.phases += 1
         stats.phase_work.append(nedges)
         if improved.size:
-            if touched is not None:
-                touched.extend(improved.tolist())
             # heavy candidates exceed lo + Δ = hi, so all land in later buckets
             fresh = improved[~needs[improved]]
             needs[improved] = True
@@ -130,27 +121,23 @@ def driver(run_buckets):
         ds._run_buckets = SHIPPED
 
 
-def counting_hook(fail_at=None):
-    """A fault hook counting ``sssp.delta`` checkpoints; raises on the
-    ``fail_at``-th one when given."""
+def counting_hook():
+    """A fault hook counting ``sssp.delta`` checkpoints."""
     hits = [0]
 
     def hook(stage):
         if stage == "sssp.delta":
             hits[0] += 1
-            if hits[0] == fail_at:
-                raise KSPTimeout("injected mid-bucket cancellation")
 
     return hook, hits
 
 
 def traced_run(graph, source, **kw):
-    """One run on a fresh workspace: result, touched list, checkpoint count."""
-    ws = SSSPWorkspace(graph)
+    """One run: result and checkpoint count."""
     hook, hits = counting_hook()
     with fault_scope(hook):
-        res = delta_stepping(graph, source, workspace=ws, **kw)
-    return res, list(ws._ds_touched), hits[0]
+        res = delta_stepping(graph, source, **kw)
+    return res, hits[0]
 
 
 def assert_same_run(a, b):
@@ -163,11 +150,10 @@ def assert_same_run(a, b):
 
 
 def assert_driver_equivalent(graph, source, **kw):
-    res, touched, hits = traced_run(graph, source, **kw)
+    res, hits = traced_run(graph, source, **kw)
     with driver(reference_run_buckets):
-        ref, ref_touched, ref_hits = traced_run(graph, source, **kw)
+        ref, ref_hits = traced_run(graph, source, **kw)
     assert_same_run(res, ref)
-    assert touched == ref_touched
     assert hits == ref_hits
 
 
@@ -228,38 +214,6 @@ class TestDriverMatchesReference:
         mask = np.random.default_rng(2).random(g.num_vertices) > 0.2
         mask[0] = True
         assert_driver_equivalent(g, 0, vertex_mask=mask)
-
-
-class TestReusedWorkspaceMatchesReference:
-    @pytest.mark.parametrize("backend", ["vectorized", "scalar"])
-    @pytest.mark.parametrize("fail_at", [1, 2, 3, 5, 8, 13])
-    def test_cancel_mid_bucket_then_rerun(self, backend, fail_at):
-        """Cancelled at the same checkpoint, both drivers leave the same
-        partial writes behind; the rerun on the reused workspace is clean."""
-        g = erdos_renyi(200, 5.0, seed=7)
-        clean = delta_stepping(g, 3, backend=backend)
-        touched = []
-        for run_buckets in (SHIPPED, reference_run_buckets):
-            ws = SSSPWorkspace(g)
-            with driver(run_buckets):
-                with pytest.raises(KSPTimeout):
-                    with fault_scope(counting_hook(fail_at)[0]):
-                        delta_stepping(g, 3, workspace=ws, backend=backend)
-                touched.append(list(ws._ds_touched))
-                assert_same_run(
-                    delta_stepping(g, 3, workspace=ws, backend=backend), clean
-                )
-        assert touched[0] == touched[1]
-
-    def test_successive_sources(self):
-        g = erdos_renyi(200, 5.0, seed=8)
-        ws, ref_ws = SSSPWorkspace(g), SSSPWorkspace(g)
-        for s in (0, 17, 17, 150):
-            res = delta_stepping(g, s, workspace=ws)
-            with driver(reference_run_buckets):
-                ref = delta_stepping(g, s, workspace=ref_ws)
-            assert_same_run(res, ref)
-            assert ws._ds_touched == ref_ws._ds_touched
 
 
 def test_mp_backend_two_workers():

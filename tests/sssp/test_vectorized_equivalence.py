@@ -12,12 +12,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cancel import fault_scope
-from repro.errors import KSPTimeout
+from repro.errors import VertexError
 from repro.graph.build import from_edge_array, from_edge_list
 from repro.graph.generators import erdos_renyi, grid_network
 from repro.sssp.delta_stepping import BACKENDS, delta_stepping
-from repro.sssp.workspace import SSSPWorkspace
 
 
 #: continuous weights (ties are rare) or small integers (ties everywhere:
@@ -127,83 +125,6 @@ class TestMPBitwise:
         )
 
 
-class TestWorkspaceReuse:
-    def test_reuse_is_bitwise_identical(self):
-        g = erdos_renyi(150, 5.0, seed=2)
-        ws = SSSPWorkspace(g)
-        fresh = [delta_stepping(g, s).dist.copy() for s in (0, 7, 7, 31)]
-        # workspace runs hand back the workspace's own buffers — copy before
-        # the next run overwrites them
-        reused = [
-            delta_stepping(g, s, workspace=ws).dist.copy()
-            for s in (0, 7, 7, 31)
-        ]
-        for a, b in zip(fresh, reused):
-            assert np.array_equal(a, b, equal_nan=True)
-
-    def test_workspace_scalar_backend(self):
-        g = erdos_renyi(80, 4.0, seed=5)
-        ws = SSSPWorkspace(g)
-        for s in (0, 9, 0):
-            assert_bitwise(
-                delta_stepping(g, s, workspace=ws, backend="scalar"),
-                delta_stepping(g, s, backend="vectorized"),
-            )
-
-    def test_foreign_workspace_rejected(self):
-        g1 = erdos_renyi(40, 3.0, seed=0)
-        g2 = erdos_renyi(40, 3.0, seed=1)
-        ws = SSSPWorkspace(g1)
-        with pytest.raises(ValueError, match="different graph"):
-            delta_stepping(g2, 0, workspace=ws)
-
-    def test_mp_backend_rejects_workspace(self):
-        g = erdos_renyi(40, 3.0, seed=0)
-        ws = SSSPWorkspace(g)
-        with pytest.raises(ValueError, match="workspace"):
-            delta_stepping(g, 0, backend="mp", workspace=ws)
-
-
-class TestCancellationLeavesWorkspaceReusable:
-    def _interrupt_at(self, nth):
-        """A fault hook that raises on the nth ``sssp.delta`` checkpoint."""
-        state = {"hits": 0}
-
-        def hook(stage):
-            if stage == "sssp.delta":
-                state["hits"] += 1
-                if state["hits"] == nth:
-                    raise KSPTimeout("injected mid-run cancellation")
-
-        return hook
-
-    @pytest.mark.parametrize("backend", ["vectorized", "scalar"])
-    @pytest.mark.parametrize("nth", [1, 2, 4])
-    def test_mid_run_interrupt_then_clean_rerun(self, backend, nth):
-        g = erdos_renyi(150, 5.0, seed=4)
-        ws = SSSPWorkspace(g)
-        clean = delta_stepping(g, 3, backend=backend)
-        with fault_scope(self._interrupt_at(nth)):
-            with pytest.raises(KSPTimeout):
-                delta_stepping(g, 3, workspace=ws, backend=backend)
-        # The interrupted run left dirty epochs behind; the next acquire
-        # must sparse-reset them so the rerun is bitwise clean.
-        again = delta_stepping(g, 3, workspace=ws, backend=backend)
-        assert_bitwise(clean, again)
-
-    def test_expired_deadline_then_clean_rerun(self):
-        import time
-
-        g = erdos_renyi(120, 4.0, seed=9)
-        ws = SSSPWorkspace(g)
-        clean = delta_stepping(g, 0)
-        with pytest.raises(KSPTimeout):
-            delta_stepping(
-                g, 0, workspace=ws, deadline=time.perf_counter() - 1.0
-            )
-        assert_bitwise(clean, delta_stepping(g, 0, workspace=ws))
-
-
 class TestValidation:
     def test_unknown_backend(self, diamond_graph):
         with pytest.raises(ValueError, match="backend"):
@@ -218,3 +139,14 @@ class TestValidation:
             res = delta_stepping(g, 0, backend=backend)
             # parent[source] == source is the library-wide root convention
             assert res.dist[0] == 0.0 and res.parent[0] == 0
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("length", [5, 7])
+    def test_vertex_mask_of_wrong_length_rejected(self, backend, length):
+        """A short mask used to fail partway through the run with a bare
+        IndexError, and a long one was accepted silently."""
+        g = erdos_renyi(6, 2.0, seed=0)
+        with pytest.raises(VertexError, match="shape"):
+            delta_stepping(
+                g, 0, vertex_mask=np.ones(length, dtype=bool), backend=backend
+            )

@@ -1,22 +1,242 @@
-"""Workspace-reuse Dijkstra must be indistinguishable from fresh allocation.
+"""One Dijkstra loop, pinned to the fresh-allocation loop it replaced.
 
-The epoch-stamped workspace (:mod:`repro.sssp.workspace`) promises bitwise-
-identical labels and counters across arbitrarily many back-to-back queries on
-one shared workspace — including banned vertices in every accepted input
-form, banned edges, cutoffs, and early target exits.  These tests are the
-contract.
+``dijkstra`` runs a single epoch-stamped relaxation loop on an
+:class:`~repro.sssp.workspace.SSSPWorkspace` — the caller's, or a throwaway
+one when no workspace is passed.  :func:`_reference_dijkstra` keeps the
+per-call-allocation loop that used to serve workspace-less calls, verbatim
+but for the ``cutoff`` option no caller set.  The shipped kernel must match
+it bitwise — ``dist``, ``parent``, ``reached``, every ``SSSPStats`` field and
+the count of ``sssp.dijkstra`` cancellation checkpoints (virtual-time
+serving bills per checkpoint) — on every banned-vertex input form, banned
+edges, target early exits and status-array compaction views; and a
+workspace reused across arbitrarily many back-to-back queries must stay
+indistinguishable from it.
 """
+
+import heapq
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.analysis.sanitize import check_workspace
+from repro.cancel import (
+    SETTLE_CHECK_INTERVAL,
+    cancellation_active,
+    checkpoint,
+    fault_scope,
+)
+from repro.core.compaction import compact_status_array
 from repro.errors import VertexError
-from repro.graph.build import from_edge_list
+from repro.graph.build import from_edge_array, from_edge_list
 from repro.graph.generators import erdos_renyi, grid_network
 from repro.paths import INF
 from repro.sssp.dijkstra import dijkstra
 from repro.sssp.lazy_dijkstra import LazyDijkstra
+from repro.sssp.result import SSSPResult, SSSPStats
 from repro.sssp.workspace import SSSPWorkspace
+
+
+def _reference_dijkstra(
+    graph,
+    source,
+    *,
+    target=None,
+    banned_vertices=None,
+    banned_edges=None,
+    deadline=None,
+):
+    """The fresh-allocation Dijkstra loop, kept as the reference."""
+    n = graph.num_vertices
+    if not 0 <= source < n:
+        raise VertexError(f"source {source} out of range [0, {n})")
+    if target is not None and not 0 <= target < n:
+        raise VertexError(f"target {target} out of range [0, {n})")
+
+    banned_mask: np.ndarray | None
+    if banned_vertices is None:
+        banned_mask = None
+    elif isinstance(banned_vertices, np.ndarray) and banned_vertices.dtype == bool:
+        banned_mask = banned_vertices
+    else:
+        banned_mask = np.zeros(n, dtype=bool)
+        ids = list(banned_vertices)
+        if ids:
+            banned_mask[np.asarray(ids, dtype=np.int64)] = True
+    if banned_mask is not None and banned_mask[source]:
+        raise VertexError(f"source {source} is banned")
+
+    dist = np.full(n, INF, dtype=np.float64)
+    parent = np.full(n, -1, dtype=np.int64)
+    settled = np.zeros(n, dtype=bool)
+    stats = SSSPStats()
+
+    dist[source] = 0.0
+    parent[source] = source
+    heap: list[tuple[float, int]] = [(0.0, source)]
+    push = heapq.heappush
+    pop = heapq.heappop
+
+    begins, ends, indices, weights, edge_mask = graph.adjacency_arrays()
+    check_edges = bool(banned_edges)
+    check_cancel = cancellation_active(deadline)
+    if check_cancel:
+        checkpoint(deadline, "sssp.dijkstra")
+
+    while heap:
+        d, u = pop(heap)
+        if settled[u]:
+            continue  # stale heap entry (lazy deletion)
+        settled[u] = True
+        stats.vertices_settled += 1
+        if (
+            check_cancel
+            and stats.vertices_settled & (SETTLE_CHECK_INTERVAL - 1) == 0
+        ):
+            checkpoint(deadline, "sssp.dijkstra")
+        if u == target:
+            break
+        lo, hi = begins[u], ends[u]
+        for e in range(lo, hi):
+            if edge_mask is not None and not edge_mask[e]:
+                continue
+            v = indices[e]
+            if settled[v]:
+                continue
+            if banned_mask is not None and banned_mask[v]:
+                continue
+            if check_edges and (u, v) in banned_edges:  # type: ignore[operator]
+                continue
+            stats.edges_relaxed += 1
+            nd = d + weights[e]
+            if nd < dist[v]:
+                dist[v] = nd
+                parent[v] = u
+                push(heap, (nd, v))
+                stats.heap_pushes += 1
+
+    stats.phases = stats.vertices_settled
+    return SSSPResult(source=source, dist=dist, parent=parent, stats=stats)
+
+
+def _counted(kernel, graph, source, **kw):
+    """Run ``kernel`` under a fault hook counting ``sssp.dijkstra``
+    checkpoints; return the result and the count."""
+    hits = [0]
+
+    def hook(stage):
+        if stage == "sssp.dijkstra":
+            hits[0] += 1
+
+    with fault_scope(hook):
+        res = kernel(graph, source, **kw)
+    return res, hits[0]
+
+
+def assert_pinned(graph, source, **kw):
+    """The shipped kernel equals the reference loop bitwise."""
+    got, hits = _counted(dijkstra, graph, source, **kw)
+    ref, ref_hits = _counted(_reference_dijkstra, graph, source, **kw)
+    assert isinstance(got, SSSPResult)
+    assert got.source == ref.source
+    assert got.dist.dtype == ref.dist.dtype
+    assert got.dist.tobytes() == ref.dist.tobytes()
+    assert got.parent.dtype == ref.parent.dtype
+    assert got.parent.tobytes() == ref.parent.tobytes()
+    n = graph.num_vertices
+    assert [got.reached(v) for v in range(n)] == [ref.reached(v) for v in range(n)]
+    assert got.num_reached() == ref.num_reached()
+    assert got.stats == ref.stats  # every SSSPStats field
+    assert hits == ref_hits
+
+
+BAN_FORMS = ["none", "list", "set", "frozenset", "ndarray_ids", "bool_mask"]
+
+
+def _ban_input(form, ids, n):
+    if form == "none":
+        return None
+    if form == "list":
+        return list(ids)
+    if form == "set":
+        return set(ids)
+    if form == "frozenset":
+        return frozenset(ids)
+    if form == "ndarray_ids":
+        return np.asarray(sorted(ids), dtype=np.int64)
+    mask = np.zeros(n, dtype=bool)
+    mask[sorted(ids)] = True
+    return mask
+
+
+@st.composite
+def tied_queries(draw, max_n=24, max_m=90):
+    """A digraph with small integer weights (many equal-cost paths, so the
+    heap's tie-break decides ``parent``), a source, and query options: an
+    optional target, banned vertices in one of every accepted input form,
+    and banned edges."""
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    m = draw(st.integers(min_value=0, max_value=max_m))
+    src = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
+    dst = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
+    w = draw(st.lists(st.integers(1, 3), min_size=m, max_size=m))
+    g = from_edge_array(
+        n,
+        np.asarray(src, dtype=np.int64),
+        np.asarray(dst, dtype=np.int64),
+        np.asarray(w, dtype=np.float64),
+    )
+    source = draw(st.integers(0, n - 1))
+    kw = {}
+    if draw(st.booleans()):
+        kw["target"] = draw(st.integers(0, n - 1))
+    ids = draw(st.sets(st.integers(0, n - 1).filter(lambda v: v != source)))
+    kw["banned_vertices"] = _ban_input(draw(st.sampled_from(BAN_FORMS)), ids, n)
+    if m and draw(st.booleans()):
+        picks = draw(st.lists(st.integers(0, m - 1), max_size=4))
+        kw["banned_edges"] = {(src[i], dst[i]) for i in picks}
+    return g, source, kw
+
+
+class TestPinnedToReference:
+    @given(tied_queries())
+    @settings(max_examples=200, deadline=None)
+    def test_tied_weights_bans_and_targets(self, case):
+        g, s, kw = case
+        assert_pinned(g, s, **kw)
+
+    @given(tied_queries())
+    @settings(max_examples=60, deadline=None)
+    def test_compaction_view(self, case):
+        """The ``edge_mask`` path: a status-array view drops a third of the
+        edges inside the relaxation loop."""
+        g, s, kw = case
+        keep_v = np.ones(g.num_vertices, dtype=bool)
+        keep_e = np.ones(g.num_edges, dtype=bool)
+        keep_e[::3] = False
+        assert_pinned(compact_status_array(g, keep_v, keep_e), s, **kw)
+
+    @pytest.mark.parametrize("form", BAN_FORMS)
+    @pytest.mark.parametrize("seed", range(2))
+    def test_checkpoint_cadence_on_large_searches(self, seed, form):
+        """Searches settling several ``SETTLE_CHECK_INTERVAL`` batches, full
+        and target-stopped, hit the same checkpoints."""
+        g = erdos_renyi(1500, 4.0, seed=seed)
+        n = g.num_vertices
+        bans = _ban_input(form, range(1, n, 37), n)
+        first_hops = g.indices[g.indptr[0] : g.indptr[1]].tolist()
+        assert_pinned(g, 0, banned_vertices=bans)
+        assert_pinned(g, 0, banned_vertices=bans, target=n - 2)
+        assert_pinned(
+            g, 0, banned_vertices=bans, banned_edges={(0, first_hops[0])}
+        )
+        _, hits = _counted(_reference_dijkstra, g, 0, banned_vertices=bans)
+        assert hits > 2  # the case really spans several checkpoint batches
+
+    def test_grid_banned_edges_and_target(self):
+        g = grid_network(20, 20, seed=3)
+        assert_pinned(g, 0, target=399, banned_edges={(0, 1), (20, 21)})
 
 
 def _assert_same(fresh, ws_res, n):
@@ -57,12 +277,12 @@ class TestBackToBackReuse:
                 }
             elif kind == 3:  # early target exit
                 kwargs["target"] = int(rng.integers(n))
-            elif kind == 4:  # cutoff + frozenset bans
-                kwargs["cutoff"] = float(rng.uniform(0.5, 3.0))
+            elif kind == 4:  # early target exit + frozenset bans
+                kwargs["target"] = int(rng.integers(n))
                 kwargs["banned_vertices"] = frozenset(
                     int(v) for v in rng.integers(n, size=4) if int(v) != source
                 )
-            fresh = dijkstra(g, source, **kwargs)
+            fresh = _reference_dijkstra(g, source, **kwargs)
             got = dijkstra(g, source, workspace=ws, **kwargs)
             _assert_same(fresh, got, n)
 
@@ -72,14 +292,14 @@ class TestBackToBackReuse:
         ws = SSSPWorkspace(g)
         ban_seq = [[1, 2, 3], [1, 2, 3, 4], [9, 10], [], [9, 10, 1], [1]]
         for bans in ban_seq:
-            fresh = dijkstra(g, 0, banned_vertices=bans)
+            fresh = _reference_dijkstra(g, 0, banned_vertices=bans)
             got = dijkstra(g, 0, workspace=ws, banned_vertices=bans)
             _assert_same(fresh, got, g.num_vertices)
 
     def test_reconstruct_matches_fresh(self):
         g = erdos_renyi(80, 4.0, seed=7)
         ws = SSSPWorkspace(g)
-        fresh = dijkstra(g, 0)
+        fresh = _reference_dijkstra(g, 0)
         got = dijkstra(g, 0, workspace=ws)
         for v in range(g.num_vertices):
             assert got.reconstruct(v) == fresh.reconstruct(v)
@@ -87,7 +307,7 @@ class TestBackToBackReuse:
     def test_materialized_arrays_equal_fresh(self):
         g = erdos_renyi(60, 4.0, seed=9)
         ws = SSSPWorkspace(g)
-        fresh = dijkstra(g, 5, banned_vertices=[1, 2])
+        fresh = _reference_dijkstra(g, 5, banned_vertices=[1, 2])
         got = dijkstra(g, 5, workspace=ws, banned_vertices=[1, 2])
         assert np.array_equal(got.dist, fresh.dist)
         assert np.array_equal(got.parent, fresh.parent)
@@ -122,7 +342,7 @@ class TestBanInputForms:
             bans = np.zeros(graph.num_vertices, dtype=bool)
             bans[ids] = True
         ws = SSSPWorkspace(graph)
-        fresh = dijkstra(graph, 0, banned_vertices=bans)
+        fresh = _reference_dijkstra(graph, 0, banned_vertices=bans)
         got = dijkstra(graph, 0, workspace=ws, banned_vertices=bans)
         _assert_same(fresh, got, graph.num_vertices)
         assert got.dist_of(3) == pytest.approx(6.0)  # forced around vertex 2
@@ -145,7 +365,7 @@ class TestBanInputForms:
         got = dijkstra(graph, 0, workspace=ws, banned_vertices=mask)
         assert got.dist_of(2) == pytest.approx(4.0)  # via direct 0->2 edge
         # and the incremental set is still exactly {2}
-        fresh = dijkstra(graph, 0, banned_vertices=[2])
+        fresh = _reference_dijkstra(graph, 0, banned_vertices=[2])
         got2 = dijkstra(graph, 0, workspace=ws, banned_vertices=[2])
         _assert_same(fresh, got2, graph.num_vertices)
 
@@ -184,42 +404,64 @@ class TestGuards:
 
 
 class TestLazyDijkstraTenancy:
-    def test_workspace_tenant_matches_fresh(self):
-        g = erdos_renyi(100, 4.0, seed=5)
-        ws = SSSPWorkspace(g)
-        for source in (0, 17, 42):
-            fresh = LazyDijkstra(g, source).run_to_completion()
-            tenant = LazyDijkstra(g, source, workspace=ws).run_to_completion()
-            assert np.array_equal(tenant.dist, fresh.dist)
-            assert np.array_equal(tenant.parent, fresh.parent)
-
-    def test_sparse_reset_between_tenants(self):
-        g = from_edge_list(4, [(0, 1, 1.0), (1, 2, 1.0)])
-        ws = SSSPWorkspace(g)
-        first = LazyDijkstra(g, 0, workspace=ws)
-        first.run_to_completion()
-        second = LazyDijkstra(g, 3, workspace=ws)  # isolated source
-        assert second.dist[3] == 0.0
-        # first tenant's labels were wiped, not inherited
-        assert second.dist[0] == INF and second.dist[1] == INF
-
     def test_snapshot_owns_its_arrays(self):
         g = erdos_renyi(50, 4.0, seed=2)
-        ws = SSSPWorkspace(g)
-        tenant = LazyDijkstra(g, 0, workspace=ws)
-        tenant.distance_to(10)
-        snap = tenant.snapshot()
+        tree = LazyDijkstra(g, 0)
+        tree.distance_to(10)
+        snap = tree.snapshot()
         dist_before = snap.dist.copy()
-        LazyDijkstra(g, 1, workspace=ws).run_to_completion()  # evicts tenant
+        tree.run_to_completion()  # keeps writing the original's arrays
         assert np.array_equal(snap.dist, dist_before)
         snap.run_to_completion()  # snapshot still resumable
         fresh = LazyDijkstra(g, 0).run_to_completion()
         assert np.array_equal(snap.dist, fresh.dist)
 
-    def test_graph_mismatch_raises(self, diamond_graph, fan_graph):
-        ws = SSSPWorkspace(diamond_graph)
-        with pytest.raises(ValueError):
-            LazyDijkstra(fan_graph, 0, workspace=ws)
+
+class TestBanValidation:
+    """Bad ban inputs raise before any state moves."""
+
+    def test_out_of_range_id_leaves_workspace_in_sync(self):
+        """An id >= n used to raise halfway through updating the mask,
+        leaving bits set that the tracking set did not know about; the
+        next query on the workspace then lost reachable vertices."""
+        g = erdos_renyi(50, 4.0, seed=1)
+        ws = SSSPWorkspace(g)
+        with pytest.raises(VertexError):
+            dijkstra(g, 0, banned_vertices=[3, 7, 11, 55], workspace=ws)
+        check_workspace(ws)  # SAN-WS: mask and tracking set agree
+        got = dijkstra(g, 0, banned_vertices=[5], workspace=ws)
+        _assert_same(
+            _reference_dijkstra(g, 0, banned_vertices=[5]), got, g.num_vertices
+        )
+
+    @pytest.mark.parametrize("bad", [-1, -50, 50])
+    @pytest.mark.parametrize("reuse", [False, True])
+    def test_out_of_range_id_rejected(self, bad, reuse):
+        """A negative id used to ban vertex ``n + id`` silently."""
+        g = erdos_renyi(50, 4.0, seed=1)
+        ws = SSSPWorkspace(g) if reuse else None
+        if reuse:
+            dijkstra(g, 0, banned_vertices=[1, 2], workspace=ws)
+        with pytest.raises(VertexError, match="out of range"):
+            dijkstra(g, 0, banned_vertices=[1, bad], workspace=ws)
+        if reuse:
+            check_workspace(ws)
+            assert ws.epoch == 1  # the failed query never started
+            assert {v for v in range(50) if ws.is_banned(v)} == {1, 2}
+
+    @pytest.mark.parametrize("length", [49, 51])
+    @pytest.mark.parametrize("reuse", [False, True])
+    def test_bool_mask_of_wrong_length_rejected(self, length, reuse):
+        """A short mask used to fail partway through the run with a bare
+        IndexError, and a long one was accepted silently."""
+        g = erdos_renyi(50, 4.0, seed=1)
+        ws = SSSPWorkspace(g) if reuse else None
+        with pytest.raises(VertexError, match="shape"):
+            dijkstra(
+                g, 0, banned_vertices=np.zeros(length, dtype=bool), workspace=ws
+            )
+        if reuse:
+            assert ws.epoch == 0  # rejected before the query started
 
 
 class TestWorkspaceHousekeeping:
