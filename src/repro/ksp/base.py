@@ -34,6 +34,8 @@ __all__ = [
     "Candidate",
 ]
 
+_NO_EDGES: frozenset[tuple[int, int]] = frozenset()
+
 
 @dataclass
 class KSPStats:
@@ -49,6 +51,7 @@ class KSPStats:
 
     sssp_calls: int = 0
     express_hits: int = 0
+    express_misses: int = 0
     candidates_generated: int = 0
     candidates_deduped: int = 0
     repairs: int = 0
@@ -175,6 +178,7 @@ class KSPAlgorithm:
         span.add("ksp.edges_relaxed", st.edges_relaxed)
         span.add("ksp.vertices_settled", st.vertices_settled)
         span.add("ksp.express_hits", st.express_hits)
+        span.add("ksp.express_misses", st.express_misses)
         span.add("ksp.candidates_generated", st.candidates_generated)
         span.add("ksp.candidates_deduped", st.candidates_deduped)
         span.add("ksp.repairs", st.repairs)
@@ -202,7 +206,10 @@ class DeviationKSP(KSPAlgorithm):
 
     Every spur-search Dijkstra of the run reuses one epoch-stamped
     :class:`~repro.sssp.workspace.SSSPWorkspace`: per-search setup is O(1)
-    and the banned-vertex mask is maintained incrementally.
+    and the banned-vertex mask is maintained incrementally.  A subclass
+    that knows a consistent lower bound on every vertex's distance to the
+    target sets ``_potential`` (a list) in :meth:`_prepare`, and the spur
+    searches become A* searches steered by it.
     """
 
     lawler_default = True
@@ -219,8 +226,12 @@ class DeviationKSP(KSPAlgorithm):
         super().__init__(graph, source, target, deadline=deadline)
         self.lawler = self.lawler_default if lawler is None else lawler
         self._workspace = None
+        #: A* potential of the spur searches (None: plain Dijkstra)
+        self._potential: list[float] | None = None
         self._pool: list[Candidate] = []
         self._seen: set[tuple[int, ...]] = set()
+        #: prefix -> the edges accepted paths take out of its last vertex
+        self._dev_edges: dict[tuple[int, ...], frozenset[tuple[int, int]]] = {}
 
     def _get_workspace(self):
         """The solver's shared SSSP workspace, built on first use."""
@@ -305,12 +316,12 @@ class DeviationKSP(KSPAlgorithm):
         self._prepare()
         first = self._first_path()
         self._seen.add(first.vertices)
+        self._index_accepted(first)
         yield first
 
-        accepted: list[tuple[Path, int]] = [(first, 0)]
+        prev, dev_from = first, 0
         while True:
             self._check_deadline()
-            prev, dev_from = accepted[-1]
             start = dev_from if self.lawler else 0
             self._iteration_tasks: list[int] = []
             self._iteration_serial = 0
@@ -326,7 +337,7 @@ class DeviationKSP(KSPAlgorithm):
                 dev_vertex = verts[i]
                 prefix = verts[: i + 1]
                 banned_vertices = frozenset(prefix[:-1])
-                banned_edges = self._deviation_edges(accepted, prefix)
+                banned_edges = self._deviation_edges(prefix)
                 found = self._find_suffix(
                     dev_vertex, banned_vertices, banned_edges, prefix
                 )
@@ -356,9 +367,10 @@ class DeviationKSP(KSPAlgorithm):
             nxt = self._pop_exact()
             if nxt is None:
                 return
-            path = Path(distance=nxt.distance, vertices=nxt.vertices)
-            accepted.append((path, nxt.deviation_index))
-            yield path
+            prev = Path(distance=nxt.distance, vertices=nxt.vertices)
+            dev_from = nxt.deviation_index
+            self._index_accepted(prev)
+            yield prev
 
     def _pop_exact(self) -> Candidate | None:
         """Pop the minimum candidate, repairing postponed ones as needed."""
@@ -374,18 +386,22 @@ class DeviationKSP(KSPAlgorithm):
                 heapq.heappush(self._pool, repaired)
         return None
 
+    def _index_accepted(self, path: Path) -> None:
+        """Record the edge ``path`` takes out of each of its prefixes."""
+        pv = path.vertices
+        dev_edges = self._dev_edges
+        for i in range(len(pv) - 1):
+            prefix = pv[: i + 1]
+            edge = (pv[i], pv[i + 1])
+            known = dev_edges.get(prefix, _NO_EDGES)
+            if edge not in known:
+                dev_edges[prefix] = known | {edge}
+
     def _deviation_edges(
-        self, accepted: list[tuple[Path, int]], prefix: tuple[int, ...]
+        self, prefix: tuple[int, ...]
     ) -> frozenset[tuple[int, int]]:
-        """Edges that previous paths take out of this prefix (Alg. 1 line 6)."""
-        i = len(prefix) - 1
-        v = prefix[-1]
-        banned = set()
-        for p, _ in accepted:
-            pv = p.vertices
-            if len(pv) > i + 1 and pv[: i + 1] == prefix:
-                banned.add((v, pv[i + 1]))
-        return frozenset(banned)
+        """Edges that accepted paths take out of this prefix (Alg. 1 line 6)."""
+        return self._dev_edges.get(prefix, _NO_EDGES)
 
     # ------------------------------------------------------------------
     # helpers shared by the concrete suffix searches
@@ -401,7 +417,8 @@ class DeviationKSP(KSPAlgorithm):
 
         Runs on the solver's shared epoch-stamped workspace, so
         back-to-back spur searches pay O(1) setup and only the ban-set
-        delta.
+        delta.  With ``_potential`` set the search is A*: same distance,
+        fewer settles.
         """
         res = dijkstra(
             self.graph,
@@ -410,6 +427,7 @@ class DeviationKSP(KSPAlgorithm):
             banned_vertices=banned_vertices,
             banned_edges=banned_edges,
             workspace=self._get_workspace(),
+            potential=self._potential,
             deadline=self.deadline,
         )
         work = self.stats.add_sssp(res.stats)

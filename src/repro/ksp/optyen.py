@@ -10,8 +10,11 @@ up front) and uses it for an *express* candidate at each deviation vertex:
 2. if ``w*``'s tree path to the target is *clean* (touches no banned vertex,
    does not revisit the deviation vertex or prefix), it achieves the lower
    bound and is therefore the optimal suffix — no SSSP needed;
-3. otherwise fall back to a target-stopped Dijkstra suffix search, exactly
-   like Yen.
+3. otherwise fall back to a target-stopped suffix search.  Ajwani et al.
+   run a plain Dijkstra there, like Yen; here it is an A* search steered by
+   the same ``distTgt``, which is a consistent potential on the graph and
+   stays a lower bound under any bans.  The suffix distance is the same;
+   the search settles far fewer vertices.
 
 Unlike NC, nothing is ever updated: the tree is computed once, which is what
 makes OptYen parallel-friendly (the paper's §1.1 observation).
@@ -30,7 +33,7 @@ __all__ = ["OptYenKSP", "optyen_ksp"]
 
 
 class OptYenKSP(DeviationKSP):
-    """OptYen: static reverse SP tree, express-or-Dijkstra suffix search."""
+    """OptYen: static reverse SP tree, express-or-A* suffix search."""
 
     name = "OptYen"
     lawler_default = True
@@ -46,6 +49,8 @@ class OptYenKSP(DeviationKSP):
             raise UnreachableTargetError(
                 f"target {self.target} unreachable from {self.source}"
             )
+        # the fallback spur searches are A* on the same distances
+        self._potential = self.dist_tgt.tolist()
 
     def _first_path(self):
         # The reverse tree already encodes the shortest path — walk it
@@ -137,6 +142,7 @@ class OptYenKSP(DeviationKSP):
             self.stats.express_hits += 1
             self._log_task(len(suffix))
             return bound, suffix, True
+        self.stats.express_misses += 1
         return self._dijkstra_suffix(dev_vertex, banned_vertices, banned_edges)
 
 

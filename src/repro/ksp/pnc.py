@@ -13,7 +13,8 @@ true shortest allowed suffix (distTgt is the unconstrained distance), so a
 postponed entry sorts at or before the position its repaired version will
 occupy — the pool minimum is therefore never wrongly accepted.
 
-Repair SSSPs run through the solver-shared epoch-stamped workspace
+Repair searches are OptYen's A* fallback, steered by the same reverse-tree
+distances, and run through the solver-shared epoch-stamped workspace
 (:mod:`repro.sssp.workspace`).  Unlike the in-order deviation searches,
 repairs jump to an *older* banned-vertex set, which the workspace's
 incremental mask handles by flipping the symmetric difference — still far
@@ -54,6 +55,7 @@ class PostponedNCKSP(OptYenKSP):
             self.stats.express_hits += 1
             self._log_task(len(suffix))
             return bound, suffix, True
+        self.stats.express_misses += 1
         # Non-simple express path: postpone.  Use the raw (dirty) tree walk
         # as the placeholder vertex tuple; it is unique per deviation and
         # never collides with a real simple path because it repeats a vertex.

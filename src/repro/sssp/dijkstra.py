@@ -15,12 +15,18 @@ There is one relaxation loop and two ways to call it:
   :class:`~repro.sssp.workspace.WorkspaceResult` read through its epoch;
 * **without** — the loop runs on a throwaway workspace and the result is an
   :class:`~repro.sssp.result.SSSPResult` that owns its arrays.
+
+A target-stopped search may also be *goal-directed*: given ``potential=``,
+a per-vertex lower bound on the distance to ``target``, the loop is A*
+(heap key ``dist + potential[v]``).  Without one it keys on a cached
+all-zero potential — ``nd + 0.0 == nd`` — so plain Dijkstra is the same
+loop, bitwise.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Collection
+from typing import Collection, Sequence
 
 import numpy as np
 
@@ -28,6 +34,7 @@ from repro.cancel import SETTLE_CHECK_INTERVAL, cancellation_active, checkpoint
 from repro.errors import VertexError
 from repro.graph.csr import CSRGraph
 from repro.obs.tracer import get_tracer
+from repro.paths import INF
 from repro.sssp.result import SSSPResult, SSSPStats
 from repro.sssp.workspace import SSSPWorkspace, WorkspaceResult
 
@@ -42,6 +49,7 @@ def dijkstra(
     banned_vertices: Collection[int] | np.ndarray | None = None,
     banned_edges: Collection[tuple[int, int]] | None = None,
     workspace: SSSPWorkspace | None = None,
+    potential: Sequence[float] | np.ndarray | None = None,
     deadline: float | None = None,
 ) -> SSSPResult | WorkspaceResult:
     """Single-source shortest paths from ``source``.
@@ -73,6 +81,18 @@ def dijkstra(
         mask; a ``bool[n]`` mask is honoured directly.  Without a
         workspace the query runs on a throwaway one and returns an
         :class:`~repro.sssp.result.SSSPResult` owning its arrays.
+    potential:
+        A* mode: ``potential[v]`` is a lower bound on the ``v → target``
+        distance that is *consistent* (``potential[u] <= w(u, v) +
+        potential[v]`` on every edge), e.g. exact distances to ``target``
+        in a supergraph of the searched one.  The heap key becomes
+        ``dist + potential[v]`` (ties still break on the smallest vertex
+        id), vertices whose potential is ``inf`` are never pushed, and
+        ``target`` is required.  Every settled vertex's ``dist`` is still
+        exact; fewer vertices are settled.  A list is read in place; an
+        array is converted per call, so repeat callers pass a list.  A
+        potential of length other than ``n``, or one without ``target``,
+        raises :class:`ValueError`.
     deadline:
         Absolute ``time.perf_counter()`` value after which the kernel
         cooperatively raises :class:`~repro.errors.KSPTimeout`, checked at
@@ -95,7 +115,20 @@ def dijkstra(
             "workspace is bound to a different graph; create one "
             "SSSPWorkspace per graph"
         )
+    if potential is not None:
+        if target is None:
+            raise ValueError("an A* potential needs a target")
+        if len(potential) != n:
+            raise ValueError(
+                f"potential has length {len(potential)}, expected {n}"
+            )
     ws = SSSPWorkspace(graph) if workspace is None else workspace
+    if potential is None:
+        pot = ws.zero_potential()
+    elif isinstance(potential, np.ndarray):
+        pot = potential.tolist()
+    else:
+        pot = potential
 
     # Resolve the banned-vertex input.  A caller-supplied bool mask is
     # honoured as-is (it is already O(1) to consume); id iterables fold into
@@ -136,7 +169,9 @@ def dijkstra(
     dist[src] = 0.0
     parent[src] = src
     dstamp[src] = ep
-    heap: list[tuple[float, int]] = [(0.0, src)]
+    # heap entries are (dist + potential, vertex): with the zero potential
+    # the key is the distance itself, and ties break on the smaller id
+    heap: list[tuple[float, int]] = [(0.0 + pot[src], src)]
     push = heapq.heappush
     pop = heapq.heappop
 
@@ -145,10 +180,12 @@ def dijkstra(
     pushes = 0
 
     while heap:
-        d, u = pop(heap)
+        u = pop(heap)[1]
         if sstamp[u] == ep:
             continue  # stale heap entry (lazy deletion)
         sstamp[u] = ep
+        # the first pop of u carries its smallest key, i.e. its final dist
+        d = dist[u]
         settled_ct += 1
         if check_cancel and settled_ct & (SETTLE_CHECK_INTERVAL - 1) == 0:
             checkpoint(deadline, "sssp.dijkstra")
@@ -168,10 +205,13 @@ def dijkstra(
             relaxed += 1
             nd = d + weights[e]
             if dstamp[v] != ep or nd < dist[v]:
+                key = nd + pot[v]
+                if key == INF:
+                    continue  # the potential says v cannot reach the target
                 dist[v] = nd
                 parent[v] = u
                 dstamp[v] = ep
-                push(heap, (nd, v))
+                push(heap, (key, v))
                 pushes += 1
 
     stats.vertices_settled = settled_ct

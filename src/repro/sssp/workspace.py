@@ -72,6 +72,7 @@ class SSSPWorkspace:
         "ban",
         "_ban_current",
         "_adj",
+        "_zero_pot",
     )
 
     def __init__(self, graph) -> None:
@@ -91,6 +92,7 @@ class SSSPWorkspace:
         self.ban = np.frombuffer(self._ban_bytes, dtype=np.uint8).view(np.bool_)
         self._ban_current: set[int] = set()
         self._adj: tuple | None = None
+        self._zero_pot: list[float] | None = None
 
     # ------------------------------------------------------------------
     # epoch-stamped scalar state
@@ -121,6 +123,16 @@ class SSSPWorkspace:
                 None if edge_mask is None else edge_mask.tolist(),
             )
         return self._adj
+
+    def zero_potential(self) -> list[float]:
+        """The all-zero A* potential plain Dijkstra keys its heap with.
+
+        Built on first use and cached; ``nd + 0.0 == nd``, so keying on it
+        leaves every distance bitwise what it is.
+        """
+        if self._zero_pot is None:
+            self._zero_pot = [0.0] * self.n
+        return self._zero_pot
 
     # ------------------------------------------------------------------
     # incremental banned-vertex mask
@@ -165,6 +177,8 @@ class SSSPWorkspace:
         """Approximate resident size of the workspace state."""
         n = self.n
         total = 8 * 4 * n + n  # four pointer lists + ban bytes
+        if self._zero_pot is not None:
+            total += 8 * n
         if self._adj is not None:
             begins, _, indices, weights, edge_mask = self._adj
             total += 8 * (len(begins) * 2 + len(indices) + len(weights))

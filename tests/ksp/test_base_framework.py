@@ -2,9 +2,14 @@
 
 import pytest
 
+from repro.graph.generators import erdos_renyi, grid_network
 from repro.ksp.base import Candidate, KSPResult, KSPStats
+from repro.ksp.node_classification import NodeClassificationKSP
+from repro.ksp.optyen import OptYenKSP
+from repro.ksp.pnc import PostponedNCKSP
 from repro.ksp.yen import YenKSP
 from repro.paths import Path
+from tests.conftest import random_reachable_pair
 
 
 class TestCandidateOrdering:
@@ -56,24 +61,64 @@ class TestKSPResult:
 class TestDeviationEdges:
     def test_edges_banned_only_for_matching_prefix(self, fan_graph):
         algo = YenKSP(fan_graph, 0, 4)
-        accepted = [
-            (Path(2.0, (0, 1, 4)), 0),
-            (Path(4.0, (0, 2, 4)), 0),
-        ]
-        banned = algo._deviation_edges(accepted, (0,))
+        algo._index_accepted(Path(2.0, (0, 1, 4)))
+        algo._index_accepted(Path(4.0, (0, 2, 4)))
+        banned = algo._deviation_edges((0,))
         assert banned == {(0, 1), (0, 2)}
         # a prefix that matches only the first path
-        banned = algo._deviation_edges(accepted, (0, 1))
+        banned = algo._deviation_edges((0, 1))
         assert banned == {(1, 4)}
         # a prefix matching nothing
-        banned = algo._deviation_edges(accepted, (0, 3))
+        banned = algo._deviation_edges((0, 3))
         assert banned == frozenset()
+
+
+class _ScanCheckedMixin:
+    """Checks every spur's indexed deviation edges against the old scan
+    over all accepted paths."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._accepted_log = []
+        self.spurs_checked = 0
+
+    def _index_accepted(self, path):
+        self._accepted_log.append(path)
+        super()._index_accepted(path)
+
+    def _find_suffix(self, dev_vertex, banned_vertices, banned_edges, prefix):
+        i = len(prefix) - 1
+        scan = frozenset(
+            (prefix[-1], p.vertices[i + 1])
+            for p in self._accepted_log
+            if len(p.vertices) > i + 1 and p.vertices[: i + 1] == prefix
+        )
+        assert banned_edges == scan
+        self.spurs_checked += 1
+        return super()._find_suffix(
+            dev_vertex, banned_vertices, banned_edges, prefix
+        )
+
+
+class TestDeviationEdgeIndex:
+    @pytest.mark.parametrize(
+        "base", [YenKSP, OptYenKSP, PostponedNCKSP, NodeClassificationKSP]
+    )
+    @pytest.mark.parametrize("seed", range(3))
+    def test_index_equals_scan_on_every_spur(self, base, seed):
+        checked = type("Checked", (_ScanCheckedMixin, base), {})
+        for g in (
+            erdos_renyi(120, 4.0, seed=seed + 40),
+            grid_network(8, 8, weight_scheme="unit", seed=seed),
+        ):
+            s, t = random_reachable_pair(g, seed=seed)
+            algo = checked(g, s, t)
+            algo.run(24)
+            assert algo.spurs_checked > 0
 
 
 class TestIterPaths:
     def test_generator_is_lazy(self, medium_er):
-        from tests.conftest import random_reachable_pair
-
         s, t = random_reachable_pair(medium_er, seed=30)
         algo = YenKSP(medium_er, s, t)
         gen = algo.iter_paths()

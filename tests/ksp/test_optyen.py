@@ -1,14 +1,53 @@
-"""Unit tests for OptYen."""
+"""Unit tests for OptYen, and its A* fallback pinned to the plain one."""
 
 import numpy as np
 import pytest
 
 from repro.errors import UnreachableTargetError
-from repro.graph.build import from_edge_list
-from repro.graph.generators import erdos_renyi
+from repro.graph.build import from_edge_array, from_edge_list
+from repro.graph.generators import erdos_renyi, grid_network
 from repro.ksp.optyen import OptYenKSP, optyen_ksp
+from repro.ksp.pnc import PostponedNCKSP
 from repro.ksp.yen import yen_ksp
+from repro.verify import verify_ksp_result
 from tests.conftest import nx_k_shortest_distances, random_reachable_pair
+
+
+class _PlainOptYen(OptYenKSP):
+    """OptYen with Ajwani et al.'s plain-Dijkstra fallback: the reference
+    the A* fallback is pinned to."""
+
+    def _prepare(self):
+        super()._prepare()
+        self._potential = None
+
+
+class _PlainPNC(PostponedNCKSP):
+    """PNC whose repairs run the plain-Dijkstra fallback."""
+
+    def _prepare(self):
+        super()._prepare()
+        self._potential = None
+
+
+PAIRS = [(OptYenKSP, _PlainOptYen), (PostponedNCKSP, _PlainPNC)]
+
+
+def _continuous_cases():
+    for seed in range(4):
+        yield erdos_renyi(300, 4.0, seed=seed + 200), seed
+        yield grid_network(12, 12, seed=seed + 300), seed
+
+
+def _tied_graph(seed, n=60, m=240):
+    """Small integer weights in {1, 2, 3}: many equal-cost paths."""
+    rng = np.random.default_rng(seed)
+    return from_edge_array(
+        n,
+        rng.integers(0, n, size=m),
+        rng.integers(0, n, size=m),
+        rng.integers(1, 4, size=m).astype(np.float64),
+    )
 
 
 class TestCorrectness:
@@ -85,3 +124,57 @@ class TestInternals:
         algo._prepare()
         assert algo._tree_suffix(0, 1, frozenset()) == (0, 1, 4)
         assert algo._tree_suffix(0, 1, frozenset({4})) is None
+
+
+class TestAStarFallback:
+    """The A* fallback returns what the plain-Dijkstra fallback returns."""
+
+    @pytest.mark.parametrize("astar_cls, plain_cls", PAIRS)
+    @pytest.mark.parametrize("k", [8, 64])
+    def test_same_paths_on_continuous_weights(self, astar_cls, plain_cls, k):
+        for g, seed in _continuous_cases():
+            s, t = random_reachable_pair(g, seed=seed)
+            astar = astar_cls(g, s, t)
+            plain = plain_cls(g, s, t)
+            got, ref = astar.run(k), plain.run(k)
+            assert [p.vertices for p in got.paths] == [
+                p.vertices for p in ref.paths
+            ]
+            assert got.distances == ref.distances
+            assert astar.stats.sssp_calls == plain.stats.sssp_calls
+            assert astar.stats.express_misses == plain.stats.express_misses
+            assert astar.stats.vertices_settled <= plain.stats.vertices_settled
+
+    @pytest.mark.parametrize("astar_cls, plain_cls", PAIRS)
+    @pytest.mark.parametrize("seed", range(6))
+    def test_tied_integer_weights(self, astar_cls, plain_cls, seed):
+        unit = erdos_renyi(80, 4.0, weight_scheme="unit", seed=seed)
+        for g in (_tied_graph(seed), unit):
+            s, t = random_reachable_pair(g, seed=seed)
+            got = astar_cls(g, s, t).run(32)
+            ref = plain_cls(g, s, t).run(32)
+            assert np.asarray(got.distances).tobytes() == np.asarray(
+                ref.distances
+            ).tobytes()
+            report = verify_ksp_result(g, s, t, got)
+            assert report, str(report)
+
+    def test_every_miss_runs_one_search(self, medium_er):
+        s, t = random_reachable_pair(medium_er, seed=4)
+        algo = OptYenKSP(medium_er, s, t)
+        algo.run(16)
+        assert algo.stats.express_misses > 0
+        # one reverse SSSP in _prepare, then one A* search per miss
+        assert algo.stats.sssp_calls == 1 + algo.stats.express_misses
+        assert algo.stats.repairs == 0
+
+    def test_express_misses_in_ksp_span(self, medium_er):
+        from repro.obs import Tracer, use_tracer
+
+        s, t = random_reachable_pair(medium_er, seed=4)
+        algo = OptYenKSP(medium_er, s, t)
+        with use_tracer(Tracer()) as tracer:
+            algo.run(16)
+        (span,) = tracer.find("ksp")
+        assert span.counters["ksp.express_misses"] == algo.stats.express_misses
+        assert span.counters["ksp.repairs"] == 0

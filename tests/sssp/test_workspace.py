@@ -11,6 +11,11 @@ serving bills per checkpoint) — on every banned-vertex input form, banned
 edges, target early exits and status-array compaction views; and a
 workspace reused across arbitrarily many back-to-back queries must stay
 indistinguishable from it.
+
+The same loop is A* when given ``potential=``.  An explicit all-zero
+potential must stay bitwise-equal to the reference, checkpoints included;
+exact reverse distances must give the reference's target distance bitwise
+and a valid path of that cost, settling no more vertices.
 """
 
 import heapq
@@ -134,9 +139,10 @@ def _counted(kernel, graph, source, **kw):
     return res, hits[0]
 
 
-def assert_pinned(graph, source, **kw):
-    """The shipped kernel equals the reference loop bitwise."""
-    got, hits = _counted(dijkstra, graph, source, **kw)
+def assert_pinned(graph, source, potential=None, **kw):
+    """The shipped kernel (given ``potential``, if any) equals the reference
+    loop bitwise."""
+    got, hits = _counted(dijkstra, graph, source, potential=potential, **kw)
     ref, ref_hits = _counted(_reference_dijkstra, graph, source, **kw)
     assert isinstance(got, SSSPResult)
     assert got.source == ref.source
@@ -171,11 +177,11 @@ def _ban_input(form, ids, n):
 
 
 @st.composite
-def tied_queries(draw, max_n=24, max_m=90):
+def tied_queries(draw, max_n=24, max_m=90, with_target=False):
     """A digraph with small integer weights (many equal-cost paths, so the
     heap's tie-break decides ``parent``), a source, and query options: an
-    optional target, banned vertices in one of every accepted input form,
-    and banned edges."""
+    optional target (always one when ``with_target``), banned vertices in
+    one of every accepted input form, and banned edges."""
     n = draw(st.integers(min_value=2, max_value=max_n))
     m = draw(st.integers(min_value=0, max_value=max_m))
     src = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
@@ -189,7 +195,7 @@ def tied_queries(draw, max_n=24, max_m=90):
     )
     source = draw(st.integers(0, n - 1))
     kw = {}
-    if draw(st.booleans()):
+    if with_target or draw(st.booleans()):
         kw["target"] = draw(st.integers(0, n - 1))
     ids = draw(st.sets(st.integers(0, n - 1).filter(lambda v: v != source)))
     kw["banned_vertices"] = _ban_input(draw(st.sampled_from(BAN_FORMS)), ids, n)
@@ -231,12 +237,125 @@ class TestPinnedToReference:
         assert_pinned(
             g, 0, banned_vertices=bans, banned_edges={(0, first_hops[0])}
         )
+        assert_pinned(
+            g, 0, potential=[0.0] * n, banned_vertices=bans, target=n - 2
+        )
         _, hits = _counted(_reference_dijkstra, g, 0, banned_vertices=bans)
         assert hits > 2  # the case really spans several checkpoint batches
 
     def test_grid_banned_edges_and_target(self):
         g = grid_network(20, 20, seed=3)
         assert_pinned(g, 0, target=399, banned_edges={(0, 1), (20, 21)})
+
+
+def _reverse_distances(graph, target):
+    """Exact distances to ``target`` in the whole graph: a consistent A*
+    potential for any search on it, whatever the bans."""
+    return _reference_dijkstra(graph.reverse(), target).dist
+
+
+def _ban_ids(bans):
+    if bans is None:
+        return set()
+    if isinstance(bans, np.ndarray) and bans.dtype == bool:
+        return set(np.flatnonzero(bans).tolist())
+    return {int(v) for v in bans}
+
+
+def assert_astar_exact(graph, source, potential, **kw):
+    """A* reaches the target at the reference distance, bitwise, along a
+    valid path of that cost, settling no more vertices."""
+    got = dijkstra(graph, source, potential=potential, **kw)
+    ref = _reference_dijkstra(graph, source, **kw)
+    t = kw["target"]
+    assert got.reached(t) == ref.reached(t)
+    assert np.float64(got.dist_of(t)).tobytes() == np.float64(
+        ref.dist_of(t)
+    ).tobytes()
+    assert got.stats.vertices_settled <= ref.stats.vertices_settled
+    if not ref.reached(t):
+        return
+    path = got.reconstruct(t)
+    assert path[0] == source and path[-1] == t
+    banned = _ban_ids(kw.get("banned_vertices"))
+    banned_edges = kw.get("banned_edges") or set()
+    cost = 0.0
+    for u, v in zip(path, path[1:]):
+        assert v not in banned
+        assert (u, v) not in banned_edges
+        w = graph.edge_weight(u, v)
+        assert w is not None
+        cost += w
+    assert cost == got.dist_of(t)
+
+
+class TestAStarPotential:
+    @given(tied_queries(with_target=True))
+    @settings(max_examples=150, deadline=None)
+    def test_zero_potential_is_plain_dijkstra(self, case):
+        g, s, kw = case
+        assert_pinned(g, s, potential=[0.0] * g.num_vertices, **kw)
+        assert_pinned(g, s, potential=np.zeros(g.num_vertices), **kw)
+
+    @given(tied_queries(with_target=True))
+    @settings(max_examples=200, deadline=None)
+    def test_reverse_distance_potential(self, case):
+        g, s, kw = case
+        pot = _reverse_distances(g, kw["target"])
+        assert_astar_exact(g, s, pot.tolist(), **kw)
+        assert_astar_exact(g, s, pot, **kw)
+
+    @given(tied_queries(with_target=True))
+    @settings(max_examples=60, deadline=None)
+    def test_reverse_distance_potential_on_compaction_view(self, case):
+        g, s, kw = case
+        keep_v = np.ones(g.num_vertices, dtype=bool)
+        keep_e = np.ones(g.num_edges, dtype=bool)
+        keep_e[::3] = False
+        view = compact_status_array(g, keep_v, keep_e)
+        assert_astar_exact(view, s, _reverse_distances(view, kw["target"]), **kw)
+
+    def test_mixed_queries_on_one_workspace(self):
+        """A* and plain searches interleaved on one workspace."""
+        g = erdos_renyi(150, 5.0, seed=3)
+        n = g.num_vertices
+        ws = SSSPWorkspace(g)
+        rng = np.random.default_rng(5)
+        for q in range(40):
+            source, target = (int(v) for v in rng.integers(n, size=2))
+            bans = [int(v) for v in rng.integers(n, size=5) if v != source]
+            fresh = _reference_dijkstra(
+                g, source, target=target, banned_vertices=bans
+            )
+            pot = _reverse_distances(g, target).tolist() if q % 2 else None
+            got = dijkstra(
+                g, source, target=target, banned_vertices=bans,
+                workspace=ws, potential=pot,
+            )
+            assert got.dist_of(target) == fresh.dist[target]
+            if pot is None:
+                _assert_same(fresh, got, n)
+            check_workspace(ws)
+
+    def test_dead_vertices_are_never_pushed(self):
+        """A vertex whose potential is ``inf`` cannot reach the target."""
+        g = from_edge_list(
+            5, [(0, 1, 1.0), (0, 2, 1.0), (1, 3, 1.0), (2, 4, 1.0)]
+        )
+        pot = _reverse_distances(g, 3)
+        assert pot[2] == INF and pot[4] == INF
+        got = dijkstra(g, 0, target=3, potential=pot)
+        assert got.dist_of(3) == 2.0
+        assert not got.reached(2) and not got.reached(4)
+        assert got.stats.heap_pushes == 2  # vertices 1 and 3 only
+
+    def test_potential_settles_fewer_on_a_grid(self):
+        g = grid_network(20, 20, seed=3)
+        pot = _reverse_distances(g, 399)
+        plain = dijkstra(g, 0, target=399)
+        astar = dijkstra(g, 0, target=399, potential=pot)
+        assert astar.dist_of(399) == plain.dist_of(399)
+        assert astar.stats.vertices_settled < plain.stats.vertices_settled
 
 
 def _assert_same(fresh, ws_res, n):
@@ -462,6 +581,27 @@ class TestBanValidation:
             )
         if reuse:
             assert ws.epoch == 0  # rejected before the query started
+
+
+class TestPotentialValidation:
+    """A bad potential raises before the query starts."""
+
+    @pytest.mark.parametrize("length", [49, 51])
+    def test_wrong_length_rejected(self, length):
+        g = erdos_renyi(50, 4.0, seed=1)
+        ws = SSSPWorkspace(g)
+        with pytest.raises(ValueError, match="length"):
+            dijkstra(g, 0, target=7, potential=[0.0] * length, workspace=ws)
+        with pytest.raises(ValueError, match="length"):
+            dijkstra(g, 0, target=7, potential=np.zeros(length))
+        assert ws.epoch == 0
+
+    def test_potential_without_target_rejected(self):
+        g = erdos_renyi(50, 4.0, seed=1)
+        ws = SSSPWorkspace(g)
+        with pytest.raises(ValueError, match="target"):
+            dijkstra(g, 0, potential=[0.0] * 50, workspace=ws)
+        assert ws.epoch == 0
 
 
 class TestWorkspaceHousekeeping:
