@@ -3,22 +3,11 @@
 Paper's result: a stable, monotone speedup reaching ~4× on average at 32
 threads (4.8× on GT).  The curves here replay each graph's real measured
 work decomposition through the calibrated machine model (DESIGN.md §1).
-
-``test_fig09_real_mp_rows`` complements the simulation with *measured*
-wall-clock of the real shared-memory mp backend
-(:mod:`repro.parallel.mp_backend`) at 1 and 2 workers on the SSSP
-substrate.  No scaling shape is asserted — real speedup needs real cores,
-and the host's cpu count is recorded in the report so the numbers are
-interpretable either way.
 """
-
-import os
-import time
 
 from repro.bench import experiments
 
 THREADS = (1, 2, 4, 8, 16, 32)
-MP_WORKERS = (1, 2)
 
 
 def test_fig09_shared_scaling(benchmark, runner, emit):
@@ -40,39 +29,3 @@ def test_fig09_shared_scaling(benchmark, runner, emit):
     # lands in the paper's regime (~4x at 32 threads), not embarrassingly
     # linear and not flat
     assert 2.0 < speedups[-1] < 10.0
-
-
-def test_fig09_real_mp_rows(runner, emit):
-    """Measured mp-backend SSSP wall-clock at 1 and 2 workers (real cores)."""
-    import numpy as np
-
-    from repro.bench.experiments import ExperimentReport
-    from repro.sssp.delta_stepping import delta_stepping
-
-    rows = []
-    for name in runner.graph_names():
-        g = runner.graph(name)
-        s, _ = runner.pairs(name)[0]
-        ref = delta_stepping(g, s, backend="vectorized")
-        row = [name]
-        for workers in MP_WORKERS:
-            t0 = time.perf_counter()
-            res = delta_stepping(g, s, backend="mp", num_workers=workers)
-            row.append(time.perf_counter() - t0)
-            # scaling numbers are only meaningful if the answer is exact
-            assert np.array_equal(ref.dist, res.dist, equal_nan=True)
-            assert np.array_equal(ref.parent, res.parent)
-        rows.append(row)
-    emit(
-        ExperimentReport(
-            experiment="fig09_real_mp",
-            title=(
-                "Figure 9 companion — measured mp-backend SSSP seconds "
-                f"(host_cpus={os.cpu_count()}; scale={runner.scale})"
-            ),
-            header=["graph"] + [f"mp-{w} (s)" for w in MP_WORKERS],
-            rows=rows,
-            digits=4,
-        )
-    )
-    assert rows  # every suite graph produced a measured row

@@ -7,10 +7,9 @@ largest graph — real serial seconds, traversal rate (MTEPS), and the
 parallel-phase structure that justifies Δ-stepping.  Run it with
 ``PYTHONPATH=src python -m pytest benchmarks/bench_sssp_kernels.py``.
 
-The Δ-stepping execution backends (scalar, vectorized, mp) are
-bitwise-equivalent; ``tests/sssp/test_vectorized_equivalence.py`` and
-``tests/parallel/test_mp_backend.py`` assert it, and ``perfbench/``
-times the default backend end to end.
+The Δ-stepping execution backends (scalar, vectorized) are
+bitwise-equivalent; ``tests/sssp/test_vectorized_equivalence.py``
+asserts it, and ``perfbench/`` times the default backend end to end.
 """
 
 from __future__ import annotations

@@ -21,8 +21,9 @@ class AuditGroup:
     """One footprint audit: phase functions vs. a recorder's declaration.
 
     ``functions`` are ``(module-suffix, qualname)`` pairs; the static
-    writes inferred across the whole group (a decomposition usually
-    spans a worker function and a committing master method) are diffed
+    writes inferred across the whole group (a decomposition may span
+    several functions — one relax method per engine, or a worker
+    function and a committing master) are diffed
     against the read/write resource names declared by ``recorder`` in
     the declarations module.
     """
@@ -30,17 +31,12 @@ class AuditGroup:
     label: str
     recorder: str
     functions: tuple[tuple[str, str], ...]
-    #: array names treated as shared state (before ``name_map``)
+    #: array names treated as shared state
     shared: frozenset[str]
-    #: array name → declared resource name (e.g. ``out_tgt`` → ``out``)
-    name_map: tuple[tuple[str, str], ...] = ()
 
     def resource_of(self, name: str) -> str | None:
         """The declared resource a (normalised) array name maps to."""
         stripped = name.lstrip("_")
-        for array, resource in self.name_map:
-            if stripped == array.lstrip("_"):
-                return resource
         if name in self.shared or stripped in self.shared:
             return stripped
         return None
@@ -95,32 +91,6 @@ def default_config() -> ContractConfig:
     """The shipped configuration: this repo's contracts."""
     return ContractConfig(
         audits=(
-            AuditGroup(
-                label="mp-backend",
-                recorder="MPBackendFootprints",
-                functions=(
-                    ("repro/parallel/mp_backend.py", "_worker_main"),
-                    (
-                        "repro/parallel/mp_backend.py",
-                        "SharedMemoryDeltaExecutor.relax",
-                    ),
-                ),
-                shared=frozenset(
-                    {
-                        "dist",
-                        "parent",
-                        "frontier",
-                        "out_tgt",
-                        "out_src",
-                        "out_cand",
-                    }
-                ),
-                name_map=(
-                    ("out_tgt", "out"),
-                    ("out_src", "out"),
-                    ("out_cand", "out"),
-                ),
-            ),
             AuditGroup(
                 label="delta-stepping",
                 recorder="DeltaSteppingFootprints",

@@ -1,9 +1,9 @@
 """Pass 4 — static footprint audit (CTR401, CTR402).
 
 The simulated race detector (:mod:`repro.analysis.race`) is only as good
-as the footprints the recorders *declare*: ``record_mp_step`` says "the
-workers write ``out``, the master writes ``dist``/``parent``", and the
-detector checks those claims against each other — not against the code.
+as the footprints the recorders *declare*: ``record_step`` says "the
+commit phase writes ``dist``/``parent``", and the detector checks those
+claims against each other — not against the code.
 An array the kernel writes but the recorder never mentions is invisible
 to every race the detector could have caught on it.
 

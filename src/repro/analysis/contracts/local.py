@@ -14,11 +14,11 @@ module's AST and guard invariants specific to this codebase:
   expression, all of which this rule rejects.
 * **RPR003** — no O(n) ``np.full`` / ``np.zeros`` / ``np.ones`` /
   ``np.empty`` allocations lexically inside loops in ``repro/ksp/``,
-  ``repro/sssp/``, ``repro/parallel/mp_backend.py``, ``repro/load/``,
-  ``repro/serve/`` and ``repro/dyn/`` (the serving/load event loops run
-  one iteration per request and the Terrace update loops one rebuild per
-  touched vertex, so a per-iteration O(n) alloc is a per-query tax
-  exactly like a per-spur one); per-spur state must route through
+  ``repro/sssp/``, ``repro/load/``, ``repro/serve/`` and ``repro/dyn/``
+  (the serving/load event loops run one iteration per request and the
+  Terrace update loops one rebuild per touched vertex, so a
+  per-iteration O(n) alloc is a per-query tax exactly like a per-spur
+  one); per-spur state must route through
   :class:`~repro.sssp.workspace.SSSPWorkspace`.  ``workspace.py`` is
   exempt, and small constant-size allocations (≤ 64 elements) are
   allowed.
@@ -105,17 +105,8 @@ class _Checker(ast.NodeVisitor):
             module.startswith("repro/graph/") or module == "repro/core/compaction.py"
         )
         self.check_002 = not module.startswith("repro/obs/")
-        self.check_003 = (
-            module.startswith(
-                (
-                    "repro/ksp/",
-                    "repro/sssp/",
-                    "repro/load/",
-                    "repro/serve/",
-                    "repro/dyn/",
-                )
-            )
-            or module == "repro/parallel/mp_backend.py"
+        self.check_003 = module.startswith(
+            ("repro/ksp/", "repro/sssp/", "repro/load/", "repro/serve/", "repro/dyn/")
         ) and not module.endswith("workspace.py")
         self.check_005 = module.startswith("repro/ksp/") or module == "repro/core/peek.py"
 

@@ -42,7 +42,6 @@ __all__ = [
     "RaceDetector",
     "DeltaSteppingFootprints",
     "DistDeltaFootprints",
-    "MPBackendFootprints",
     "check_workload",
 ]
 
@@ -263,139 +262,6 @@ class DeltaSteppingFootprints:
             for label, fps in self.phases
         ]
         return Workload(phases=phases, label="delta-stepping-footprints")
-
-    def check(self) -> list[Finding]:
-        """Run the race detector over everything recorded so far."""
-        return check_workload(self.as_workload())
-
-
-class MPBackendFootprints:
-    """Record the mp backend's real gather → relax → commit decomposition.
-
-    Pass an instance as ``delta_stepping(..., backend="mp",
-    footprint_recorder=...)``: the executor calls :meth:`record_mp_step`
-    with the actual per-worker frontier chunks and gathered targets of
-    every bucket step.  Tasks ``0..W-1`` are the workers; task ``W`` is the
-    committing master.  The shipped decomposition declares
-
-    * a *scatter* phase where the master alone writes the shared frontier
-      regions (``self._frontier[:f] = frontier`` in the executor) before
-      signalling the workers,
-    * a *relax* phase where each worker reads its frontier region and the
-      shared distances of its chunk's sources and writes only its private
-      output region (``out[w]``), and
-    * a *commit* phase (after the queue-synchronisation barrier) where the
-      master alone reads every output region plus the batch targets and
-      writes the improved ``dist``/``parent`` slots,
-
-    which must report **zero** conflicts.  ``racy_commit=True`` instead
-    declares the naive port — each worker commits its own chunk's targets
-    directly, with no barrier and no owner partitioning — which races
-    whenever two chunks relax into the same vertex, and which the detector
-    must flag (the synthetic-bug regression test).
-    """
-
-    def __init__(self, *, racy_commit: bool = False) -> None:
-        self.racy_commit = racy_commit
-        self.phases: list[tuple[str, tuple[Footprint, ...]]] = []
-
-    def record_mp_step(self, label, chunk_sources, chunk_targets, improved):
-        """Record one step: per-worker source/target chunks + improvements."""
-        nw = len(chunk_sources)
-        reads: list[set] = [set() for _ in range(nw + 1)]
-        writes: list[set] = [set() for _ in range(nw + 1)]
-        # bounded by one bucket step's recorded chunks; the mp driver
-        # checkpoints once per bucket phase
-        for w in range(nw):  # contracts: disable=CTR201 (bounded)
-            for u in chunk_sources[w].tolist():
-                reads[w].add(("dist", int(u)))
-            if self.racy_commit:
-                # forgotten reduction: each worker writes its own targets
-                for v in chunk_targets[w].tolist():
-                    writes[w].add(("dist", int(v)))
-                    writes[w].add(("parent", int(v)))
-            else:
-                writes[w].add(("out", w))
-        if self.racy_commit:
-            self.phases.append(
-                (
-                    label,
-                    tuple(
-                        Footprint(
-                            reads=tuple(sorted(reads[t])),
-                            writes=tuple(sorted(writes[t])),
-                        )
-                        for t in range(nw)
-                    ),
-                )
-            )
-            return
-        master = nw
-        # scatter: the master alone populates the shared frontier regions
-        # the workers are about to read; sequenced before the worker
-        # signal, so it gets its own single-writer phase
-        for w in range(nw):
-            writes[master].add(("frontier", w))
-            reads[w].add(("frontier", w))
-        self.phases.append(
-            (
-                f"{label}-scatter",
-                tuple(
-                    Footprint(
-                        reads=(),
-                        writes=tuple(sorted(writes[master]))
-                        if t == master
-                        else (),
-                    )
-                    for t in range(nw + 1)
-                ),
-            )
-        )
-        writes[master].clear()
-        for w in range(nw):  # contracts: disable=CTR201 (bounded)
-            reads[master].add(("out", w))
-            for v in chunk_targets[w].tolist():
-                reads[master].add(("dist", int(v)))
-        for v in improved.tolist():
-            writes[master].add(("dist", int(v)))
-            writes[master].add(("parent", int(v)))
-        self.phases.append(
-            (
-                f"{label}-relax",
-                tuple(
-                    Footprint(
-                        reads=tuple(sorted(reads[t])) if t < nw else (),
-                        writes=tuple(sorted(writes[t])) if t < nw else (),
-                    )
-                    for t in range(nw + 1)
-                ),
-            )
-        )
-        self.phases.append(
-            (
-                f"{label}-commit",
-                tuple(
-                    Footprint(
-                        reads=tuple(sorted(reads[master])) if t == master else (),
-                        writes=tuple(sorted(writes[master])) if t == master else (),
-                    )
-                    for t in range(nw + 1)
-                ),
-            )
-        )
-
-    def as_workload(self) -> Workload:
-        """The recorded steps as a footprint-carrying DATA-phase workload."""
-        phases = [
-            Phase(
-                JobKind.DATA,
-                work=sum(len(fp.reads) + len(fp.writes) for fp in fps),
-                label=label,
-                footprints=fps,
-            )
-            for label, fps in self.phases
-        ]
-        return Workload(phases=phases, label="mp-backend-footprints")
 
     def check(self) -> list[Finding]:
         """Run the race detector over everything recorded so far."""

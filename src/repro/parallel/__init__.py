@@ -4,22 +4,16 @@ The paper classifies every PeeK job as data parallel, embarrassingly
 parallel, or task parallel (Figure 7) and reports scalability on a 32-thread
 shared-memory machine (Figure 9) and a 1,024-core cluster (Figure 10).
 
-This reproduction cannot spin 32 real threads to any effect (pure Python on
-a single host core), so the parallel claims are reproduced by an
-**instrumented cost-model simulator**: the real algorithms run once and log
-their actual work decomposition — Δ-stepping bucket phases, compaction
-chunks, the per-deviation SSSP task lists of the KSP stage — and a
-scheduler replays that structure for any thread count, charging
-synchronisation and load-imbalance costs.  Simulated times are anchored to
+This reproduction cannot spin 32 real threads to any effect (pure Python
+frontier loops cannot share cores the way compiled OpenMP loops do), so
+the parallel claims are reproduced by an **instrumented cost-model
+simulator**: the real algorithms run once and log their actual work
+decomposition — Δ-stepping bucket phases, compaction chunks, the
+per-deviation SSSP task lists of the KSP stage — and a scheduler replays
+that structure for any thread count, charging synchronisation and
+load-imbalance costs.  Simulated times are anchored to
 real measured serial seconds via :func:`repro.parallel.metrics.calibrate`.
 See DESIGN.md §1 for the substitution rationale.
-
-Beside the simulator there is now one *real* execution backend:
-:mod:`repro.parallel.mp_backend` runs Δ-stepping's frontier relaxation
-across worker processes over ``multiprocessing.shared_memory`` arrays
-(``delta_stepping(..., backend="mp")``), bitwise-identical to the serial
-kernel for any worker count.  It needs real cores to show speedup; the
-simulator remains the instrument for the paper's 32-thread curves.
 """
 
 from repro.parallel.workload import (
@@ -35,7 +29,6 @@ from repro.parallel.workload import (
 )
 from repro.parallel.scheduler import MachineModel, SimReport, simulate
 from repro.parallel.metrics import calibrate, gteps, speedup_curve
-from repro.parallel.mp_backend import SharedMemoryDeltaExecutor
 
 __all__ = [
     "JobKind",
@@ -49,7 +42,6 @@ __all__ = [
     "baseline_ksp_workload",
     "MachineModel",
     "SimReport",
-    "SharedMemoryDeltaExecutor",
     "simulate",
     "calibrate",
     "gteps",

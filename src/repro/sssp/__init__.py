@@ -8,11 +8,10 @@ Four kernels with one result contract (:class:`SSSPResult`):
   on an :class:`SSSPWorkspace` — the caller's, or a throwaway one.
 * :mod:`repro.sssp.delta_stepping` — Meyer–Sanders Δ-stepping, the
   "parallel SSSP" of the paper; a frontier-centric bucket driver with
-  three bitwise-equivalent relax engines selected by ``backend=``
-  (``"vectorized"`` numpy frontier kernel, ``"scalar"`` reference loop,
-  ``"mp"`` shared-memory multiprocessing via
-  :class:`repro.parallel.mp_backend.SharedMemoryDeltaExecutor`).  Emits a
-  per-phase work log for the parallel simulator.
+  two bitwise-equivalent relax engines selected by ``backend=``
+  (``"vectorized"`` numpy frontier kernel, the default, and ``"scalar"``,
+  the per-edge reference loop).  Emits a per-phase work log for the
+  parallel simulator.
 * :mod:`repro.sssp.bellman_ford` — reference implementation for tests.
 * :mod:`repro.sssp.lazy_dijkstra` — pausable/resumable Dijkstra used by the
   SB* algorithm's SSSP-reuse optimisation.

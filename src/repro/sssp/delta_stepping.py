@@ -19,14 +19,11 @@ engines*, GBBS-style (frontier arrays in, improved-vertex arrays out):
   relaxation requests that do not improve their target, and reduces
   duplicate targets with one packed-key sort + ``np.minimum.reduceat``;
 * a ``"scalar"`` engine relaxes the same batches one edge at a time in
-  plain Python — the auditable reference the fast engines are verified
-  bitwise against;
-* an ``"mp"`` engine (:mod:`repro.parallel.mp_backend`) partitions each
-  frontier across real worker processes over
-  ``multiprocessing.shared_memory`` arrays.
+  plain Python — the auditable reference the vectorized engine is
+  verified bitwise against.
 
-Because the driver is shared and every engine resolves duplicate targets
-with the same first-minimum-per-target rule, the three backends produce
+Because the driver is shared and both engines resolve duplicate targets
+with the same first-minimum-per-target rule, the two backends produce
 **bitwise-identical** ``dist`` *and* ``parent`` arrays (tested property).
 Per-step edge counts are logged in ``stats.phase_work`` and consumed by the
 :mod:`repro.parallel` simulator to derive the thread-scaling curves of
@@ -49,7 +46,7 @@ from repro.sssp.result import SSSPResult, SSSPStats
 __all__ = ["delta_stepping", "choose_delta", "BACKENDS"]
 
 #: the Δ-stepping execution backends, in "reference first" order
-BACKENDS = ("scalar", "vectorized", "mp")
+BACKENDS = ("scalar", "vectorized")
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
 
@@ -260,7 +257,7 @@ class _ScalarEngine:
     enumeration order, same masks), gathers candidate distances against the
     phase-start snapshot, and commits with the same first-minimum-per-target
     rule as :func:`_relax_batch` — so its results are bitwise-identical to
-    the fast backends, one honest edge at a time.
+    the vectorized engine, one honest edge at a time.
     """
 
     def __init__(self, graph, delta, vertex_mask, dist, parent) -> None:
@@ -492,15 +489,14 @@ def delta_stepping(
     footprint_recorder=None,
     deadline: float | None = None,
     backend: str = "vectorized",
-    num_workers: int = 2,
-    executor=None,
 ) -> SSSPResult:
     """Δ-stepping SSSP from ``source``.
 
     Parameters
     ----------
     delta:
-        Bucket width; defaults to :func:`choose_delta`.
+        Bucket width; defaults to :func:`choose_delta`.  Must be
+        strictly positive (NaN is rejected too).
     vertex_mask:
         Optional ``bool[n]`` of *usable* vertices; masked-out vertices are
         treated as deleted (this is how the status-array compaction strategy
@@ -513,28 +509,19 @@ def delta_stepping(
         relaxation targets read, improved vertices written — is recorded
         as the gather → barrier → commit phase decomposition, which the
         race detector then audits.  Diagnostics only; adds Python-loop
-        overhead per recorded step and changes no result.  The mp backend
-        additionally understands recorders with a ``record_mp_step`` method
-        (:class:`repro.analysis.race.MPBackendFootprints`) and hands those
-        the per-worker chunk decomposition instead.
+        overhead per recorded step and changes no result.
     deadline:
-        Absolute ``time.perf_counter()`` value after which the kernel
-        cooperatively raises :class:`~repro.errors.KSPTimeout`.  Checked
-        once per bucket phase (light inner step and heavy step), so the
-        overshoot is bounded by one relaxation batch.
+        Absolute time, on the clock :mod:`repro.cancel` has installed
+        (wall time by default, virtual time under a ``SimClock``), after
+        which the kernel cooperatively raises
+        :class:`~repro.errors.KSPTimeout`.  Checked once per bucket phase
+        (light inner step and heavy step), so the overshoot is bounded by
+        one relaxation batch.
     backend:
         ``"vectorized"`` (default) — batched NumPy edge-map relaxation;
-        ``"scalar"`` — the per-edge reference loop; ``"mp"`` — real-core
-        shared-memory multiprocessing
-        (:class:`repro.parallel.mp_backend.SharedMemoryDeltaExecutor`).
-        All three produce bitwise-identical ``dist`` and ``parent``.
-    num_workers:
-        mp backend only: worker-process count (≥ 1).
-    executor:
-        mp backend only: a pre-built ``SharedMemoryDeltaExecutor`` to reuse
-        across runs (amortises process spawn + graph upload).  Must be
-        built on ``graph`` with a matching Δ.  When omitted, a throwaway
-        executor is created and torn down inside the call.
+        ``"scalar"`` — the per-edge reference loop the vectorized engine
+        is verified against.  Both produce bitwise-identical ``dist`` and
+        ``parent``.
 
     Notes
     -----
@@ -557,62 +544,30 @@ def delta_stepping(
             f"unknown backend {backend!r}; choose from {BACKENDS}"
         )
     if delta is None:
-        delta = choose_delta(graph) if executor is None else executor.delta
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+        delta = choose_delta(graph)
+    if not delta > 0:  # also catches NaN, which every comparison fails
+        raise ValueError(f"delta must be positive, got {delta!r}")
 
     stats = SSSPStats()
     tracer = get_tracer()
 
     with tracer.span("sssp.delta", backend=backend):
-        if backend == "mp":
-            from repro.parallel.mp_backend import SharedMemoryDeltaExecutor
-
-            own_executor = executor is None
-            if own_executor:
-                executor = SharedMemoryDeltaExecutor(
-                    graph, num_workers=num_workers, delta=delta
-                )
-            else:
-                executor.check_compatible(graph, delta)
-            needs = np.zeros(n, dtype=bool)
-            in_r = np.zeros(n, dtype=bool)
-            try:
-                executor.begin_run(vertex_mask)
-                _run_buckets(
-                    executor,
-                    source,
-                    delta,
-                    stats,
-                    deadline,
-                    footprint_recorder,
-                    needs,
-                    in_r,
-                )
-                dist = executor.dist.copy()
-                parent = executor.parent.copy()
-            finally:
-                if own_executor:
-                    executor.close()
-        else:
-            dist = np.full(n, INF, dtype=np.float64)
-            parent = np.full(n, -1, dtype=np.int64)
-            needs = np.zeros(n, dtype=bool)
-            in_r = np.zeros(n, dtype=bool)
-            engine_cls = (
-                _ScalarEngine if backend == "scalar" else _VectorizedEngine
-            )
-            engine = engine_cls(graph, delta, vertex_mask, dist, parent)
-            _run_buckets(
-                engine,
-                source,
-                delta,
-                stats,
-                deadline,
-                footprint_recorder,
-                needs,
-                in_r,
-            )
+        dist = np.full(n, INF, dtype=np.float64)
+        parent = np.full(n, -1, dtype=np.int64)
+        needs = np.zeros(n, dtype=bool)
+        in_r = np.zeros(n, dtype=bool)
+        engine_cls = _ScalarEngine if backend == "scalar" else _VectorizedEngine
+        engine = engine_cls(graph, delta, vertex_mask, dist, parent)
+        _run_buckets(
+            engine,
+            source,
+            delta,
+            stats,
+            deadline,
+            footprint_recorder,
+            needs,
+            in_r,
+        )
 
     if tracer.enabled:
         tracer.add("sssp.calls")

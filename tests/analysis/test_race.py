@@ -14,7 +14,7 @@ from repro.errors import CommError
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import erdos_renyi, grid_network
 from repro.parallel.workload import JobKind, Phase, TaskPhase, Workload
-from repro.sssp.delta_stepping import delta_stepping
+from repro.sssp.delta_stepping import BACKENDS, delta_stepping
 from repro.sssp.dijkstra import dijkstra
 
 
@@ -101,15 +101,45 @@ def test_check_workload_phases_are_barrier_separated():
 # ----------------------------------------------------------------------
 # Δ-stepping decomposition
 # ----------------------------------------------------------------------
+@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("num_tasks", [2, 4])
-def test_shipped_delta_stepping_decomposition_is_race_free(num_tasks):
+def test_shipped_delta_stepping_decomposition_is_race_free(num_tasks, backend):
     """Acceptance criterion: zero conflicts on the real phase structure."""
     for g in (grid_network(8, 8, seed=3), erdos_renyi(60, 0.1, seed=7)):
         source = int(np.argmax(g.out_degrees()))  # a vertex with out-edges
         rec = DeltaSteppingFootprints(num_tasks=num_tasks)
-        delta_stepping(g, source, footprint_recorder=rec)
+        delta_stepping(g, source, footprint_recorder=rec, backend=backend)
         assert rec.phases, "recorder saw no bucket steps"
         assert rec.check() == []
+
+
+@pytest.mark.parametrize("masked", [False, True])
+@pytest.mark.parametrize(
+    "graph",
+    [
+        grid_network(8, 8, seed=3),
+        erdos_renyi(60, 0.1, seed=7),
+        erdos_renyi(120, 0.05, seed=2),
+    ],
+    ids=["grid", "er60", "er120"],
+)
+def test_engines_record_identical_footprints(graph, masked):
+    """The scalar engine's recorder path sees the vectorized engine's
+    exact batches, so both record the same phases."""
+    source = int(np.argmax(graph.out_degrees()))
+    mask = None
+    if masked:
+        mask = np.random.default_rng(5).random(graph.num_vertices) > 0.25
+        mask[source] = True
+    phases = {}
+    for backend in BACKENDS:
+        rec = DeltaSteppingFootprints(num_tasks=3)
+        delta_stepping(
+            graph, source, vertex_mask=mask, footprint_recorder=rec, backend=backend
+        )
+        phases[backend] = rec.phases
+    assert phases["scalar"], "recorder saw no bucket steps"
+    assert phases["scalar"] == phases["vectorized"]
 
 
 def test_barrier_elision_bug_is_flagged():

@@ -22,7 +22,6 @@ from repro.cancel import cancellation_active, checkpoint, fault_scope
 from repro.core.compaction import compact_status_array
 from repro.graph.build import from_edge_array
 from repro.graph.generators import erdos_renyi, grid_network
-from repro.parallel.mp_backend import SharedMemoryDeltaExecutor
 from repro.sssp.delta_stepping import _EMPTY_I64, delta_stepping
 
 # the module, not the same-named function the package re-exports
@@ -214,15 +213,3 @@ class TestDriverMatchesReference:
         mask = np.random.default_rng(2).random(g.num_vertices) > 0.2
         mask[0] = True
         assert_driver_equivalent(g, 0, vertex_mask=mask)
-
-
-def test_mp_backend_two_workers():
-    g = erdos_renyi(250, 5.0, seed=4)
-    with SharedMemoryDeltaExecutor(g, num_workers=2) as ex:
-        for s in (0, 99):
-            res = delta_stepping(g, s, delta=ex.delta, backend="mp", executor=ex)
-            with driver(reference_run_buckets):
-                ref = delta_stepping(
-                    g, s, delta=ex.delta, backend="mp", executor=ex
-                )
-            assert_same_run(res, ref)
