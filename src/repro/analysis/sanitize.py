@@ -388,7 +388,7 @@ def check_dyn_reuse(
     target: int,
     k: int,
     *,
-    kernel: str = "delta",
+    kernel: str = "dijkstra",
     strong_edge_prune: bool = False,
 ) -> None:
     """Live-graph reuse audit: a reused prune must equal a cold re-prune.

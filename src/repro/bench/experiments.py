@@ -308,7 +308,8 @@ def fig08_ablation(
                     # variant (Python bookkeeping included), then the
                     # simulator redistributes its measured decomposition
                     t0 = now()
-                    res = PeeK(g, s, t, **flags).run(k)
+                    # Δ-stepping: the simulator replays its phase logs
+                    res = PeeK(g, s, t, kernel="delta", **flags).run(k)
                     measured = now() - t0
                     wl = peek_workload(res)
                     cal = calibrate(wl, measured)
@@ -357,7 +358,8 @@ def fig09_shared_scaling(
         per_pair = []
         for s, t in runner.pairs(name):
             validate_query(g, Query(source=s, target=t, k=k))
-            res = PeeK(g, s, t).run(k)
+            # Δ-stepping: the simulator replays its phase logs
+            res = PeeK(g, s, t, kernel="delta").run(k)
             per_pair.append(speedup_curve(peek_workload(res), list(threads)))
         avg = {p: float(np.mean([c[p] for c in per_pair])) for p in threads}
         curves.append(avg)
@@ -706,8 +708,10 @@ def table2_parallel(
             for method in methods:
                 secs = []
                 failed = False
+                # PeeK on Δ-stepping: the simulator replays its phase logs
+                opts = {"kernel": "delta"} if method == "PeeK" else {}
                 for s, t in runner.pairs(name):
-                    rec = runner.time_run(method, name, s, t, k)
+                    rec = runner.time_run(method, name, s, t, k, **opts)
                     if not rec.ok:
                         failed = True
                         break

@@ -10,6 +10,13 @@ loops), so cancellation is *cooperative*: each stage calls
 * Δ-stepping: once per bucket phase;
 * Dijkstra: once per settle batch (every :data:`SETTLE_CHECK_INTERVAL`
   settled vertices) plus once at kernel entry;
+* compiled Dijkstra (:func:`~repro.sssp.dijkstra.dijkstra_tree`, the
+  pruning stage's default): the same visits as the loop — once at entry,
+  then ``settled // SETTLE_CHECK_INTERVAL`` times right after the SciPy
+  call returns, so virtual clocks and fault hooks see an identical
+  stream.  SciPy cannot be interrupted, so its wall-clock overshoot is
+  one whole SSSP (~15-20 ms on a medium suite graph) rather than one
+  settle batch;
 * Algorithm 2's spSum scan: once per :data:`SCAN_CHECK_INTERVAL` inspected
   vertices;
 * compaction: before the (single vectorised) build;
@@ -18,8 +25,8 @@ loops), so cancellation is *cooperative*: each stage calls
 A checkpoint raises :class:`~repro.errors.KSPTimeout` when the deadline —
 an absolute ``time.perf_counter()`` value, matching the historical
 ``KSPAlgorithm`` convention — has passed.  The worst-case overshoot is
-therefore one checkpoint interval of work, which is what the deadline
-tests bound.
+therefore one checkpoint interval of work (one compiled SSSP for the
+compiled Dijkstra), which is what the deadline tests bound.
 
 Fault injection
 ---------------

@@ -239,7 +239,9 @@ class BatchPeeK:
     graph:
         The (static) graph every query runs against.
     kernel:
-        SSSP kernel for the pruning stage, as in PeeK.
+        SSSP kernel for the pruning stage, as in
+        :class:`~repro.core.peek.PeeK`: ``"dijkstra"`` (the default,
+        SciPy's compiled Dijkstra) or ``"delta"`` (Δ-stepping).
     cache_size:
         Maximum number of SSSP results retained across forward *and*
         reverse caches combined (each result is O(n) memory, so this is
@@ -267,7 +269,7 @@ class BatchPeeK:
         self,
         graph,
         *,
-        kernel: str = "delta",
+        kernel: str = "dijkstra",
         cache_size: int = 64,
         alpha: float = 0.1,
         strong_edge_prune: bool = False,

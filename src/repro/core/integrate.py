@@ -44,7 +44,7 @@ class PrunedKSP(PeeK):
         *,
         inner: str = "SB*",
         alpha: float = 0.1,
-        kernel: str = "delta",
+        kernel: str = "dijkstra",
         strong_edge_prune: bool = False,
         deadline: float | None = None,
     ) -> None:

@@ -50,7 +50,10 @@ class PeeK(KSPAlgorithm):
         Ablation switches (Figure 8).  ``compact=False`` with pruning on
         uses the paper's status-array fallback.
     kernel:
-        SSSP kernel for the pruning stage: ``"delta"`` or ``"dijkstra"``.
+        SSSP kernel for the pruning stage: ``"dijkstra"`` (the default,
+        SciPy's compiled Dijkstra) or ``"delta"`` (Δ-stepping, whose
+        per-phase log the parallel simulator replays); both give the same
+        distances, see :func:`~repro.core.pruning.prune_sssp`.
     strong_edge_prune:
         Enable the edge-level Lemma-4.2 extension (see
         :func:`~repro.core.pruning.k_upper_bound_prune`).
@@ -77,7 +80,7 @@ class PeeK(KSPAlgorithm):
         alpha: float = 0.1,
         prune: bool = True,
         compact: bool = True,
-        kernel: str = "delta",
+        kernel: str = "dijkstra",
         strong_edge_prune: bool = False,
         compaction_force: str | None = None,
         deadline: float | None = None,

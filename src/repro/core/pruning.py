@@ -2,8 +2,10 @@
 
 Given (G, s, t, K):
 
-1. run a forward SSSP from ``s`` and a reverse SSSP from ``t``
-   (Δ-stepping, as the paper's parallel design prescribes);
+1. run a forward SSSP from ``s`` and a reverse SSSP from ``t`` (the
+   paper prescribes Δ-stepping for its parallelism; Theorem 4.3 holds for
+   any exact shortest-path trees, and the default here is SciPy's compiled
+   Dijkstra, see :func:`prune_sssp`);
 2. ``spSum[v] = spSrc[v] + spTgt[v]`` — the shortest s→t distance through
    ``v`` (Lemma 4.1: a lower bound when the combined path is not simple);
 3. scan vertices in increasing ``spSum``, counting *valid, unique* combined
@@ -26,7 +28,7 @@ from repro.core.validation import combined_path, validate_combined_path
 from repro.errors import KSPError, UnreachableTargetError, VertexError
 from repro.paths import INF
 from repro.sssp.delta_stepping import delta_stepping
-from repro.sssp.dijkstra import dijkstra
+from repro.sssp.dijkstra import dijkstra_tree
 
 __all__ = [
     "PruneStats",
@@ -43,7 +45,8 @@ class PruneStats:
     """Work accounting for one pruning run, per parallel job class (Fig 7).
 
     ``sssp_phase_work`` concatenates the two Δ-stepping phase logs (data
-    parallel); ``sort_work``/``sum_work`` are the O(n log n)/O(n) bulk
+    parallel; empty on the ``"dijkstra"`` kernel, which has no phases to
+    log); ``sort_work``/``sum_work`` are the O(n log n)/O(n) bulk
     passes (data parallel); ``validation_work`` is the combined length of
     all inspected paths (embarrassingly parallel, per the paper's hash-table
     design); ``inspected_invalid`` is the paper's λ.
@@ -128,19 +131,23 @@ def prune_sssp(
     graph,
     root: int,
     *,
-    kernel: str = "delta",
+    kernel: str = "dijkstra",
     deadline: float | None = None,
 ):
     """One of Algorithm 2's two SSSPs, on the named kernel.
 
     The single kernel dispatch behind :func:`k_upper_bound_prune` and
     :class:`~repro.core.batch.BatchPeeK`'s SSSP cache.  ``kernel`` is
-    ``"delta"`` (vectorized Δ-stepping) or ``"dijkstra"``.
+    ``"dijkstra"`` (SciPy's compiled Dijkstra via
+    :func:`~repro.sssp.dijkstra.dijkstra_tree`, pinned bitwise to the
+    Python loop of :func:`~repro.sssp.dijkstra.dijkstra`; the default) or
+    ``"delta"`` (vectorized Δ-stepping, the paper's parallel kernel, whose
+    per-phase work log the parallel simulator replays).
     """
     if kernel == "delta":
         return delta_stepping(graph, root, deadline=deadline)
     if kernel == "dijkstra":
-        return dijkstra(graph, root, deadline=deadline)
+        return dijkstra_tree(graph, root, deadline=deadline)
     raise ValueError(f"unknown SSSP kernel {kernel!r}")
 
 
@@ -180,9 +187,10 @@ def bound_and_masks(
         :class:`PruneStats` (e.g. one already carrying SSSP counters);
         a fresh one is created when omitted.
     deadline:
-        Absolute ``time.perf_counter()`` value; the scan checks it every
-        :data:`repro.cancel.SCAN_CHECK_INTERVAL` inspected vertices and
-        raises :class:`~repro.errors.KSPTimeout`.
+        Absolute time, on the clock :mod:`repro.cancel` has installed
+        (wall time by default, virtual time under a ``SimClock``).  The
+        scan checks it every :data:`repro.cancel.SCAN_CHECK_INTERVAL`
+        inspected vertices and raises :class:`~repro.errors.KSPTimeout`.
 
     Raises
     ------
@@ -314,7 +322,7 @@ def k_upper_bound_prune(
     target: int,
     k: int,
     *,
-    kernel: str = "delta",
+    kernel: str = "dijkstra",
     strong_edge_prune: bool = False,
     deadline: float | None = None,
 ) -> PruneResult:
@@ -323,17 +331,20 @@ def k_upper_bound_prune(
     Parameters
     ----------
     kernel:
-        ``"delta"`` (paper's choice; emits the parallel phase log) or
-        ``"dijkstra"`` (faster serially on small remaining graphs).
+        ``"dijkstra"`` (the default: SciPy's compiled Dijkstra, the faster
+        serial kernel) or ``"delta"`` (the paper's parallel choice; emits
+        the per-phase work log the parallel simulator replays).  Both give
+        the same distances; see :func:`prune_sssp`.
     strong_edge_prune:
         Library extension beyond the paper's weight rule: additionally drop
         every edge ``(u, v)`` with ``spSrc[u] + w + spTgt[v] > b`` — the
         edge-level analogue of Lemma 4.2, sound by the same argument.  Off
         by default to match the paper; the ablation benchmark measures it.
     deadline:
-        Absolute ``time.perf_counter()`` value threaded into the SSSP
-        kernels and the spSum scan; exceeding it raises
-        :class:`~repro.errors.KSPTimeout` at the next checkpoint.
+        Absolute time, on the clock :mod:`repro.cancel` has installed
+        (wall time by default, virtual time under a ``SimClock``),
+        threaded into the SSSP kernels and the spSum scan; exceeding it
+        raises :class:`~repro.errors.KSPTimeout` at the next checkpoint.
 
     Raises
     ------

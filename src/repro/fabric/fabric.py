@@ -129,6 +129,8 @@ class FabricConfig:
     #: per-replica wait-queue depth
     queue_depth: int = 4
     tier1_budget_fraction: float | None = None
+    #: stays Δ-stepping: the CostModel's per-visit constants were set
+    #: against its per-phase checkpoint cadence
     kernel: str = "delta"
     cache_size: int = 64
     sanitize: bool | None = None

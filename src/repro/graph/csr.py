@@ -48,7 +48,16 @@ class CSRGraph:
         construct guaranteed-valid CSRs (e.g. regeneration compaction).
     """
 
-    __slots__ = ("indptr", "indices", "weights", "_reverse", "_edge_index", "_split")
+    __slots__ = (
+        "indptr",
+        "indices",
+        "weights",
+        "_reverse",
+        "_edge_index",
+        "_split",
+        "_sources",
+        "_matrix",
+    )
 
     def __init__(
         self,
@@ -64,6 +73,8 @@ class CSRGraph:
         self._reverse: "CSRGraph | None" = None
         self._edge_index: dict[tuple[int, int], float] | None = None
         self._split: tuple | None = None
+        self._sources: np.ndarray | None = None
+        self._matrix = None
         if check:
             self._validate()
 
@@ -197,10 +208,36 @@ class CSRGraph:
                 yield u, int(self.indices[e]), float(self.weights[e])
 
     def edge_sources(self) -> np.ndarray:
-        """``int64[m]`` array of edge source vertices (expanded indptr)."""
-        return np.repeat(
-            np.arange(self.num_vertices, dtype=np.int64), np.diff(self.indptr)
-        )
+        """``int64[m]`` array of edge source vertices (expanded indptr).  Cached.
+
+        The array is shared by every caller and marked read-only, so a
+        caller that writes into it raises instead of corrupting the cache.
+        """
+        if self._sources is None:
+            src = np.repeat(
+                np.arange(self.num_vertices, dtype=np.int64), np.diff(self.indptr)
+            )
+            src.flags.writeable = False
+            self._sources = src
+        return self._sources
+
+    def sparse_matrix(self):
+        """The graph as a ``scipy.sparse.csr_matrix``.  Cached.
+
+        Built on first use, for :func:`repro.sssp.dijkstra.dijkstra_tree`.
+        The matrix shares ``weights`` (no copy) and holds its own int32 copy
+        of the index arrays when they fit.  Parallel edges stay separate
+        entries and unsorted rows stay unsorted: SciPy's shortest-path
+        routines take the lightest of parallel edges and need no order.
+        """
+        if self._matrix is None:
+            from scipy.sparse import csr_matrix
+
+            n = self.num_vertices
+            self._matrix = csr_matrix(
+                (self.weights, self.indices, self.indptr), shape=(n, n)
+            )
+        return self._matrix
 
     def light_heavy_split(
         self, delta: float

@@ -65,6 +65,8 @@ class ServerConfig:
     #: wait-queue depth (0 = shed on busy, live-server semantics)
     queue_depth: int = 0
     tier1_budget_fraction: float | None = None
+    #: stays Δ-stepping: the CostModel's per-visit constants were set
+    #: against its per-phase checkpoint cadence
     kernel: str = "delta"
     cache_size: int = 64
     jitter: float = 0.0

@@ -43,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--kernel",
-        default="delta",
+        default="dijkstra",
         choices=("delta", "dijkstra"),
         help="pruning-stage SSSP kernel",
     )

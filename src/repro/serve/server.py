@@ -199,7 +199,10 @@ class QueryServer:
         bit-for-bit unchanged) or a :class:`~repro.dyn.live.LiveGraph`,
         which enables :meth:`apply_mutations` and versioned serving.
     kernel, alpha, cache_size:
-        Forwarded to the underlying :class:`~repro.core.batch.BatchPeeK`.
+        Forwarded to the underlying :class:`~repro.core.batch.BatchPeeK`;
+        ``kernel`` is the pruning-stage SSSP, ``"dijkstra"`` (the default,
+        SciPy's compiled Dijkstra) or ``"delta"`` (Δ-stepping, the load
+        harness's kernel; see ``docs/load_testing.md``).
     default_timeout:
         Per-query budget in seconds when :meth:`serve` is called without
         one (``None`` = unbounded, matching library defaults).
@@ -234,7 +237,7 @@ class QueryServer:
         self,
         graph,
         *,
-        kernel: str = "delta",
+        kernel: str = "dijkstra",
         alpha: float = 0.1,
         cache_size: int = 64,
         default_timeout: float | None = None,

@@ -5,7 +5,9 @@ Four kernels with one result contract (:class:`SSSPResult`):
 * :mod:`repro.sssp.dijkstra` — binary-heap Dijkstra; the workhorse used
   inside every KSP algorithm (supports target early-stop and banned
   vertices/edges for Yen-style deviations).  One scalar loop, always run
-  on an :class:`SSSPWorkspace` — the caller's, or a throwaway one.
+  on an :class:`SSSPWorkspace` — the caller's, or a throwaway one — plus
+  :func:`dijkstra_tree`, its compiled full-tree twin (SciPy, pinned
+  bitwise to the loop), which PeeK's pruning stage runs by default.
 * :mod:`repro.sssp.delta_stepping` — Meyer–Sanders Δ-stepping, the
   "parallel SSSP" of the paper; a frontier-centric bucket driver with
   two bitwise-equivalent relax engines selected by ``backend=``
@@ -25,7 +27,7 @@ Plus the reuse layer the KSP hot path is built on:
 
 from repro.sssp.result import SSSPResult, SSSPStats
 from repro.sssp.workspace import SSSPWorkspace, WorkspaceResult
-from repro.sssp.dijkstra import dijkstra
+from repro.sssp.dijkstra import dijkstra, dijkstra_tree
 from repro.sssp.delta_stepping import delta_stepping
 from repro.sssp.bellman_ford import bellman_ford
 from repro.sssp.lazy_dijkstra import LazyDijkstra
@@ -36,6 +38,7 @@ __all__ = [
     "SSSPWorkspace",
     "WorkspaceResult",
     "dijkstra",
+    "dijkstra_tree",
     "delta_stepping",
     "bellman_ford",
     "LazyDijkstra",

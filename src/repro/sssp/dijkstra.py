@@ -21,6 +21,11 @@ a per-vertex lower bound on the distance to ``target``, the loop is A*
 (heap key ``dist + potential[v]``).  Without one it keys on a cached
 all-zero potential — ``nd + 0.0 == nd`` — so plain Dijkstra is the same
 loop, bitwise.
+
+A full tree with no bans, no target and no potential — the two SSSPs of
+PeeK's pruning stage — has a compiled twin, :func:`dijkstra_tree`: SciPy's
+Dijkstra plus a vectorised pass that reproduces this loop's parents, work
+counters and checkpoint visits exactly.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from repro.paths import INF
 from repro.sssp.result import SSSPResult, SSSPStats
 from repro.sssp.workspace import SSSPWorkspace, WorkspaceResult
 
-__all__ = ["dijkstra"]
+__all__ = ["dijkstra", "dijkstra_tree"]
 
 
 def dijkstra(
@@ -94,10 +99,11 @@ def dijkstra(
         potential of length other than ``n``, or one without ``target``,
         raises :class:`ValueError`.
     deadline:
-        Absolute ``time.perf_counter()`` value after which the kernel
-        cooperatively raises :class:`~repro.errors.KSPTimeout`, checked at
-        entry and once per settle batch
-        (:data:`repro.cancel.SETTLE_CHECK_INTERVAL` vertices).
+        Absolute time, on the clock :mod:`repro.cancel` has installed
+        (wall time by default, virtual time under a ``SimClock``), after
+        which the kernel cooperatively raises
+        :class:`~repro.errors.KSPTimeout`, checked at entry and once per
+        settle batch (:data:`repro.cancel.SETTLE_CHECK_INTERVAL` vertices).
 
     Returns
     -------
@@ -235,3 +241,88 @@ def dijkstra(
     if workspace is not None:
         return res
     return SSSPResult(source=source, dist=res.dist, parent=res.parent, stats=stats)
+
+
+def dijkstra_tree(
+    graph: CSRGraph, root: int, *, deadline: float | None = None
+) -> SSSPResult:
+    """The full shortest-path tree from ``root``, on SciPy's Dijkstra.
+
+    Returns what ``dijkstra(graph, root, deadline=deadline)`` returns,
+    bitwise: ``dist``, ``parent``, ``vertices_settled``, ``edges_relaxed``
+    and ``phases``, and the same checkpoint visits.  Only ``heap_pushes``
+    stays 0 (and the ``sssp.heap_pushes`` tracer counter is not emitted):
+    a compiled call does not expose its heap.
+
+    * **Parents.**  SciPy's predecessor is *some* tight in-neighbour.  The
+      loop settles in ``(dist, id)`` order and relaxes with a strict
+      ``<``, so its parent is the tight in-neighbour with the smallest
+      ``(dist[u], u)``.  When no vertex has two tight in-edges SciPy's
+      answer is that one; otherwise two scatter-min passes over the tight
+      edges pick it.
+    * **Counters.**  Every reached vertex is settled once.  The loop scans
+      edge ``(u, v)`` of a reached ``u`` toward an unsettled ``v`` exactly
+      when ``(dist[v], v) > (dist[u], u)``; those edges are
+      ``edges_relaxed``.
+    * **Checkpoints.**  ``"sssp.dijkstra"`` is visited once at entry and
+      then ``settled // SETTLE_CHECK_INTERVAL`` times after the compiled
+      call: the loop's sequence, so virtual clocks and fault hooks see the
+      same stream.  A deadline that passes mid-call is therefore noticed
+      after the call, one compiled SSSP late (see :mod:`repro.cancel`).
+
+    Raises :class:`~repro.errors.VertexError` for a root outside
+    ``[0, n)`` (SciPy itself would wrap a negative one).
+    """
+    n = graph.num_vertices
+    if not 0 <= root < n:
+        raise VertexError(f"source {root} out of range [0, {n})")
+    check_cancel = cancellation_active(deadline)
+    if check_cancel:
+        checkpoint(deadline, "sssp.dijkstra")
+    from scipy.sparse import csgraph  # deferred: keeps `import repro` light
+
+    dist, pred = csgraph.dijkstra(
+        graph.sparse_matrix(),
+        directed=True,
+        indices=int(root),
+        return_predecessors=True,
+    )
+    reached = np.isfinite(dist)
+    settled = int(np.count_nonzero(reached))
+    if check_cancel:
+        for _ in range(settled // SETTLE_CHECK_INTERVAL):
+            checkpoint(deadline, "sssp.dijkstra")
+
+    parent = pred.astype(np.int64)
+    parent[~reached] = -1
+    parent[root] = root
+    src, dst = graph.edge_sources(), graph.indices
+    # NaN for unreached vertices: every comparison against it is False
+    dn = np.where(reached, dist, np.nan)
+    du, dv = dn[src], dn[dst]
+    tight = np.flatnonzero(du + graph.weights == dv)
+    if tight.size != settled - 1:
+        # some vertex has two tight in-edges: per target, the smallest
+        # dist[u] among them, then the smallest u among those
+        u, v, d = src[tight], dst[tight], du[tight]
+        best_d = np.full(n, INF)
+        np.minimum.at(best_d, v, d)
+        on = np.flatnonzero(d == best_d[v])
+        best_u = np.full(n, n, dtype=np.int64)
+        np.minimum.at(best_u, v[on], u[on])
+        fix = np.flatnonzero(best_u < n)
+        parent[fix] = best_u[fix]
+    tied = np.flatnonzero(dv == du)
+    relaxed = int(np.count_nonzero(dv > du)) + int(
+        np.count_nonzero(dst[tied] > src[tied])
+    )
+
+    stats = SSSPStats(
+        edges_relaxed=relaxed, vertices_settled=settled, phases=settled
+    )
+    tracer = get_tracer()
+    if tracer.enabled:
+        tracer.add("sssp.calls")
+        tracer.add("sssp.edges_relaxed", relaxed)
+        tracer.add("sssp.vertices_settled", settled)
+    return SSSPResult(source=int(root), dist=dist, parent=parent, stats=stats)

@@ -8,6 +8,7 @@ from repro.core.integrate import PrunedKSP
 from repro.core.peek import PeeK, peek_ksp
 from repro.errors import UnreachableTargetError, VertexError
 from repro.graph.build import from_edge_list
+from repro.graph.suite import random_st_pairs, suite_graph
 from repro.sssp.dijkstra import dijkstra
 from tests.conftest import random_reachable_pair
 
@@ -160,6 +161,34 @@ class TestBitwiseEquivalence:
         assert [p.vertices for p in warm.paths] == [
             p.vertices for p in cold.paths
         ]
+
+
+class TestKernelEquivalence:
+    """The default prune kernel (compiled Dijkstra) against Δ-stepping on
+    the suite graphs, tied unit weights (LJU/WLU) included: the same bound,
+    masks and path list, from each front end of the bitwise guard above."""
+
+    @pytest.mark.parametrize("name", ["LJ", "WL", "LJU", "WLU"])
+    def test_default_matches_delta(self, name):
+        g = suite_graph(name, "tiny")
+        batch = BatchPeeK(g)
+        for s, t in random_st_pairs(g, 3, seed=13):
+            ref = PeeK(g, s, t, kernel="delta").run(8)
+            fronts = (
+                PeeK(g, s, t).run(8),
+                batch.query(s, t, 8),
+                PrunedKSP(g, s, t, inner="OptYen").run(8),
+            )
+            for got in fronts:
+                assert got.prune.bound == ref.prune.bound
+                assert np.array_equal(
+                    got.prune.keep_vertices, ref.prune.keep_vertices
+                )
+                assert np.array_equal(got.prune.keep_edges, ref.prune.keep_edges)
+                assert got.distances == ref.distances
+                assert [p.vertices for p in got.paths] == [
+                    p.vertices for p in ref.paths
+                ]
 
 
 class TestCaching:

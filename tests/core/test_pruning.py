@@ -7,6 +7,7 @@ from repro.core.pruning import k_upper_bound_prune
 from repro.errors import UnreachableTargetError, VertexError
 from repro.graph.build import from_edge_list
 from repro.graph.generators import erdos_renyi
+from repro.graph.suite import random_st_pairs, suite_graph
 from repro.ksp.yen import yen_ksp
 from repro.paths import INF
 from tests.conftest import random_reachable_pair
@@ -101,6 +102,22 @@ class TestKernels:
         b = k_upper_bound_prune(medium_er, s, t, 8, kernel="dijkstra")
         assert a.bound == pytest.approx(b.bound)
         assert np.array_equal(a.keep_vertices, b.keep_vertices)
+
+    @pytest.mark.parametrize("name", ["LJ", "WL", "LJU", "WLU"])
+    def test_default_kernel_matches_delta(self, name):
+        """The default (compiled Dijkstra) and Δ-stepping build the same
+        trees on the suite graphs, tied unit weights included, so the
+        bound and both masks agree exactly."""
+        g = suite_graph(name, "tiny")
+        for s, t in random_st_pairs(g, 3, seed=21):
+            for k in (1, 8):
+                a = k_upper_bound_prune(g, s, t, k, kernel="delta")
+                b = k_upper_bound_prune(g, s, t, k)
+                assert b.bound == a.bound
+                assert np.array_equal(b.keep_vertices, a.keep_vertices)
+                assert np.array_equal(b.keep_edges, a.keep_edges)
+                assert np.array_equal(b.parent_src, a.parent_src)
+                assert np.array_equal(b.parent_tgt, a.parent_tgt)
 
     def test_delta_kernel_logs_phases(self, medium_er):
         s, t = random_reachable_pair(medium_er, seed=1)

@@ -104,6 +104,27 @@ class TestAdjacency:
         g = simple_graph()
         assert list(g.edge_sources()) == [0, 0, 1, 2]
 
+    def test_edge_sources_cached_read_only(self):
+        g = erdos_renyi(50, 4.0, seed=3)
+        src = g.edge_sources()
+        expected = np.repeat(
+            np.arange(g.num_vertices, dtype=np.int64), np.diff(g.indptr)
+        )
+        assert src.dtype == np.int64
+        assert np.array_equal(src, expected)
+        assert g.edge_sources() is src
+        assert not src.flags.writeable
+        with pytest.raises(ValueError):
+            src[0] = 1
+
+    def test_sparse_matrix(self):
+        g = simple_graph()
+        m = g.sparse_matrix()
+        assert g.sparse_matrix() is m
+        assert m.shape == (4, 4)
+        assert m.toarray()[1, 3] == 3.0 and m.nnz == g.num_edges
+        assert np.shares_memory(m.data, g.weights)
+
     def test_adjacency_arrays_protocol(self):
         g = simple_graph()
         begins, ends, idx, w, mask = g.adjacency_arrays()
