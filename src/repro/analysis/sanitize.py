@@ -7,7 +7,10 @@ contract of returned paths, the prune bound's certificate over the result,
 and the epoch discipline of the shared SSSP workspaces.  This module turns
 each into an explicit check that raises :class:`~repro.errors.SanitizerError`
 carrying a structured :class:`~repro.analysis.findings.Finding` naming the
-offending vertex/edge/path.
+offending vertex/edge/path.  Two of the checks only front the library's own
+checker of the contract: ``SAN-CSR`` raises the first violation
+:func:`repro.graph.csr.csr_violation` finds and ``SAN-PATH`` the first one
+:func:`repro.verify.verify_ksp_result` reports.
 
 Enable per call with ``repro.solve(..., sanitize=True)`` or process-wide
 with ``RPR_SANITIZE=1``.  The checks only *read* — a sanitized run returns
@@ -30,7 +33,9 @@ import numpy as np
 
 from repro.analysis.findings import Finding
 from repro.errors import SanitizerError
+from repro.graph.csr import csr_violation
 from repro.paths import COST_REL_TOL, costs_close
+from repro.verify import verify_ksp_result
 
 __all__ = [
     "sanitize_enabled_from_env",
@@ -75,53 +80,13 @@ def _fail(rule: str, message: str, **context) -> None:
 # structural checks
 # ----------------------------------------------------------------------
 def check_csr(graph, *, name: str = "graph") -> None:
-    """CSR structural integrity: monotone indptr, in-range targets, weights."""
-    indptr = np.asarray(graph.indptr)
-    indices = np.asarray(graph.indices)
-    weights = np.asarray(graph.weights)
-    n = int(indptr.size - 1)
-    if indptr.size < 1 or int(indptr[0]) != 0:
-        _fail("SAN-CSR", f"{name}: indptr[0] is {int(indptr[0])}, expected 0")
-    deltas = np.diff(indptr)
-    bad = np.flatnonzero(deltas < 0)
-    if bad.size:
-        v = int(bad[0])
-        _fail(
-            "SAN-CSR",
-            f"{name}: indptr decreases at vertex {v} "
-            f"({int(indptr[v])} -> {int(indptr[v + 1])})",
-            vertex=v,
-        )
-    if int(indptr[-1]) != indices.size:
-        _fail(
-            "SAN-CSR",
-            f"{name}: indptr[-1]={int(indptr[-1])} but {indices.size} edges stored",
-        )
-    if indices.size:
-        out = np.flatnonzero((indices < 0) | (indices >= n))
-        if out.size:
-            e = int(out[0])
-            _fail(
-                "SAN-CSR",
-                f"{name}: edge {e} targets vertex {int(indices[e])}, "
-                f"outside [0, {n})",
-                edge=e,
-                target=int(indices[e]),
-            )
-        nan = np.flatnonzero(np.isnan(weights))
-        if nan.size:
-            e = int(nan[0])
-            _fail("SAN-CSR", f"{name}: edge {e} has NaN weight", edge=e)
-        nonpos = np.flatnonzero(~np.isfinite(weights) | (weights <= 0.0))
-        if nonpos.size:
-            e = int(nonpos[0])
-            _fail(
-                "SAN-CSR",
-                f"{name}: edge {e} has non-finite or non-positive weight "
-                f"{float(weights[e])}",
-                edge=e,
-                weight=float(weights[e]),
-            )
+    """CSR structural integrity — :func:`repro.graph.csr.csr_violation`'s
+    checks, raised with the offending vertex/edge as context."""
+    bad = csr_violation(
+        np.asarray(graph.indptr), np.asarray(graph.indices), np.asarray(graph.weights)
+    )
+    if bad is not None:
+        _fail("SAN-CSR", f"{name}: {bad.message}", **bad.context)
 
 
 def check_reverse_roundtrip(graph, *, name: str = "graph") -> None:
@@ -282,64 +247,13 @@ def check_graph(graph, *, name: str = "graph") -> None:
 def check_result_paths(
     graph, result, source: int, target: int, *, rel_tol: float = COST_REL_TOL
 ) -> None:
-    """Returned paths are simple, correctly summed, sorted, and distinct."""
-    prev = float("-inf")
-    seen: set[tuple[int, ...]] = set()
-    # the sanitizer walks an already-computed result: <= K paths, each
-    # a finite vertex list — no checkpoint needed after kernel exit
-    for i, path in enumerate(result.paths):  # contracts: disable=CTR201 (bounded)
-        verts = path.vertices
-        if verts[0] != source or verts[-1] != target:
-            _fail(
-                "SAN-PATH",
-                f"path #{i} runs {verts[0]}->{verts[-1]}, query was "
-                f"{source}->{target}",
-                path=i,
-            )
-        marked: set[int] = set()
-        for v in verts:  # contracts: disable=CTR201 (bounded)
-            if v in marked:
-                _fail(
-                    "SAN-PATH",
-                    f"path #{i} is not simple: vertex {v} repeats",
-                    path=i,
-                    vertex=int(v),
-                )
-            marked.add(v)
-        total = 0.0
-        for u, v in zip(verts[:-1], verts[1:]):  # contracts: disable=CTR201 (bounded)
-            w = graph.edge_weight(u, v)
-            if w is None:
-                _fail(
-                    "SAN-PATH",
-                    f"path #{i} uses edge {u}->{v}, absent from the graph",
-                    path=i,
-                    edge=(int(u), int(v)),
-                )
-            total += w
-        if not costs_close(total, path.distance, rel_tol=rel_tol):
-            _fail(
-                "SAN-PATH",
-                f"path #{i} claims distance {path.distance!r} but its edges "
-                f"sum to {total!r}",
-                path=i,
-            )
-        if path.distance < prev and not costs_close(path.distance, prev, rel_tol=rel_tol):
-            _fail(
-                "SAN-PATH",
-                f"path #{i} (distance {path.distance!r}) breaks the "
-                "non-decreasing order",
-                path=i,
-            )
-        if verts in seen:
-            _fail("SAN-PATH", f"path #{i} duplicates an earlier path", path=i)
-        seen.add(verts)
-        prev = max(prev, path.distance)
-    if len(result.paths) > result.k_requested:
-        _fail(
-            "SAN-PATH",
-            f"{len(result.paths)} paths returned for k={result.k_requested}",
-        )
+    """Returned paths are simple, correctly summed, sorted, distinct and at
+    most K — :func:`repro.verify.verify_ksp_result`'s local checks, raised
+    on the first violation with its path/vertex/edge context."""
+    report = verify_ksp_result(graph, source, target, result, rel_tol=rel_tol)
+    if report.violations:
+        first = report.violations[0]
+        _fail("SAN-PATH", first.message, **first.context)
 
 
 def check_prune_certificate(result, *, rel_tol: float = COST_REL_TOL) -> None:

@@ -31,6 +31,7 @@ from repro.graph.suite import SUITE_NAMES, random_st_pairs, suite_graph
 from repro.ksp import make_algorithm
 from repro.ksp.base import KSPTimeout
 from repro.obs.tracer import get_tracer
+from repro.paths import costs_close
 from repro.serve.query import Query, validate_query
 
 __all__ = ["RunRecord", "ExperimentRunner"]
@@ -173,8 +174,12 @@ class ExperimentRunner:
         for key, group in by_query.items():
             base = group[0].result.distances
             for other in group[1:]:
-                if not np.allclose(base, other.result.distances):
+                got = other.result.distances
+                if len(got) != len(base) or not all(
+                    costs_close(a, b) for a, b in zip(base, got)
+                ):
                     raise ReproError(
-                        f"distance mismatch between {group[0].method} and "
-                        f"{other.method} on {key}"
+                        f"distance mismatch between {group[0].method} "
+                        f"({len(base)} paths) and {other.method} "
+                        f"({len(got)} paths) on {key}"
                     )

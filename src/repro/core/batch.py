@@ -78,6 +78,10 @@ __all__ = [
     "record_prune",
 ]
 
+#: LRU bound on the pruning decisions a versioned :class:`BatchPeeK`
+#: memoises per ``(source, target, k)``.
+PREPARED_CACHE_SIZE = 32
+
 
 @dataclass
 class PeeKResult(KSPResult):
@@ -258,8 +262,6 @@ class BatchPeeK:
         and pruning decisions are memoised per ``(source, target, k)``
         and carried across versions when the reuse certificate allows.
         Off by default — static-graph behaviour is bit-for-bit unchanged.
-    prepared_cache_size:
-        LRU bound on memoised pruning decisions (versioned mode only).
     sanitize:
         Audit every certificate-carried reuse with SAN-DYN (a cold
         re-prune comparison).  ``RPR_SANITIZE=1`` enables it regardless.
@@ -274,13 +276,10 @@ class BatchPeeK:
         alpha: float = 0.1,
         strong_edge_prune: bool = False,
         versioned: bool = False,
-        prepared_cache_size: int = 32,
         sanitize: bool = False,
     ) -> None:
         if cache_size < 1:
             raise ValueError("cache_size must be >= 1")
-        if prepared_cache_size < 1:
-            raise ValueError("prepared_cache_size must be >= 1")
         self.graph = graph
         self.kernel = kernel
         self.alpha = alpha
@@ -294,7 +293,6 @@ class BatchPeeK:
         self.misses = 0
         #: current snapshot version (monotone; stays 0 for static graphs)
         self.version = 0
-        self._prepared_size = prepared_cache_size
         #: memoised (prune, compaction) decisions, keyed (source, target, k)
         self._prepared: OrderedDict[
             tuple[int, int, int], tuple[PruneResult, CompactionResult]
@@ -456,7 +454,7 @@ class BatchPeeK:
         )
         if self.versioned:
             self._prepared[key] = (prune, prep.compaction)
-            if len(self._prepared) > self._prepared_size:
+            if len(self._prepared) > PREPARED_CACHE_SIZE:
                 self._prepared.popitem(last=False)
         return prep
 

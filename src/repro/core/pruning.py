@@ -25,8 +25,9 @@ import numpy as np
 
 from repro.cancel import SCAN_CHECK_INTERVAL, cancellation_active, checkpoint
 from repro.core.validation import combined_path, validate_combined_path
-from repro.errors import KSPError, UnreachableTargetError, VertexError
+from repro.errors import UnreachableTargetError
 from repro.paths import INF
+from repro.serve.query import Query, validate_query
 from repro.sssp.delta_stepping import delta_stepping
 from repro.sssp.dijkstra import dijkstra_tree
 
@@ -354,15 +355,7 @@ def k_upper_bound_prune(
         When ``source == target`` — a KSP query needs distinct endpoints
         (the library-wide rule; see ``docs/serving.md``).
     """
-    n = graph.num_vertices
-    if not 0 <= source < n:
-        raise VertexError(f"source {source} out of range [0, {n})")
-    if not 0 <= target < n:
-        raise VertexError(f"target {target} out of range [0, {n})")
-    if source == target:
-        raise KSPError("source and target must differ for a KSP query")
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    validate_query(graph, Query(source, target, k))
 
     # ---- Step 1: the two SSSPs -------------------------------------------
     fwd = prune_sssp(graph, source, kernel=kernel, deadline=deadline)

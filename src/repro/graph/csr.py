@@ -19,13 +19,115 @@ Design notes (per the HPC-Python guides this repo follows):
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
 from repro.errors import GraphFormatError, InvalidWeightError, VertexError
 
-__all__ = ["CSRGraph"]
+__all__ = ["CSRGraph", "CSRViolation", "csr_violation"]
+
+
+@dataclass(frozen=True)
+class CSRViolation:
+    """The first broken CSR invariant: what it is and where.
+
+    ``error`` is the exception a constructor raises for it
+    (:class:`~repro.errors.GraphFormatError` for structure,
+    :class:`~repro.errors.InvalidWeightError` for weights); ``context``
+    names the offending ``vertex`` or ``edge`` (and its ``target`` or
+    ``weight``) when there is one.
+    """
+
+    error: type
+    message: str
+    context: dict
+
+
+def csr_violation(
+    indptr: np.ndarray, indices: np.ndarray, weights: np.ndarray
+) -> CSRViolation | None:
+    """Check the CSR invariants of three arrays; return the first violation.
+
+    In order: ``indptr`` is 1-D and non-empty with ``indptr[0] == 0``;
+    ``indices`` and ``weights`` are 1-D of one length; ``indptr`` never
+    decreases and ends at that length; every target is in ``[0, n)``;
+    every weight is a number, finite and strictly positive.  This is the
+    one checker behind both :class:`CSRGraph` construction and the
+    ``SAN-CSR`` sanitizer (:func:`repro.analysis.sanitize.check_csr`).
+    The all-valid case costs a few O(n + m) reductions; the offending
+    vertex or edge is only located once a reduction has failed.
+    """
+    if indptr.ndim != 1 or indptr.size < 1:
+        return CSRViolation(
+            GraphFormatError, "indptr must be a 1-D array of length n + 1", {}
+        )
+    if int(indptr[0]) != 0:
+        return CSRViolation(
+            GraphFormatError, f"indptr[0] is {int(indptr[0])}, must be 0", {}
+        )
+    if indices.ndim != 1 or weights.ndim != 1:
+        return CSRViolation(
+            GraphFormatError, "indices and weights must be 1-D arrays", {}
+        )
+    m = int(indices.size)
+    if weights.size != m:
+        return CSRViolation(
+            GraphFormatError,
+            f"indices ({m}) and weights ({weights.size}) must have the same "
+            "length",
+            {},
+        )
+    drops = np.flatnonzero(np.diff(indptr) < 0)
+    if drops.size:
+        v = int(drops[0])
+        return CSRViolation(
+            GraphFormatError,
+            f"indptr must be non-decreasing: it drops from {int(indptr[v])} "
+            f"to {int(indptr[v + 1])} at vertex {v}",
+            {"vertex": v},
+        )
+    if int(indptr[-1]) != m:
+        return CSRViolation(
+            GraphFormatError,
+            f"indptr[-1] ({int(indptr[-1])}) must equal the edge count ({m})",
+            {},
+        )
+    if m == 0:
+        return None
+    n = int(indptr.size - 1)
+    if int(indices.min()) < 0 or int(indices.max()) >= n:
+        e = int(np.flatnonzero((indices < 0) | (indices >= n))[0])
+        return CSRViolation(
+            GraphFormatError,
+            f"edge {e} targets vertex {int(indices[e])}, outside [0, {n})",
+            {"edge": e, "target": int(indices[e])},
+        )
+    # min() is NaN when any weight is, so one comparison screens NaN,
+    # zero, negative and (with max()) infinite weights
+    if not (weights.min() > 0.0 and weights.max() < np.inf):
+        nan = np.flatnonzero(np.isnan(weights))
+        if nan.size:
+            # NaN gets its own diagnosis: it is the classic silent-corruption
+            # value (it fails *every* comparison, so Dijkstra never relaxes
+            # through it) and deserves a sharper message than "not finite".
+            e = int(nan[0])
+            return CSRViolation(
+                InvalidWeightError,
+                f"edge {e} has NaN weight; weights must be finite and "
+                "strictly positive (paper Definition 1)",
+                {"edge": e},
+            )
+        e = int(np.flatnonzero(~np.isfinite(weights) | (weights <= 0.0))[0])
+        return CSRViolation(
+            InvalidWeightError,
+            f"edge {e} has non-finite or non-positive weight "
+            f"{float(weights[e])}; weights must be finite and strictly "
+            "positive (paper Definition 1)",
+            {"edge": e, "weight": float(weights[e])},
+        )
+    return None
 
 
 class CSRGraph:
@@ -43,8 +145,10 @@ class CSRGraph:
         ``float64[m]`` — strictly positive edge weights, parallel to
         ``indices``.
     check:
-        Validate the invariants (monotone indptr, in-range targets, positive
-        weights).  Costs O(n + m); disable only on hot internal paths that
+        Validate the invariants with :func:`csr_violation` (monotone indptr,
+        in-range targets, positive weights), raising
+        :class:`~repro.errors.GraphFormatError` or
+        :class:`~repro.errors.InvalidWeightError`.  Costs O(n + m); disable only on hot internal paths that
         construct guaranteed-valid CSRs (e.g. regeneration compaction).
     """
 
@@ -82,53 +186,9 @@ class CSRGraph:
     # construction / validation
     # ------------------------------------------------------------------
     def _validate(self) -> None:
-        if self.indptr.ndim != 1 or self.indptr.size < 1:
-            raise GraphFormatError("indptr must be a 1-D array of length n + 1")
-        if self.indptr[0] != 0:
-            raise GraphFormatError("indptr[0] must be 0")
-        if self.indices.ndim != 1 or self.weights.ndim != 1:
-            raise GraphFormatError("indices and weights must be 1-D arrays")
-        if self.indices.size != self.weights.size:
-            raise GraphFormatError(
-                f"indices ({self.indices.size}) and weights ({self.weights.size}) "
-                "must have the same length"
-            )
-        if int(self.indptr[-1]) != self.indices.size:
-            raise GraphFormatError(
-                f"indptr[-1] ({int(self.indptr[-1])}) must equal the edge count "
-                f"({self.indices.size})"
-            )
-        neg = np.flatnonzero(np.diff(self.indptr) < 0)
-        if neg.size:
-            v = int(neg[0])
-            raise GraphFormatError(
-                f"indptr must be non-decreasing: it drops from "
-                f"{int(self.indptr[v])} to {int(self.indptr[v + 1])} at "
-                f"vertex {v}"
-            )
-        n = self.num_vertices
-        if self.indices.size and (
-            int(self.indices.min()) < 0 or int(self.indices.max()) >= n
-        ):
-            raise GraphFormatError("edge target out of range [0, n)")
-        if self.weights.size:
-            # NaN gets its own diagnosis: it is the classic silent-corruption
-            # value (it fails *every* comparison, so Dijkstra never relaxes
-            # through it) and deserves a sharper message than "not finite".
-            nan = np.flatnonzero(np.isnan(self.weights))
-            if nan.size:
-                raise InvalidWeightError(
-                    f"edge {int(nan[0])} has NaN weight; weights must be "
-                    "finite and strictly positive (paper Definition 1)"
-                )
-            if (
-                not np.all(np.isfinite(self.weights))
-                or float(self.weights.min()) <= 0.0
-            ):
-                raise InvalidWeightError(
-                    "all edge weights must be finite and strictly positive "
-                    "(paper Definition 1)"
-                )
+        bad = csr_violation(self.indptr, self.indices, self.weights)
+        if bad is not None:
+            raise bad.error(bad.message)
 
     @property
     def num_vertices(self) -> int:

@@ -4,7 +4,8 @@ Four kernels with one result contract (:class:`SSSPResult`):
 
 * :mod:`repro.sssp.dijkstra` — binary-heap Dijkstra; the workhorse used
   inside every KSP algorithm (supports target early-stop and banned
-  vertices/edges for Yen-style deviations).  One scalar loop, always run
+  vertices/edges for Yen-style deviations; banned vertices are a
+  collection of ids).  One scalar loop, always run
   on an :class:`SSSPWorkspace` — the caller's, or a throwaway one — plus
   :func:`dijkstra_tree`, its compiled full-tree twin (SciPy, pinned
   bitwise to the loop), which PeeK's pruning stage runs by default.
@@ -13,10 +14,11 @@ Four kernels with one result contract (:class:`SSSPResult`):
   two bitwise-equivalent relax engines selected by ``backend=``
   (``"vectorized"`` numpy frontier kernel, the default, and ``"scalar"``,
   the per-edge reference loop).  Emits a per-phase work log for the
-  parallel simulator.
+  parallel simulator.  It takes no vertex mask: a status-array
+  compaction view drops vertices through the traversal protocol.
 * :mod:`repro.sssp.bellman_ford` — reference implementation for tests.
 * :mod:`repro.sssp.lazy_dijkstra` — pausable/resumable Dijkstra used by the
-  SB* algorithm's SSSP-reuse optimisation.
+  SB* algorithm's SSSP-reuse optimisation (bans, too, are vertex ids).
 
 Plus the reuse layer the KSP hot path is built on:
 

@@ -195,8 +195,7 @@ class _VectorizedEngine:
     the same traversal protocol every kernel uses.
     """
 
-    def __init__(self, graph, delta, vertex_mask, dist, parent) -> None:
-        self.vertex_mask = vertex_mask
+    def __init__(self, graph, delta, dist, parent) -> None:
         self.dist = dist
         self.parent = parent
         begins, ends, indices, weights, edge_mask = graph.adjacency_arrays()
@@ -238,11 +237,6 @@ class _VectorizedEngine:
         if edge_idx.size == 0:
             return _EMPTY_I64, 0
         targets = self.indices[edge_idx]
-        if self.vertex_mask is not None:
-            ok = self.vertex_mask[targets]
-            edge_idx, edge_src, targets = edge_idx[ok], edge_src[ok], targets[ok]
-            if edge_idx.size == 0:
-                return _EMPTY_I64, 0
         cands = self.dist[edge_src] + self.weights[edge_idx]
         improved = _relax_batch(self.dist, self.parent, targets, cands, edge_src)
         if recorder is not None:
@@ -260,8 +254,7 @@ class _ScalarEngine:
     the vectorized engine, one honest edge at a time.
     """
 
-    def __init__(self, graph, delta, vertex_mask, dist, parent) -> None:
-        self.vertex_mask = None if vertex_mask is None else vertex_mask.tolist()
+    def __init__(self, graph, delta, dist, parent) -> None:
         self.dist = dist
         self.parent = parent
         begins, ends, indices, weights, edge_mask = graph.adjacency_arrays()
@@ -285,7 +278,6 @@ class _ScalarEngine:
         dist = self.dist
         indices = self.indices
         weights = self.weights
-        vmask = self.vertex_mask
         # gather: all candidate reads happen before any commit, so the
         # per-edge loop sees the same phase-start snapshot the one-shot
         # vectorised batch does
@@ -311,8 +303,6 @@ class _ScalarEngine:
                     if self.edge_mask is not None and not self.edge_mask[e]:
                         continue
                 t = indices[e]
-                if vmask is not None and not vmask[t]:
-                    continue
                 nedges += 1
                 if recorder is not None:
                     batch_src.append(u)
@@ -485,7 +475,6 @@ def delta_stepping(
     source: int,
     *,
     delta: float | None = None,
-    vertex_mask: np.ndarray | None = None,
     footprint_recorder=None,
     deadline: float | None = None,
     backend: str = "vectorized",
@@ -497,11 +486,6 @@ def delta_stepping(
     delta:
         Bucket width; defaults to :func:`choose_delta`.  Must be
         strictly positive (NaN is rejected too).
-    vertex_mask:
-        Optional ``bool[n]`` of *usable* vertices; masked-out vertices are
-        treated as deleted (this is how the status-array compaction strategy
-        runs its downstream SSSP without rebuilding the CSR).  A mask of any
-        other shape raises :class:`~repro.errors.VertexError`.
     footprint_recorder:
         Optional :class:`repro.analysis.race.DeltaSteppingFootprints` (or
         any object with its ``record_step`` signature).  When given, every
@@ -532,13 +516,6 @@ def delta_stepping(
     n = graph.num_vertices
     if not 0 <= source < n:
         raise VertexError(f"source {source} out of range [0, {n})")
-    if vertex_mask is not None:
-        if vertex_mask.shape != (n,):
-            raise VertexError(
-                f"vertex mask has shape {vertex_mask.shape}, expected ({n},)"
-            )
-        if not vertex_mask[source]:
-            raise VertexError(f"source {source} is masked out")
     if backend not in BACKENDS:
         raise ValueError(
             f"unknown backend {backend!r}; choose from {BACKENDS}"
@@ -557,7 +534,7 @@ def delta_stepping(
         needs = np.zeros(n, dtype=bool)
         in_r = np.zeros(n, dtype=bool)
         engine_cls = _ScalarEngine if backend == "scalar" else _VectorizedEngine
-        engine = engine_cls(graph, delta, vertex_mask, dist, parent)
+        engine = engine_cls(graph, delta, dist, parent)
         _run_buckets(
             engine,
             source,

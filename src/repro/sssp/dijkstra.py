@@ -51,7 +51,7 @@ def dijkstra(
     source: int,
     *,
     target: int | None = None,
-    banned_vertices: Collection[int] | np.ndarray | None = None,
+    banned_vertices: Collection[int] | None = None,
     banned_edges: Collection[tuple[int, int]] | None = None,
     workspace: SSSPWorkspace | None = None,
     potential: Sequence[float] | np.ndarray | None = None,
@@ -69,11 +69,9 @@ def dijkstra(
         need the one distance).  The returned ``dist`` is still valid for
         every vertex settled before the stop.
     banned_vertices:
-        Vertices to treat as deleted (Yen's prefix/"red" vertices).  Either
-        an iterable of ids or a ``bool[n]`` mask; an id outside ``[0, n)``
-        or a mask of another length raises
-        :class:`~repro.errors.VertexError`.  The source itself must not be
-        banned.
+        Ids of vertices to treat as deleted (Yen's prefix/"red" vertices);
+        an id outside ``[0, n)`` raises :class:`~repro.errors.VertexError`.
+        The source itself must not be banned.
     banned_edges:
         Set of ``(u, v)`` pairs to skip (Yen's removed deviation edges).
     workspace:
@@ -81,10 +79,9 @@ def dijkstra(
         When given, the query reuses the workspace's epoch-stamped state
         (O(1) setup, incremental ban mask) and returns a
         :class:`~repro.sssp.workspace.WorkspaceResult` — same values, valid
-        until the workspace's next query unless materialised.  Id-iterable
+        until the workspace's next query unless materialised, and
         ``banned_vertices`` are folded into the workspace's incremental
-        mask; a ``bool[n]`` mask is honoured directly.  Without a
-        workspace the query runs on a throwaway one and returns an
+        mask.  Without a workspace the query runs on a throwaway one and returns an
         :class:`~repro.sssp.result.SSSPResult` owning its arrays.
     potential:
         A* mode: ``potential[v]`` is a lower bound on the ``v → target``
@@ -136,28 +133,18 @@ def dijkstra(
     else:
         pot = potential
 
-    # Resolve the banned-vertex input.  A caller-supplied bool mask is
-    # honoured as-is (it is already O(1) to consume); id iterables fold into
-    # the workspace's incremental mask so repeat callers pay only the delta
-    # between consecutive ban sets instead of an O(n) rebuild.
-    ban: np.ndarray | bytearray | None
+    # Banned ids fold into the workspace's incremental mask, so repeat
+    # callers pay only the delta between consecutive ban sets instead of an
+    # O(n) rebuild.
+    ban: bytearray | None
     if banned_vertices is None:
         ws.apply_bans(())
         ban = None
-    elif (
-        isinstance(banned_vertices, np.ndarray) and banned_vertices.dtype == bool
-    ):
-        if banned_vertices.shape != (n,):
-            raise VertexError(
-                f"banned-vertex mask has shape {banned_vertices.shape}, "
-                f"expected ({n},)"
-            )
-        ban = banned_vertices
     else:
         ws.apply_bans(banned_vertices)
         ban = ws.ban_bytes
-    if ban is not None and ban[source]:
-        raise VertexError(f"source {source} is banned")
+        if ban[source]:
+            raise VertexError(f"source {source} is banned")
 
     stats = SSSPStats()
     ep = ws.next_epoch()

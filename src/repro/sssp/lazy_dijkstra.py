@@ -34,12 +34,10 @@ class LazyDijkstra:
     source:
         Root vertex.
     banned_vertices:
-        Vertices excluded from the search, fixed for the lifetime of this
+        Ids of the vertices excluded from the search, fixed for the lifetime of this
         instance (a new removal set needs a new instance — SB* shares
-        instances between deviations with the same removal set).  Either
-        an iterable of ids or a ``bool[n]`` mask; an id outside ``[0, n)``
-        or a mask of another length raises
-        :class:`~repro.errors.VertexError`.
+        instances between deviations with the same removal set).  An id
+        outside ``[0, n)`` raises :class:`~repro.errors.VertexError`.
     """
 
     def __init__(
@@ -47,7 +45,7 @@ class LazyDijkstra:
         graph: CSRGraph,
         source: int,
         *,
-        banned_vertices: Collection[int] | np.ndarray | None = None,
+        banned_vertices: Collection[int] | None = None,
     ) -> None:
         n = graph.num_vertices
         if not 0 <= source < n:
@@ -60,21 +58,14 @@ class LazyDijkstra:
         self.stats = SSSPStats()
         if banned_vertices is None:
             self._banned = None
-        elif isinstance(banned_vertices, np.ndarray) and banned_vertices.dtype == bool:
-            if banned_vertices.shape != (n,):
-                raise VertexError(
-                    f"banned-vertex mask has shape {banned_vertices.shape}, "
-                    f"expected ({n},)"
-                )
-            self._banned = banned_vertices.copy()
         else:
             self._banned = np.zeros(n, dtype=bool)
             ids = np.asarray(list(banned_vertices), dtype=np.int64)
             if not ((ids >= 0) & (ids < n)).all():
                 raise VertexError(f"banned vertex out of range [0, {n})")
             self._banned[ids] = True
-        if self._banned is not None and self._banned[source]:
-            raise VertexError(f"source {source} is banned")
+            if self._banned[source]:
+                raise VertexError(f"source {source} is banned")
         self.dist[source] = 0.0
         self.parent[source] = source
         self._heap: list[tuple[float, int]] = [(0.0, source)]

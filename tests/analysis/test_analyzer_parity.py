@@ -44,8 +44,11 @@ FIXTURE_FINDINGS = {
 #: away with FabricSupervisor's `super().__init__` call (the call graph
 #: resolved that to every `__init__`, KSP solvers included), and less the
 #: 4 CTR201 pragmas that went away with the multiprocessing Δ-stepping
-#: backend (parallel/mp_backend.py and its footprint recorder)
-SOURCE_SUPPRESSED = 12
+#: backend (parallel/mp_backend.py and its footprint recorder); and the 3
+#: CTR201 pragmas on SAN-PATH's own path loops became the 2 on
+#: repro.verify's loops (its path loop and the max_steps-bounded DFS), which
+#: SAN-PATH now calls
+SOURCE_SUPPRESSED = 11
 
 
 def _located(result):

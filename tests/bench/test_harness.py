@@ -5,6 +5,8 @@ import pytest
 
 from repro.bench.harness import ExperimentRunner, RunRecord
 from repro.errors import ReproError
+from repro.ksp.base import KSPResult
+from repro.paths import Path
 
 
 @pytest.fixture
@@ -54,6 +56,24 @@ class TestRunner:
         b.result.paths = b.result.paths[:1]  # corrupt one record
         with pytest.raises(ReproError):
             runner.check_same_distances([a, b])
+
+    @pytest.mark.parametrize(
+        "other", [[1.0], [1.0, 1.0, 1.0], [1.0, 1.0 + 1e-6]]
+    )
+    def test_tied_pair_mismatch_detected(self, runner, other):
+        """A record that lost one of a tied pair of paths broadcast against
+        the other under ``np.allclose`` and passed; other lengths raised a
+        bare ``ValueError``."""
+        base = KSPResult(
+            paths=[Path(1.0, (0, 1, 3)), Path(1.0, (0, 2, 3))], k_requested=2
+        )
+        short = KSPResult(paths=[Path(d, (0, 3)) for d in other], k_requested=2)
+        recs = [
+            RunRecord("Yen", "R21", 2, 0, 3, 0.1, result=base),
+            RunRecord("PeeK", "R21", 2, 0, 3, 0.1, result=short),
+        ]
+        with pytest.raises(ReproError, match="distance mismatch"):
+            runner.check_same_distances(recs)
 
     def test_env_defaults(self, monkeypatch):
         monkeypatch.setenv("REPRO_SCALE", "tiny")

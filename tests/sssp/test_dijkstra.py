@@ -72,12 +72,6 @@ class TestBans:
         res = dijkstra(diamond_graph, 0, banned_vertices=[1])
         assert res.dist[3] == pytest.approx(3.0)  # via vertex 2
 
-    def test_banned_vertices_as_mask(self, diamond_graph):
-        mask = np.zeros(4, dtype=bool)
-        mask[1] = True
-        res = dijkstra(diamond_graph, 0, banned_vertices=mask)
-        assert res.dist[3] == pytest.approx(3.0)
-
     def test_banned_source_raises(self, diamond_graph):
         with pytest.raises(VertexError):
             dijkstra(diamond_graph, 0, banned_vertices=[0])

@@ -159,7 +159,8 @@ def assert_driver_equivalent(graph, source, **kw):
 @st.composite
 def tied_graphs(draw, max_n=24, max_m=90):
     """A digraph with small integer weights (many equal-cost paths), a
-    source, a Δ, and an optional vertex mask keeping the source."""
+    source, a Δ, and an optional vertex mask keeping the source (masked-out
+    vertices are dropped by a status-array view, see :func:`masked`)."""
     n = draw(st.integers(min_value=2, max_value=max_n))
     m = draw(st.integers(min_value=0, max_value=max_m))
     src = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
@@ -181,14 +182,22 @@ def tied_graphs(draw, max_n=24, max_m=90):
     return g, source, delta, mask
 
 
+def masked(graph, mask, keep_edges=None):
+    """``graph`` with the vertices ``mask`` leaves out (and the edges
+    ``keep_edges`` leaves out) dropped, as a status-array view."""
+    if mask is None and keep_edges is None:
+        return graph
+    if mask is None:
+        mask = np.ones(graph.num_vertices, dtype=bool)
+    return compact_status_array(graph, mask, keep_edges)
+
+
 class TestDriverMatchesReference:
     @given(tied_graphs(), st.sampled_from(["scalar", "vectorized"]))
     @settings(max_examples=120, deadline=None)
     def test_tied_weights_deltas_and_masks(self, case, backend):
         g, s, delta, mask = case
-        assert_driver_equivalent(
-            g, s, delta=delta, vertex_mask=mask, backend=backend
-        )
+        assert_driver_equivalent(masked(g, mask), s, delta=delta, backend=backend)
 
     @given(tied_graphs())
     @settings(max_examples=40, deadline=None)
@@ -196,11 +205,9 @@ class TestDriverMatchesReference:
         """The ``edge_mask`` path: a status-array view drops a third of the
         edges through the engine's per-batch mask filter."""
         g, s, delta, mask = case
-        keep_v = np.ones(g.num_vertices, dtype=bool)
         keep_e = np.ones(g.num_edges, dtype=bool)
         keep_e[::3] = False
-        view = compact_status_array(g, keep_v, keep_e)
-        assert_driver_equivalent(view, s, delta=delta, vertex_mask=mask)
+        assert_driver_equivalent(masked(g, mask, keep_e), s, delta=delta)
 
     @pytest.mark.parametrize("mult", [0.25, 1.0, 4.0])
     @pytest.mark.parametrize("seed", range(3))
@@ -212,4 +219,4 @@ class TestDriverMatchesReference:
         g = grid_network(15, 15, seed=2)
         mask = np.random.default_rng(2).random(g.num_vertices) > 0.2
         mask[0] = True
-        assert_driver_equivalent(g, 0, vertex_mask=mask)
+        assert_driver_equivalent(masked(g, mask), 0)

@@ -69,13 +69,6 @@ class TestBans:
         with pytest.raises(VertexError):
             ld.distance_to(99)
 
-    @pytest.mark.parametrize("length", [2, 6])
-    def test_bool_mask_of_wrong_length_rejected(self, diamond_graph, length):
-        with pytest.raises(VertexError, match="shape"):
-            LazyDijkstra(
-                diamond_graph, 0, banned_vertices=np.zeros(length, dtype=bool)
-            )
-
     @pytest.mark.parametrize("bad", [-1, 4])
     def test_out_of_range_banned_id_rejected(self, diamond_graph, bad):
         """``-1`` used to ban vertex ``n - 1`` silently."""

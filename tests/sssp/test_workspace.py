@@ -157,7 +157,7 @@ def assert_pinned(graph, source, potential=None, **kw):
     assert hits == ref_hits
 
 
-BAN_FORMS = ["none", "list", "set", "frozenset", "ndarray_ids", "bool_mask"]
+BAN_FORMS = ["none", "list", "set", "frozenset", "ndarray_ids"]
 
 
 def _ban_input(form, ids, n):
@@ -169,11 +169,7 @@ def _ban_input(form, ids, n):
         return set(ids)
     if form == "frozenset":
         return frozenset(ids)
-    if form == "ndarray_ids":
-        return np.asarray(sorted(ids), dtype=np.int64)
-    mask = np.zeros(n, dtype=bool)
-    mask[sorted(ids)] = True
-    return mask
+    return np.asarray(sorted(ids), dtype=np.int64)
 
 
 @st.composite
@@ -386,11 +382,10 @@ class TestBackToBackReuse:
                 kwargs["banned_vertices"] = [
                     int(v) for v in rng.integers(n, size=6) if int(v) != source
                 ]
-            elif kind == 2:  # bool-mask form + banned edges
-                mask = np.zeros(n, dtype=bool)
-                mask[rng.integers(n, size=8)] = True
-                mask[source] = False
-                kwargs["banned_vertices"] = mask
+            elif kind == 2:  # banned vertex ids (set form) + banned edges
+                kwargs["banned_vertices"] = {
+                    int(v) for v in rng.integers(n, size=8) if int(v) != source
+                }
                 kwargs["banned_edges"] = {
                     (source, int(v)) for v in rng.integers(n, size=3)
                 }
@@ -433,7 +428,7 @@ class TestBackToBackReuse:
 
 
 class TestBanInputForms:
-    """Satellite: list-like ids and bool masks take different (correct) paths."""
+    """Every collection of banned ids bans the same vertices."""
 
     @pytest.fixture()
     def graph(self):
@@ -443,7 +438,7 @@ class TestBanInputForms:
         )
 
     @pytest.mark.parametrize(
-        "form", ["list", "tuple", "set", "frozenset", "ndarray_ids", "bool_mask"]
+        "form", ["list", "tuple", "set", "frozenset", "ndarray_ids"]
     )
     def test_all_forms_agree(self, graph, form):
         ids = [2]
@@ -455,11 +450,8 @@ class TestBanInputForms:
             bans = set(ids)
         elif form == "frozenset":
             bans = frozenset(ids)
-        elif form == "ndarray_ids":
-            bans = np.asarray(ids, dtype=np.int64)
         else:
-            bans = np.zeros(graph.num_vertices, dtype=bool)
-            bans[ids] = True
+            bans = np.asarray(ids, dtype=np.int64)
         ws = SSSPWorkspace(graph)
         fresh = _reference_dijkstra(graph, 0, banned_vertices=bans)
         got = dijkstra(graph, 0, workspace=ws, banned_vertices=bans)
@@ -475,29 +467,12 @@ class TestBanInputForms:
         dijkstra(graph, 0, workspace=ws)  # no bans clears the mask
         assert not any(ws.ban)
 
-    def test_bool_mask_does_not_pollute_incremental_state(self, graph):
-        """A caller mask is honoured directly, leaving the delta mask alone."""
-        ws = SSSPWorkspace(graph)
-        dijkstra(graph, 0, workspace=ws, banned_vertices=[2])
-        mask = np.zeros(graph.num_vertices, dtype=bool)
-        mask[1] = True
-        got = dijkstra(graph, 0, workspace=ws, banned_vertices=mask)
-        assert got.dist_of(2) == pytest.approx(4.0)  # via direct 0->2 edge
-        # and the incremental set is still exactly {2}
-        fresh = _reference_dijkstra(graph, 0, banned_vertices=[2])
-        got2 = dijkstra(graph, 0, workspace=ws, banned_vertices=[2])
-        _assert_same(fresh, got2, graph.num_vertices)
-
 
 class TestGuards:
     def test_banned_source_raises(self, diamond_graph):
         ws = SSSPWorkspace(diamond_graph)
         with pytest.raises(VertexError):
             dijkstra(diamond_graph, 0, workspace=ws, banned_vertices=[0])
-        mask = np.zeros(diamond_graph.num_vertices, dtype=bool)
-        mask[0] = True
-        with pytest.raises(VertexError):
-            dijkstra(diamond_graph, 0, workspace=ws, banned_vertices=mask)
 
     def test_graph_mismatch_raises(self, diamond_graph, fan_graph):
         ws = SSSPWorkspace(diamond_graph)
@@ -567,20 +542,6 @@ class TestBanValidation:
             check_workspace(ws)
             assert ws.epoch == 1  # the failed query never started
             assert {v for v in range(50) if ws.is_banned(v)} == {1, 2}
-
-    @pytest.mark.parametrize("length", [49, 51])
-    @pytest.mark.parametrize("reuse", [False, True])
-    def test_bool_mask_of_wrong_length_rejected(self, length, reuse):
-        """A short mask used to fail partway through the run with a bare
-        IndexError, and a long one was accepted silently."""
-        g = erdos_renyi(50, 4.0, seed=1)
-        ws = SSSPWorkspace(g) if reuse else None
-        with pytest.raises(VertexError, match="shape"):
-            dijkstra(
-                g, 0, banned_vertices=np.zeros(length, dtype=bool), workspace=ws
-            )
-        if reuse:
-            assert ws.epoch == 0  # rejected before the query started
 
 
 class TestPotentialValidation:

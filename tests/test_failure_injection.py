@@ -170,3 +170,30 @@ class TestSourceEqualsTarget:
         n = diamond_graph.num_vertices
         with pytest.raises(VertexError):
             repro.solve(diamond_graph, n, n, k=2)
+
+
+class TestPruningTaxonomy:
+    """The pruning stage rejects a bad query through ``validate_query``:
+    the same exception, the same message, in the same order."""
+
+    @pytest.mark.parametrize(
+        "fields,exc",
+        [
+            ((0, 99, 2), VertexError),
+            ((-1, 1, 2), VertexError),
+            ((4, 4, 2), VertexError),  # (n, n): range before equality
+            ((4, 4, 0), VertexError),
+            ((3, 3, 2), KSPError),
+            ((3, 3, 0), KSPError),
+            ((0, 3, 0), ValueError),
+        ],
+    )
+    def test_same_error_as_validate_query(self, diamond_graph, fields, exc):
+        from repro.serve.query import Query, validate_query
+
+        s, t, k = fields
+        with pytest.raises(exc) as expected:
+            validate_query(diamond_graph, Query(s, t, k))
+        with pytest.raises(exc) as got:
+            k_upper_bound_prune(diamond_graph, s, t, k)
+        assert str(got.value) == str(expected.value)
