@@ -4,7 +4,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-fast test-slow lint contracts bench bench-serving bench-dyn bench-fabric example-tuning
+.PHONY: test test-fast test-slow lint contracts bench bench-serving bench-dyn bench-fabric goldens example-tuning
 
 ## Tier-1 suite: the full gate every change must keep green.
 test:
@@ -51,6 +51,16 @@ bench-dyn:
 ## Writes BENCH_fabric.json and results/fabric_slo.txt.
 bench-fabric:
 	$(PYTHON) benchmarks/bench_fabric.py
+
+## The serving goldens: regenerate the six serving artefacts and fail if
+## any differs from its committed bytes (CI's serving-artefacts job runs
+## exactly this).  Any diff means the serving loop computes something
+## different.
+GOLDENS := BENCH_serving.json BENCH_dyn_serving.json BENCH_fabric.json \
+	results/serving_capacity.txt results/dyn_serving.txt results/fabric_slo.txt
+
+goldens: bench-serving bench-dyn bench-fabric
+	git diff --exit-code -- $(GOLDENS)
 
 ## The performance-tuning walkthrough.
 example-tuning:

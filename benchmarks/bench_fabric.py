@@ -79,10 +79,8 @@ def run_scenario(
     elastic: bool = False,
     mutations: bool = False,
 ) -> dict:
-    config = FabricConfig(
-        replicas=3,
+    config = FabricConfig(  # the default replica recipe: FLEET_SERVER
         max_replicas=5 if elastic else 3,
-        min_replicas=2,
         elastic=ElasticPolicy(min_replicas=2) if elastic else None,
         seed=seed,
     )

@@ -60,6 +60,7 @@ from repro.core.compaction import (
 )
 from repro.core.pruning import (
     PruneResult,
+    PruneStats,
     bound_and_masks,
     prune_reuse_certificate,
     prune_sssp,
@@ -439,6 +440,7 @@ class BatchPeeK:
                 k,
                 graph=self.graph,
                 strong_edge_prune=self.strong_edge_prune,
+                stats=PruneStats.from_sssp(fwd, rev),
                 deadline=deadline,
             )
             record_prune(span, prune)

@@ -5,7 +5,7 @@ One subcommand::
     peek-dyn smoke --graph LJ --scale tiny --seed 0 \\
         --json /tmp/dyn.json --summary /tmp/dyn.txt
 
-drives a :class:`~repro.serve.QueryServer` built over a
+drives one :class:`~repro.serve.QueryServer` built over a
 :class:`~repro.dyn.live.LiveGraph` with a seeded incident stream
 (:class:`~repro.dyn.stream.IncidentStream`) and a hot query pool on the
 simulated clock, then writes a deterministic JSON payload (run metrics,
@@ -32,8 +32,8 @@ from repro.dyn.stream import IncidentStream
 from repro.fabric.fabric import ServingFabric
 from repro.graph.suite import SCALES, suite_graph
 from repro.load.arrivals import PoissonArrivals
+from repro.load.runner import ServerConfig
 from repro.serve.query import Query
-from repro.serve.server import QueryServer
 
 __all__ = ["main", "run_smoke"]
 
@@ -92,7 +92,10 @@ def run_smoke(
     """
     graph = suite_graph(graph_name, scale)
     live = LiveGraph(graph)
-    server = QueryServer(live, kernel=kernel)
+    config = ServerConfig(name="smoke", timeout=timeout, max_in_flight=64, kernel=kernel)
+    # annotated so repro-contracts resolves fabric.run (not a module call)
+    fabric: ServingFabric = ServingFabric.mount(config, live, seed=seed)
+    server = fabric.replicas[0].server
 
     n = graph.num_vertices
     rng_pool = Random(seed + POOL_STREAM_OFFSET)
@@ -124,7 +127,7 @@ def run_smoke(
         rate=mutation_rate,
         **(stream_kwargs or {}),
     )
-    report = ServingFabric.mount(server, timeout=timeout, seed=seed).run(
+    report = fabric.run(
         queries, horizon=horizon, mutations=stream.batches(live, horizon)
     )
 

@@ -22,7 +22,8 @@ checksummed :class:`~repro.distributed.checkpoint.CheckpointStore`
   recoveries, mutations and open- or closed-loop queries onto one
   simulated timeline; :meth:`ServingFabric.mount
   <repro.fabric.fabric.ServingFabric.mount>` runs it over a single
-  caller-built server.
+  server.  Every replica is built by one recipe,
+  :class:`~repro.load.runner.ServerConfig`.
 
 Everything is a pure function of the seeds: two runs of the same
 configuration produce byte-identical reports (the CI ``fabric-faults``

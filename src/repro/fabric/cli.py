@@ -18,12 +18,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from repro.distributed.comm import FaultPlan
 from repro.dyn.stream import IncidentStream
 from repro.fabric.elastic import ElasticPolicy
-from repro.fabric.fabric import FabricConfig, ServingFabric, report_row, slo_text
+from repro.fabric.fabric import FLEET_SERVER, FabricConfig, ServingFabric, report_row, slo_text
 from repro.graph.suite import SCALES, suite_graph
 from repro.load.arrivals import arrival_process
 from repro.load.mixes import make_mix
@@ -101,11 +102,9 @@ def run_from_args(args: argparse.Namespace) -> dict:
     if max_replicas is None:
         max_replicas = args.replicas + (2 if args.elastic else 0)
     config = FabricConfig(
-        replicas=args.replicas,
+        server=replace(FLEET_SERVER, timeout=args.timeout, replicas=args.replicas),
         max_replicas=max_replicas,
-        min_replicas=max(1, args.replicas - 1),
         shards=args.shards,
-        timeout=args.timeout,
         elastic=ElasticPolicy(min_replicas=max(1, args.replicas - 1))
         if args.elastic
         else None,

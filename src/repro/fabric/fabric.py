@@ -37,21 +37,22 @@ simulated timeline, in a fixed priority order at equal instants
   ``draining`` replica; dead or recovering replicas catch up from the
   batch log during recovery.
 
-Two ways to build the loop.  ``ServingFabric(graph, ...)`` is the
-replicated fleet: the fabric owns the authority, clones one server per
-replica, and runs all five streams.  :meth:`ServingFabric.mount` puts
-one caller-built :class:`~repro.serve.QueryServer` in as replica 0 with
-no authority, no supervisor and no heartbeats; mutation batches go
-through that server's own ``apply_mutations`` as the queries reach them.
-The single-server path mounts the caller's server instead of running a
-one-replica fleet because a fleet's clones differ measurably: they are
-built over a ``LiveGraph``, whose versioned ``BatchPeeK`` reuses
-prepared decisions a static-graph server re-solves.  On the medium
-serving table's ``poisson_overload``/LJ/baseline rep-0 cell the
-caller's server made 9 degraded attempts and 98 SSSP cache hits; a
-one-replica fleet made 7 and 106, with one reused prune decision.  The
-fleet's heartbeats also add checkpoint and superstep counters to every
-cell's trace.
+Every replica's server is built by :meth:`ServerConfig.build
+<repro.load.runner.ServerConfig.build>`.  Two ways to build the loop.
+``ServingFabric(graph, ...)`` is the replicated fleet: the fabric owns
+the authority, builds one server per replica over its own ``LiveGraph``,
+and runs all five streams.  :meth:`ServingFabric.mount` builds one
+server over the caller's graph as replica 0 with no authority, no
+supervisor and no heartbeats; mutation batches go through that server's
+own ``apply_mutations`` as the queries reach them.  A run-table cell
+mounts a server over its static graph instead of running a one-replica
+fleet because the two differ measurably: a fleet's ``LiveGraph`` gives
+a versioned ``BatchPeeK``, which reuses prepared decisions a
+static-graph server re-solves.  On the medium serving table's
+``poisson_overload``/LJ/baseline rep-0 cell the static-graph server
+made 9 degraded attempts and 98 SSSP cache hits; a one-replica fleet
+made 7 and 106, with one reused prune decision.  The fleet's heartbeats
+also add checkpoint and superstep counters to every cell's trace.
 
 Everything downstream of the seeds is deterministic, so a report —
 availability, latency percentiles under failure, disposition counts,
@@ -94,13 +95,15 @@ from repro.load.harness import (
     LoadReport,
     QueryLog,
 )
+from repro.load.runner import ServerConfig
 from repro.load.simclock import CostModel, SimClock, virtual_time
 from repro.load.trace import open_loop_queries
 from repro.obs.tracer import get_tracer
 from repro.serve.query import Query
-from repro.serve.server import QueryServer, RetryPolicy
+from repro.serve.server import QueryServer
 
 __all__ = [
+    "FLEET_SERVER",
     "FabricConfig",
     "KillRecord",
     "FabricReport",
@@ -110,30 +113,22 @@ __all__ = [
 ]
 
 
+#: the fleet's default replica recipe: 3 replicas at t=0, a 0.5 s client
+#: budget, 4 worker slots and a 4-deep wait queue each
+FLEET_SERVER = ServerConfig(name="fleet", timeout=0.5, queue_depth=4, replicas=3)
+
+
 @dataclass(frozen=True)
 class FabricConfig:
-    """Everything one fabric needs besides the graph and the traffic."""
+    """Everything one fabric needs besides the graph and the traffic:
+    the replica recipe plus the fleet-only settings."""
 
-    #: replicas serving at t=0
-    replicas: int = 3
+    #: how every replica is built, and how many serve at t=0 (``replicas``)
+    server: ServerConfig = FLEET_SERVER
     #: provisioned replica slots (ring membership; extras start standby)
     max_replicas: int | None = None
-    #: elastic floor
-    min_replicas: int = 1
     #: shard count (vertex ranges of the RowPartition)
     shards: int = 8
-    #: per-query client budget (anchored at arrival; wait burns it)
-    timeout: float | None = 0.5
-    #: worker slots per replica
-    max_in_flight: int = 4
-    #: per-replica wait-queue depth
-    queue_depth: int = 4
-    tier1_budget_fraction: float | None = None
-    #: stays Δ-stepping: the CostModel's per-visit constants were set
-    #: against its per-phase checkpoint cadence
-    kernel: str = "delta"
-    cache_size: int = 64
-    sanitize: bool | None = None
     #: bounded-load factor c (1 = perfectly even; Google's canonical 1.25)
     load_factor: float = 1.25
     #: simulated seconds between health heartbeats
@@ -331,12 +326,13 @@ class ServingFabric:
     graph:
         The initial graph (a static CSR; the fabric owns the
         authoritative :class:`~repro.dyn.live.LiveGraph` built over it,
-        and every replica serves an independent clone).
+        and every replica serves its own copy).
     mix:
         Query-content sampler for generated traffic (optional when every
         run replays a trace).
     config:
-        The :class:`FabricConfig`.
+        The :class:`FabricConfig`: the replica recipe
+        (``config.server``) plus the fleet-only settings.
     cost_model:
         Per-checkpoint simulated costs (default :class:`CostModel`).
     fault_plan:
@@ -356,12 +352,11 @@ class ServingFabric:
         fault_plan: FaultPlan | None = None,
     ) -> None:
         cfg = config if config is not None else FabricConfig()
-        if cfg.replicas < 1:
+        initial = cfg.server.replicas
+        if initial < 1:
             raise ValueError("need at least one replica")
-        provisioned = (
-            cfg.max_replicas if cfg.max_replicas is not None else cfg.replicas
-        )
-        if provisioned < cfg.replicas:
+        provisioned = cfg.max_replicas if cfg.max_replicas is not None else initial
+        if provisioned < initial:
             raise ValueError("max_replicas must cover the initial replicas")
         self._setup(mix, cfg, cost_model)
         self.authority = LiveGraph(graph)
@@ -372,15 +367,18 @@ class ServingFabric:
             fault_plan=fault_plan,
         )
         self.supervisor = FabricSupervisor(self.comm, self.shard_map)
+        depth = cfg.server.queue_depth
+        snap = self.authority.snapshot()
+        alive = self.authority.alive
         for rid in range(provisioned):  # contracts: disable=CTR201 (bounded)
-            if rid < cfg.replicas:
-                server = self._clone_server()
+            if rid < initial:
+                server = self._replica_server(rid, snap.graph, alive, snap.version)
                 self.replicas[rid] = Replica(
-                    rid, server, queue_depth=cfg.queue_depth, state=ACTIVE
+                    rid, server, queue_depth=depth, state=ACTIVE
                 )
             else:
                 self.replicas[rid] = Replica(
-                    rid, None, queue_depth=cfg.queue_depth, state=STANDBY
+                    rid, None, queue_depth=depth, state=STANDBY
                 )
         self.router = Router(
             HashRing(range(provisioned)), self.replicas, load_factor=cfg.load_factor
@@ -389,50 +387,43 @@ class ServingFabric:
     @classmethod
     def mount(
         cls,
-        server: QueryServer,
+        server: ServerConfig,
+        graph,
         mix=None,
         *,
-        timeout: float | None = None,
-        queue_depth: int = 0,
         cost_model: CostModel | None = None,
         seed: int = 0,
     ) -> "ServingFabric":
-        """The loop over one caller-built server: a G/G/c/K station.
+        """The loop over one server built from ``server``: a G/G/c/K station.
 
         ``c = server.max_in_flight`` worker slots (the server's own
-        admission bound) and a FIFO wait queue of ``queue_depth``
+        admission bound) and a FIFO wait queue of ``server.queue_depth``
         requests (0 = shed on busy, the live server's semantics).
-        ``timeout`` is the per-query budget in simulated seconds,
+        ``server.timeout`` is the per-query budget in simulated seconds,
         anchored at the *arrival* instant, so queue wait burns it
         (``None`` = no deadline).  ``seed`` drives arrival times, query
-        content and think times (docs/load_testing.md, "The seeding
-        contract").
+        content, think times and the server's jitter RNG
+        (docs/load_testing.md, "The seeding contract").
 
-        The server is used as built — no clone, no supervisor, no
-        heartbeats — and a run's mutation batches go through its own
-        :meth:`~repro.serve.QueryServer.apply_mutations` (so it must be
-        built over a :class:`~repro.dyn.live.LiveGraph` to take any).
+        The server is built over ``graph`` as given — no clone, no
+        supervisor, no heartbeats — and a run's mutation batches go
+        through its own :meth:`~repro.serve.QueryServer.apply_mutations`
+        (so ``graph`` must be a :class:`~repro.dyn.live.LiveGraph` to
+        take any).  It is ``fabric.replicas[0].server``.
         """
-        if queue_depth < 0:
+        if server.replicas != 1:
+            raise ValueError("mount serves one replica; ServingFabric runs a fleet")
+        if server.queue_depth < 0:
             raise ValueError("queue_depth must be >= 0")
         fabric = cls.__new__(cls)
-        fabric._setup(
-            mix,
-            FabricConfig(
-                replicas=1,
-                timeout=timeout,
-                max_in_flight=server.max_in_flight,
-                queue_depth=queue_depth,
-                seed=seed,
-            ),
-            cost_model,
-        )
+        fabric._setup(mix, FabricConfig(server=server, seed=seed), cost_model)
+        built = server.build(graph, seed=seed)
         fabric.authority = None
-        fabric.shard_map = ShardMap(server.graph, 1)
+        fabric.shard_map = ShardMap(built.graph, 1)
         fabric.comm = None
         fabric.supervisor = None
         fabric.replicas[0] = Replica(
-            0, server, queue_depth=queue_depth, state=ACTIVE
+            0, built, queue_depth=server.queue_depth, state=ACTIVE
         )
         fabric.router = Router(HashRing([0]), fabric.replicas)
         return fabric
@@ -460,28 +451,17 @@ class ServingFabric:
         self._clock = SimClock()
 
     # -- construction helpers -------------------------------------------
-    def _clone_server(self) -> QueryServer:
-        """A fresh server over an independent clone of the authority."""
-        cfg = self.config
-        snap = self.authority.snapshot()
-        terrace = TerraceGraph.from_csr(snap.graph)
-        alive = self.authority.alive
+    def _replica_server(self, rid: int, csr, alive, version: int) -> QueryServer:
+        """Replica ``rid``'s server over its own live graph rebuilt from
+        ``(csr, alive, version)``: the authority's state for a t=0 or
+        scale-up replica, a restored checkpoint for a recovered one.
+        The jitter RNG is seeded per replica (``seed + rid``)."""
+        terrace = TerraceGraph.from_csr(csr)
         dead = np.flatnonzero(~alive)
         if dead.size:
             terrace.delete_vertices(dead)
-        live = LiveGraph(terrace, version=snap.version)
-        server = QueryServer(
-            live,
-            kernel=cfg.kernel,
-            cache_size=cfg.cache_size,
-            default_timeout=cfg.timeout,
-            max_in_flight=cfg.max_in_flight,
-            tier1_budget_fraction=cfg.tier1_budget_fraction,
-            retry=RetryPolicy(),
-            sanitize=cfg.sanitize,
-        )
-        server.batch.version = snap.version
-        return server
+        recipe: ServerConfig = self.config.server
+        return recipe.build(LiveGraph(terrace, version=version), seed=self.config.seed + rid)
 
     # -- the run --------------------------------------------------------
     def run(
@@ -526,7 +506,7 @@ class ServingFabric:
                             self.mix,
                             horizon=horizon,
                             seed=self.config.seed,
-                            timeout=self.config.timeout,
+                            timeout=self.config.server.timeout,
                             max_queries=max_queries,
                         )
                     else:
@@ -568,7 +548,7 @@ class ServingFabric:
                 source=source,
                 target=target,
                 k=k,
-                timeout=cfg.timeout,
+                timeout=cfg.server.timeout,
                 request_id=f"q{issued:06d}",
                 issued_at=t,
             )
@@ -616,8 +596,12 @@ class ServingFabric:
         if kind == "recover":
             self._finish_recovery(at, rid, kill)
         else:  # "scaleup"
+            snap = self.authority.snapshot()
+            server = self._replica_server(
+                rid, snap.graph, self.authority.alive, snap.version
+            )
             replica = self.replicas[rid]
-            replica.reset(self._clone_server(), at=at, state=ACTIVE)
+            replica.reset(server, at=at, state=ACTIVE)
             replica.server._sleep = self._clock.sleep
 
     def _schedule(self, at: float, kind: str, rid: int, kill) -> None:
@@ -858,22 +842,7 @@ class ServingFabric:
     def _finish_recovery(self, tr: float, rid: int, kill: KillRecord) -> None:
         cfg = self.config
         csr, alive, version = self.supervisor.restore_shards()
-        terrace = TerraceGraph.from_csr(csr)
-        dead_vertices = np.flatnonzero(~alive)
-        if dead_vertices.size:
-            terrace.delete_vertices(dead_vertices)
-        live = LiveGraph(terrace, version=version)
-        server = QueryServer(
-            live,
-            kernel=cfg.kernel,
-            cache_size=cfg.cache_size,
-            default_timeout=cfg.timeout,
-            max_in_flight=cfg.max_in_flight,
-            tier1_budget_fraction=cfg.tier1_budget_fraction,
-            retry=RetryPolicy(),
-            sanitize=cfg.sanitize,
-        )
-        server.batch.version = version
+        server = self._replica_server(rid, csr, alive, version)
         missed = 0
         for batch_version, batch in self._batch_log:
             if batch_version > version:

@@ -167,12 +167,8 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         queue_depth=args.queue_depth,
         tier1_budget_fraction=args.tier1_budget_fraction,
     )
-    fabric = ServingFabric.mount(
-        config.build(graph, seed=args.seed),
-        timeout=args.timeout,
-        queue_depth=args.queue_depth,
-        seed=args.seed,
-    )  # no mix: a trace carries its own query content
+    # no mix: a trace carries its own query content
+    fabric = ServingFabric.mount(config, graph, seed=args.seed)
     horizon = max((q.issued_at for q in queries), default=0.0) + 1e-9
     report = fabric.run(queries, horizon=horizon)
     print(json.dumps(report.metrics(), indent=2))

@@ -1,7 +1,7 @@
 """The records of a serving run: per-query logs, the report, the ledger.
 
 The discrete-event loop itself is :class:`~repro.fabric.fabric.
-ServingFabric` (one caller-built server via :meth:`ServingFabric.mount
+ServingFabric` (one server via :meth:`ServingFabric.mount
 <repro.fabric.fabric.ServingFabric.mount>`, or a replicated fleet); this
 module holds what it produces and what the benchmarks read:
 :class:`QueryLog` per request, :class:`LoadReport` per run with its

@@ -52,10 +52,15 @@ JITTER_STREAM_OFFSET = 0xB7E15162
 
 @dataclass(frozen=True)
 class ServerConfig:
-    """One server configuration under test (a run-table axis value).
+    """How a serving replica is built: the one recipe for every replica.
 
-    ``timeout`` is the *client-side* budget the serving loop stamps on every
-    query (anchored at arrival, so queue wait burns it); the remaining
+    A run-table axis value, a mounted server
+    (:meth:`~repro.fabric.fabric.ServingFabric.mount`) and every fleet
+    replica (t=0, scale-up, recovered; ``FabricConfig.server``) are all
+    built by :meth:`build` from one of these.  ``timeout`` is the
+    *client-side* budget the serving loop stamps on every query (anchored
+    at arrival, so queue wait burns it) and the server's default budget;
+    ``queue_depth`` is the loop's per-replica wait queue; the remaining
     fields go straight to :class:`~repro.serve.QueryServer`.
     """
 
@@ -70,11 +75,13 @@ class ServerConfig:
     kernel: str = "delta"
     cache_size: int = 64
     jitter: float = 0.0
-    #: 1 mounts the built server in :class:`~repro.fabric.fabric.ServingFabric`;
-    #: more runs a replicated fleet (jitter not plumbed)
+    #: 1 mounts one built server in :class:`~repro.fabric.fabric.ServingFabric`;
+    #: more runs a replicated fleet of that many replicas at t=0
     replicas: int = 1
 
     def build(self, graph, *, seed: int) -> QueryServer:
+        """One replica's server over ``graph`` (a CSR or a
+        :class:`~repro.dyn.live.LiveGraph`); ``seed`` seeds its jitter RNG."""
         return QueryServer(
             graph,
             kernel=self.kernel,
@@ -129,33 +136,19 @@ def cell_seed(table: RunTable, traffic: str, graph: str, config: str, rep: int) 
 
 
 def _mount(config: ServerConfig, graph, mix, *, seed: int, cost_model: CostModel):
-    """What one cell serves: a fresh caller-built server, or a fleet."""
+    """What one cell serves: one server built from ``config``, or a fleet."""
     # imported here: the fabric imports repro.load, and repro.load must
     # stay importable without the fabric or the distributed layer
     from repro.fabric.fabric import FabricConfig, ServingFabric
 
     if config.replicas == 1:
         return ServingFabric.mount(
-            config.build(graph, seed=seed),
-            mix,
-            timeout=config.timeout,
-            queue_depth=config.queue_depth,
-            cost_model=cost_model,
-            seed=seed,
+            config, graph, mix, cost_model=cost_model, seed=seed
         )
     return ServingFabric(
         graph,
         mix,
-        config=FabricConfig(
-            replicas=config.replicas,
-            timeout=config.timeout,
-            max_in_flight=config.max_in_flight,
-            queue_depth=config.queue_depth,
-            tier1_budget_fraction=config.tier1_budget_fraction,
-            kernel=config.kernel,
-            cache_size=config.cache_size,
-            seed=seed,
-        ),
+        config=FabricConfig(server=config, seed=seed),
         cost_model=cost_model,
     )
 

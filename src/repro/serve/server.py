@@ -197,7 +197,8 @@ class QueryServer:
         The graph every query runs against — either a static
         :class:`~repro.graph.csr.CSRGraph` (historical behaviour,
         bit-for-bit unchanged) or a :class:`~repro.dyn.live.LiveGraph`,
-        which enables :meth:`apply_mutations` and versioned serving.
+        which enables :meth:`apply_mutations` and versioned serving
+        from the live graph's current version.
     kernel, alpha, cache_size:
         Forwarded to the underlying :class:`~repro.core.batch.BatchPeeK`;
         ``kernel`` is the pruning-stage SSSP, ``"dijkstra"`` (the default,
@@ -266,6 +267,9 @@ class QueryServer:
             versioned=self.live is not None,
             sanitize=bool(sanitize),
         )
+        if self.live is not None:
+            # a replica rebuilt at a checkpoint version answers at it
+            self.batch.version = self.live.version
         self.default_timeout = default_timeout
         self.retry = retry if retry is not None else RetryPolicy()
         self.max_in_flight = max_in_flight

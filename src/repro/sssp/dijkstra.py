@@ -70,8 +70,9 @@ def dijkstra(
         every vertex settled before the stop.
     banned_vertices:
         Ids of vertices to treat as deleted (Yen's prefix/"red" vertices);
-        an id outside ``[0, n)`` raises :class:`~repro.errors.VertexError`.
-        The source itself must not be banned.
+        an id outside ``[0, n)`` raises :class:`~repro.errors.VertexError`
+        and a ``bool`` mask raises ``TypeError``.  The source itself must
+        not be banned.
     banned_edges:
         Set of ``(u, v)`` pairs to skip (Yen's removed deviation edges).
     workspace:

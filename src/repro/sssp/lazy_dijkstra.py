@@ -19,6 +19,7 @@ from repro.errors import VertexError
 from repro.graph.csr import CSRGraph
 from repro.paths import INF
 from repro.sssp.result import SSSPResult, SSSPStats
+from repro.sssp.workspace import BOOL_BANS
 
 __all__ = ["LazyDijkstra"]
 
@@ -37,7 +38,8 @@ class LazyDijkstra:
         Ids of the vertices excluded from the search, fixed for the lifetime of this
         instance (a new removal set needs a new instance — SB* shares
         instances between deviations with the same removal set).  An id
-        outside ``[0, n)`` raises :class:`~repro.errors.VertexError`.
+        outside ``[0, n)`` raises :class:`~repro.errors.VertexError`; a
+        ``bool`` mask raises ``TypeError``.
     """
 
     def __init__(
@@ -59,8 +61,11 @@ class LazyDijkstra:
         if banned_vertices is None:
             self._banned = None
         else:
+            ids = np.asarray(list(banned_vertices))
+            if ids.dtype == np.bool_:
+                raise TypeError(BOOL_BANS)
+            ids = ids.astype(np.int64)
             self._banned = np.zeros(n, dtype=bool)
-            ids = np.asarray(list(banned_vertices), dtype=np.int64)
             if not ((ids >= 0) & (ids < n)).all():
                 raise VertexError(f"banned vertex out of range [0, {n})")
             self._banned[ids] = True

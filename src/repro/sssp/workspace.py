@@ -40,6 +40,9 @@ from repro.paths import INF
 
 __all__ = ["SSSPWorkspace", "WorkspaceResult"]
 
+#: a ``bool`` ban array is rejected rather than read as the ids {0, 1}
+BOOL_BANS = "banned_vertices takes vertex ids, not a bool mask (np.flatnonzero it)"
+
 
 class SSSPWorkspace:
     """Reusable traversal state for repeated SSSP queries on one graph.
@@ -145,9 +148,15 @@ class SSSPWorkspace:
         PNC's deferred repairs) cost the symmetric difference — still far
         below an O(n) mask rebuild.  Only the newly banned ids are checked
         against ``[0, n)``, before the mask is touched, so a bad id raises
-        :class:`~repro.errors.VertexError` and leaves the mask in sync.
+        :class:`~repro.errors.VertexError` and leaves the mask in sync.  A
+        ``bool`` array (a vertex mask, not ids) raises ``TypeError``.
         """
-        new = ids if isinstance(ids, (set, frozenset)) else {int(v) for v in ids}
+        new = ids
+        if not isinstance(ids, (set, frozenset)):
+            arr = np.asarray(list(ids))
+            if arr.dtype == np.bool_:
+                raise TypeError(BOOL_BANS)
+            new = {int(v) for v in arr.tolist()}
         cur = self._ban_current
         if new == cur:
             return

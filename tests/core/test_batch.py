@@ -127,6 +127,7 @@ class TestBitwiseEquivalence:
             assert prune.bound == ref.prune.bound
             assert np.array_equal(prune.keep_vertices, ref.prune.keep_vertices)
             assert np.array_equal(prune.keep_edges, ref.prune.keep_edges)
+            assert prune.stats == ref.prune.stats  # SSSP counters included
             assert comp.strategy == ref.compaction.strategy
             if _ALPHAS[alpha] is not None:
                 assert comp.strategy == _ALPHAS[alpha]

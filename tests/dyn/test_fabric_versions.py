@@ -39,7 +39,7 @@ class TestKillDuringMutations:
     @pytest.fixture(scope="class")
     def outcome(self):
         graph = suite_graph("LJ", "tiny")
-        config = FabricConfig(replicas=3, seed=0)
+        config = FabricConfig(seed=0)  # FLEET_SERVER: 3 replicas
         plan = FaultPlan.from_specs(["fabric.mutate:rankfail:2@R2"], seed=0)
         fabric = ServingFabric(
             graph,

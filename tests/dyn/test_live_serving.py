@@ -20,6 +20,7 @@ from repro.errors import SanitizerError, VertexError
 from repro.fabric.fabric import ServingFabric
 from repro.graph.build import from_edge_list
 from repro.graph.generators import erdos_renyi
+from repro.load.runner import ServerConfig
 from repro.serve.query import Query
 from repro.serve.server import QueryServer
 from repro.sssp.dijkstra import dijkstra
@@ -294,7 +295,10 @@ class TestServerLiveServing:
 
     def test_harness_applies_mutation_feed_in_order(self):
         live = LiveGraph(fan8())
-        server = QueryServer(live, kernel="dijkstra")
+        fabric = ServingFabric.mount(
+            ServerConfig(name="mounted", kernel="dijkstra"), live, seed=0
+        )
+        server = fabric.replicas[0].server
         queries = [
             Query(0, 4, 3, request_id=f"q{i}", issued_at=0.25 * i)
             for i in range(5)
@@ -304,9 +308,7 @@ class TestServerLiveServing:
             MutationBatch.build(reweights=[(0, 5, 12.0)], at=0.6),
             MutationBatch.build(reweights=[(0, 5, 13.0)], at=9.9),  # late
         ]
-        report = ServingFabric.mount(server, seed=0).run(
-            queries, horizon=1.5, mutations=iter(batches)
-        )
+        report = fabric.run(queries, horizon=1.5, mutations=iter(batches))
         assert report.mutation_batches == 2  # the at=9.9 batch never fires
         assert report.metrics()["mutation_batches"] == 2
         assert server.counters["mutation_batches"] == 2

@@ -1,13 +1,14 @@
 """The serving fabric end-to-end: kills, recovery, failover, elastic."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
 from repro.distributed.comm import FaultPlan
 from repro.dyn.stream import IncidentStream
 from repro.fabric.elastic import ElasticPolicy
-from repro.fabric.fabric import FabricConfig, ServingFabric, report_row
+from repro.fabric.fabric import FLEET_SERVER, FabricConfig, ServingFabric, report_row
 from repro.fabric.replica import ACTIVE, STANDBY
 from repro.graph.suite import suite_graph
 from repro.load.arrivals import arrival_process
@@ -24,7 +25,7 @@ def graph():
 
 
 def build(graph, *, inject=None, seed=0, **over):
-    config = FabricConfig(replicas=3, seed=seed, **over)
+    config = FabricConfig(seed=seed, **over)  # FLEET_SERVER: 3 replicas
     plan = FaultPlan.from_specs(inject, seed=seed) if inject else None
     return ServingFabric(
         graph, make_mix(graph, dict(MIX)), config=config, fault_plan=plan
@@ -190,7 +191,6 @@ class TestElasticPolicy:
         fabric = build(
             graph,
             max_replicas=5,
-            min_replicas=2,
             elastic=ElasticPolicy(min_replicas=2),
         )
         report = fabric.run(
@@ -226,7 +226,7 @@ def sweep_peak(logs) -> int:
 
 class TestPeakInFlight:
     def test_counted_at_arrival_with_a_queue(self, graph):
-        report = build(graph, queue_depth=4).run(
+        report = build(graph, server=replace(FLEET_SERVER, queue_depth=4)).run(
             arrival_process({"kind": "poisson", "rate": 3000.0}),
             horizon=0.2,
             max_queries=150,

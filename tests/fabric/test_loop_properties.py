@@ -11,6 +11,8 @@ mutation rate; every example runs on the tiny LJ graph.  Two invariants:
   rebuilt at that version by replaying the stream's batches in order.
 """
 
+from dataclasses import replace
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,11 +20,11 @@ import repro
 from repro.distributed.comm import FaultPlan
 from repro.dyn.live import LiveGraph
 from repro.dyn.stream import IncidentStream
-from repro.fabric.fabric import FabricConfig, ServingFabric
+from repro.fabric.fabric import FLEET_SERVER, FabricConfig, ServingFabric
 from repro.graph.suite import suite_graph
 from repro.load.arrivals import ClosedLoop, PoissonArrivals
 from repro.load.mixes import make_mix
-from repro.serve.server import QueryServer
+from repro.load.runner import ServerConfig
 from repro.verify import verify_ksp_result
 
 GRAPH = suite_graph("LJ", "tiny")
@@ -56,17 +58,18 @@ def run_once(sc: dict):
         loop = ServingFabric(
             GRAPH,
             mix,
-            config=FabricConfig(replicas=3, timeout=0.05, seed=seed),
+            config=FabricConfig(
+                server=replace(FLEET_SERVER, timeout=0.05), seed=seed
+            ),
             fault_plan=plan,
         )
         live = loop.authority
     else:
         live = LiveGraph(GRAPH)
         loop = ServingFabric.mount(
-            QueryServer(live, max_in_flight=4),
+            ServerConfig(name="mounted", timeout=0.05, queue_depth=2, kernel="dijkstra"),
+            live,
             mix,
-            timeout=0.05,
-            queue_depth=2,
             seed=seed,
         )
     yielded = []

@@ -20,13 +20,14 @@ from repro.load.harness import (
     percentile,
 )
 from repro.load.mixes import KSampler, UniformMix
+from repro.load.runner import ServerConfig
 from repro.load.simclock import CostModel, SimClock, virtual_time
 from repro.load.trace import record_open_loop
 from repro.serve.query import Query
 from repro.serve.server import DEGRADED, QueryServer
 
 
-#: the harness's kernel (LoadConfig/FabricConfig): CostModel's per-visit
+#: the harness's kernel (ServerConfig's default): CostModel's per-visit
 #: constants were set against Δ-stepping's per-phase checkpoint cadence, and
 #: the compiled Dijkstra bills too few visits for queues to expire
 KERNEL = "delta"
@@ -37,13 +38,11 @@ def graph():
     return suite_graph("LJ", "tiny")
 
 
-def make_harness(graph, **kwargs):
-    server_kwargs = kwargs.pop("server_kwargs", {})
-    server = QueryServer(graph, kernel=KERNEL,
-                         max_in_flight=kwargs.pop("max_in_flight", 4),
-                         **server_kwargs)
+def make_harness(graph, *, seed, **server):
+    """The loop over one server built from ``ServerConfig(**server)``."""
+    config = ServerConfig(name="harness", kernel=KERNEL, **server)
     mix = UniformMix(graph, k=KSampler(k_max=4))
-    return ServingFabric.mount(server, mix, **kwargs)
+    return ServingFabric.mount(config, graph, mix, seed=seed)
 
 
 class TestSimClock:
@@ -147,13 +146,13 @@ class TestOpenLoop:
             graph,
             timeout=0.012,
             seed=5,
-            server_kwargs={"tier1_budget_fraction": 0.4},
+            tier1_budget_fraction=0.4,
         )
         report = h.run(PoissonArrivals(200.0), horizon=0.3)
         assert report.count(DEGRADED) > 0
 
     def test_needs_a_mix(self, graph):
-        h = ServingFabric.mount(QueryServer(graph))
+        h = ServingFabric.mount(ServerConfig(name="no-mix"), graph)
         with pytest.raises(ValueError, match="query mix"):
             h.run(PoissonArrivals(10.0), horizon=0.1)
 

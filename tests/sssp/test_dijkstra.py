@@ -8,6 +8,7 @@ from repro.graph.build import from_edge_list
 from repro.graph.generators import erdos_renyi, grid_network
 from repro.paths import INF, reconstruct_path
 from repro.sssp.dijkstra import dijkstra
+from repro.sssp.workspace import SSSPWorkspace
 
 
 class TestBasics:
@@ -79,6 +80,20 @@ class TestBans:
     def test_banned_edge_forces_next_route(self, diamond_graph):
         res = dijkstra(diamond_graph, 0, banned_edges={(0, 1)})
         assert res.dist[3] == pytest.approx(3.0)
+
+    @pytest.mark.parametrize("workspace", [False, True])
+    def test_bool_mask_rejected(self, workspace):
+        """A ``bool[n]`` mask was read as the ids {0, 1}: with only
+        vertex 7 masked, vertex 7 stayed reachable and 0, 1 were banned."""
+        g = grid_network(5, 5, seed=1)
+        mask = np.zeros(g.num_vertices, dtype=bool)
+        mask[7] = True
+        ws = SSSPWorkspace(g) if workspace else None
+        with pytest.raises(TypeError, match="bool mask"):
+            dijkstra(g, 12, banned_vertices=mask, workspace=ws)
+        res = dijkstra(g, 12, banned_vertices=np.flatnonzero(mask), workspace=ws)
+        assert res.dist[7] == INF
+        assert np.isfinite(res.dist[0]) and np.isfinite(res.dist[1])
 
     def test_ban_all_routes(self, diamond_graph):
         res = dijkstra(

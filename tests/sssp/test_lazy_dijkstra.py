@@ -64,6 +64,17 @@ class TestBans:
         with pytest.raises(VertexError):
             LazyDijkstra(diamond_graph, 0, banned_vertices=[0])
 
+    def test_bool_mask_rejected(self, diamond_graph):
+        """A ``bool[n]`` mask was read as the ids {0, 1}, banning the
+        source instead of the masked vertex."""
+        mask = np.zeros(diamond_graph.num_vertices, dtype=bool)
+        mask[2] = True
+        with pytest.raises(TypeError, match="bool mask"):
+            LazyDijkstra(diamond_graph, 0, banned_vertices=mask)
+        ld = LazyDijkstra(diamond_graph, 0, banned_vertices=np.flatnonzero(mask))
+        assert ld.distance_to(2) == INF
+        assert ld.distance_to(3) == pytest.approx(2.0)
+
     def test_bad_vertex(self, diamond_graph):
         ld = LazyDijkstra(diamond_graph, 0)
         with pytest.raises(VertexError):
