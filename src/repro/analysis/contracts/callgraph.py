@@ -10,8 +10,9 @@ several candidate functions, and passes treat "any candidate does X" or
   enclosing class, falling back to any method named ``foo`` project-wide
   when the hierarchy does not define it;
 * ``obj.foo(...)`` — every *method* named ``foo`` anywhere (receiver
-  types are unknown statically); when the receiver's bare name matches
-  a project module's basename (``spans.run(...)``), the module's
+  types are unknown statically); when the receiver's bare name is a
+  project module's basename that the caller's module imports and the
+  caller does not bind itself (``spans.run(...)``), the module's
   top-level ``foo`` instead;
 * ``TABLE[...](...)`` — the values of any module-level dict literal
   named ``TABLE`` (e.g. the ``ALL_EXPERIMENTS`` experiment table);
@@ -105,6 +106,8 @@ class CallGraph:
         self._classes: dict[str, list[str]] = {}  # class name → modules
         self._tables: dict[str, list[str]] = {}
         self._module_basenames: dict[str, set[str]] = {}
+        #: module → names its import statements bind
+        self._imported_names: dict[str, set[str]] = {}
         self._by_module = self.project.by_module()
         self._local_types_cache: dict[str, dict[str, set[str]]] = {}
         #: (module, class, attr) → classes assigned via ``self.attr = Foo(...)``
@@ -112,6 +115,13 @@ class CallGraph:
         for mod in self.project.modules:
             base = mod.module.rsplit("/", 1)[-1].removesuffix(".py")
             self._module_basenames.setdefault(base, set()).add(mod.module)
+            imported = self._imported_names.setdefault(mod.module, set())
+            imported.update(mod.imports)
+            for node in ast.walk(mod.tree):
+                if isinstance(node, ast.Import):
+                    imported.update(
+                        a.asname or a.name.split(".", 1)[0] for a in node.names
+                    )
         for mod in self.project.modules:
             for tbl, names in mod.dispatch_tables.items():
                 self._tables.setdefault(tbl, []).extend(names)
@@ -211,7 +221,7 @@ class CallGraph:
                     else:
                         out.extend(self._hierarchy_methods(cls, site.name))
                 return _dedup(out)
-            if site.recv is not None and site.recv in self._module_basenames:
+            if site.recv is not None and self._is_module_name(caller, site.recv):
                 mods = self._module_basenames[site.recv]
                 return _dedup(
                     [
@@ -228,6 +238,23 @@ class CallGraph:
                 out.extend(self._top_level.get(n, []))
             return _dedup(out)
         return []
+
+    def _is_module_name(self, caller: FunctionInfo, name: str) -> bool:
+        """``name`` is a project module the caller's module imports and the
+        caller does not bind (a local named like a module is a value)."""
+        if name not in self._module_basenames:
+            return False
+        if name not in self._imported_names[caller.module.module]:
+            return False
+        return not any(
+            (isinstance(node, ast.arg) and node.arg == name)
+            or (
+                isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Store)
+                and node.id == name
+            )
+            for node in ast.walk(caller.node)
+        )
 
     def _by_cls_method_all(self, cls: str, meth: str) -> list[str]:
         return self._by_cls_method.get((cls, meth), [])

@@ -32,8 +32,10 @@ import os
 import numpy as np
 
 from repro.analysis.findings import Finding
+from repro.cancel import fault_scope
 from repro.errors import SanitizerError
 from repro.graph.csr import csr_violation
+from repro.obs.tracer import NOOP_TRACER, use_tracer
 from repro.paths import COST_REL_TOL, costs_close
 from repro.verify import verify_ksp_result
 
@@ -318,14 +320,17 @@ def check_dyn_reuse(
     """
     from repro.core.pruning import k_upper_bound_prune
 
-    cold = k_upper_bound_prune(
-        graph,
-        source,
-        target,
-        k,
-        kernel=kernel,
-        strong_edge_prune=strong_edge_prune,
-    )
+    # the audit is not the query's work: no checkpoint inside it may bill
+    # simulated time or fire an injected fault, and it leaves no trace
+    with fault_scope(None), use_tracer(NOOP_TRACER):
+        cold = k_upper_bound_prune(
+            graph,
+            source,
+            target,
+            k,
+            kernel=kernel,
+            strong_edge_prune=strong_edge_prune,
+        )
     both_inf = not (np.isfinite(prune.bound) or np.isfinite(cold.bound))
     if not both_inf and not costs_close(prune.bound, cold.bound):
         _fail(

@@ -32,11 +32,14 @@ identical to single-query PeeK (tested).
 :class:`repro.serve.QueryServer` builds on :meth:`BatchPeeK.prepare` to
 drive the KSP stage incrementally under a deadline.
 
-With ``versioned=True`` the batch solver also serves *live* graphs
-(:class:`repro.dyn.live.LiveGraph`): :meth:`BatchPeeK.rebind` moves it to
-a new snapshot, surgically invalidating only the SSSP cache entries whose
-trees touch mutated vertices and only the prepared pruning decisions the
-Yamane–Kitajima-style reuse certificate
+:class:`BatchPeeK` also memoises each pruning decision per ``(source,
+target, k)``: PeeK's decision depends only on the query and the graph, so
+a repeat query on an unchanged graph skips both SSSPs, the spSum scan and
+the compaction build.  The same memo serves *live* graphs
+(:class:`repro.dyn.live.LiveGraph`): :meth:`BatchPeeK.rebind` moves the
+solver to a new snapshot, surgically invalidating only the SSSP cache
+entries whose trees touch mutated vertices and only the prepared pruning
+decisions the Yamane–Kitajima-style reuse certificate
 (:func:`~repro.core.pruning.prune_reuse_certificate`) cannot carry
 forward.  A certificate-carried query skips both SSSPs and the spSum
 scan entirely — the incremental re-solve the paper's dynamic Figure 12
@@ -47,7 +50,7 @@ same snapshot (tested; audited by SAN-DYN under sanitizers).
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import islice
 
 import numpy as np
@@ -79,8 +82,8 @@ __all__ = [
     "record_prune",
 ]
 
-#: LRU bound on the pruning decisions a versioned :class:`BatchPeeK`
-#: memoises per ``(source, target, k)``.
+#: LRU bound on the pruning decisions :class:`BatchPeeK` memoises per
+#: ``(source, target, k)``.
 PREPARED_CACHE_SIZE = 32
 
 
@@ -116,7 +119,7 @@ class PreparedQuery:
     prune: PruneResult | None
     compaction: CompactionResult | None
     #: graph snapshot version the prune/compaction were computed against
-    #: (0 for static graphs; stamped by versioned :class:`BatchPeeK`)
+    #: (0 for static graphs; stamped by :class:`BatchPeeK`)
     version: int = 0
 
     def map_paths(self, paths) -> list[Path]:
@@ -242,7 +245,8 @@ class BatchPeeK:
     Parameters
     ----------
     graph:
-        The (static) graph every query runs against.
+        The graph every query runs against (a snapshot; :meth:`rebind`
+        moves the solver to the next one).
     kernel:
         SSSP kernel for the pruning stage, as in
         :class:`~repro.core.peek.PeeK`: ``"dijkstra"`` (the default,
@@ -257,14 +261,8 @@ class BatchPeeK:
     strong_edge_prune:
         Enable the edge-level Lemma-4.2 extension, exactly as in
         :class:`~repro.core.peek.PeeK` (default off, matching the paper).
-    versioned:
-        Serve a *live* graph: :meth:`rebind` accepts new snapshots, the
-        SSSP cache is invalidated region-by-region instead of wholesale,
-        and pruning decisions are memoised per ``(source, target, k)``
-        and carried across versions when the reuse certificate allows.
-        Off by default — static-graph behaviour is bit-for-bit unchanged.
     sanitize:
-        Audit every certificate-carried reuse with SAN-DYN (a cold
+        Audit every memoised-decision reuse with SAN-DYN (a cold
         re-prune comparison).  ``RPR_SANITIZE=1`` enables it regardless.
     """
 
@@ -276,7 +274,6 @@ class BatchPeeK:
         cache_size: int = 64,
         alpha: float = 0.1,
         strong_edge_prune: bool = False,
-        versioned: bool = False,
         sanitize: bool = False,
     ) -> None:
         if cache_size < 1:
@@ -285,7 +282,6 @@ class BatchPeeK:
         self.kernel = kernel
         self.alpha = alpha
         self.strong_edge_prune = strong_edge_prune
-        self.versioned = versioned
         self.sanitize = sanitize
         self._cache_size = cache_size
         #: one LRU over both directions, keyed ("fwd"|"rev", root)
@@ -330,7 +326,7 @@ class BatchPeeK:
 
     # ------------------------------------------------------------------
     def rebind(self, graph, *, version: int, summary) -> None:
-        """Move the solver to a new graph snapshot (versioned mode).
+        """Move the solver to a new graph snapshot.
 
         Region-keyed invalidation instead of :meth:`clear_cache`'s
         wholesale drop:
@@ -398,40 +394,46 @@ class BatchPeeK:
         validate_query(self.graph, Query(source, target, k))
         key = (source, target, k)
         tracer = get_tracer()
-        if self.versioned:
-            memo = self._prepared.get(key)
-            if memo is not None:
-                # certificate-carried (or same-version) reuse: skip both
-                # SSSPs, the spSum scan, and the compaction build
-                self._prepared.move_to_end(key)
-                self.prune_reused += 1
-                tracer.add("batch.prune_reuse")
-                prune, compaction = memo
-                if self.sanitize or sanitize_enabled_from_env():
-                    check_dyn_reuse(
-                        self.graph,
-                        prune,
-                        source,
-                        target,
-                        k,
-                        kernel=self.kernel,
-                        strong_edge_prune=self.strong_edge_prune,
-                    )
-                return prepare_remnant(
+        memo = self._prepared.get(key)
+        if memo is not None:
+            # certificate-carried (or same-version) reuse: skip both
+            # SSSPs, the spSum scan, and the compaction build
+            self._prepared.move_to_end(key)
+            self.prune_reused += 1
+            tracer.add("batch.prune_reuse")
+            prune, compaction = memo
+            if self.sanitize or sanitize_enabled_from_env():
+                check_dyn_reuse(
                     self.graph,
+                    prune,
                     source,
                     target,
                     k,
-                    prune,
-                    compaction=compaction,
-                    deadline=deadline,
-                    version=self.version,
+                    kernel=self.kernel,
+                    strong_edge_prune=self.strong_edge_prune,
                 )
-            self.prune_cold += 1
-            tracer.add("batch.prune_cold")
+            return prepare_remnant(
+                self.graph,
+                source,
+                target,
+                k,
+                # this query did no pruning work: its stats read zero
+                replace(prune, stats=PruneStats()),
+                compaction=compaction,
+                deadline=deadline,
+                version=self.version,
+            )
+        self.prune_cold += 1
+        tracer.add("batch.prune_cold")
         with tracer.span("prune", k=k, kernel=self.kernel) as span:
+            # only the halves this query computed count as its SSSP work
+            misses = self.misses
             fwd = self.forward_sssp(source, deadline=deadline)
+            ran = [fwd] if self.misses > misses else []
+            misses = self.misses
             rev = self.reverse_sssp(target, deadline=deadline)
+            if self.misses > misses:
+                ran.append(rev)
             prune = bound_and_masks(
                 fwd,
                 rev,
@@ -440,7 +442,7 @@ class BatchPeeK:
                 k,
                 graph=self.graph,
                 strong_edge_prune=self.strong_edge_prune,
-                stats=PruneStats.from_sssp(fwd, rev),
+                stats=PruneStats.from_sssp(*ran),
                 deadline=deadline,
             )
             record_prune(span, prune)
@@ -454,10 +456,9 @@ class BatchPeeK:
             deadline=deadline,
             version=self.version,
         )
-        if self.versioned:
-            self._prepared[key] = (prune, prep.compaction)
-            if len(self._prepared) > PREPARED_CACHE_SIZE:
-                self._prepared.popitem(last=False)
+        self._prepared[key] = (prune, prep.compaction)
+        if len(self._prepared) > PREPARED_CACHE_SIZE:
+            self._prepared.popitem(last=False)
         return prep
 
     def query(
@@ -471,7 +472,8 @@ class BatchPeeK:
         """One PeeK query, reusing any cached SSSP halves.
 
         Identical results to ``PeeK(graph, s, t).run(k)`` (tested); only
-        the pruning SSSPs are shared across queries.
+        the pruning SSSPs and the memoised pruning decisions are shared
+        across queries.
         """
         tracer = get_tracer()
         with tracer.span("batch.query", source=source, target=target, k=k):
@@ -483,10 +485,10 @@ class BatchPeeK:
     def cache_info(self) -> dict[str, int]:
         """Hit/miss counters plus current cache occupancy per direction.
 
-        Versioned mode adds the rebind accounting: cumulative entries
-        ``invalidated``/``retained`` across all rebinds, the memoised
-        pruning-decision occupancy, and the reuse split
-        (``prune_reused``/``prune_cold``).
+        Also the memoised pruning-decision occupancy, the reuse split
+        (``prune_reused``/``prune_cold``) and the rebind accounting:
+        cumulative entries ``invalidated``/``retained`` across all
+        rebinds.
         """
         fwd = sum(1 for d, _ in self._cache if d == "fwd")
         return {

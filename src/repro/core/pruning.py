@@ -64,12 +64,14 @@ class PruneStats:
     vertices_settled: int = 0
 
     @classmethod
-    def from_sssp(cls, fwd, rev) -> "PruneStats":
-        """Fresh stats carrying the two SSSPs' counters (step 1's work)."""
+    def from_sssp(cls, *ran) -> "PruneStats":
+        """Fresh stats carrying the counters of the SSSPs that ran (step
+        1's work); a tree reused from a cache is not passed, so it
+        contributes none."""
         return cls(
-            sssp_phase_work=list(fwd.stats.phase_work) + list(rev.stats.phase_work),
-            edges_relaxed=fwd.stats.edges_relaxed + rev.stats.edges_relaxed,
-            vertices_settled=fwd.stats.vertices_settled + rev.stats.vertices_settled,
+            sssp_phase_work=[w for res in ran for w in res.stats.phase_work],
+            edges_relaxed=sum(res.stats.edges_relaxed for res in ran),
+            vertices_settled=sum(res.stats.vertices_settled for res in ran),
         )
 
     @property

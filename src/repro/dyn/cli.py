@@ -5,8 +5,10 @@ One subcommand::
     peek-dyn smoke --graph LJ --scale tiny --seed 0 \\
         --json /tmp/dyn.json --summary /tmp/dyn.txt
 
-drives one :class:`~repro.serve.QueryServer` built over a
-:class:`~repro.dyn.live.LiveGraph` with a seeded incident stream
+drives a one-replica :class:`~repro.fabric.fabric.ServingFabric` fleet
+(its :class:`~repro.serve.QueryServer` serves its own copy of the
+fleet's authoritative :class:`~repro.dyn.live.LiveGraph`) with a seeded
+incident stream
 (:class:`~repro.dyn.stream.IncidentStream`) and a hot query pool on the
 simulated clock, then writes a deterministic JSON payload (run metrics,
 server counters, cache/reuse accounting, final graph version) and a
@@ -16,8 +18,8 @@ byte-for-byte — the CI ``dyn-serving`` job runs the smoke twice and
 
 The query content cycles a small *hot pool* of ``(source, target, k)``
 tuples rather than sampling uniformly: repeated queries are what the
-versioned prune-bound reuse path exists for, so the smoke demonstrates a
-non-zero reuse rate by construction.
+prune-bound reuse path exists for, so the smoke demonstrates a non-zero
+reuse rate by construction.
 """
 
 from __future__ import annotations
@@ -27,9 +29,8 @@ import json
 import sys
 from random import Random
 
-from repro.dyn.live import LiveGraph
 from repro.dyn.stream import IncidentStream
-from repro.fabric.fabric import ServingFabric
+from repro.fabric.fabric import FabricConfig, ServingFabric
 from repro.graph.suite import SCALES, suite_graph
 from repro.load.arrivals import PoissonArrivals
 from repro.load.runner import ServerConfig
@@ -91,10 +92,8 @@ def run_smoke(
     ``p_clear=0, p_reopen=0``).
     """
     graph = suite_graph(graph_name, scale)
-    live = LiveGraph(graph)
     config = ServerConfig(name="smoke", timeout=timeout, max_in_flight=64, kernel=kernel)
-    # annotated so repro-contracts resolves fabric.run (not a module call)
-    fabric: ServingFabric = ServingFabric.mount(config, live, seed=seed)
+    fabric = ServingFabric(graph, config=FabricConfig(server=config, seed=seed))
     server = fabric.replicas[0].server
 
     n = graph.num_vertices
@@ -128,7 +127,7 @@ def run_smoke(
         **(stream_kwargs or {}),
     )
     report = fabric.run(
-        queries, horizon=horizon, mutations=stream.batches(live, horizon)
+        queries, horizon=horizon, mutations=stream.batches(fabric.authority, horizon)
     )
 
     info = server.batch.cache_info
@@ -149,7 +148,7 @@ def run_smoke(
         "prune_reuse_rate": round(info["prune_reused"] / reuse_total, 6)
         if reuse_total
         else 0.0,
-        "final_version": live.version,
+        "final_version": fabric.authority.version,
     }
 
 

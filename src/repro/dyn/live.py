@@ -56,7 +56,7 @@ class Snapshot:
 
 
 class LiveGraph:
-    """Mutable graph spine with monotone-versioned immutable snapshots."""
+    """Mutable graph spine with immutable snapshots of monotone version."""
 
     def __init__(
         self, graph: CSRGraph | TerraceGraph, *, version: int = 0

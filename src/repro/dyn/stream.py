@@ -6,8 +6,8 @@ against PeeK's adaptive compaction — and the serving scenario it implies
 needs a first-class value for "what changed": :class:`MutationBatch`, a
 frozen batch of edge inserts / deletes / reweights and vertex tombstones
 stamped with a simulated-clock instant, applied atomically by
-:class:`~repro.dyn.live.LiveGraph` to produce the next versioned
-snapshot.
+:class:`~repro.dyn.live.LiveGraph` to produce the next snapshot
+version.
 
 :class:`IncidentStream` generates seeded batches against the *current*
 graph state: closures delete existing edges, congestion multiplies

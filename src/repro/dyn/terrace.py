@@ -17,7 +17,7 @@ compaction, so this reproduction implements the same three-level shape:
 The container supports batched edge insertion/deletion/reweighting and
 lazy vertex tombstoning (what the Fig 12 workload and the live-graph
 serving path need), neighbour iteration for SSSP, and CSR snapshot
-extraction (:meth:`TerraceGraph.to_csr`) for the versioned serving layer
+extraction (:meth:`TerraceGraph.to_csr`) for the live serving layer
 (:mod:`repro.dyn.live`).
 
 Update semantics (fixed and now locked down by regression tests):

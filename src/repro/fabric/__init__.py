@@ -5,8 +5,8 @@ deadline-aware :class:`~repro.serve.QueryServer` replicas (PR 4/7), the
 BSP-accounted :class:`~repro.distributed.comm.SimComm` substrate with
 seeded :class:`~repro.distributed.comm.FaultPlan` kills and the
 checksummed :class:`~repro.distributed.checkpoint.CheckpointStore`
-(PR 5), virtual-clock load generation (PR 8) and versioned live graphs
-(PR 9) — into one coordination layer:
+(PR 5), virtual-clock load generation (PR 8) and live graphs with
+snapshot versions (PR 9) — into one coordination layer:
 
 * :class:`~repro.fabric.ring.HashRing` /
   :class:`~repro.fabric.router.Router` — consistent-hash query placement
@@ -20,9 +20,8 @@ checksummed :class:`~repro.distributed.checkpoint.CheckpointStore`
 * :class:`~repro.fabric.fabric.ServingFabric` — the repo's one
   deterministic serving loop, tying heartbeats, kills, hedged retries,
   recoveries, mutations and open- or closed-loop queries onto one
-  simulated timeline; :meth:`ServingFabric.mount
-  <repro.fabric.fabric.ServingFabric.mount>` runs it over a single
-  server.  Every replica is built by one recipe,
+  simulated timeline, for a fleet of one replica or more.  Every
+  replica is built by one recipe,
   :class:`~repro.load.runner.ServerConfig`.
 
 Everything is a pure function of the seeds: two runs of the same

@@ -37,22 +37,16 @@ simulated timeline, in a fixed priority order at equal instants
   ``draining`` replica; dead or recovering replicas catch up from the
   batch log during recovery.
 
-Every replica's server is built by :meth:`ServerConfig.build
-<repro.load.runner.ServerConfig.build>`.  Two ways to build the loop.
-``ServingFabric(graph, ...)`` is the replicated fleet: the fabric owns
-the authority, builds one server per replica over its own ``LiveGraph``,
-and runs all five streams.  :meth:`ServingFabric.mount` builds one
-server over the caller's graph as replica 0 with no authority, no
-supervisor and no heartbeats; mutation batches go through that server's
-own ``apply_mutations`` as the queries reach them.  A run-table cell
-mounts a server over its static graph instead of running a one-replica
-fleet because the two differ measurably: a fleet's ``LiveGraph`` gives
-a versioned ``BatchPeeK``, which reuses prepared decisions a
-static-graph server re-solves.  On the medium serving table's
-``poisson_overload``/LJ/baseline rep-0 cell the static-graph server
-made 9 degraded attempts and 98 SSSP cache hits; a one-replica fleet
-made 7 and 106, with one reused prune decision.  The fleet's heartbeats
-also add checkpoint and superstep counters to every cell's trace.
+One way to build the loop: ``ServingFabric(graph, ...)`` is a fleet of
+``config.server.replicas`` replicas, each server built by
+:meth:`ServerConfig.build <repro.load.runner.ServerConfig.build>` over
+its own copy of the authority's ``LiveGraph``.  A single server — a
+run-table cell's G/G/c/K station, a ``peek-dyn`` smoke, a ``peek-load
+replay`` — is a one-replica fleet: its answers equal those of a server
+over the static graph, since every ``BatchPeeK`` memoises its pruning
+decisions whether or not the graph ever changes, and its heartbeats
+only add availability columns and ``comm.*``/``dist.*``/``fabric.*``
+counters.
 
 Everything downstream of the seeds is deterministic, so a report —
 availability, latency percentiles under failure, disposition counts,
@@ -88,12 +82,14 @@ from repro.fabric.router import Router, ShardMap
 from repro.fabric.supervisor import FabricSupervisor
 from repro.load.arrivals import ArrivalProcess, ClosedLoop
 from repro.load.harness import (
+    DISPOSITIONS,
     EXPIRED,
     MIX_STREAM_OFFSET,
     SHED,
     THINK_STREAM_OFFSET,
-    LoadReport,
     QueryLog,
+    disposition_summary,
+    percentile,
 )
 from repro.load.runner import ServerConfig
 from repro.load.simclock import CostModel, SimClock, virtual_time
@@ -179,15 +175,20 @@ class KillRecord:
 
 
 @dataclass
-class FabricReport(LoadReport):
-    """Everything one run of the loop produced.
+class FabricReport:
+    """Everything one run of the loop produced."""
 
-    :meth:`metrics` is the single-server table
-    (:meth:`LoadReport.metrics <repro.load.harness.LoadReport.metrics>`)
-    for a mounted server, and that table plus the availability/recovery
-    columns for a fleet.
-    """
-
+    logs: list[QueryLog]
+    horizon: float
+    #: most served queries in the system at once (counted at arrivals,
+    #: where the count rises)
+    peak_in_flight: int = 0
+    #: checkpoint ticks the clock advanced through (work proxy)
+    clock_ticks: int = 0
+    #: mutation batches applied from the run's mutation feed
+    mutation_batches: int = 0
+    #: merged per-outcome counters of every server the run built
+    server_counters: dict[str, int] = field(default_factory=dict)
     kills: list[KillRecord] = field(default_factory=list)
     elastic_events: list[ElasticEvent] = field(default_factory=list)
     heartbeats: int = 0
@@ -195,11 +196,22 @@ class FabricReport(LoadReport):
     router_rejected: int = 0
     #: final replica states, id-ordered
     replica_states: dict[int, str] = field(default_factory=dict)
-    #: BSP accounting of the fleet's communicator (empty for a mounted
-    #: server, which has none)
+    #: BSP accounting of the fleet's communicator
     dist: dict[str, float] = field(default_factory=dict)
     #: request_id -> ((vertices, distance), ...) when ``keep_results``
     results: dict[str, tuple] | None = None
+
+    def count(self, disposition: str) -> int:
+        return sum(1 for log in self.logs if log.disposition == disposition)
+
+    def dispositions(self, server_counters: dict | None = None) -> dict:
+        """Unified disposition ledger — see
+        :func:`~repro.load.harness.disposition_summary`; merges
+        ``server_counters`` (default: the run's own)."""
+        return disposition_summary(
+            self.logs,
+            self.server_counters if server_counters is None else server_counters,
+        )
 
     def recovery_window_dispositions(self) -> dict[str, int]:
         """Disposition counts of queries issued while a replica was down."""
@@ -214,12 +226,46 @@ class FabricReport(LoadReport):
         return dict(sorted(counts.items()))
 
     def metrics(self) -> dict[str, Any]:
-        base = super().metrics()
-        if not self.dist:
-            return base
+        """The aggregate table one run reports: load, then availability
+        and recovery.
+
+        Latency percentiles are over *served* queries (shed and expired
+        requests never got a response; their rates are reported
+        separately so they cannot hide in a truncated latency
+        distribution).  All values are exact functions of the seeds.
+        """
+        logs = self.logs
+        issued = len(logs)
+        counts = {d: 0 for d in DISPOSITIONS}
+        for log in logs:
+            counts[log.disposition] += 1
+        served = [log for log in logs if log.served]
+        latencies = sorted(log.latency for log in served)
+        queue_times = sorted(log.queue_time for log in served)
+        horizon = self.horizon
+        out: dict[str, Any] = {
+            "queries": issued,
+            "served": len(served),
+            "horizon": round(horizon, 6),
+            "throughput_qps": round(len(served) / horizon, 6) if horizon > 0 else 0.0,
+            "goodput_qps": round(counts["complete"] / horizon, 6)
+            if horizon > 0
+            else 0.0,
+            "latency_p50": _round(percentile(latencies, 50)),
+            "latency_p99": _round(percentile(latencies, 99)),
+            "latency_p999": _round(percentile(latencies, 99.9)),
+            "queue_p50": _round(percentile(queue_times, 50)),
+            "queue_p99": _round(percentile(queue_times, 99)),
+            "peak_in_flight": self.peak_in_flight,
+            "mutation_batches": self.mutation_batches,
+        }
+        for disposition in DISPOSITIONS:
+            out[f"{disposition}_rate"] = (
+                round(counts[disposition] / issued, 6) if issued else 0.0
+            )
         summary = self.dispositions()
         ttrs = [k.ttr for k in self.kills if k.ttr is not None]
-        base.update(
+        out.update(
             {
                 "availability": summary["availability"],
                 "answered": summary["answered"],
@@ -229,24 +275,25 @@ class FabricReport(LoadReport):
                 "ttr_mean": round(sum(ttrs) / len(ttrs), 6) if ttrs else None,
                 "recovery_within_budget": all(
                     k.within_budget for k in self.kills
-                )
-                if self.kills
-                else True,
+                ),
                 "heartbeats": self.heartbeats,
                 "spills": self.spills,
                 "router_rejected": self.router_rejected,
                 "elastic_events": len(self.elastic_events),
             }
         )
-        return base
+        return out
+
+
+def _round(value: float | None) -> float | None:
+    return round(value, 6) if value is not None else None
 
 
 class _Feed:
     """Lazy, time-ordered mutation feed.
 
     The next batch is pulled from the stream only after the previous one
-    was applied — to a mounted server or to a fleet's authority alike —
-    so generators that sample the *current* graph state
+    was applied to the authority, so generators that sample the *current* graph state
     (:meth:`~repro.dyn.stream.IncidentStream.batches`) see exactly the
     state their batch applies to.
     """
@@ -326,20 +373,24 @@ class ServingFabric:
     graph:
         The initial graph (a static CSR; the fabric owns the
         authoritative :class:`~repro.dyn.live.LiveGraph` built over it,
-        and every replica serves its own copy).
+        :attr:`authority`, and every replica serves its own copy).
     mix:
         Query-content sampler for generated traffic (optional when every
         run replays a trace).
     config:
         The :class:`FabricConfig`: the replica recipe
-        (``config.server``) plus the fleet-only settings.
+        (``config.server``: ``max_in_flight`` worker slots and a FIFO
+        wait queue of ``queue_depth`` requests per replica, 0 = shed on
+        busy; ``timeout`` is each query's budget in simulated seconds,
+        anchored at its *arrival*, so queue wait burns it) plus the
+        fleet-only settings.  ``config.seed`` drives arrival times, query
+        content, think times and the jitter RNGs (docs/load_testing.md,
+        "The seeding contract").
     cost_model:
         Per-checkpoint simulated costs (default :class:`CostModel`).
     fault_plan:
         Seeded :class:`~repro.distributed.comm.FaultPlan`; ``@R<N>``
         rules target replicas (identity-mapped onto the fabric's ranks).
-
-    :meth:`mount` builds the single-server variant instead.
     """
 
     def __init__(
@@ -358,7 +409,27 @@ class ServingFabric:
         provisioned = cfg.max_replicas if cfg.max_replicas is not None else initial
         if provisioned < initial:
             raise ValueError("max_replicas must cover the initial replicas")
-        self._setup(mix, cfg, cost_model)
+        if cfg.server.queue_depth < 0:
+            raise ValueError("queue_depth must be >= 0")
+        self.config = cfg
+        self.mix = mix
+        self.cost_model = cost_model if cost_model is not None else CostModel()
+        self.replicas: dict[int, Replica] = {}
+        #: (version_after, batch) per applied batch — the recovery replay log
+        self._batch_log: list[tuple[int, Any]] = []
+        #: pending timed events: (at, seq, kind, replica_id, kill_record)
+        self._pending: list[tuple[float, int, str, int, KillRecord | None]] = []
+        self._seq = 0
+        self._known_dead: set[int] = set()
+        self._ticks_done = 0
+        self._mutations_applied = 0
+        self.kills: list[KillRecord] = []
+        self.elastic_events: list[ElasticEvent] = []
+        self._logs: dict[str, QueryLog] = {}
+        self._results: dict[str, tuple] | None = None
+        self._users: _Users | None = None
+        self._peak = 0
+        self._clock = SimClock()
         self.authority = LiveGraph(graph)
         self.shard_map = ShardMap(graph, cfg.shards)
         self.comm = SimComm(
@@ -383,72 +454,6 @@ class ServingFabric:
         self.router = Router(
             HashRing(range(provisioned)), self.replicas, load_factor=cfg.load_factor
         )
-
-    @classmethod
-    def mount(
-        cls,
-        server: ServerConfig,
-        graph,
-        mix=None,
-        *,
-        cost_model: CostModel | None = None,
-        seed: int = 0,
-    ) -> "ServingFabric":
-        """The loop over one server built from ``server``: a G/G/c/K station.
-
-        ``c = server.max_in_flight`` worker slots (the server's own
-        admission bound) and a FIFO wait queue of ``server.queue_depth``
-        requests (0 = shed on busy, the live server's semantics).
-        ``server.timeout`` is the per-query budget in simulated seconds,
-        anchored at the *arrival* instant, so queue wait burns it
-        (``None`` = no deadline).  ``seed`` drives arrival times, query
-        content, think times and the server's jitter RNG
-        (docs/load_testing.md, "The seeding contract").
-
-        The server is built over ``graph`` as given — no clone, no
-        supervisor, no heartbeats — and a run's mutation batches go
-        through its own :meth:`~repro.serve.QueryServer.apply_mutations`
-        (so ``graph`` must be a :class:`~repro.dyn.live.LiveGraph` to
-        take any).  It is ``fabric.replicas[0].server``.
-        """
-        if server.replicas != 1:
-            raise ValueError("mount serves one replica; ServingFabric runs a fleet")
-        if server.queue_depth < 0:
-            raise ValueError("queue_depth must be >= 0")
-        fabric = cls.__new__(cls)
-        fabric._setup(mix, FabricConfig(server=server, seed=seed), cost_model)
-        built = server.build(graph, seed=seed)
-        fabric.authority = None
-        fabric.shard_map = ShardMap(built.graph, 1)
-        fabric.comm = None
-        fabric.supervisor = None
-        fabric.replicas[0] = Replica(
-            0, built, queue_depth=server.queue_depth, state=ACTIVE
-        )
-        fabric.router = Router(HashRing([0]), fabric.replicas)
-        return fabric
-
-    def _setup(self, mix, config: FabricConfig, cost_model: CostModel | None) -> None:
-        """State both constructors share: config, clock, event queues."""
-        self.config = config
-        self.mix = mix
-        self.cost_model = cost_model if cost_model is not None else CostModel()
-        self.replicas: dict[int, Replica] = {}
-        #: (version_after, batch) per applied batch — the recovery replay log
-        self._batch_log: list[tuple[int, Any]] = []
-        #: pending timed events: (at, seq, kind, replica_id, kill_record)
-        self._pending: list[tuple[float, int, str, int, KillRecord | None]] = []
-        self._seq = 0
-        self._known_dead: set[int] = set()
-        self._ticks_done = 0
-        self._mutations_applied = 0
-        self.kills: list[KillRecord] = []
-        self.elastic_events: list[ElasticEvent] = []
-        self._logs: dict[str, QueryLog] = {}
-        self._results: dict[str, tuple] | None = None
-        self._users: _Users | None = None
-        self._peak = 0
-        self._clock = SimClock()
 
     # -- construction helpers -------------------------------------------
     def _replica_server(self, rid: int, csr, alive, version: int) -> QueryServer:
@@ -480,9 +485,8 @@ class ServingFabric:
         ``mutations`` is an optional time-ordered iterable of
         :class:`~repro.dyn.stream.MutationBatch`; each batch is applied
         before dispatching any query issued at or after its ``at``
-        instant.  A fleet also runs its timeline out to ``horizon``, so
-        kills near the end still record their recovery; a mounted server
-        applies no batch later than its last query.
+        instant.  The timeline runs out to ``horizon``, so kills near
+        the end still record their recovery.
         """
         self._results = {} if keep_results else None
         feed = _Feed(mutations)
@@ -494,9 +498,8 @@ class ServingFabric:
             for r, _ in restore:
                 r.server._sleep = self._clock.sleep
             try:
-                if self.authority is not None:
-                    # t=0 coordinated checkpoint: recovery always has a base
-                    self.supervisor.save_shards(self.authority)
+                # t=0 coordinated checkpoint: recovery always has a base
+                self.supervisor.save_shards(self.authority)
                 if isinstance(traffic, ClosedLoop):
                     self._run_closed(traffic, horizon, max_queries, feed)
                 else:
@@ -514,8 +517,7 @@ class ServingFabric:
                     for q in queries:
                         self._advance_to(q.issued_at, feed)
                         self._dispatch(q)
-                if self.authority is not None:
-                    self._advance_to(horizon, feed)
+                self._advance_to(horizon, feed)
             finally:
                 for r, sleep in restore:
                     r.server._sleep = sleep
@@ -566,13 +568,10 @@ class ServingFabric:
 
         Equal-instant priority: recoveries, then heartbeats, then
         mutations — a replica that recovers exactly when a batch lands
-        receives that batch like any other survivor.  A mounted server
-        has no heartbeats and no recoveries.
+        receives that batch like any other survivor.
         """
         next_recover = self._pending[0][0] if self._pending else None
-        next_tick = None
-        if self.authority is not None:
-            next_tick = (self._ticks_done + 1) * self.config.heartbeat_interval
+        next_tick = (self._ticks_done + 1) * self.config.heartbeat_interval
         next_mut = feed.peek()
         candidates = [
             v
@@ -584,7 +583,7 @@ class ServingFabric:
         at = min(candidates)
         if next_recover is not None and next_recover <= at:
             self._process_pending()
-        elif next_tick is not None and next_tick <= at:
+        elif next_tick <= at:
             self._ticks_done += 1
             self._heartbeat(self._ticks_done * self.config.heartbeat_interval)
         else:
@@ -809,9 +808,6 @@ class ServingFabric:
     # -- mutations -------------------------------------------------------
     def _apply_batch(self, batch) -> None:
         self._mutations_applied += 1
-        if self.authority is None:  # a mounted server owns its graph
-            self.replicas[0].server.apply_mutations(batch)
-            return
         touched_shards = self.shard_map.shards_touching(
             batch.touched_vertices()
         )
@@ -892,16 +888,14 @@ class ServingFabric:
                 continue
             for key, value in server.counters.items():
                 counters[key] = counters.get(key, 0) + value
-        dist: dict[str, float] = {}
-        if self.authority is not None:
-            rep = self.comm.report
-            dist = {
-                "failures": rep.failures,
-                "supersteps": rep.supersteps,
-                "checkpoint_units": round(rep.checkpoint_units, 6),
-                "recovery_units": round(rep.recovery_units, 6),
-                "checkpoint_bytes": rep.checkpoint_bytes,
-            }
+        rep = self.comm.report
+        dist = {
+            "failures": rep.failures,
+            "supersteps": rep.supersteps,
+            "checkpoint_units": round(rep.checkpoint_units, 6),
+            "recovery_units": round(rep.recovery_units, 6),
+            "checkpoint_bytes": rep.checkpoint_bytes,
+        }
         return FabricReport(
             logs=list(self._logs.values()),  # dispatch order
             horizon=horizon,

@@ -113,12 +113,15 @@ class Candidate:
 
     ``exact`` is False only for PNC's postponed candidates, whose recorded
     distance is a lower bound that must be repaired before acceptance.
+    ``prefix_dist`` is the cost of ``vertices[:deviation_index + 1]``,
+    summed edge by edge from 0.0 when the candidate was generated.
     """
 
     distance: float
     vertices: tuple[int, ...]
     deviation_index: int = field(compare=False)
     exact: bool = field(compare=False, default=True)
+    prefix_dist: float = field(compare=False, default=0.0)
 
 
 class KSPAlgorithm:
@@ -319,19 +322,16 @@ class DeviationKSP(KSPAlgorithm):
         self._index_accepted(first)
         yield first
 
-        prev, dev_from = first, 0
+        prev, dev_from, dev_prefix = first, 0, 0.0
         while True:
             self._check_deadline()
-            start = dev_from if self.lawler else 0
+            # prefix_dist: distance of verts[:i+1], accumulated as the loop
+            # walks the path; Lawler starts at the accepted candidate's
+            # deviation index, whose prefix cost the candidate carries
+            start, prefix_dist = (dev_from, dev_prefix) if self.lawler else (0, 0.0)
             self._iteration_tasks: list[int] = []
             self._iteration_serial = 0
             verts = prev.vertices
-            # distance of verts[:i+1], accumulated as the loop walks the path
-            prefix_dist = 0.0
-            for i in range(start):
-                w = self.graph.edge_weight(verts[i], verts[i + 1])
-                assert w is not None
-                prefix_dist += w
             for i in range(start, len(verts) - 1):
                 self._check_deadline()
                 dev_vertex = verts[i]
@@ -353,6 +353,7 @@ class DeviationKSP(KSPAlgorithm):
                                 vertices=cand_verts,
                                 deviation_index=i,
                                 exact=exact,
+                                prefix_dist=prefix_dist,
                             ),
                         )
                         self._seen.add(cand_verts)
@@ -368,7 +369,7 @@ class DeviationKSP(KSPAlgorithm):
             if nxt is None:
                 return
             prev = Path(distance=nxt.distance, vertices=nxt.vertices)
-            dev_from = nxt.deviation_index
+            dev_from, dev_prefix = nxt.deviation_index, nxt.prefix_dist
             self._index_accepted(prev)
             yield prev
 

@@ -104,16 +104,12 @@ class PostponedNCKSP(OptYenKSP):
         if found is None:
             return None
         dist, suffix, _ = found
-        prefix_dist = 0.0
-        for a, b in zip(prefix[:-1], prefix[1:]):
-            w = self.graph.edge_weight(a, b)
-            assert w is not None
-            prefix_dist += w
         return Candidate(
-            distance=prefix_dist + dist,
+            distance=cand.prefix_dist + dist,
             vertices=prefix[:-1] + suffix,
             deviation_index=dev_index,
             exact=True,
+            prefix_dist=cand.prefix_dist,
         )
 
 

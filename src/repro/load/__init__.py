@@ -19,7 +19,7 @@ from repro.load.arrivals import (
     PoissonArrivals,
     arrival_process,
 )
-from repro.load.harness import LoadReport, QueryLog
+from repro.load.harness import QueryLog
 from repro.load.mixes import HotspotMix, KSampler, QueryMix, UniformMix, make_mix
 from repro.load.runner import RunTable, ServerConfig, capacity_summary, run_table
 from repro.load.simclock import CostModel, SimClock, virtual_time
@@ -40,7 +40,6 @@ __all__ = [
     "SimClock",
     "CostModel",
     "virtual_time",
-    "LoadReport",
     "QueryLog",
     "RunTable",
     "ServerConfig",

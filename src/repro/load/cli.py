@@ -13,8 +13,8 @@ Three subcommands:
       peek-load record --pattern poisson --rate 200 --graph LJ \\
           --horizon 0.5 --seed 7 --out trace.jsonl
 
-* ``replay`` — drive a server with a recorded trace and print the
-  metrics row::
+* ``replay`` — drive a one-replica fleet with a recorded trace and
+  print the metrics row::
 
       peek-load replay --trace trace.jsonl --graph LJ --timeout 0.05
 
@@ -28,7 +28,7 @@ import argparse
 import json
 import sys
 
-from repro.fabric.fabric import ServingFabric
+from repro.fabric.fabric import FabricConfig, ServingFabric
 from repro.graph.suite import SCALES, suite_graph
 from repro.load.arrivals import arrival_process
 from repro.load.mixes import make_mix
@@ -168,7 +168,7 @@ def _cmd_replay(args: argparse.Namespace) -> int:
         tier1_budget_fraction=args.tier1_budget_fraction,
     )
     # no mix: a trace carries its own query content
-    fabric = ServingFabric.mount(config, graph, seed=args.seed)
+    fabric = ServingFabric(graph, config=FabricConfig(server=config, seed=args.seed))
     horizon = max((q.issued_at for q in queries), default=0.0) + 1e-9
     report = fabric.run(queries, horizon=horizon)
     print(json.dumps(report.metrics(), indent=2))
@@ -177,11 +177,14 @@ def _cmd_replay(args: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # the serving loop builds its fleet (authority, replica servers,
+    # checkpoints) outside any query; every query still validates inside
+    # QueryServer.serve
     if args.command == "run":
-        return _cmd_run(args)
+        return _cmd_run(args)  # contracts: disable=CTR501 (validated in serve)
     if args.command == "record":
         return _cmd_record(args)
-    return _cmd_replay(args)
+    return _cmd_replay(args)  # contracts: disable=CTR501 (validated in serve)
 
 
 if __name__ == "__main__":

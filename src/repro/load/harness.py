@@ -1,19 +1,18 @@
-"""The records of a serving run: per-query logs, the report, the ledger.
+"""The records of a serving run: per-query logs and the ledger.
 
 The discrete-event loop itself is :class:`~repro.fabric.fabric.
-ServingFabric` (one server via :meth:`ServingFabric.mount
-<repro.fabric.fabric.ServingFabric.mount>`, or a replicated fleet); this
-module holds what it produces and what the benchmarks read:
-:class:`QueryLog` per request, :class:`LoadReport` per run with its
-metrics table, the unified :func:`disposition_summary` ledger, the
-nearest-rank :func:`percentile`, and the seed-stream offsets of the
-seeding contract (docs/load_testing.md).  It imports nothing of the
-fabric, so ``repro.load`` stays light.
+ServingFabric`, a fleet of one or more replicas, and its run report is
+:class:`~repro.fabric.fabric.FabricReport`; this module holds the parts
+both the loop and the benchmarks read: :class:`QueryLog` per request,
+the unified :func:`disposition_summary` ledger, the nearest-rank
+:func:`percentile`, and the seed-stream offsets of the seeding contract
+(docs/load_testing.md).  It imports nothing of the fabric, so
+``repro.load`` stays light.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from repro.serve.server import OUTCOMES
@@ -23,7 +22,6 @@ __all__ = [
     "EXPIRED",
     "DISPOSITIONS",
     "QueryLog",
-    "LoadReport",
     "percentile",
     "disposition_summary",
 ]
@@ -111,9 +109,9 @@ def disposition_summary(
     queries shed *inside* the server by admission control raise
     ``ServerOverloadError`` and bump its ``"shed"`` counter without ever
     producing a loop log entry, so they would otherwise vanish from
-    the SLO accounting.  Both :mod:`benchmarks.bench_serving` and the
-    fabric report consume this summary, so single-server and fabric SLOs
-    are computed by literally the same code.
+    the SLO accounting.  The run-table rows of
+    :mod:`benchmarks.bench_serving` and the fabric SLO rows both come
+    from this summary.
     """
     counts = {d: 0 for d in DISPOSITIONS}
     issued = 0
@@ -134,77 +132,3 @@ def disposition_summary(
     out["availability"] = round(answered / issued, 6) if issued else 1.0
     out["hedged"] = hedged
     return out
-
-
-@dataclass
-class LoadReport:
-    """Everything one run produced: the single-server part
-    (:class:`~repro.fabric.fabric.FabricReport` adds the fleet's)."""
-
-    logs: list[QueryLog]
-    horizon: float
-    #: most served queries in the system at once (counted at arrivals,
-    #: where the count rises)
-    peak_in_flight: int = 0
-    #: checkpoint ticks the clock advanced through (work proxy)
-    clock_ticks: int = 0
-    #: mutation batches applied from the run's mutation feed
-    mutation_batches: int = 0
-    #: merged per-outcome counters of every server the run mounted
-    server_counters: dict[str, int] = field(default_factory=dict)
-
-    def count(self, disposition: str) -> int:
-        return sum(1 for log in self.logs if log.disposition == disposition)
-
-    def dispositions(self, server_counters: dict | None = None) -> dict:
-        """Unified disposition ledger — see :func:`disposition_summary`;
-        merges ``server_counters`` (default: the run's own)."""
-        return disposition_summary(
-            self.logs,
-            self.server_counters if server_counters is None else server_counters,
-        )
-
-    def metrics(self) -> dict:
-        """The aggregate table one run-table cell reports.
-
-        Latency percentiles are over *served* queries (shed and expired
-        requests never got a response; their rates are reported
-        separately so they cannot hide in a truncated latency
-        distribution).  All values are exact functions of the seeds.
-        """
-        logs = self.logs
-        issued = len(logs)
-        counts = {d: 0 for d in DISPOSITIONS}
-        for log in logs:
-            counts[log.disposition] += 1
-        served = [log for log in logs if log.served]
-        latencies = sorted(log.latency for log in served)
-        queue_times = sorted(log.queue_time for log in served)
-        completed = counts["complete"]
-        out = {
-            "queries": issued,
-            "served": len(served),
-            "horizon": round(self.horizon, 6),
-            "throughput_qps": round(len(served) / self.horizon, 6)
-            if self.horizon > 0
-            else 0.0,
-            "goodput_qps": round(completed / self.horizon, 6)
-            if self.horizon > 0
-            else 0.0,
-            "latency_p50": _round(percentile(latencies, 50)),
-            "latency_p99": _round(percentile(latencies, 99)),
-            "latency_p999": _round(percentile(latencies, 99.9)),
-            "queue_p50": _round(percentile(queue_times, 50)),
-            "queue_p99": _round(percentile(queue_times, 99)),
-            "peak_in_flight": self.peak_in_flight,
-            "mutation_batches": self.mutation_batches,
-        }
-        for disposition in DISPOSITIONS:
-            out[f"{disposition}_rate"] = (
-                round(counts[disposition] / issued, 6) if issued else 0.0
-            )
-        return out
-
-
-def _round(value: float | None) -> float | None:
-    return round(value, 6) if value is not None else None

@@ -2,9 +2,10 @@
 
 A :class:`RunTable` is the cross product *traffic pattern × graph ×
 server config × repetition*; :func:`run_table` drives every cell through
-a fresh :class:`~repro.serve.QueryServer` on simulated time and collects
-one metrics row per cell (the :meth:`~repro.load.harness.LoadReport.metrics`
-dict plus the cell key).  The output payload follows the repo's bench
+a fresh :class:`~repro.fabric.fabric.ServingFabric` fleet on simulated
+time and collects one metrics row per cell (the
+:meth:`~repro.fabric.fabric.FabricReport.metrics` dict plus the cell
+key).  The output payload follows the repo's bench
 convention (as ``BENCH_dyn_serving.json``): a top-level descriptor plus a flat
 ``rows`` list, so downstream tooling can treat every benchmark file
 alike.
@@ -44,7 +45,9 @@ __all__ = [
     "medium_table",
 ]
 
-SCHEMA_VERSION = 2  # v2: rows carry "replicas" + unified "dispositions"
+#: v2: rows carry "replicas" + unified "dispositions"; v3: every cell is a
+#: fleet, so every row carries the availability/recovery columns
+SCHEMA_VERSION = 3
 
 #: decorrelates the server-jitter RNG from the serving loop streams
 JITTER_STREAM_OFFSET = 0xB7E15162
@@ -54,10 +57,9 @@ JITTER_STREAM_OFFSET = 0xB7E15162
 class ServerConfig:
     """How a serving replica is built: the one recipe for every replica.
 
-    A run-table axis value, a mounted server
-    (:meth:`~repro.fabric.fabric.ServingFabric.mount`) and every fleet
-    replica (t=0, scale-up, recovered; ``FabricConfig.server``) are all
-    built by :meth:`build` from one of these.  ``timeout`` is the
+    A run-table axis value is one of these, and every replica of the
+    serving loop (t=0, scale-up, recovered; ``FabricConfig.server``) is
+    built from one by :meth:`build`.  ``timeout`` is the
     *client-side* budget the serving loop stamps on every query (anchored
     at arrival, so queue wait burns it) and the server's default budget;
     ``queue_depth`` is the loop's per-replica wait queue; the remaining
@@ -75,8 +77,7 @@ class ServerConfig:
     kernel: str = "delta"
     cache_size: int = 64
     jitter: float = 0.0
-    #: 1 mounts one built server in :class:`~repro.fabric.fabric.ServingFabric`;
-    #: more runs a replicated fleet of that many replicas at t=0
+    #: replicas serving at t=0 in :class:`~repro.fabric.fabric.ServingFabric`
     replicas: int = 1
 
     def build(self, graph, *, seed: int) -> QueryServer:
@@ -135,24 +136,6 @@ def cell_seed(table: RunTable, traffic: str, graph: str, config: str, rep: int) 
     return zlib.crc32(key.encode("utf-8"))
 
 
-def _mount(config: ServerConfig, graph, mix, *, seed: int, cost_model: CostModel):
-    """What one cell serves: one server built from ``config``, or a fleet."""
-    # imported here: the fabric imports repro.load, and repro.load must
-    # stay importable without the fabric or the distributed layer
-    from repro.fabric.fabric import FabricConfig, ServingFabric
-
-    if config.replicas == 1:
-        return ServingFabric.mount(
-            config, graph, mix, cost_model=cost_model, seed=seed
-        )
-    return ServingFabric(
-        graph,
-        mix,
-        config=FabricConfig(server=config, seed=seed),
-        cost_model=cost_model,
-    )
-
-
 def run_table(
     table: RunTable,
     *,
@@ -160,12 +143,16 @@ def run_table(
 ) -> dict[str, Any]:
     """Run every cell; returns the ``BENCH_serving.json`` payload.
 
-    Each cell gets a fresh server (no cache warmth bleeding across
-    cells), its own CRC32-derived seed, and a private
-    :class:`~repro.obs.tracer.Tracer` whose counter totals land on the
-    row (``counters.*`` keys) — pruning and serve counts per cell, the
-    obs story for load runs.
+    Each cell gets a fresh fleet of ``config.replicas`` replicas (no
+    cache warmth bleeding across cells), its own CRC32-derived seed, and
+    a private :class:`~repro.obs.tracer.Tracer` whose counter totals land
+    on the row (``counters.*`` keys) — pruning and serve counts per cell,
+    the obs story for load runs.
     """
+    # imported here: the fabric imports repro.load, and repro.load must
+    # stay importable without the fabric or the distributed layer
+    from repro.fabric.fabric import FabricConfig, ServingFabric
+
     cost_model = (
         CostModel.from_dict(table.costs) if table.costs is not None else CostModel()
     )
@@ -175,7 +162,12 @@ def run_table(
         graph = suite_graph(graph_name, table.scale)
         mix = make_mix(graph, table.mix)
         pattern = arrival_process(dict(spec))
-        fabric = _mount(config, graph, mix, seed=seed, cost_model=cost_model)
+        fabric = ServingFabric(
+            graph,
+            mix,
+            config=FabricConfig(server=config, seed=seed),
+            cost_model=cost_model,
+        )
         tracer = Tracer()
         with use_tracer(tracer):
             report = fabric.run(

@@ -33,8 +33,8 @@ a stage) blows up.  The server composes three mechanisms:
 
 Constructed over a :class:`~repro.dyn.live.LiveGraph` the server also
 serves *live* graphs: :meth:`QueryServer.apply_mutations` applies a
-:class:`~repro.dyn.stream.MutationBatch`, swaps in the new versioned
-snapshot, and rebinds the underlying versioned
+:class:`~repro.dyn.stream.MutationBatch`, swaps in the new snapshot
+version, and rebinds the underlying
 :class:`~repro.core.batch.BatchPeeK` (region-keyed cache invalidation +
 certificate-carried prune reuse).  Every :class:`ServeResult` records the
 ``graph_version`` it was answered against.
@@ -197,8 +197,8 @@ class QueryServer:
         The graph every query runs against — either a static
         :class:`~repro.graph.csr.CSRGraph` (historical behaviour,
         bit-for-bit unchanged) or a :class:`~repro.dyn.live.LiveGraph`,
-        which enables :meth:`apply_mutations` and versioned serving
-        from the live graph's current version.
+        which enables :meth:`apply_mutations` and serves from the live
+        graph's current version.
     kernel, alpha, cache_size:
         Forwarded to the underlying :class:`~repro.core.batch.BatchPeeK`;
         ``kernel`` is the pruning-stage SSSP, ``"dijkstra"`` (the default,
@@ -264,7 +264,6 @@ class QueryServer:
             kernel=kernel,
             cache_size=cache_size,
             alpha=alpha,
-            versioned=self.live is not None,
             sanitize=bool(sanitize),
         )
         if self.live is not None:
@@ -295,7 +294,7 @@ class QueryServer:
         server's lock, so concurrent :meth:`serve` calls see either the
         old or the new version, never a torn state): applies the batch to
         the live spine, swaps the current snapshot in as ``self.graph``,
-        and rebinds the versioned :class:`~repro.core.batch.BatchPeeK` —
+        and rebinds the :class:`~repro.core.batch.BatchPeeK` —
         which surgically invalidates only the SSSP cache entries whose
         trees touch mutated vertices and only the memoised pruning
         decisions the reuse certificate cannot carry forward.

@@ -47,8 +47,11 @@ FIXTURE_FINDINGS = {
 #: backend (parallel/mp_backend.py and its footprint recorder); and the 3
 #: CTR201 pragmas on SAN-PATH's own path loops became the 2 on
 #: repro.verify's loops (its path loop and the max_steps-bounded DFS), which
-#: SAN-PATH now calls
-SOURCE_SUPPRESSED = 11
+#: SAN-PATH now calls; plus the 2 CTR501 pragmas on load/cli.py's `run` and
+#: `replay` commands, which the call graph reaches the serving loop from
+#: once a local named like a module (`fabric = ServingFabric(...)`) stopped
+#: being read as a module call
+SOURCE_SUPPRESSED = 13
 
 
 def _located(result):

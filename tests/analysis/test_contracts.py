@@ -172,6 +172,25 @@ def test_callgraph_resolves_through_registry_indirection():
     assert "repro/ksp/fixture_algo.py::FixtureAlgorithm.run" in edges
 
 
+def test_callgraph_reads_a_local_as_a_value_not_a_module():
+    """``fabric = Thing.make(); fabric.run()`` next to a module
+    ``fabric.py`` is a method call; the imported module's name, not
+    rebound, is still a module call."""
+    project = load_project(
+        [
+            str(FIXTURES / "callgraph_fabric.py"),
+            str(FIXTURES / "callgraph_caller.py"),
+        ]
+    )
+    graph = build_callgraph(project, default_config())
+    edges = {fn.name: graph.edges[fn.key] for fn in project.functions()}
+    method = "repro/fixture/callgraph_caller.py::Thing.run"
+    module_fn = "repro/fixture/fabric.py::run"
+    assert method in edges["drive_local"]
+    assert module_fn not in edges["drive_local"]
+    assert edges["drive_module"] == [module_fn]
+
+
 # ----------------------------------------------------------------------
 # whole-corpus runs: union of seeded violations, good twins silent
 

@@ -152,16 +152,47 @@ class TestBitwiseEquivalence:
         assert got.distances == ref.distances
 
     def test_cached_halves_do_not_change_answers(self, medium_er):
-        """The same query through a warm cache is bitwise stable."""
+        """Both warm paths are bitwise stable: a repeat ``(s, t, k)``
+        reuses the memoised decision, and the same endpoints with another
+        ``k`` reuse both cached SSSP halves."""
         batch = BatchPeeK(medium_er)
         s, t = random_reachable_pair(medium_er, seed=1)
         cold = batch.query(s, t, 5)
-        warm = batch.query(s, t, 5)
-        assert batch.cache_info["hits"] >= 2
-        assert warm.distances == cold.distances
-        assert [p.vertices for p in warm.paths] == [
+        memo = batch.query(s, t, 5)
+        info = batch.cache_info
+        assert info["prune_reused"] == 1 and info["prune_cold"] == 1
+        assert info["hits"] == 0 and info["misses"] == 2  # no SSSP lookup
+        assert memo.distances == cold.distances
+        assert [p.vertices for p in memo.paths] == [
             p.vertices for p in cold.paths
         ]
+        warm = batch.query(s, t, 4)
+        info = batch.cache_info
+        assert info["hits"] == 2 and info["misses"] == 2
+        assert info["prune_cold"] == 2
+        ref = PeeK(medium_er, s, t).run(4)
+        assert warm.distances == ref.distances
+        assert [p.vertices for p in warm.paths] == [p.vertices for p in ref.paths]
+        assert warm.prune.bound == ref.prune.bound
+        assert np.array_equal(warm.prune.keep_vertices, ref.prune.keep_vertices)
+
+    def test_warm_queries_report_only_their_work(self):
+        """A reused decision reports no pruning work; a query on cached
+        SSSP halves reports its scan but no SSSP counters."""
+        g = suite_graph("LJ", "tiny")
+        batch = BatchPeeK(g)
+        cold = batch.query(0, 5, 4).prune
+        assert cold.stats.edges_relaxed > 0 and cold.stats.inspected_paths > 0
+        memo = batch.query(0, 5, 4).prune
+        assert memo.stats.edges_relaxed == 0
+        assert memo.stats.total_work == memo.stats.inspected_paths == 0
+        assert memo.bound == cold.bound  # the same decision, reused
+        assert np.array_equal(memo.keep_vertices, cold.keep_vertices)
+        warm = batch.query(0, 5, 3).prune.stats
+        assert batch.cache_info["hits"] == 2
+        assert warm.edges_relaxed == warm.vertices_settled == 0
+        assert warm.sssp_phase_work == []
+        assert warm.inspected_paths > 0  # the spSum scan did run
 
 
 class TestKernelEquivalence:
@@ -269,7 +300,7 @@ class TestCombinedLRU:
         info = batch.cache_info
         assert info["hits"] == 0 and info["misses"] == 2
         assert info["forward_cached"] == 1 and info["reverse_cached"] == 1
-        # a static (non-versioned) solver never touches the dyn counters
+        # SSSP lookups alone never touch the decision memo or rebinds
         assert info["prune_reused"] == info["prune_cold"] == 0
         assert info["invalidated"] == info["retained"] == 0
         assert info["prepared_cached"] == 0
@@ -280,11 +311,18 @@ class TestCombinedLRU:
         (s1, t1), (s2, t2) = pairs
         batch.query(s1, t1, 3)  # 2 misses (fwd s1, rev t1)
         batch.query(s2, t2, 3)  # 2 misses
-        batch.query(s1, t1, 3)  # 2 hits
-        batch.query(s2, t2, 3)  # 2 hits
+        batch.query(s1, t1, 3)  # memoised decision: no SSSP lookup
+        batch.query(s2, t2, 3)  # memoised decision
+        info = batch.cache_info
+        assert info["hits"] == 0 and info["misses"] == 4
+        assert info["prune_reused"] == 2 and info["prune_cold"] == 2
+        batch.query(s1, t1, 2)  # another k: 2 SSSP hits
+        batch.query(s2, t2, 2)  # 2 hits
         info = batch.cache_info
         assert info["hits"] == 4
         assert info["misses"] == 4
+        assert info["prune_reused"] == 2 and info["prune_cold"] == 4
+        assert info["prepared_cached"] == 4
         assert info["forward_cached"] + info["reverse_cached"] == 4
 
     def test_interleaved_eviction_keeps_answers_exact(self, medium_er):

@@ -1,8 +1,8 @@
-"""Live-graph serving: versioned snapshots, surgical invalidation, and
+"""Live-graph serving: snapshot versions, surgical invalidation, and
 certificate-carried incremental re-solve.
 
 The load-bearing assertion here is the acceptance criterion of the
-versioned serving path: a query whose pruning decision was carried across
+live serving path: a query whose pruning decision was carried across
 a mutation batch by :func:`~repro.core.pruning.prune_reuse_certificate`
 must produce paths **bitwise identical** to a cold
 :class:`~repro.core.peek.PeeK` solve on the same snapshot.
@@ -17,10 +17,12 @@ from repro.core.pruning import k_upper_bound_prune, prune_reuse_certificate
 from repro.dyn.live import LiveGraph
 from repro.dyn.stream import IncidentStream, MutationBatch, MutationSummary
 from repro.errors import SanitizerError, VertexError
-from repro.fabric.fabric import ServingFabric
+from repro.fabric.fabric import FabricConfig, ServingFabric
 from repro.graph.build import from_edge_list
 from repro.graph.generators import erdos_renyi
+from repro.graph.suite import suite_graph
 from repro.load.runner import ServerConfig
+from repro.obs.tracer import Tracer, use_tracer
 from repro.serve.query import Query
 from repro.serve.server import QueryServer
 from repro.sssp.dijkstra import dijkstra
@@ -175,7 +177,7 @@ class TestReuseCertificate:
 class TestVersionedBatchPeeK:
     def test_reuse_is_bitwise_identical_to_cold_peek(self):
         live = LiveGraph(fan8())
-        bp = BatchPeeK(live.graph, kernel="dijkstra", versioned=True)
+        bp = BatchPeeK(live.graph, kernel="dijkstra")
         bp.prepare(0, 4, 3).run()  # cold, memoises the pruning decision
         snap = live.apply(MutationBatch.build(reweights=[(0, 5, 15.0)]))
         assert snap.summary.increase_only
@@ -195,7 +197,7 @@ class TestVersionedBatchPeeK:
 
     def test_decrease_forces_cold_resolve(self):
         live = LiveGraph(fan8())
-        bp = BatchPeeK(live.graph, kernel="dijkstra", versioned=True)
+        bp = BatchPeeK(live.graph, kernel="dijkstra")
         bp.prepare(0, 4, 3)
         snap = live.apply(
             MutationBatch.build(reweights=[(0, 5, 4.0), (5, 4, 4.0)])
@@ -211,7 +213,7 @@ class TestVersionedBatchPeeK:
 
     def test_untouched_region_retains_sssp_cache(self):
         live = LiveGraph(fan8())
-        bp = BatchPeeK(live.graph, kernel="dijkstra", versioned=True)
+        bp = BatchPeeK(live.graph, kernel="dijkstra")
         bp.prepare(0, 4, 3)
         snap = live.apply(MutationBatch.build(reweights=[(6, 7, 3.0)]))
         bp.rebind(snap.graph, version=snap.version, summary=snap.summary)
@@ -221,7 +223,7 @@ class TestVersionedBatchPeeK:
 
     def test_touched_region_evicts_sssp_cache(self):
         live = LiveGraph(fan8())
-        bp = BatchPeeK(live.graph, kernel="dijkstra", versioned=True)
+        bp = BatchPeeK(live.graph, kernel="dijkstra")
         bp.prepare(0, 4, 3)
         snap = live.apply(MutationBatch.build(reweights=[(0, 1, 9.0)]))
         bp.rebind(snap.graph, version=snap.version, summary=snap.summary)
@@ -233,7 +235,7 @@ class TestVersionedBatchPeeK:
 
     def test_rebind_requires_monotone_version(self):
         live = LiveGraph(fan8())
-        bp = BatchPeeK(live.graph, kernel="dijkstra", versioned=True)
+        bp = BatchPeeK(live.graph, kernel="dijkstra")
         snap = live.apply(MutationBatch.build(reweights=[(6, 7, 2.0)]))
         bp.rebind(snap.graph, version=snap.version, summary=snap.summary)
         with pytest.raises(ValueError):
@@ -241,9 +243,7 @@ class TestVersionedBatchPeeK:
 
     def test_san_dyn_audits_reuse(self):
         live = LiveGraph(fan8())
-        bp = BatchPeeK(
-            live.graph, kernel="dijkstra", versioned=True, sanitize=True
-        )
+        bp = BatchPeeK(live.graph, kernel="dijkstra", sanitize=True)
         bp.prepare(0, 4, 3)
         snap = live.apply(MutationBatch.build(reweights=[(0, 5, 20.0)]))
         bp.rebind(snap.graph, version=snap.version, summary=snap.summary)
@@ -253,9 +253,7 @@ class TestVersionedBatchPeeK:
     def test_san_dyn_catches_unsound_reuse(self):
         """Force a stale decision past the certificate: SAN-DYN fires."""
         live = LiveGraph(fan8())
-        bp = BatchPeeK(
-            live.graph, kernel="dijkstra", versioned=True, sanitize=True
-        )
+        bp = BatchPeeK(live.graph, kernel="dijkstra", sanitize=True)
         bp.prepare(0, 4, 3)
         snap = live.apply(MutationBatch.build(reweights=[(0, 1, 50.0)]))
         bp.graph = snap.graph  # bypass rebind's invalidation on purpose
@@ -293,11 +291,32 @@ class TestServerLiveServing:
         ]
         assert result.distances == cold.distances
 
+    def test_san_dyn_audit_leaves_the_run_unchanged(self, monkeypatch):
+        """SAN-DYN's cold re-prune is not the query's work: it bills no
+        simulated time and adds no trace counter, so an audited run
+        reports exactly what an unaudited one does."""
+        graph = suite_graph("LJ", "tiny")
+        queries = [
+            Query(0, 5, 4, timeout=0.05, request_id=f"q{i}", issued_at=0.004 * i)
+            for i in range(6)
+        ]
+
+        def run():
+            config = ServerConfig(name="audit", timeout=0.05)
+            fabric = ServingFabric(graph, config=FabricConfig(server=config))
+            with use_tracer(Tracer()) as tracer:
+                report = fabric.run(queries, horizon=0.05, keep_results=True)
+            return report.logs, report.results, tracer.counter_totals()
+
+        monkeypatch.delenv("RPR_SANITIZE", raising=False)
+        plain = run()
+        assert plain[2]["batch.prune_reuse"] == 5  # every repeat is audited
+        monkeypatch.setenv("RPR_SANITIZE", "1")
+        assert run() == plain
+
     def test_harness_applies_mutation_feed_in_order(self):
-        live = LiveGraph(fan8())
-        fabric = ServingFabric.mount(
-            ServerConfig(name="mounted", kernel="dijkstra"), live, seed=0
-        )
+        config = ServerConfig(name="single", kernel="dijkstra")
+        fabric = ServingFabric(fan8(), config=FabricConfig(server=config))
         server = fabric.replicas[0].server
         queries = [
             Query(0, 4, 3, request_id=f"q{i}", issued_at=0.25 * i)
@@ -312,5 +331,5 @@ class TestServerLiveServing:
         assert report.mutation_batches == 2  # the at=9.9 batch never fires
         assert report.metrics()["mutation_batches"] == 2
         assert server.counters["mutation_batches"] == 2
-        assert server.live.version == 2
+        assert server.live.version == fabric.authority.version == 2
         assert report.count("complete") == len(queries)

@@ -1,7 +1,7 @@
 """Property test over the one serving loop.
 
-Hypothesis draws a seed, open or closed traffic, a mounted server or a
-three-replica fleet (with an optional seeded replica kill), and a
+Hypothesis draws a seed, open or closed traffic, a fleet of one to three
+replicas (with an optional seeded replica kill), the prune kernel, and a
 mutation rate; every example runs on the tiny LJ graph.  Two invariants:
 
 * a rerun from the same seed gives identical logs and results;
@@ -24,7 +24,6 @@ from repro.fabric.fabric import FLEET_SERVER, FabricConfig, ServingFabric
 from repro.graph.suite import suite_graph
 from repro.load.arrivals import ClosedLoop, PoissonArrivals
 from repro.load.mixes import make_mix
-from repro.load.runner import ServerConfig
 from repro.verify import verify_ksp_result
 
 GRAPH = suite_graph("LJ", "tiny")
@@ -35,15 +34,16 @@ MAX_QUERIES = 40
 
 @st.composite
 def scenarios(draw) -> dict:
-    fleet = draw(st.booleans())
+    replicas = draw(st.integers(1, 3))
     kill = None
-    if fleet and draw(st.booleans()):
+    if draw(st.booleans()):
         hit = draw(st.integers(1, 6))
-        kill = f"fabric.heartbeat:rankfail:{hit}@R{draw(st.integers(0, 2))}"
+        kill = f"fabric.heartbeat:rankfail:{hit}@R{draw(st.integers(0, replicas - 1))}"
     return {
         "seed": draw(st.integers(0, 2**16)),
         "closed": draw(st.booleans()),
-        "fleet": fleet,
+        "replicas": replicas,
+        "kernel": draw(st.sampled_from(["delta", "dijkstra"])),
         "kill": kill,
         "mutation_rate": draw(st.sampled_from([0.0, 40.0, 120.0])),
     }
@@ -53,25 +53,16 @@ def run_once(sc: dict):
     """One run; returns the report and every batch the stream yielded."""
     seed = sc["seed"]
     mix = make_mix(GRAPH, dict(MIX))
-    if sc["fleet"]:
-        plan = FaultPlan.from_specs([sc["kill"]], seed=seed) if sc["kill"] else None
-        loop = ServingFabric(
-            GRAPH,
-            mix,
-            config=FabricConfig(
-                server=replace(FLEET_SERVER, timeout=0.05), seed=seed
-            ),
-            fault_plan=plan,
-        )
-        live = loop.authority
-    else:
-        live = LiveGraph(GRAPH)
-        loop = ServingFabric.mount(
-            ServerConfig(name="mounted", timeout=0.05, queue_depth=2, kernel="dijkstra"),
-            live,
-            mix,
-            seed=seed,
-        )
+    plan = FaultPlan.from_specs([sc["kill"]], seed=seed) if sc["kill"] else None
+    server = replace(
+        FLEET_SERVER, timeout=0.05, replicas=sc["replicas"], kernel=sc["kernel"]
+    )
+    loop = ServingFabric(
+        GRAPH,
+        mix,
+        config=FabricConfig(server=server, seed=seed),
+        fault_plan=plan,
+    )
     yielded = []
 
     def record(batches):
@@ -82,7 +73,7 @@ def run_once(sc: dict):
     mutations = None
     if sc["mutation_rate"]:
         stream = IncidentStream(seed=seed, rate=sc["mutation_rate"])
-        mutations = record(stream.batches(live, HORIZON))
+        mutations = record(stream.batches(loop.authority, HORIZON))
     traffic = (
         ClosedLoop(users=6, think_mean=0.01) if sc["closed"] else PoissonArrivals(400.0)
     )

@@ -1,6 +1,6 @@
 """One replica recipe: every serving replica is built from one ServerConfig.
 
-A mounted server, a fleet's t=0 replicas, a scale-up replica and a
+A one-replica fleet, a fleet's t=0 replicas, a scale-up replica and a
 recovered replica all come out of :meth:`ServerConfig.build`, so they
 carry the same settings; a rebuilt replica answers at the version of
 the live graph it was built over.
@@ -20,8 +20,7 @@ from repro.fabric.replica import ACTIVE
 from repro.graph.suite import suite_graph
 from repro.load.arrivals import arrival_process
 from repro.load.mixes import make_mix
-from repro.load.runner import ServerConfig, _mount
-from repro.load.simclock import CostModel
+from repro.load.runner import RunTable, ServerConfig, run_table
 from repro.serve.server import QueryServer
 
 #: every server setting away from its default
@@ -88,7 +87,9 @@ def test_every_replica_carries_the_recipe(graph, fleet):
     want = settings(RECIPE.build(graph, seed=0))
     assert want["retry"].jitter == 0.5
 
-    mounted = ServingFabric.mount(replace(RECIPE, replicas=1), graph, seed=3)
+    single = ServingFabric(
+        graph, config=FabricConfig(server=replace(RECIPE, replicas=1), seed=3)
+    )
     t0 = [initial[rid] for rid in (0, 1)]
     assert [initial[rid] for rid in (2, 3)] == [None, None]  # standby slots
 
@@ -101,30 +102,57 @@ def test_every_replica_carries_the_recipe(graph, fleet):
     scaled = [s for s in scaled if s is not None]
     assert scaled
 
-    for server in [mounted.replicas[0].server, *t0, recovered, *scaled]:
+    for server in [single.replicas[0].server, *t0, recovered, *scaled]:
         assert settings(server) == want
     for rid in fabric.replicas:
         if fabric.replicas[rid].state == ACTIVE:
             assert fabric.replicas[rid].workers == RECIPE.max_in_flight
 
 
-def test_run_table_fleet_honours_jitter(graph):
+def test_run_table_fleet_honours_jitter(graph, monkeypatch):
     """``ServerConfig(jitter=0.5, replicas=2)`` used to build fleet
-    replicas with ``jitter == 0`` and no RNG."""
+    replicas with ``jitter == 0`` and no RNG; a run-table cell of one or
+    two replicas is a fleet built from its config."""
     config = ServerConfig(name="jittered", timeout=0.5, jitter=0.5, replicas=2)
-    mix = make_mix(graph, dict(MIX))
-    fabric = _mount(config, graph, mix, seed=9, cost_model=CostModel())
-    assert fabric.authority is not None  # a fleet, not a mounted server
-    servers = [fabric.replicas[rid].server for rid in (0, 1)]
-    single = _mount(replace(config, replicas=1), graph, mix, seed=9, cost_model=CostModel())
-    for server in [*servers, single.replicas[0].server]:
+    built: list[QueryServer] = []
+    build = ServerConfig.build
+
+    def recording_build(self, g, *, seed):
+        built.append(build(self, g, seed=seed))
+        return built[-1]
+
+    monkeypatch.setattr(ServerConfig, "build", recording_build)
+    table = RunTable(
+        name="jitter",
+        traffic=(("poisson", {"kind": "poisson", "rate": 50.0}),),
+        graphs=("LJ",),
+        configs=(config, replace(config, name="single", replicas=1)),
+        horizon=0.05,
+        mix=dict(MIX),
+    )
+    rows = run_table(table)["rows"]
+    assert [row["replicas"] for row in rows] == [2, 1]
+    assert all("availability" in row and "heartbeats" in row for row in rows)
+    assert len(built) == 3
+    for server in built:
         assert server.retry.jitter == 0.5
         assert server._rng is not None
 
 
-def test_mount_rejects_a_fleet_recipe(graph):
-    with pytest.raises(ValueError, match="one replica"):
-        ServingFabric.mount(RECIPE, graph)
+@pytest.mark.parametrize(
+    "config, match",
+    [
+        pytest.param(
+            replace(RECIPE, queue_depth=-1), "queue_depth", id="negative-queue-depth"
+        ),
+        pytest.param(
+            replace(RECIPE, replicas=0), "at least one replica", id="no-replicas"
+        ),
+    ],
+)
+def test_fleet_rejects_a_bad_recipe(graph, config, match):
+    with pytest.raises(ValueError, match=match):
+        ServingFabric(graph, config=FabricConfig(server=config))
 
 
 @pytest.mark.parametrize("version", [0, 7])

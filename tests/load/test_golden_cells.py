@@ -3,10 +3,10 @@
 Each test reruns one committed cell and compares it key for key with its
 row in the committed JSON, so a change in what the serving loop computes
 fails the suite instead of waiting for the next bench run.  The cells
-cover the closed loop (``closed_200``), a mounted caller-built server
-under overload (``poisson_overload``), a live graph with a mutation feed
-(``increase-only``) and a fleet under a kill with mutations
-(``mutate_kill``).
+cover the closed loop (``closed_200``), a one-replica fleet under
+overload (``poisson_overload``), a live graph with a mutation feed
+(``increase-only``) and a replicated fleet under a kill with
+mutations (``mutate_kill``).
 """
 
 import dataclasses

@@ -1,5 +1,5 @@
-"""The serving loop on one mounted server: virtual time, queueing, both
-loop shapes.
+"""The serving loop as a G/G/c/K station — a one-replica fleet: virtual
+time, queueing, both loop shapes.
 
 Everything here runs on :class:`SimClock` — no assertion in this file
 depends on the wall clock, which is the point of the subsystem.
@@ -8,7 +8,7 @@ depends on the wall clock, which is the point of the subsystem.
 
 import pytest
 
-from repro.fabric.fabric import ServingFabric
+from repro.fabric.fabric import FabricConfig, ServingFabric
 from repro.graph.suite import suite_graph
 from repro.load.arrivals import ClosedLoop, PoissonArrivals
 from repro.load.harness import (
@@ -39,10 +39,10 @@ def graph():
 
 
 def make_harness(graph, *, seed, **server):
-    """The loop over one server built from ``ServerConfig(**server)``."""
+    """A one-replica fleet built from ``ServerConfig(**server)``."""
     config = ServerConfig(name="harness", kernel=KERNEL, **server)
     mix = UniformMix(graph, k=KSampler(k_max=4))
-    return ServingFabric.mount(config, graph, mix, seed=seed)
+    return ServingFabric(graph, mix, config=FabricConfig(server=config, seed=seed))
 
 
 class TestSimClock:
@@ -152,7 +152,8 @@ class TestOpenLoop:
         assert report.count(DEGRADED) > 0
 
     def test_needs_a_mix(self, graph):
-        h = ServingFabric.mount(ServerConfig(name="no-mix"), graph)
+        config = FabricConfig(server=ServerConfig(name="no-mix"))
+        h = ServingFabric(graph, config=config)
         with pytest.raises(ValueError, match="query mix"):
             h.run(PoissonArrivals(10.0), horizon=0.1)
 

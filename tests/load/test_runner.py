@@ -166,7 +166,7 @@ def main_args_run(cli, json_path, txt_path):
     ])
 
 
-#: one replicated cell next to a single-server cell — the replicas axis
+#: a two-replica cell next to a one-replica cell — the replicas axis
 REPLICATED = RunTable(
     name="replicated",
     traffic=(("poisson", {"kind": "poisson", "rate": 400.0}),),
@@ -204,9 +204,10 @@ class TestReplicasAxis:
             assert 0.0 <= d["availability"] <= 1.0
 
     def test_replicated_cell_has_fabric_metrics(self, rep_payload):
-        row = next(r for r in rep_payload["rows"] if r["config"] == "fabric2")
-        assert {"availability", "kills", "spills", "heartbeats"} <= set(row)
-        assert row["kills"] == 0
+        # every cell is a fleet, the one-replica cell included
+        for row in rep_payload["rows"]:
+            assert {"availability", "kills", "spills", "heartbeats"} <= set(row)
+            assert row["kills"] == 0 and row["heartbeats"] > 0
 
     def test_replicated_cell_reproducible(self, rep_payload):
         again = run_table(REPLICATED)

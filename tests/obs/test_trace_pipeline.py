@@ -113,15 +113,18 @@ def test_batch_cache_counters(medium_er):
         batch = BatchPeeK(medium_er)
         for s, t in pairs:
             batch.query(s, t, 4)
-        batch.query(*pairs[0], 4)  # same endpoints: trees already cached
+        batch.query(*pairs[0], 3)  # same endpoints: trees already cached
+        batch.query(*pairs[0], 4)  # same query: the decision is memoised
     hits = tracer.total("batch.cache_hits")
     misses = tracer.total("batch.cache_misses")
     assert misses > 0
-    assert hits >= 2  # repeat query reuses both SSSP trees
-    assert len(tracer.find("batch.query")) == 3
-    # batch queries contain the same stage spans as one-shot PeeK
+    assert hits >= 2  # another k reuses both SSSP trees
+    assert tracer.total("batch.prune_reuse") == 1
+    assert len(tracer.find("batch.query")) == 4
+    # batch queries contain the same stage spans as one-shot PeeK; a
+    # memoised decision skips the prune stage
     assert len(tracer.find("prune")) == 3
-    assert len(tracer.find("ksp")) == 3
+    assert len(tracer.find("ksp")) == 4
 
 
 def test_disabled_tracer_emits_nothing(medium_er):
