@@ -8,8 +8,6 @@ calibrates the simulator, which then replays its measured decomposition on
 32 threads (DESIGN.md §1).
 """
 
-import numpy as np
-
 from repro.bench import experiments
 
 

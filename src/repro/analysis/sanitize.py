@@ -305,7 +305,6 @@ def check_dyn_reuse(
     k: int,
     *,
     kernel: str = "dijkstra",
-    strong_edge_prune: bool = False,
 ) -> None:
     """Live-graph reuse audit: a reused prune must equal a cold re-prune.
 
@@ -323,14 +322,7 @@ def check_dyn_reuse(
     # the audit is not the query's work: no checkpoint inside it may bill
     # simulated time or fire an injected fault, and it leaves no trace
     with fault_scope(None), use_tracer(NOOP_TRACER):
-        cold = k_upper_bound_prune(
-            graph,
-            source,
-            target,
-            k,
-            kernel=kernel,
-            strong_edge_prune=strong_edge_prune,
-        )
+        cold = k_upper_bound_prune(graph, source, target, k, kernel=kernel)
     both_inf = not (np.isfinite(prune.bound) or np.isfinite(cold.bound))
     if not both_inf and not costs_close(prune.bound, cold.bound):
         _fail(

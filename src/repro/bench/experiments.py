@@ -32,7 +32,7 @@ from repro.parallel import (
     speedup_curve,
 )
 from repro.parallel.metrics import calibrate, gteps
-from repro.sssp import delta_stepping, dijkstra
+from repro.sssp import delta_stepping
 
 __all__ = [
     "ExperimentReport",

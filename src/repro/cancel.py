@@ -41,9 +41,10 @@ Virtual time
 ------------
 The time source itself is injectable: :func:`install_clock` /
 :func:`clock_scope` swap the ``perf_counter`` every deadline comparison
-reads for any zero-argument float callable.  The serving loop
-(:class:`~repro.fabric.fabric.ServingFabric`) installs a :class:`~repro.load.simclock.SimClock`
-that *advances at every checkpoint* by a per-stage cost, so deadline
+reads for any zero-argument float callable, and :func:`sleep` (the
+server's retry backoff) sleeps on whichever clock is installed.  The
+serving loop (:class:`~repro.fabric.fabric.ServingFabric`) installs a
+:class:`~repro.load.simclock.SimClock` that *advances at every checkpoint* by a per-stage cost, so deadline
 expiry — and therefore degradation, partial results, and shedding —
 becomes a deterministic function of work done, reproducible from seeds
 alone with no wall-clock in the loop.
@@ -65,6 +66,7 @@ __all__ = [
     "deadline_in",
     "remaining",
     "now",
+    "sleep",
     "install_clock",
     "clock_scope",
     "install_fault_hook",
@@ -94,6 +96,21 @@ def now() -> float:
     time at once.
     """
     return _clock()
+
+
+def sleep(seconds: float) -> None:
+    """Sleep ``seconds`` on the installed clock.
+
+    A clock with a ``sleep`` method (a
+    :class:`~repro.load.simclock.SimClock`) advances by ``seconds``, so a
+    backoff under virtual time costs simulated time, never wall time;
+    the default wall clock calls ``time.sleep``.
+    """
+    clock_sleep = getattr(_clock, "sleep", None)
+    if clock_sleep is not None:
+        clock_sleep(seconds)
+    else:
+        time.sleep(seconds)
 
 
 def install_clock(

@@ -75,12 +75,20 @@ from repro.paths import Path
 from repro.serve.query import Query, validate_query
 
 __all__ = [
+    "PREPARED_CACHE_SIZE",
+    "SSSP_CACHE_SIZE",
     "BatchPeeK",
     "PeeKResult",
     "PreparedQuery",
     "prepare_remnant",
     "record_prune",
 ]
+
+#: LRU bound on the SSSP results :class:`BatchPeeK` retains across its
+#: forward *and* reverse caches combined (each result is O(n) memory, so
+#: this is the memory bound); eviction is least-recently-used over the two
+#: directions together.
+SSSP_CACHE_SIZE = 64
 
 #: LRU bound on the pruning decisions :class:`BatchPeeK` memoises per
 #: ``(source, target, k)``.
@@ -251,16 +259,6 @@ class BatchPeeK:
         SSSP kernel for the pruning stage, as in
         :class:`~repro.core.peek.PeeK`: ``"dijkstra"`` (the default,
         SciPy's compiled Dijkstra) or ``"delta"`` (Δ-stepping).
-    cache_size:
-        Maximum number of SSSP results retained across forward *and*
-        reverse caches combined (each result is O(n) memory, so this is
-        the memory bound).  Eviction is least-recently-used over the two
-        directions together.
-    alpha:
-        Adaptive-compaction coefficient.
-    strong_edge_prune:
-        Enable the edge-level Lemma-4.2 extension, exactly as in
-        :class:`~repro.core.peek.PeeK` (default off, matching the paper).
     sanitize:
         Audit every memoised-decision reuse with SAN-DYN (a cold
         re-prune comparison).  ``RPR_SANITIZE=1`` enables it regardless.
@@ -271,19 +269,11 @@ class BatchPeeK:
         graph,
         *,
         kernel: str = "dijkstra",
-        cache_size: int = 64,
-        alpha: float = 0.1,
-        strong_edge_prune: bool = False,
         sanitize: bool = False,
     ) -> None:
-        if cache_size < 1:
-            raise ValueError("cache_size must be >= 1")
         self.graph = graph
         self.kernel = kernel
-        self.alpha = alpha
-        self.strong_edge_prune = strong_edge_prune
         self.sanitize = sanitize
-        self._cache_size = cache_size
         #: one LRU over both directions, keyed ("fwd"|"rev", root)
         self._cache: OrderedDict[tuple[str, int], object] = OrderedDict()
         self.hits = 0
@@ -312,7 +302,7 @@ class BatchPeeK:
         get_tracer().add("batch.cache_misses")
         res = prune_sssp(graph, root, kernel=self.kernel, deadline=deadline)
         self._cache[key] = res
-        if len(self._cache) > self._cache_size:
+        if len(self._cache) > SSSP_CACHE_SIZE:
             self._cache.popitem(last=False)
         return res
 
@@ -404,13 +394,7 @@ class BatchPeeK:
             prune, compaction = memo
             if self.sanitize or sanitize_enabled_from_env():
                 check_dyn_reuse(
-                    self.graph,
-                    prune,
-                    source,
-                    target,
-                    k,
-                    kernel=self.kernel,
-                    strong_edge_prune=self.strong_edge_prune,
+                    self.graph, prune, source, target, k, kernel=self.kernel
                 )
             return prepare_remnant(
                 self.graph,
@@ -441,7 +425,6 @@ class BatchPeeK:
                 target,
                 k,
                 graph=self.graph,
-                strong_edge_prune=self.strong_edge_prune,
                 stats=PruneStats.from_sssp(*ran),
                 deadline=deadline,
             )
@@ -452,7 +435,6 @@ class BatchPeeK:
             target,
             k,
             prune,
-            alpha=self.alpha,
             deadline=deadline,
             version=self.version,
         )

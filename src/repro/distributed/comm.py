@@ -148,22 +148,13 @@ class FaultPlan:
 
     Rules may target a serving-fabric *replica* instead of a rank (the
     ``@R<N>`` spelling of the ``--inject`` grammar,
-    :attr:`~repro.serve.faults.FaultRule.replica`).  ``replica_ranks``
-    maps replica ids onto this communicator's ranks; the default is the
-    identity mapping, which is exactly how
-    :class:`~repro.fabric.ServingFabric` lays its replicas onto its own
-    SimComm (replica ``i`` == rank ``i``).
+    :attr:`~repro.serve.faults.FaultRule.replica`).  Replica ``i`` is
+    rank ``i``, which is exactly how :class:`~repro.fabric.ServingFabric`
+    lays its replicas onto its own SimComm.
     """
 
-    def __init__(
-        self,
-        rules,
-        *,
-        seed: int | None = None,
-        replica_ranks: dict[int, int] | None = None,
-    ) -> None:
+    def __init__(self, rules, *, seed: int | None = None) -> None:
         self.rules = list(rules)
-        self.replica_ranks = replica_ranks
         for r in self.rules:
             if r.kind != "rankfail":
                 raise ValueError(
@@ -205,12 +196,7 @@ class FaultPlan:
         if rule.rank is not None:
             rank = rule.rank
         elif getattr(rule, "replica", None) is not None:
-            if self.replica_ranks is not None:
-                rank = self.replica_ranks.get(rule.replica)
-                if rank is None:
-                    return None
-            else:
-                rank = rule.replica  # identity: replica i lives on rank i
+            rank = rule.replica  # identity: replica i lives on rank i
         else:
             rank = self._rng.randrange(num_ranks)
         return rank if rank < num_ranks else None

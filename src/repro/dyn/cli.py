@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import takewhile
 from random import Random
 
 from repro.dyn.stream import IncidentStream
@@ -126,9 +127,14 @@ def run_smoke(
         rate=mutation_rate,
         **(stream_kwargs or {}),
     )
-    report = fabric.run(
-        queries, horizon=horizon, mutations=stream.batches(fabric.authority, horizon)
+    # the feed stops at the last query: a batch after it would rebind the
+    # server with no query left to use the result.  takewhile pulls the
+    # stream lazily, so every batch it lets through is unchanged
+    last = queries[-1].issued_at if queries else float("-inf")
+    mutations = takewhile(
+        lambda batch: batch.at <= last, stream.batches(fabric.authority, horizon)
     )
+    report = fabric.run(queries, horizon=horizon, mutations=mutations)
 
     info = server.batch.cache_info
     reuse_total = info["prune_reused"] + info["prune_cold"]

@@ -59,17 +59,23 @@ class LiveGraph:
     """Mutable graph spine with immutable snapshots of monotone version."""
 
     def __init__(
-        self, graph: CSRGraph | TerraceGraph, *, version: int = 0
+        self,
+        graph: CSRGraph,
+        *,
+        alive: np.ndarray | None = None,
+        version: int = 0,
     ) -> None:
-        if isinstance(graph, TerraceGraph):
-            self._terrace = graph
-        else:
-            self._terrace = TerraceGraph.from_csr(graph)
         if version < 0:
             raise ValueError("start version must be >= 0")
-        # a non-zero start version rebuilds a spine from a checkpoint: the
-        # restored replica resumes the version sequence it left off at, so
-        # replayed batches line up with the survivors' version numbers
+        self._terrace = TerraceGraph.from_csr(graph)
+        # ``alive`` and a non-zero start version rebuild a spine from a
+        # checkpoint: the tombstoned vertices die again, and the restored
+        # replica resumes the version sequence it left off at, so replayed
+        # batches line up with the survivors' version numbers
+        if alive is not None:
+            dead = np.flatnonzero(~alive)
+            if dead.size:
+                self._terrace.delete_vertices(dead)
         self._version = int(version)
         self._snapshot = Snapshot(
             version=self._version, graph=self._terrace.to_csr()

@@ -45,7 +45,7 @@ Update semantics (fixed and now locked down by regression tests):
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -24,7 +24,16 @@ from pathlib import Path
 from repro.distributed.comm import FaultPlan
 from repro.dyn.stream import IncidentStream
 from repro.fabric.elastic import ElasticPolicy
-from repro.fabric.fabric import FLEET_SERVER, FabricConfig, ServingFabric, report_row, slo_text
+from repro.fabric.fabric import (
+    FLEET_SERVER,
+    HEARTBEAT_INTERVAL,
+    RECOVERY_BUDGET_HEARTBEATS,
+    SHARDS,
+    FabricConfig,
+    ServingFabric,
+    report_row,
+    slo_text,
+)
 from repro.graph.suite import SCALES, suite_graph
 from repro.load.arrivals import arrival_process
 from repro.load.mixes import make_mix
@@ -56,7 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="provisioned replica slots (default: --replicas, +2 with --elastic)",
     )
-    p.add_argument("--shards", type=int, default=8, help="graph shards")
     p.add_argument(
         "--workload",
         default="mmpp",
@@ -104,7 +112,6 @@ def run_from_args(args: argparse.Namespace) -> dict:
     config = FabricConfig(
         server=replace(FLEET_SERVER, timeout=args.timeout, replicas=args.replicas),
         max_replicas=max_replicas,
-        shards=args.shards,
         elastic=ElasticPolicy(min_replicas=max(1, args.replicas - 1))
         if args.elastic
         else None,
@@ -144,10 +151,10 @@ def run_from_args(args: argparse.Namespace) -> dict:
         "config": {
             "replicas": args.replicas,
             "max_replicas": max_replicas,
-            "shards": args.shards,
+            "shards": SHARDS,
             "timeout": args.timeout,
-            "heartbeat_interval": config.heartbeat_interval,
-            "recovery_budget_heartbeats": config.recovery_budget_heartbeats,
+            "heartbeat_interval": HEARTBEAT_INTERVAL,
+            "recovery_budget_heartbeats": RECOVERY_BUDGET_HEARTBEATS,
             "elastic": bool(args.elastic),
         },
         "rows": [row],

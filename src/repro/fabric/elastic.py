@@ -9,13 +9,13 @@ exactly one scale-event schedule per seed.
 * **utilization** = total in-flight over active replicas / their total
   worker slots (queue depth excluded: queued work is *pressure*, and
   counting it would double-trigger);
-* utilization > ``high_water`` for one tick → wake the lowest-id
-  ``standby`` replica (state transfer takes ``scale_delay`` simulated
-  seconds before it turns ``active``);
-* utilization < ``low_water`` → drain the highest-id ``active`` replica
-  (never below ``min_replicas``); it finishes its in-flight queries and
-  parks ``standby``;
-* ``cooldown_ticks`` heartbeats must pass between decisions, so one
+* utilization > :data:`HIGH_WATER` for one tick → wake the lowest-id
+  ``standby`` replica (state transfer takes :data:`SCALE_DELAY`
+  simulated seconds before it turns ``active``);
+* utilization < :data:`LOW_WATER` → drain the highest-id ``active``
+  replica (never below ``min_replicas``); it finishes its in-flight
+  queries and parks ``standby``;
+* :data:`COOLDOWN_TICKS` heartbeats must pass between decisions, so one
   burst edge produces one decision, not a flap per tick.
 """
 
@@ -25,7 +25,23 @@ from dataclasses import dataclass
 
 from repro.fabric.replica import ACTIVE, STANDBY
 
-__all__ = ["ElasticEvent", "ElasticPolicy"]
+__all__ = [
+    "COOLDOWN_TICKS",
+    "HIGH_WATER",
+    "LOW_WATER",
+    "SCALE_DELAY",
+    "ElasticEvent",
+    "ElasticPolicy",
+]
+
+#: scale up above this worker-slot utilization
+HIGH_WATER = 0.8
+#: scale down below this worker-slot utilization
+LOW_WATER = 0.2
+#: heartbeats that must pass between two decisions
+COOLDOWN_TICKS = 2
+#: simulated seconds of state transfer before a woken replica serves
+SCALE_DELAY = 0.02
 
 
 @dataclass(frozen=True)
@@ -41,25 +57,11 @@ class ElasticEvent:
 class ElasticPolicy:
     """Hysteresis + cooldown scaling over a replica set."""
 
-    def __init__(
-        self,
-        *,
-        min_replicas: int = 1,
-        high_water: float = 0.8,
-        low_water: float = 0.2,
-        cooldown_ticks: int = 2,
-        scale_delay: float = 0.02,
-    ) -> None:
-        if not 0.0 <= low_water < high_water <= 1.0:
-            raise ValueError("need 0 <= low_water < high_water <= 1")
+    def __init__(self, *, min_replicas: int = 1) -> None:
         if min_replicas < 1:
             raise ValueError("min_replicas must be >= 1")
         self.min_replicas = min_replicas
-        self.high_water = high_water
-        self.low_water = low_water
-        self.cooldown_ticks = cooldown_ticks
-        self.scale_delay = scale_delay
-        self._since_decision = cooldown_ticks  # allow a first-tick decision
+        self._since_decision = COOLDOWN_TICKS  # allow a first-tick decision
 
     @staticmethod
     def utilization(replicas: dict, t: float) -> float:
@@ -81,20 +83,20 @@ class ElasticPolicy:
         only picks it (and restarts the cooldown when it does).
         """
         self._since_decision += 1
-        if self._since_decision <= self.cooldown_ticks:
+        if self._since_decision <= COOLDOWN_TICKS:
             return None
         util = self.utilization(replicas, t)
         active = sorted(
             rid for rid, r in replicas.items() if r.state == ACTIVE
         )
-        if util > self.high_water:
+        if util > HIGH_WATER:
             standby = sorted(
                 rid for rid, r in replicas.items() if r.state == STANDBY
             )
             if standby:
                 self._since_decision = 0
                 return ("scale_up", standby[0])
-        elif util < self.low_water and len(active) > self.min_replicas:
+        elif util < LOW_WATER and len(active) > self.min_replicas:
             self._since_decision = 0
             return ("scale_down", active[-1])
         return None

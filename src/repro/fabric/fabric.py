@@ -15,7 +15,7 @@ simulated timeline, in a fixed priority order at equal instants
   replica's worker slots.  A closed-loop user wakes one think time after
   its query's *final* response: a hedge moves it, and a shed or expired
   query wakes the user at the instant that disposition was decided;
-* **heartbeats** — every ``heartbeat_interval`` simulated seconds the
+* **heartbeats** — every :data:`HEARTBEAT_INTERVAL` simulated seconds the
   fabric's :class:`~repro.distributed.comm.SimComm` runs a barrier
   (stage ``fabric.heartbeat``); a seeded
   :class:`~repro.distributed.comm.FaultPlan` kill surfaces here as
@@ -65,9 +65,8 @@ import numpy as np
 
 from repro.distributed.comm import CommModel, FaultPlan, SimComm
 from repro.dyn.live import LiveGraph
-from repro.dyn.terrace import TerraceGraph
 from repro.errors import RankFailure, SanitizerError
-from repro.fabric.elastic import ElasticEvent, ElasticPolicy
+from repro.fabric.elastic import SCALE_DELAY, ElasticEvent, ElasticPolicy
 from repro.fabric.replica import (
     ACTIVE,
     DEAD,
@@ -100,6 +99,14 @@ from repro.serve.server import QueryServer
 
 __all__ = [
     "FLEET_SERVER",
+    "SHARDS",
+    "HEARTBEAT_INTERVAL",
+    "CHECKPOINT_EVERY",
+    "MAX_HEDGES",
+    "RECOVERY_LATENCY",
+    "RECOVERY_SECONDS_PER_BYTE",
+    "REPLAY_SECONDS_PER_BATCH",
+    "RECOVERY_BUDGET_HEARTBEATS",
     "FabricConfig",
     "KillRecord",
     "FabricReport",
@@ -113,32 +120,33 @@ __all__ = [
 #: budget, 4 worker slots and a 4-deep wait queue each
 FLEET_SERVER = ServerConfig(name="fleet", timeout=0.5, queue_depth=4, replicas=3)
 
+#: shard count (vertex ranges of the RowPartition)
+SHARDS = 8
+#: simulated seconds between health heartbeats
+HEARTBEAT_INTERVAL = 0.02
+#: coordinated authority checkpoints every N heartbeats
+CHECKPOINT_EVERY = 5
+#: maximum hedged re-dispatches per query
+MAX_HEDGES = 2
+#: time-to-recovery = RECOVERY_LATENCY + checkpoint bytes ·
+#: RECOVERY_SECONDS_PER_BYTE + missed batches · REPLAY_SECONDS_PER_BATCH
+RECOVERY_LATENCY = 0.01
+RECOVERY_SECONDS_PER_BYTE = 1e-9
+REPLAY_SECONDS_PER_BATCH = 1e-4
+#: SLO: a kill must be recovered within this many heartbeats
+RECOVERY_BUDGET_HEARTBEATS = 10
+
 
 @dataclass(frozen=True)
 class FabricConfig:
     """Everything one fabric needs besides the graph and the traffic:
-    the replica recipe plus the fleet-only settings."""
+    the replica recipe plus the fleet-only settings (the fleet's fixed
+    cadences and recovery model are the module constants above)."""
 
     #: how every replica is built, and how many serve at t=0 (``replicas``)
     server: ServerConfig = FLEET_SERVER
     #: provisioned replica slots (ring membership; extras start standby)
     max_replicas: int | None = None
-    #: shard count (vertex ranges of the RowPartition)
-    shards: int = 8
-    #: bounded-load factor c (1 = perfectly even; Google's canonical 1.25)
-    load_factor: float = 1.25
-    #: simulated seconds between health heartbeats
-    heartbeat_interval: float = 0.02
-    #: coordinated authority checkpoints every N heartbeats
-    checkpoint_every: int = 5
-    #: maximum hedged re-dispatches per query
-    max_hedges: int = 2
-    #: recovery = latency + bytes·per_byte + missed_batches·per_batch
-    recovery_latency: float = 0.01
-    recovery_seconds_per_byte: float = 1e-9
-    replay_seconds_per_batch: float = 1e-4
-    #: SLO: a kill must be recovered within this many heartbeats
-    recovery_budget_heartbeats: int = 10
     #: scaling policy (None = fixed fleet)
     elastic: ElasticPolicy | None = None
     seed: int = 0
@@ -431,7 +439,7 @@ class ServingFabric:
         self._peak = 0
         self._clock = SimClock()
         self.authority = LiveGraph(graph)
-        self.shard_map = ShardMap(graph, cfg.shards)
+        self.shard_map = ShardMap(graph, SHARDS)
         self.comm = SimComm(
             provisioned,
             CommModel().scaled_for(graph.num_edges),
@@ -451,9 +459,7 @@ class ServingFabric:
                 self.replicas[rid] = Replica(
                     rid, None, queue_depth=depth, state=STANDBY
                 )
-        self.router = Router(
-            HashRing(range(provisioned)), self.replicas, load_factor=cfg.load_factor
-        )
+        self.router = Router(HashRing(range(provisioned)), self.replicas)
 
     # -- construction helpers -------------------------------------------
     def _replica_server(self, rid: int, csr, alive, version: int) -> QueryServer:
@@ -461,12 +467,9 @@ class ServingFabric:
         ``(csr, alive, version)``: the authority's state for a t=0 or
         scale-up replica, a restored checkpoint for a recovered one.
         The jitter RNG is seeded per replica (``seed + rid``)."""
-        terrace = TerraceGraph.from_csr(csr)
-        dead = np.flatnonzero(~alive)
-        if dead.size:
-            terrace.delete_vertices(dead)
+        live = LiveGraph(csr, alive=alive, version=version)
         recipe: ServerConfig = self.config.server
-        return recipe.build(LiveGraph(terrace, version=version), seed=self.config.seed + rid)
+        return recipe.build(live, seed=self.config.seed + rid)
 
     # -- the run --------------------------------------------------------
     def run(
@@ -491,36 +494,26 @@ class ServingFabric:
         self._results = {} if keep_results else None
         feed = _Feed(mutations)
         with virtual_time(self._clock, self.cost_model):
-            restore = [
-                (r, r.server._sleep) for r in self.replicas.values()
-                if r.server is not None
-            ]
-            for r, _ in restore:
-                r.server._sleep = self._clock.sleep
-            try:
-                # t=0 coordinated checkpoint: recovery always has a base
-                self.supervisor.save_shards(self.authority)
-                if isinstance(traffic, ClosedLoop):
-                    self._run_closed(traffic, horizon, max_queries, feed)
+            # t=0 coordinated checkpoint: recovery always has a base
+            self.supervisor.save_shards(self.authority)
+            if isinstance(traffic, ClosedLoop):
+                self._run_closed(traffic, horizon, max_queries, feed)
+            else:
+                if isinstance(traffic, ArrivalProcess):
+                    queries = open_loop_queries(
+                        traffic,
+                        self.mix,
+                        horizon=horizon,
+                        seed=self.config.seed,
+                        timeout=self.config.server.timeout,
+                        max_queries=max_queries,
+                    )
                 else:
-                    if isinstance(traffic, ArrivalProcess):
-                        queries = open_loop_queries(
-                            traffic,
-                            self.mix,
-                            horizon=horizon,
-                            seed=self.config.seed,
-                            timeout=self.config.server.timeout,
-                            max_queries=max_queries,
-                        )
-                    else:
-                        queries = islice(traffic, max_queries)
-                    for q in queries:
-                        self._advance_to(q.issued_at, feed)
-                        self._dispatch(q)
-                self._advance_to(horizon, feed)
-            finally:
-                for r, sleep in restore:
-                    r.server._sleep = sleep
+                    queries = islice(traffic, max_queries)
+                for q in queries:
+                    self._advance_to(q.issued_at, feed)
+                    self._dispatch(q)
+            self._advance_to(horizon, feed)
         for rid in sorted(self.replicas):
             self.replicas[rid].commit_until(float("inf"))
         return self._report(horizon)
@@ -571,7 +564,7 @@ class ServingFabric:
         receives that batch like any other survivor.
         """
         next_recover = self._pending[0][0] if self._pending else None
-        next_tick = (self._ticks_done + 1) * self.config.heartbeat_interval
+        next_tick = (self._ticks_done + 1) * HEARTBEAT_INTERVAL
         next_mut = feed.peek()
         candidates = [
             v
@@ -585,7 +578,7 @@ class ServingFabric:
             self._process_pending()
         elif next_tick <= at:
             self._ticks_done += 1
-            self._heartbeat(self._ticks_done * self.config.heartbeat_interval)
+            self._heartbeat(self._ticks_done * HEARTBEAT_INTERVAL)
         else:
             feed.pop_apply(self._apply_batch)
         return True
@@ -599,9 +592,7 @@ class ServingFabric:
             server = self._replica_server(
                 rid, snap.graph, self.authority.alive, snap.version
             )
-            replica = self.replicas[rid]
-            replica.reset(server, at=at, state=ACTIVE)
-            replica.server._sleep = self._clock.sleep
+            self.replicas[rid].reset(server, at=at, state=ACTIVE)
 
     def _schedule(self, at: float, kind: str, rid: int, kill) -> None:
         self._seq += 1
@@ -622,7 +613,7 @@ class ServingFabric:
             replica.commit_until(tb)
             if replica.state == DRAINING and not replica.inflight:
                 replica.state = STANDBY
-        if self._ticks_done % cfg.checkpoint_every == 0:
+        if self._ticks_done % CHECKPOINT_EVERY == 0:
             self.supervisor.save_shards(self.authority)
         if cfg.elastic is not None:
             decision = cfg.elastic.decide(self.replicas, tb)
@@ -639,16 +630,13 @@ class ServingFabric:
                 )
                 if action == "scale_up":
                     self.replicas[rid].state = RECOVERING
-                    self._schedule(
-                        tb + cfg.elastic.scale_delay, "scaleup", rid, None
-                    )
+                    self._schedule(tb + SCALE_DELAY, "scaleup", rid, None)
                 else:
                     self.replicas[rid].state = DRAINING
                 get_tracer().add(f"fabric.{action}")
 
     # -- kills and hedging ----------------------------------------------
     def _process_kill(self, rid: int, tk: float) -> None:
-        cfg = self.config
         replica = self.replicas[rid]
         replica.commit_until(tk)  # delivered responses survive the kill
         lost = replica.lose_inflight()
@@ -674,8 +662,8 @@ class ServingFabric:
         if was_serving:
             ready = (
                 tk
-                + cfg.recovery_latency
-                + sum(shard_bytes) * cfg.recovery_seconds_per_byte
+                + RECOVERY_LATENCY
+                + sum(shard_bytes) * RECOVERY_SECONDS_PER_BYTE
             )
             self._schedule(ready, "recover", rid, kill)
         else:
@@ -690,7 +678,7 @@ class ServingFabric:
         hedges = flight.hedges + 1
         get_tracer().add("fabric.hedges")
         rid = None
-        if hedges <= self.config.max_hedges:
+        if hedges <= MAX_HEDGES:
             rid = self.router.place(self.shard_map.shard_of(q.source), tk)
         if rid is None:
             log = self._log(
@@ -836,7 +824,6 @@ class ServingFabric:
 
     # -- recovery --------------------------------------------------------
     def _finish_recovery(self, tr: float, rid: int, kill: KillRecord) -> None:
-        cfg = self.config
         csr, alive, version = self.supervisor.restore_shards()
         server = self._replica_server(rid, csr, alive, version)
         missed = 0
@@ -847,18 +834,15 @@ class ServingFabric:
         self._verify_restored(server, rid)
         self.comm.revive(rid)
         self._known_dead.discard(rid)
-        ready = tr + missed * cfg.replay_seconds_per_batch
-        replica = self.replicas[rid]
-        replica.reset(server, at=ready, state=ACTIVE)
-        replica.server._sleep = self._clock.sleep
+        ready = tr + missed * REPLAY_SECONDS_PER_BATCH
+        self.replicas[rid].reset(server, at=ready, state=ACTIVE)
         if kill is not None:
             kill.recovered_at = ready
             kill.ttr = ready - kill.at
             kill.missed_batches = missed
             kill.checkpoint_version = version
             kill.within_budget = (
-                kill.ttr
-                <= cfg.recovery_budget_heartbeats * cfg.heartbeat_interval
+                kill.ttr <= RECOVERY_BUDGET_HEARTBEATS * HEARTBEAT_INTERVAL
             )
         get_tracer().add("fabric.recoveries")
 

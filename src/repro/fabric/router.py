@@ -9,7 +9,7 @@ vertex to a *shard*; a query belongs to the shard of its source vertex.
 hashing with bounded loads"): a replica may take the query only while
 its in-flight count is below
 
-    cap = ceil(load_factor · (total_in_flight + 1) / routable_replicas)
+    cap = ceil(LOAD_FACTOR · (total_in_flight + 1) / routable_replicas)
 
 so a hot shard *spills* down its preference list — deterministically,
 because the list, the loads, and the walk order are all pure functions
@@ -28,7 +28,10 @@ import numpy as np
 from repro.distributed.partition import RowPartition
 from repro.fabric.ring import HashRing
 
-__all__ = ["ShardMap", "Router"]
+__all__ = ["LOAD_FACTOR", "ShardMap", "Router"]
+
+#: bounded-load factor c (1 = perfectly even; Google's canonical 1.25)
+LOAD_FACTOR = 1.25
 
 
 class ShardMap:
@@ -60,19 +63,10 @@ class ShardMap:
 class Router:
     """Bounded-load consistent-hash placement over live replicas."""
 
-    def __init__(
-        self,
-        ring: HashRing,
-        replicas: dict,
-        *,
-        load_factor: float = 1.25,
-    ) -> None:
-        if load_factor < 1.0:
-            raise ValueError("load_factor must be >= 1 (1 = perfectly even)")
+    def __init__(self, ring: HashRing, replicas: dict) -> None:
         self.ring = ring
         #: replica id -> :class:`~repro.fabric.replica.Replica`
         self.replicas = replicas
-        self.load_factor = load_factor
         #: placements that spilled past the shard's home replica
         self.spills = 0
         #: placements refused (router-level admission control)
@@ -104,7 +98,7 @@ class Router:
             return None
         loads = [r.load_at(t) for r in routable]
         total = sum(loads)
-        cap = math.ceil(self.load_factor * (total + 1) / len(routable))
+        cap = math.ceil(LOAD_FACTOR * (total + 1) / len(routable))
         for pos, (replica, load) in enumerate(zip(routable, loads)):
             if load < min(cap, replica.slots):
                 if pos > 0:

@@ -9,7 +9,7 @@ log-normal, the standard stand-in for measured interaction strengths.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 

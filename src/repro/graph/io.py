@@ -7,7 +7,6 @@ fast path for caching generated benchmark graphs between runs.
 
 from __future__ import annotations
 
-import io
 from pathlib import Path as FilePath
 
 import numpy as np

@@ -26,6 +26,7 @@ from pathlib import Path
 from random import Random
 from typing import Any, Callable
 
+from repro.core.batch import SSSP_CACHE_SIZE
 from repro.graph.suite import suite_graph
 from repro.load.arrivals import arrival_process
 from repro.load.harness import DISPOSITIONS
@@ -75,7 +76,6 @@ class ServerConfig:
     #: stays Δ-stepping: the CostModel's per-visit constants were set
     #: against its per-phase checkpoint cadence
     kernel: str = "delta"
-    cache_size: int = 64
     jitter: float = 0.0
     #: replicas serving at t=0 in :class:`~repro.fabric.fabric.ServingFabric`
     replicas: int = 1
@@ -86,7 +86,6 @@ class ServerConfig:
         return QueryServer(
             graph,
             kernel=self.kernel,
-            cache_size=self.cache_size,
             default_timeout=self.timeout,
             max_in_flight=self.max_in_flight,
             tier1_budget_fraction=self.tier1_budget_fraction,
@@ -95,7 +94,14 @@ class ServerConfig:
         )
 
     def to_dict(self) -> dict[str, Any]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        out: dict[str, Any] = {}
+        for f in fields(self):
+            out[f.name] = getattr(self, f.name)
+            if f.name == "kernel":
+                # the SSSP-tree LRU size every replica's BatchPeeK runs
+                # with, a constant now, keeps its place in the payload
+                out["cache_size"] = SSSP_CACHE_SIZE
+        return out
 
 
 @dataclass(frozen=True)

@@ -68,7 +68,8 @@ class SimClock:
         self._now += seconds
 
     def sleep(self, seconds: float) -> None:
-        """Drop-in for ``time.sleep`` (the server's backoff sleeps)."""
+        """What :func:`repro.cancel.sleep` calls while this clock is
+        installed (the server's backoff sleeps)."""
         self.advance(max(0.0, seconds))
 
     def jump_to(self, t: float) -> None:

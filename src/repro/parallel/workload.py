@@ -21,7 +21,6 @@ never synthetic numbers.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 
 __all__ = [

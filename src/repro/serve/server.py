@@ -43,10 +43,9 @@ certificate-carried prune reuse).  Every :class:`ServeResult` records the
 from __future__ import annotations
 
 import threading
-import time
 from dataclasses import dataclass, field
 
-from repro.cancel import checkpoint, deadline_in, now, remaining
+from repro.cancel import checkpoint, deadline_in, now, remaining, sleep
 from repro.core.batch import BatchPeeK
 from repro.dyn.live import LiveGraph, Snapshot
 from repro.errors import (
@@ -141,7 +140,7 @@ class ServeResult:
     tier: str
     #: total attempts, including the successful one
     attempts: int
-    #: wall-clock seconds spent serving, including backoff sleeps
+    #: seconds spent serving on the installed clock, including backoff sleeps
     elapsed: float
     #: repr of the fault that forced degradation/failure (None when clean)
     error: str | None = None
@@ -199,16 +198,19 @@ class QueryServer:
         bit-for-bit unchanged) or a :class:`~repro.dyn.live.LiveGraph`,
         which enables :meth:`apply_mutations` and serves from the live
         graph's current version.
-    kernel, alpha, cache_size:
-        Forwarded to the underlying :class:`~repro.core.batch.BatchPeeK`;
-        ``kernel`` is the pruning-stage SSSP, ``"dijkstra"`` (the default,
+    kernel:
+        The pruning-stage SSSP of the underlying
+        :class:`~repro.core.batch.BatchPeeK`: ``"dijkstra"`` (the default,
         SciPy's compiled Dijkstra) or ``"delta"`` (Δ-stepping, the load
         harness's kernel; see ``docs/load_testing.md``).
     default_timeout:
         Per-query budget in seconds when :meth:`serve` is called without
         one (``None`` = unbounded, matching library defaults).
     retry:
-        The :class:`RetryPolicy` for transient faults.
+        The :class:`RetryPolicy` for transient faults.  Backoff sleeps go
+        through :func:`repro.cancel.sleep`, so they land on the installed
+        clock: wall time by default, the :class:`~repro.load.simclock.SimClock`
+        under virtual time.
     max_in_flight:
         Admission-control bound; query ``max_in_flight + 1`` is shed with
         :class:`~repro.errors.ServerOverloadError` instead of queueing.
@@ -225,9 +227,6 @@ class QueryServer:
         Audit every served result with the SAN-PATH battery
         (:func:`repro.analysis.sanitize.check_result_paths`) — including
         degraded and partial ones.  ``None`` defers to ``RPR_SANITIZE``.
-    sleep:
-        Injectable sleep for backoff (tests pass a recording fake; the
-        serving loop passes ``SimClock.sleep``).
     rng:
         Injected RNG handed to :meth:`RetryPolicy.backoff` for jitter —
         part of the seeding contract (``docs/load_testing.md``).  ``None``
@@ -239,14 +238,11 @@ class QueryServer:
         graph,
         *,
         kernel: str = "dijkstra",
-        alpha: float = 0.1,
-        cache_size: int = 64,
         default_timeout: float | None = None,
         retry: RetryPolicy | None = None,
         max_in_flight: int = 64,
         tier1_budget_fraction: float | None = None,
         sanitize: bool | None = None,
-        sleep=time.sleep,
         rng=None,
     ) -> None:
         if max_in_flight < 1:
@@ -259,13 +255,7 @@ class QueryServer:
         else:
             self.live = None
             self.graph = graph
-        self.batch = BatchPeeK(
-            self.graph,
-            kernel=kernel,
-            cache_size=cache_size,
-            alpha=alpha,
-            sanitize=bool(sanitize),
-        )
+        self.batch = BatchPeeK(self.graph, kernel=kernel, sanitize=bool(sanitize))
         if self.live is not None:
             # a replica rebuilt at a checkpoint version answers at it
             self.batch.version = self.live.version
@@ -274,7 +264,6 @@ class QueryServer:
         self.max_in_flight = max_in_flight
         self.tier1_budget_fraction = tier1_budget_fraction
         self._sanitize = sanitize
-        self._sleep = sleep
         self._rng = rng
         self._lock = threading.Lock()
         self._in_flight = 0
@@ -421,7 +410,7 @@ class QueryServer:
                         break
                     self.counters["retries"] += 1
                     tracer.add("serve.retries")
-                    self._sleep(backoff)
+                    sleep(backoff)
             elapsed = now() - t0
             result = ServeResult(
                 paths=att.paths,

@@ -1,6 +1,5 @@
 """Unit tests for the experiment runner."""
 
-import numpy as np
 import pytest
 
 from repro.bench.harness import ExperimentRunner, RunRecord

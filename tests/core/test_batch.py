@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core import batch as batch_module
 from repro.core.batch import BatchPeeK
 from repro.core.integrate import PrunedKSP
 from repro.core.peek import PeeK, peek_ksp
@@ -49,8 +50,6 @@ class TestCorrectness:
             batch.query(0, 9999, 2)
         with pytest.raises(ValueError):
             batch.query(0, 1, 0)
-        with pytest.raises(ValueError):
-            BatchPeeK(medium_er, cache_size=0)
 
 
 def _front_end_run(front, batch, graph, s, t, k, kernel, strong, alpha):
@@ -82,6 +81,8 @@ def _bitwise_case_id(front, kernel, strong, alpha):
     return "-".join(parts + [f"alpha{alpha}"])
 
 
+#: BatchPeeK runs at PeeK's defaults (no strong edge prune, alpha 0.1);
+#: PrunedKSP takes both settings, so it is swept over them
 _BITWISE_CASES = [
     pytest.param(
         front, kernel, strong, alpha, id=_bitwise_case_id(front, kernel, strong, alpha)
@@ -90,6 +91,7 @@ _BITWISE_CASES = [
     for kernel in ("delta", "dijkstra")
     for strong in (False, True)
     for alpha in _ALPHAS
+    if front == "pruned" or (not strong and alpha == 0.1)
 ]
 
 
@@ -104,9 +106,7 @@ class TestBitwiseEquivalence:
     def test_query_bitwise_identical_to_peek(
         self, medium_er, front, kernel, strong, alpha
     ):
-        batch = BatchPeeK(
-            medium_er, kernel=kernel, alpha=alpha, strong_edge_prune=strong
-        )
+        batch = BatchPeeK(medium_er, kernel=kernel)
         for seed in range(4):
             s, t = random_reachable_pair(medium_er, seed=seed)
             ref = PeeK(
@@ -143,13 +143,6 @@ class TestBitwiseEquivalence:
         assert np.array_equal(got.keep_vertices, ref.prune_result.keep_vertices)
         assert np.array_equal(got.keep_edges, ref.prune_result.keep_edges)
         assert np.array_equal(got.sp_sum, ref.prune_result.sp_sum)
-
-    def test_strong_edge_prune_equivalent(self, medium_er):
-        s, t = random_reachable_pair(medium_er, seed=3)
-        batch = BatchPeeK(medium_er, strong_edge_prune=True)
-        ref = PeeK(medium_er, s, t, strong_edge_prune=True).run(4)
-        got = batch.query(s, t, 4)
-        assert got.distances == ref.distances
 
     def test_cached_halves_do_not_change_answers(self, medium_er):
         """Both warm paths are bitwise stable: a repeat ``(s, t, k)``
@@ -250,8 +243,9 @@ class TestCaching:
         assert batch.cache_info["forward_cached"] == 1
         assert batch.cache_info["hits"] >= 3
 
-    def test_lru_eviction(self, medium_er):
-        batch = BatchPeeK(medium_er, cache_size=2)
+    def test_lru_eviction(self, medium_er, monkeypatch):
+        monkeypatch.setattr(batch_module, "SSSP_CACHE_SIZE", 2)
+        batch = BatchPeeK(medium_er)
         res = dijkstra(medium_er, 0)
         reach = np.flatnonzero(np.isfinite(res.dist))[:6]
         for t in reach.tolist():
@@ -269,20 +263,22 @@ class TestCaching:
 
 
 class TestCombinedLRU:
-    """``cache_size`` bounds forward AND reverse results *combined* (each
+    """``SSSP_CACHE_SIZE`` bounds forward AND reverse results *combined* (each
     is O(n) memory, so the combined count is the documented memory bound),
     with one LRU order across the two directions."""
 
-    def test_cache_size_bounds_both_directions_together(self, medium_er):
-        batch = BatchPeeK(medium_er, cache_size=3)
+    def test_cache_size_bounds_both_directions_together(self, medium_er, monkeypatch):
+        monkeypatch.setattr(batch_module, "SSSP_CACHE_SIZE", 3)
+        batch = BatchPeeK(medium_er)
         for root in range(4):
             batch.forward_sssp(root)
             batch.reverse_sssp(root)
         info = batch.cache_info
         assert info["forward_cached"] + info["reverse_cached"] == 3
 
-    def test_eviction_order_is_lru_across_directions(self, medium_er):
-        batch = BatchPeeK(medium_er, cache_size=2)
+    def test_eviction_order_is_lru_across_directions(self, medium_er, monkeypatch):
+        monkeypatch.setattr(batch_module, "SSSP_CACHE_SIZE", 2)
+        batch = BatchPeeK(medium_er)
         batch.forward_sssp(0)  # cache: [fwd 0]
         batch.reverse_sssp(1)  # cache: [fwd 0, rev 1]
         batch.forward_sssp(0)  # touch fwd 0 → rev 1 is now LRU
@@ -305,8 +301,9 @@ class TestCombinedLRU:
         assert info["invalidated"] == info["retained"] == 0
         assert info["prepared_cached"] == 0
 
-    def test_counters_under_interleaved_queries(self, medium_er):
-        batch = BatchPeeK(medium_er, cache_size=4)
+    def test_counters_under_interleaved_queries(self, medium_er, monkeypatch):
+        monkeypatch.setattr(batch_module, "SSSP_CACHE_SIZE", 4)
+        batch = BatchPeeK(medium_er)
         pairs = [random_reachable_pair(medium_er, seed=sd) for sd in (1, 2)]
         (s1, t1), (s2, t2) = pairs
         batch.query(s1, t1, 3)  # 2 misses (fwd s1, rev t1)
@@ -325,9 +322,10 @@ class TestCombinedLRU:
         assert info["prepared_cached"] == 4
         assert info["forward_cached"] + info["reverse_cached"] == 4
 
-    def test_interleaved_eviction_keeps_answers_exact(self, medium_er):
+    def test_interleaved_eviction_keeps_answers_exact(self, medium_er, monkeypatch):
         """A thrashing cache (size 1) still returns bitwise-exact results."""
-        batch = BatchPeeK(medium_er, cache_size=1)
+        monkeypatch.setattr(batch_module, "SSSP_CACHE_SIZE", 1)
+        batch = BatchPeeK(medium_er)
         pairs = [random_reachable_pair(medium_er, seed=sd) for sd in (1, 2, 3)]
         for s, t in pairs * 2:
             got = batch.query(s, t, 3)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.compaction import (
-    EdgeSwapView,
     StatusArrayView,
     adaptive_compact,
     compact_edge_swap,
@@ -12,7 +11,6 @@ from repro.core.compaction import (
     compact_status_array,
 )
 from repro.errors import GraphFormatError, VertexError
-from repro.graph.generators import erdos_renyi
 from repro.sssp.delta_stepping import delta_stepping
 from repro.sssp.dijkstra import dijkstra
 

@@ -6,11 +6,13 @@ every surviving replica leaves them all at the authority's version even
 when a kill lands mid-stream.
 """
 
+import numpy as np
 import pytest
 
 from repro.distributed.comm import FaultPlan
 from repro.dyn.live import LiveGraph
 from repro.dyn.stream import IncidentStream
+from repro.dyn.terrace import TerraceGraph
 from repro.fabric.fabric import FabricConfig, ServingFabric
 from repro.fabric.replica import ACTIVE
 from repro.graph.suite import suite_graph
@@ -33,6 +35,24 @@ class TestLiveGraphVersionSeed:
     def test_default_stays_zero(self):
         graph = suite_graph("LJ", "tiny")
         assert LiveGraph(graph).version == 0
+
+    def test_alive_mask_tombstones_the_dead(self):
+        """A checkpoint rebuild: ``alive`` tombstones every vertex it marks
+        dead, exactly as deleting them from a fresh spine does."""
+        graph = suite_graph("LJ", "tiny")
+        alive = np.ones(graph.num_vertices, dtype=bool)
+        alive[[0, 3, 17]] = False
+        live = LiveGraph(graph, alive=alive, version=4)
+        spine = TerraceGraph.from_csr(graph)
+        spine.delete_vertices(np.flatnonzero(~alive))
+        want = spine.to_csr()
+        assert live.version == 4
+        assert np.array_equal(live.alive, alive)
+        got = live.graph
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert np.array_equal(got.weights, want.weights)
+        assert got.num_edges < graph.num_edges
 
 
 class TestKillDuringMutations:

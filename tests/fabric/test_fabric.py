@@ -157,7 +157,7 @@ class _FakeReplica:
 
 class TestElasticPolicy:
     def test_scale_up_picks_lowest_standby(self):
-        policy = ElasticPolicy(cooldown_ticks=0)
+        policy = ElasticPolicy()
         replicas = {
             0: _FakeReplica(ACTIVE, 4, 4),
             1: _FakeReplica(ACTIVE, 4, 4),
@@ -167,7 +167,7 @@ class TestElasticPolicy:
         assert policy.decide(replicas, 0.0) == ("scale_up", 2)
 
     def test_scale_down_respects_floor(self):
-        policy = ElasticPolicy(min_replicas=2, cooldown_ticks=0)
+        policy = ElasticPolicy(min_replicas=2)
         replicas = {
             0: _FakeReplica(ACTIVE, 4, 0),
             1: _FakeReplica(ACTIVE, 4, 0),
@@ -177,7 +177,7 @@ class TestElasticPolicy:
         assert policy.decide(replicas, 0.0) == ("scale_down", 2)
 
     def test_cooldown_suppresses_flapping(self):
-        policy = ElasticPolicy(min_replicas=1, cooldown_ticks=2)
+        policy = ElasticPolicy(min_replicas=1)
         replicas = {
             0: _FakeReplica(ACTIVE, 4, 0),
             1: _FakeReplica(ACTIVE, 4, 0),

@@ -31,7 +31,6 @@ RECIPE = ServerConfig(
     queue_depth=2,
     tier1_budget_fraction=0.5,
     kernel="dijkstra",
-    cache_size=17,
     jitter=0.5,
     replicas=2,
 )
@@ -45,7 +44,6 @@ def graph():
 
 def settings(server: QueryServer) -> dict:
     return {
-        "cache_size": server.batch._cache_size,
         "kernel": server.batch.kernel,
         "tier1_budget_fraction": server.tier1_budget_fraction,
         "retry": server.retry,

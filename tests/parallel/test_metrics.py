@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.parallel.metrics import Calibration, calibrate, gteps, speedup_curve
+from repro.parallel.metrics import calibrate, gteps, speedup_curve
 from repro.parallel.scheduler import MachineModel
 from repro.parallel.workload import JobKind, Phase, Workload
 

@@ -6,17 +6,14 @@ exact — never a hang, never a silently wrong answer.
 """
 
 import threading
+import time
 
 import pytest
 
 import repro
-from repro.errors import (
-    KSPError,
-    KSPTimeout,
-    ServerOverloadError,
-    UnreachableTargetError,
-    VertexError,
-)
+from repro.cancel import clock_scope
+from repro.errors import KSPError, ServerOverloadError, VertexError
+from repro.load.simclock import CostModel, SimClock, virtual_time
 from repro.obs import Tracer, use_tracer
 from repro.serve import (
     COMPLETE,
@@ -155,42 +152,77 @@ class TestDegradationChain:
         assert res.paths == []
 
 
+class RecordingClock:
+    """The wall clock, with every sleep recorded instead of slept."""
+
+    def __init__(self) -> None:
+        self.sleeps: list[float] = []
+
+    def __call__(self) -> float:
+        return time.perf_counter()
+
+    def sleep(self, seconds: float) -> None:
+        self.sleeps.append(seconds)
+
+
 class TestRetryPolicy:
     def test_backoff_schedule(self):
         p = RetryPolicy(max_attempts=4, backoff_base=0.1, backoff_multiplier=3.0)
         assert [p.backoff(i) for i in (1, 2, 3)] == pytest.approx([0.1, 0.3, 0.9])
 
     def test_transient_fault_is_retried(self, medium_er):
-        sleeps = []
-        server = QueryServer(medium_er, sanitize=True, sleep=sleeps.append)
+        clock = RecordingClock()
+        server = QueryServer(medium_er, sanitize=True)
         s, t = random_reachable_pair(medium_er, seed=11)
         inj = FaultInjector([FaultRule("serve.attempt", kind="transient")])
-        with inj.installed():
+        with clock_scope(clock), inj.installed():
             res = server.serve(s, t, 4)
         assert res.outcome == COMPLETE
         assert res.attempts == 2
-        assert sleeps == [server.retry.backoff(1)]
+        assert clock.sleeps == [server.retry.backoff(1)]
         assert server.counters["retries"] == 1
         assert res.distances == reference_distances(medium_er, s, t, 4)
 
     def test_transient_faults_exhaust_to_failed(self, medium_er):
-        sleeps = []
+        clock = RecordingClock()
         server = QueryServer(
-            medium_er,
-            sanitize=True,
-            sleep=sleeps.append,
-            retry=RetryPolicy(max_attempts=3),
+            medium_er, sanitize=True, retry=RetryPolicy(max_attempts=3)
         )
         s, t = random_reachable_pair(medium_er, seed=11)
         inj = FaultInjector(
             [FaultRule("serve.attempt", kind="transient", times=10**6)]
         )
-        with inj.installed():
+        with clock_scope(clock), inj.installed():
             res = server.serve(s, t, 4)
         assert res.outcome == FAILED
         assert res.attempts == 3
-        assert len(sleeps) == 2
+        assert len(clock.sleeps) == 2
         assert "injected fault" in res.error
+
+    def test_backoff_is_billed_to_the_sim_clock(self, medium_er, monkeypatch):
+        """Under virtual time a retry's backoff advances the SimClock and
+        never sleeps on the wall clock."""
+        wall_sleeps: list[float] = []
+        monkeypatch.setattr(time, "sleep", wall_sleeps.append)
+        s, t = random_reachable_pair(medium_er, seed=11)
+        model = CostModel()
+
+        def service_time(hook) -> tuple[float, int]:
+            server = QueryServer(medium_er, sanitize=True)
+            with virtual_time(SimClock(), model, hook):
+                res = server.serve(s, t, 4)
+            assert res.outcome == COMPLETE
+            return res.service_time, res.attempts
+
+        clean, _ = service_time(None)
+        inj = FaultInjector([FaultRule("serve.attempt", kind="transient")])
+        retried, attempts = service_time(inj)
+        assert attempts == 2
+        assert wall_sleeps == []
+        backoff = RetryPolicy().backoff(1)
+        assert retried == pytest.approx(
+            clean + model.cost("serve.attempt") + backoff
+        )
 
     def test_fatal_injected_fault_propagates(self, medium_er):
         server = QueryServer(medium_er, sanitize=True)

@@ -5,7 +5,6 @@ import pytest
 
 from repro.errors import VertexError
 from repro.graph.build import from_edge_list
-from repro.graph.generators import erdos_renyi
 from repro.paths import INF
 from repro.sssp.dijkstra import dijkstra
 from repro.sssp.lazy_dijkstra import LazyDijkstra

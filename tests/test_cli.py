@@ -1,7 +1,5 @@
 """Unit tests for the peek-bench CLI."""
 
-import pytest
-
 from repro.cli import build_parser, main
 
 
