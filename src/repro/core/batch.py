@@ -69,7 +69,7 @@ from repro.core.pruning import (
     prune_sssp,
 )
 from repro.ksp.base import KSPAlgorithm, KSPResult, KSPStats
-from repro.ksp.registry import make_algorithm
+from repro.ksp.registry import ALGORITHMS, make_algorithm
 from repro.obs.tracer import get_tracer
 from repro.paths import Path
 from repro.serve.query import Query, validate_query
@@ -205,7 +205,12 @@ def prepare_remnant(
         A compaction already built for ``prune`` (a memoised decision);
         the compact stage is then skipped.
     inner:
-        Registry name of the remnant solver.
+        Registry name of the remnant solver.  A solver whose
+        :class:`~repro.ksp.registry.AlgorithmSpec` takes ``bound=`` gets
+        the prune's slack-widened threshold
+        (:attr:`~repro.core.pruning.PruneResult.threshold`): the K-th
+        shortest path costs at most ``b``, so no candidate above it is
+        needed.
     deadline:
         Absolute deadline, observed by the compaction build and by the
         returned inner solver.
@@ -230,6 +235,9 @@ def prepare_remnant(
                 span.set_gauge(
                     "compact.remaining_vertices", compaction.remaining_vertices
                 )
+    kwargs = {}
+    if prune is not None and "bound" in ALGORITHMS[inner].valid_kwargs:
+        kwargs["bound"] = prune.threshold
     remnant, src, tgt = graph, source, target
     if compaction is not None:
         remnant = compaction.compacted
@@ -240,7 +248,9 @@ def prepare_remnant(
         source=source,
         target=target,
         k=k,
-        inner=make_algorithm(inner, remnant, src, tgt, deadline=deadline),
+        inner=make_algorithm(
+            inner, remnant, src, tgt, deadline=deadline, **kwargs
+        ),
         prune=prune,
         compaction=compaction,
         version=version,

@@ -38,6 +38,7 @@ __all__ = [
     "k_upper_bound_prune",
     "prune_reuse_certificate",
     "prune_sssp",
+    "prune_threshold",
 ]
 
 
@@ -86,6 +87,18 @@ class PruneStats:
         )
 
 
+def prune_threshold(bound: float) -> float:
+    """The cost the masks keep up to: ``bound`` plus a relative 1e-9 slack.
+
+    Distances on both sides of a comparison against ``b`` are sums of the
+    same weights in different orders, so they can disagree by a few ulp.
+    Keeping a hair more than the exact bound is always sound (pruning less
+    can never violate Theorem 4.3); pruning a vertex that is exactly *at*
+    the bound would drop a K-th path.
+    """
+    return bound + bound * 1e-9 if np.isfinite(bound) else bound
+
+
 @dataclass
 class PruneResult:
     """Everything downstream stages need from a pruning run."""
@@ -106,6 +119,11 @@ class PruneResult:
     #: spSum[v] = spSrc[v] + spTgt[v]
     sp_sum: np.ndarray
     stats: PruneStats = field(default_factory=PruneStats)
+
+    @property
+    def threshold(self) -> float:
+        """``bound`` widened by :func:`prune_threshold`'s slack."""
+        return prune_threshold(self.bound)
 
     @property
     def num_kept_vertices(self) -> int:
@@ -244,15 +262,9 @@ def bound_and_masks(
     # reachability, so b stays inf and only disconnected vertices fall.
 
     # ---- Step 3: prune ----------------------------------------------------
-    # Distances on both sides of the comparison are sums of the same weights
-    # in different orders, so they can disagree by a few ulp.  Keeping a
-    # hair more than the exact bound is always sound (pruning less can never
-    # violate Theorem 4.3); pruning a vertex that is exactly *at* the bound
-    # would drop a K-th path.
     if check_cancel:
         checkpoint(deadline, "prune.masks")
-    slack = bound * 1e-9 if np.isfinite(bound) else 0.0
-    threshold = bound + slack
+    threshold = prune_threshold(bound)
     keep_vertices = np.zeros(n, dtype=bool)
     keep_vertices[finite] = sp_sum[finite] <= threshold
     keep_edges = graph.weights <= threshold
@@ -307,12 +319,10 @@ def prune_reuse_certificate(prune: PruneResult, summary) -> bool:
     if summary.tombstoned.size and keep[summary.tombstoned].any():
         return False
     if summary.up_src.size:
-        slack = prune.bound * 1e-9 if np.isfinite(prune.bound) else 0.0
-        threshold = prune.bound + slack
         inside = (
             keep[summary.up_src]
             & keep[summary.up_dst]
-            & (summary.up_old_w <= threshold)
+            & (summary.up_old_w <= prune.threshold)
         )
         if inside.any():
             return False

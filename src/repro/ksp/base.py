@@ -22,7 +22,7 @@ from typing import Iterator
 from repro.cancel import checkpoint
 from repro.errors import KSPError, KSPTimeout, UnreachableTargetError, VertexError
 from repro.obs.tracer import get_tracer
-from repro.paths import Path
+from repro.paths import INF, Path
 from repro.sssp.dijkstra import dijkstra
 
 __all__ = [
@@ -52,6 +52,7 @@ class KSPStats:
     sssp_calls: int = 0
     express_hits: int = 0
     express_misses: int = 0
+    bound_skips: int = 0
     candidates_generated: int = 0
     candidates_deduped: int = 0
     repairs: int = 0
@@ -182,6 +183,7 @@ class KSPAlgorithm:
         span.add("ksp.vertices_settled", st.vertices_settled)
         span.add("ksp.express_hits", st.express_hits)
         span.add("ksp.express_misses", st.express_misses)
+        span.add("ksp.bound_skips", st.bound_skips)
         span.add("ksp.candidates_generated", st.candidates_generated)
         span.add("ksp.candidates_deduped", st.candidates_deduped)
         span.add("ksp.repairs", st.repairs)
@@ -287,11 +289,14 @@ class DeviationKSP(KSPAlgorithm):
         banned_vertices: frozenset[int],
         banned_edges: frozenset[tuple[int, int]],
         prefix: tuple[int, ...],
+        prefix_dist: float,
     ):
         """Find the shortest simple suffix dev_vertex→target.
 
         Must avoid ``banned_vertices`` entirely and not start with any edge
-        in ``banned_edges``.  Returns ``(distance, suffix_vertices, exact)``
+        in ``banned_edges``.  ``prefix_dist`` is the cost of ``prefix``
+        (the candidate will cost ``prefix_dist`` plus the suffix's
+        distance).  Returns ``(distance, suffix_vertices, exact)``
         or ``None`` when no suffix exists.  ``exact=False`` marks a postponed
         (lower-bound) candidate that needs repair before acceptance (PNC).
 
@@ -339,7 +344,7 @@ class DeviationKSP(KSPAlgorithm):
                 banned_vertices = frozenset(prefix[:-1])
                 banned_edges = self._deviation_edges(prefix)
                 found = self._find_suffix(
-                    dev_vertex, banned_vertices, banned_edges, prefix
+                    dev_vertex, banned_vertices, banned_edges, prefix, prefix_dist
                 )
                 if found is not None:
                     suf_dist, suf_verts, exact = found
@@ -359,9 +364,7 @@ class DeviationKSP(KSPAlgorithm):
                         self._seen.add(cand_verts)
                     else:
                         self.stats.candidates_deduped += 1
-                w = self.graph.edge_weight(verts[i], verts[i + 1])
-                assert w is not None, "accepted path uses a missing edge"
-                prefix_dist += w
+                prefix_dist += self._edge_weight(verts[i], verts[i + 1])
             self.stats.iteration_tasks.append(self._iteration_tasks)
             self.stats.iteration_serial.append(self._iteration_serial)
 
@@ -398,6 +401,27 @@ class DeviationKSP(KSPAlgorithm):
             if edge not in known:
                 dev_edges[prefix] = known | {edge}
 
+    def _edge_weight(self, u: int, v: int) -> float:
+        """The lightest live u→v edge's weight, from the workspace mirror.
+
+        What ``graph.edge_weight`` returns, without a NumPy call per
+        edge: the minimum over parallel edges, skipping edges the graph's
+        ``edge_mask`` hides.
+        """
+        begins, ends, indices, weights, edge_mask = (
+            self._get_workspace().adjacency_lists()
+        )
+        best = INF
+        for e in range(begins[u], ends[u]):
+            if (
+                indices[e] == v
+                and weights[e] < best
+                and (edge_mask is None or edge_mask[e])
+            ):
+                best = weights[e]
+        assert best < INF, "accepted path uses a missing edge"
+        return best
+
     def _deviation_edges(
         self, prefix: tuple[int, ...]
     ) -> frozenset[tuple[int, int]]:
@@ -412,6 +436,7 @@ class DeviationKSP(KSPAlgorithm):
         dev_vertex: int,
         banned_vertices: frozenset[int],
         banned_edges: frozenset[tuple[int, int]],
+        limit: float = INF,
     ):
         """Target-stopped Dijkstra — Yen's suffix search, and the one every
         other algorithm falls back to when its shortcut does not apply.
@@ -419,7 +444,8 @@ class DeviationKSP(KSPAlgorithm):
         Runs on the solver's shared epoch-stamped workspace, so
         back-to-back spur searches pay O(1) setup and only the ban-set
         delta.  With ``_potential`` set the search is A*: same distance,
-        fewer settles.
+        fewer settles.  A suffix longer than ``limit`` is not looked for:
+        the A* search stops at it and the method returns None.
         """
         res = dijkstra(
             self.graph,
@@ -429,6 +455,7 @@ class DeviationKSP(KSPAlgorithm):
             banned_edges=banned_edges,
             workspace=self._get_workspace(),
             potential=self._potential,
+            limit=limit,
             deadline=self.deadline,
         )
         work = self.stats.add_sssp(res.stats)

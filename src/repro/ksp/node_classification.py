@@ -116,7 +116,9 @@ class NodeClassificationKSP(DeviationKSP):
             path.append(u)
         return tuple(path)
 
-    def _find_suffix(self, dev_vertex, banned_vertices, banned_edges, prefix):
+    def _find_suffix(
+        self, dev_vertex, banned_vertices, banned_edges, prefix, prefix_dist
+    ):
         green = self._green_mask(banned_vertices)
         targets, weights = self.graph.neighbors(dev_vertex)
         best_w, best_val = -1, INF

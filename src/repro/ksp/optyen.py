@@ -16,6 +16,14 @@ up front) and uses it for an *express* candidate at each deviation vertex:
    stays a lower bound under any bans.  The suffix distance is the same;
    the search settles far fewer vertices.
 
+Given ``bound`` — a cost no wanted path exceeds, such as PeeK's prune
+bound on the K-th shortest path — a deviation is dropped before any
+search when the prefix cost plus the step-1 lower bound already exceeds
+it, and the fallback search stops once its A* key passes ``bound -
+prefix cost`` (Kurz and Mutzel's candidate bounding).  Every candidate
+within the bound is still generated, so the paths up to the bound are
+unchanged.
+
 Unlike NC, nothing is ever updated: the tree is computed once, which is what
 makes OptYen parallel-friendly (the paper's §1.1 observation).
 """
@@ -37,6 +45,20 @@ class OptYenKSP(DeviationKSP):
 
     name = "OptYen"
     lawler_default = True
+
+    def __init__(
+        self,
+        graph,
+        source: int,
+        target: int,
+        *,
+        bound: float = INF,
+        lawler: bool | None = None,
+        deadline: float | None = None,
+    ) -> None:
+        super().__init__(graph, source, target, lawler=lawler, deadline=deadline)
+        #: no candidate costing more than this is generated (``inf``: all are)
+        self.bound = bound
 
     def _prepare(self) -> None:
         rev = dijkstra(self.graph.reverse(), self.target, deadline=self.deadline)
@@ -73,19 +95,20 @@ class OptYenKSP(DeviationKSP):
         """``(w*, bound)`` minimising ``w(v,w) + distTgt[w]`` over allowed w.
 
         High-degree vertices use one masked vectorised argmin over the
-        adjacency slice; low-degree ones keep the scalar scan (NumPy's
-        per-call overhead dominates below ~two dozen neighbours).  Ties on
-        the bound break toward the smallest vertex id in both paths.
+        adjacency slice, reading bans from the workspace's incremental
+        mask (the spur search that may follow applies the same set);
+        low-degree ones keep the scalar scan (NumPy's per-call overhead
+        dominates below ~two dozen neighbours).  Ties on the bound break
+        toward the smallest vertex id in both paths.
         """
         targets, weights = self.graph.neighbors(dev_vertex)
         dist_tgt = self.dist_tgt
         if targets.size >= self._VECTOR_MIN_DEGREE:
             vals = weights + dist_tgt[targets]
             if banned_vertices:
-                ban = np.fromiter(
-                    banned_vertices, dtype=np.int64, count=len(banned_vertices)
-                )
-                vals[np.isin(targets, ban)] = INF
+                ws = self._get_workspace()
+                ws.apply_bans(banned_vertices)
+                vals[ws.ban[targets]] = INF
             if banned_edges:
                 for u, w in banned_edges:
                     if u == dev_vertex:
@@ -129,21 +152,33 @@ class OptYenKSP(DeviationKSP):
             path.append(u)
         return tuple(path)
 
-    def _find_suffix(self, dev_vertex, banned_vertices, banned_edges, prefix):
+    def _find_suffix(
+        self, dev_vertex, banned_vertices, banned_edges, prefix, prefix_dist
+    ):
         hop = self._best_first_hop(dev_vertex, banned_vertices, banned_edges)
         if hop is None:
             # No allowed first hop can reach the target even in the full
             # graph — no suffix exists, skip the SSSP entirely.
             self._log_task(1)
             return None
-        w_star, bound = hop
+        w_star, hop_bound = hop
+        if prefix_dist + hop_bound > self.bound:
+            # even the lower bound prices this deviation out
+            self.stats.bound_skips += 1
+            self._log_task(1)
+            return None
         suffix = self._tree_suffix(dev_vertex, w_star, banned_vertices)
         if suffix is not None:
             self.stats.express_hits += 1
             self._log_task(len(suffix))
-            return bound, suffix, True
+            return hop_bound, suffix, True
         self.stats.express_misses += 1
-        return self._dijkstra_suffix(dev_vertex, banned_vertices, banned_edges)
+        return self._dijkstra_suffix(
+            dev_vertex,
+            banned_vertices,
+            banned_edges,
+            limit=self.bound - prefix_dist,
+        )
 
 
 def optyen_ksp(graph, source: int, target: int, k: int, **kwargs) -> KSPResult:

@@ -44,7 +44,9 @@ class PostponedNCKSP(OptYenKSP):
         #: their placeholders must not collide in the pool's dedup set
         self._postpone_serial = 0
 
-    def _find_suffix(self, dev_vertex, banned_vertices, banned_edges, prefix):
+    def _find_suffix(
+        self, dev_vertex, banned_vertices, banned_edges, prefix, prefix_dist
+    ):
         hop = self._best_first_hop(dev_vertex, banned_vertices, banned_edges)
         if hop is None:
             self._log_task(1)

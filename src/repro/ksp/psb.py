@@ -83,9 +83,11 @@ class PSBKSP(SidetrackKSP):
                 self.stats.peak_tree_bytes = total
         self._probation.pop(removal_set, None)
 
-    def _find_suffix(self, dev_vertex, banned_vertices, banned_edges, prefix):
+    def _find_suffix(
+        self, dev_vertex, banned_vertices, banned_edges, prefix, prefix_dist
+    ):
         found = super()._find_suffix(
-            dev_vertex, banned_vertices, banned_edges, prefix
+            dev_vertex, banned_vertices, banned_edges, prefix, prefix_dist
         )
         tree = self._probation.get(banned_vertices) or self._trees.get(
             banned_vertices

@@ -99,6 +99,7 @@ ALGORITHMS: dict[str, AlgorithmSpec] = {
             "OptYen",
             OptYenKSP,
             "Ajwani et al. 2018: static reverse tree, express-or-repair",
+            extra_kwargs=frozenset({"bound"}),
         ),
         _spec(
             "SB",

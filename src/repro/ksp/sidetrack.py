@@ -111,7 +111,9 @@ class SidetrackKSP(DeviationKSP):
             out.append(nxt)
         return out
 
-    def _find_suffix(self, dev_vertex, banned_vertices, banned_edges, prefix):
+    def _find_suffix(
+        self, dev_vertex, banned_vertices, banned_edges, prefix, prefix_dist
+    ):
         tree = self._tree_for(banned_vertices)
         targets, weights = self.graph.neighbors(dev_vertex)
         best_w, best_val = -1, INF

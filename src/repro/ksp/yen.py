@@ -28,7 +28,9 @@ class YenKSP(DeviationKSP):
     name = "Yen"
     lawler_default = False
 
-    def _find_suffix(self, dev_vertex, banned_vertices, banned_edges, prefix):
+    def _find_suffix(
+        self, dev_vertex, banned_vertices, banned_edges, prefix, prefix_dist
+    ):
         return self._dijkstra_suffix(dev_vertex, banned_vertices, banned_edges)
 
 

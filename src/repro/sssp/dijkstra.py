@@ -20,7 +20,8 @@ A target-stopped search may also be *goal-directed*: given ``potential=``,
 a per-vertex lower bound on the distance to ``target``, the loop is A*
 (heap key ``dist + potential[v]``).  Without one it keys on a cached
 all-zero potential — ``nd + 0.0 == nd`` — so plain Dijkstra is the same
-loop, bitwise.
+loop, bitwise.  A ``limit=`` ends the search once a popped key passes it,
+for callers that have no use for a farther target.
 
 A full tree with no bans, no target and no potential — the two SSSPs of
 PeeK's pruning stage — has a compiled twin, :func:`dijkstra_tree`: SciPy's
@@ -55,6 +56,7 @@ def dijkstra(
     banned_edges: Collection[tuple[int, int]] | None = None,
     workspace: SSSPWorkspace | None = None,
     potential: Sequence[float] | np.ndarray | None = None,
+    limit: float = INF,
     deadline: float | None = None,
 ) -> SSSPResult | WorkspaceResult:
     """Single-source shortest paths from ``source``.
@@ -96,6 +98,16 @@ def dijkstra(
         array is converted per call, so repeat callers pass a list.  A
         potential of length other than ``n``, or one without ``target``,
         raises :class:`ValueError`.
+    limit:
+        Stop once a popped heap key exceeds ``limit``: no vertex left on
+        the heap is settled.  With a consistent potential the key is a
+        lower bound on any ``source → target`` distance through that
+        vertex, so a target at distance ``<= limit`` is found exactly as
+        without the limit, and a farther one is left unreached (even when
+        it was labelled before the stop) — what a
+        spur search needs when any suffix above ``limit`` is useless to
+        the caller (OptYen under PeeK's prune bound).  The default
+        ``inf`` never stops.
     deadline:
         Absolute time, on the clock :mod:`repro.cancel` has installed
         (wall time by default, virtual time under a ``SimClock``), after
@@ -174,7 +186,13 @@ def dijkstra(
     pushes = 0
 
     while heap:
-        u = pop(heap)[1]
+        key, u = pop(heap)
+        if key > limit:
+            # every key left is larger: nothing within the limit, and a
+            # tentative label on the target is no answer
+            if tgt >= 0:
+                dstamp[tgt] = 0
+            break
         if sstamp[u] == ep:
             continue  # stale heap entry (lazy deletion)
         sstamp[u] = ep

@@ -86,7 +86,9 @@ class _ScanCheckedMixin:
         self._accepted_log.append(path)
         super()._index_accepted(path)
 
-    def _find_suffix(self, dev_vertex, banned_vertices, banned_edges, prefix):
+    def _find_suffix(
+        self, dev_vertex, banned_vertices, banned_edges, prefix, prefix_dist
+    ):
         i = len(prefix) - 1
         scan = frozenset(
             (prefix[-1], p.vertices[i + 1])
@@ -96,7 +98,7 @@ class _ScanCheckedMixin:
         assert banned_edges == scan
         self.spurs_checked += 1
         return super()._find_suffix(
-            dev_vertex, banned_vertices, banned_edges, prefix
+            dev_vertex, banned_vertices, banned_edges, prefix, prefix_dist
         )
 
 

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.analysis.sanitize import check_workspace
+from repro.core.compaction import compact_status_array
 from repro.errors import UnreachableTargetError
 from repro.graph.build import from_edge_array, from_edge_list
 from repro.graph.generators import erdos_renyi, grid_network
@@ -28,6 +30,25 @@ class _PlainPNC(PostponedNCKSP):
     def _prepare(self):
         super()._prepare()
         self._potential = None
+
+
+class _PrefixChecked(OptYenKSP):
+    """OptYen asserting each spur's prefix cost is the edge-by-edge sum
+    of ``graph.edge_weight`` from 0.0."""
+
+    spurs_checked = 0
+
+    def _find_suffix(
+        self, dev_vertex, banned_vertices, banned_edges, prefix, prefix_dist
+    ):
+        want = 0.0
+        for u, v in zip(prefix, prefix[1:]):
+            want += self.graph.edge_weight(u, v)
+        assert np.float64(prefix_dist).tobytes() == np.float64(want).tobytes()
+        self.spurs_checked += 1
+        return super()._find_suffix(
+            dev_vertex, banned_vertices, banned_edges, prefix, prefix_dist
+        )
 
 
 PAIRS = [(OptYenKSP, _PlainOptYen), (PostponedNCKSP, _PlainPNC)]
@@ -118,6 +139,69 @@ class TestInternals:
             )
             is None
         )
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_vector_first_hop_equals_scalar(self, seed):
+        """The vectorised scan (degree >= 24, bans read from the
+        workspace mask) picks what the scalar scan picks, smallest id on
+        ties, over parallel edges and random bans."""
+        rng = np.random.default_rng(seed)
+        n, m = 40, 1400
+        g = from_edge_array(
+            n,
+            rng.integers(0, n, size=m),
+            rng.integers(0, n, size=m),
+            rng.integers(1, 4, size=m).astype(np.float64),
+            dedup=False,
+        )
+        vector = OptYenKSP(g, 0, n - 1)
+        vector._prepare()
+        scalar = OptYenKSP(g, 0, n - 1)
+        scalar._prepare()
+        scalar._VECTOR_MIN_DEGREE = n * n
+        hubs = [v for v in range(n) if g.neighbors(v)[0].size >= 24]
+        assert hubs
+        for _ in range(60):
+            v = int(rng.choice(hubs))
+            others = [u for u in range(n) if u != v]
+            bans = frozenset(
+                int(u) for u in rng.choice(others, size=int(rng.integers(0, 30)))
+            )
+            heads = g.neighbors(v)[0]
+            banned_edges = frozenset(
+                (v, int(w)) for w in rng.choice(heads, size=int(rng.integers(0, 4)))
+            )
+            got = vector._best_first_hop(v, bans, banned_edges)
+            ref = scalar._best_first_hop(v, bans, banned_edges)
+            assert got == ref
+        check_workspace(vector._get_workspace())
+
+    def test_prefix_cost_from_the_workspace_mirror(self):
+        """``_edge_weight`` is ``graph.edge_weight``, bitwise, on parallel
+        edges and on a status-array view that masks edges out, and every
+        spur sees the prefix cost summed edge by edge from 0.0."""
+        rng = np.random.default_rng(3)
+        n, m = 30, 240
+        g = from_edge_array(
+            n,
+            rng.integers(0, n, size=m),
+            rng.integers(0, n, size=m),
+            rng.uniform(0.1, 3.0, size=m),
+            dedup=False,
+        )
+        keep_e = rng.random(g.num_edges) < 0.7
+        view = compact_status_array(g, np.ones(n, dtype=bool), keep_e)
+        for graph in (g, view):
+            s, t = random_reachable_pair(graph, seed=2)
+            algo = _PrefixChecked(graph, s, t)
+            algo.run(32)
+            assert algo.spurs_checked > 0
+            for u in range(n):
+                for v in set(graph.neighbors(u)[0].tolist()):
+                    want = graph.edge_weight(u, v)
+                    assert np.float64(algo._edge_weight(u, v)).tobytes() == (
+                        np.float64(want).tobytes()
+                    )
 
     def test_tree_suffix_detects_banned(self, fan_graph):
         algo = OptYenKSP(fan_graph, 0, 4)

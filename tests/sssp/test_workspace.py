@@ -311,6 +311,29 @@ class TestAStarPotential:
         view = compact_status_array(g, keep_v, keep_e)
         assert_astar_exact(view, s, _reverse_distances(view, kw["target"]), **kw)
 
+    @given(
+        tied_queries(with_target=True),
+        st.booleans(),
+        st.one_of(st.integers(0, 30).map(float), st.floats(0.0, 30.0)),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_limit_cuts_only_beyond_the_target(self, case, astar, limit):
+        """A search cut at ``limit`` is the uncut search whenever the
+        target lies within it, and leaves the target unreached otherwise."""
+        g, s, kw = case
+        pot = _reverse_distances(g, kw["target"]).tolist() if astar else None
+        full = dijkstra(g, s, potential=pot, **kw)
+        cut = dijkstra(g, s, potential=pot, limit=limit, **kw)
+        t = kw["target"]
+        if full.reached(t) and full.dist_of(t) <= limit:
+            assert cut.reached(t)
+            assert cut.dist_of(t) == full.dist_of(t)
+            assert cut.reconstruct(t) == full.reconstruct(t)
+            assert cut.stats == full.stats
+        else:
+            assert not cut.reached(t)
+            assert cut.stats.vertices_settled <= full.stats.vertices_settled
+
     def test_mixed_queries_on_one_workspace(self):
         """A* and plain searches interleaved on one workspace."""
         g = erdos_renyi(150, 5.0, seed=3)
