@@ -297,15 +297,7 @@ def check_prune_certificate(result, *, rel_tol: float = COST_REL_TOL) -> None:
             )
 
 
-def check_dyn_reuse(
-    graph,
-    prune,
-    source: int,
-    target: int,
-    k: int,
-    *,
-    kernel: str = "dijkstra",
-) -> None:
+def check_dyn_reuse(graph, prune, source: int, target: int, k: int) -> None:
     """Live-graph reuse audit: a reused prune must equal a cold re-prune.
 
     :meth:`repro.core.batch.BatchPeeK.prepare` may answer a query from a
@@ -322,7 +314,7 @@ def check_dyn_reuse(
     # the audit is not the query's work: no checkpoint inside it may bill
     # simulated time or fire an injected fault, and it leaves no trace
     with fault_scope(None), use_tracer(NOOP_TRACER):
-        cold = k_upper_bound_prune(graph, source, target, k, kernel=kernel)
+        cold = k_upper_bound_prune(graph, source, target, k)
     both_inf = not (np.isfinite(prune.bound) or np.isfinite(cold.bound))
     if not both_inf and not costs_close(prune.bound, cold.bound):
         _fail(

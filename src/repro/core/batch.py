@@ -265,24 +265,13 @@ class BatchPeeK:
     graph:
         The graph every query runs against (a snapshot; :meth:`rebind`
         moves the solver to the next one).
-    kernel:
-        SSSP kernel for the pruning stage, as in
-        :class:`~repro.core.peek.PeeK`: ``"dijkstra"`` (the default,
-        SciPy's compiled Dijkstra) or ``"delta"`` (Δ-stepping).
     sanitize:
         Audit every memoised-decision reuse with SAN-DYN (a cold
         re-prune comparison).  ``RPR_SANITIZE=1`` enables it regardless.
     """
 
-    def __init__(
-        self,
-        graph,
-        *,
-        kernel: str = "dijkstra",
-        sanitize: bool = False,
-    ) -> None:
+    def __init__(self, graph, *, sanitize: bool = False) -> None:
         self.graph = graph
-        self.kernel = kernel
         self.sanitize = sanitize
         #: one LRU over both directions, keyed ("fwd"|"rev", root)
         self._cache: OrderedDict[tuple[str, int], object] = OrderedDict()
@@ -310,7 +299,7 @@ class BatchPeeK:
             return res
         self.misses += 1
         get_tracer().add("batch.cache_misses")
-        res = prune_sssp(graph, root, kernel=self.kernel, deadline=deadline)
+        res = prune_sssp(graph, root, deadline=deadline)
         self._cache[key] = res
         if len(self._cache) > SSSP_CACHE_SIZE:
             self._cache.popitem(last=False)
@@ -403,9 +392,7 @@ class BatchPeeK:
             tracer.add("batch.prune_reuse")
             prune, compaction = memo
             if self.sanitize or sanitize_enabled_from_env():
-                check_dyn_reuse(
-                    self.graph, prune, source, target, k, kernel=self.kernel
-                )
+                check_dyn_reuse(self.graph, prune, source, target, k)
             return prepare_remnant(
                 self.graph,
                 source,
@@ -419,7 +406,7 @@ class BatchPeeK:
             )
         self.prune_cold += 1
         tracer.add("batch.prune_cold")
-        with tracer.span("prune", k=k, kernel=self.kernel) as span:
+        with tracer.span("prune", k=k) as span:
             # only the halves this query computed count as its SSSP work
             misses = self.misses
             fwd = self.forward_sssp(source, deadline=deadline)

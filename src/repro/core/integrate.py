@@ -31,7 +31,7 @@ class PrunedKSP(PeeK):
     inner:
         Registry name of the algorithm to accelerate ("Yen", "NC", "SB*",
         ...).  Asking for "PeeK" is rejected — that would prune twice.
-    alpha, kernel, strong_edge_prune, deadline:
+    alpha, strong_edge_prune, deadline:
         As in :class:`~repro.core.peek.PeeK`; the deadline covers the
         prune and compaction stages as well as the inner solver.
     """
@@ -44,7 +44,6 @@ class PrunedKSP(PeeK):
         *,
         inner: str = "SB*",
         alpha: float = 0.1,
-        kernel: str = "dijkstra",
         strong_edge_prune: bool = False,
         deadline: float | None = None,
     ) -> None:
@@ -53,7 +52,6 @@ class PrunedKSP(PeeK):
             source,
             target,
             alpha=alpha,
-            kernel=kernel,
             strong_edge_prune=strong_edge_prune,
             deadline=deadline,
         )

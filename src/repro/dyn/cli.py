@@ -62,9 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--mutation-rate", type=float, default=2.0, help="mutation batches per second"
     )
     smoke.add_argument("--pool", type=int, default=6, help="hot query pool size")
-    smoke.add_argument(
-        "--kernel", default="dijkstra", choices=("delta", "dijkstra")
-    )
     smoke.add_argument("--timeout", type=float, default=None, help="per-query budget")
     smoke.add_argument("--json", default="BENCH_dyn_smoke.json", help="payload path")
     smoke.add_argument("--summary", default="", help="text summary path ('' = skip)")
@@ -81,7 +78,6 @@ def run_smoke(
     qps: float = 40.0,
     mutation_rate: float = 2.0,
     pool_size: int = 6,
-    kernel: str = "dijkstra",
     timeout: float | None = None,
     stream_kwargs: dict | None = None,
 ) -> dict:
@@ -93,7 +89,7 @@ def run_smoke(
     ``p_clear=0, p_reopen=0``).
     """
     graph = suite_graph(graph_name, scale)
-    config = ServerConfig(name="smoke", timeout=timeout, max_in_flight=64, kernel=kernel)
+    config = ServerConfig(name="smoke", timeout=timeout, max_in_flight=64)
     fabric = ServingFabric(graph, config=FabricConfig(server=config, seed=seed))
     server = fabric.replicas[0].server
 
@@ -147,7 +143,6 @@ def run_smoke(
         "qps": qps,
         "mutation_rate": mutation_rate,
         "pool": pool_size,
-        "kernel": kernel,
         "metrics": report.metrics(),
         "server_counters": dict(sorted(server.counters.items())),
         "cache_info": dict(sorted(info.items())),
@@ -183,7 +178,6 @@ def _cmd_smoke(args: argparse.Namespace) -> int:
         qps=args.qps,
         mutation_rate=args.mutation_rate,
         pool_size=args.pool,
-        kernel=args.kernel,
         timeout=args.timeout,
     )
     with open(args.json, "w") as fh:

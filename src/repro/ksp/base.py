@@ -175,7 +175,8 @@ class KSPAlgorithm:
     def _emit_obs(self, span) -> None:
         """Fold this run's stats into the closing span (enabled path only)."""
         st = self.stats
-        span.add("ksp.spur_searches", sum(len(t) for t in st.iteration_tasks))
+        # every deviation considered, searched or not (no-hop, bound-skipped)
+        span.add("ksp.deviations", sum(len(t) for t in st.iteration_tasks))
         span.add("ksp.sssp_calls", st.sssp_calls)
         # the algorithm's own aggregate (includes resumable-SSSP work that
         # never goes through the standalone kernels, e.g. SB*'s LazyDijkstra)

@@ -34,6 +34,19 @@ class PostponedNCKSP(OptYenKSP):
 
     name = "PNC"
 
+    def __init__(
+        self,
+        graph,
+        source: int,
+        target: int,
+        *,
+        lawler: bool | None = None,
+        deadline: float | None = None,
+    ) -> None:
+        # no ``bound=``: neither the postponed entries nor their repairs
+        # would read it, so it is refused rather than silently ignored
+        super().__init__(graph, source, target, lawler=lawler, deadline=deadline)
+
     def _prepare(self) -> None:
         super()._prepare()
         #: deviation context needed to repair a postponed candidate later:

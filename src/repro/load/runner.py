@@ -21,12 +21,11 @@ from __future__ import annotations
 
 import json
 import zlib
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from random import Random
 from typing import Any, Callable
 
-from repro.core.batch import SSSP_CACHE_SIZE
 from repro.graph.suite import suite_graph
 from repro.load.arrivals import arrival_process
 from repro.load.harness import DISPOSITIONS
@@ -47,8 +46,10 @@ __all__ = [
 ]
 
 #: v2: rows carry "replicas" + unified "dispositions"; v3: every cell is a
-#: fleet, so every row carries the availability/recovery columns
-SCHEMA_VERSION = 3
+#: fleet, so every row carries the availability/recovery columns; v4:
+#: "configs" entries drop "kernel" and "cache_size" (one prune kernel, one
+#: SSSP cache size for every replica)
+SCHEMA_VERSION = 4
 
 #: decorrelates the server-jitter RNG from the serving loop streams
 JITTER_STREAM_OFFSET = 0xB7E15162
@@ -73,9 +74,6 @@ class ServerConfig:
     #: wait-queue depth (0 = shed on busy, live-server semantics)
     queue_depth: int = 0
     tier1_budget_fraction: float | None = None
-    #: stays Δ-stepping: the CostModel's per-visit constants were set
-    #: against its per-phase checkpoint cadence
-    kernel: str = "delta"
     jitter: float = 0.0
     #: replicas serving at t=0 in :class:`~repro.fabric.fabric.ServingFabric`
     replicas: int = 1
@@ -85,23 +83,12 @@ class ServerConfig:
         :class:`~repro.dyn.live.LiveGraph`); ``seed`` seeds its jitter RNG."""
         return QueryServer(
             graph,
-            kernel=self.kernel,
             default_timeout=self.timeout,
             max_in_flight=self.max_in_flight,
             tier1_budget_fraction=self.tier1_budget_fraction,
             retry=RetryPolicy(jitter=self.jitter),
             rng=Random(seed + JITTER_STREAM_OFFSET),
         )
-
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {}
-        for f in fields(self):
-            out[f.name] = getattr(self, f.name)
-            if f.name == "kernel":
-                # the SSSP-tree LRU size every replica's BatchPeeK runs
-                # with, a constant now, keeps its place in the payload
-                out["cache_size"] = SSSP_CACHE_SIZE
-        return out
 
 
 @dataclass(frozen=True)
@@ -211,7 +198,7 @@ def run_table(
         "repetitions": table.repetitions,
         "mix": table.mix,
         "traffic": {label: spec for label, spec in table.traffic},
-        "configs": [c.to_dict() for c in table.configs],
+        "configs": [asdict(c) for c in table.configs],
         "rows": rows,
     }
 

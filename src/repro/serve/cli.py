@@ -41,12 +41,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="per-query budget in seconds (default: unbounded)",
     )
-    p.add_argument(
-        "--kernel",
-        default="dijkstra",
-        choices=("delta", "dijkstra"),
-        help="pruning-stage SSSP kernel",
-    )
     p.add_argument("--seed", type=int, default=2023, help="query-pair seed")
     p.add_argument(
         "--inject",
@@ -72,7 +66,7 @@ def main(argv: list[str] | None = None) -> int:
     from repro.graph.suite import random_st_pairs, suite_graph
 
     g = suite_graph(args.graph, args.scale)
-    server = QueryServer(g, kernel=args.kernel)
+    server = QueryServer(g)
     pairs = random_st_pairs(g, args.queries, seed=args.seed)
 
     rules = [_parse_rule(s) for s in args.inject]

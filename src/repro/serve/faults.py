@@ -12,7 +12,7 @@ fault, every run.
 Stage names are the checkpoint labels:
 
 ========================  ====================================================
-``sssp.delta``            Δ-stepping bucket phases (pruning-stage SSSPs)
+``sssp.delta``            Δ-stepping bucket phases (``PeeK(kernel="delta")``)
 ``sssp.dijkstra``         Dijkstra entry + settle batches (prune or spur)
 ``prune.scan``            Algorithm 2's spSum scan
 ``prune.masks``           the vertex/edge mask build

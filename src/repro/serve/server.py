@@ -198,11 +198,6 @@ class QueryServer:
         bit-for-bit unchanged) or a :class:`~repro.dyn.live.LiveGraph`,
         which enables :meth:`apply_mutations` and serves from the live
         graph's current version.
-    kernel:
-        The pruning-stage SSSP of the underlying
-        :class:`~repro.core.batch.BatchPeeK`: ``"dijkstra"`` (the default,
-        SciPy's compiled Dijkstra) or ``"delta"`` (Δ-stepping, the load
-        harness's kernel; see ``docs/load_testing.md``).
     default_timeout:
         Per-query budget in seconds when :meth:`serve` is called without
         one (``None`` = unbounded, matching library defaults).
@@ -237,7 +232,6 @@ class QueryServer:
         self,
         graph,
         *,
-        kernel: str = "dijkstra",
         default_timeout: float | None = None,
         retry: RetryPolicy | None = None,
         max_in_flight: int = 64,
@@ -255,7 +249,7 @@ class QueryServer:
         else:
             self.live = None
             self.graph = graph
-        self.batch = BatchPeeK(self.graph, kernel=kernel, sanitize=bool(sanitize))
+        self.batch = BatchPeeK(self.graph, sanitize=bool(sanitize))
         if self.live is not None:
             # a replica rebuilt at a checkpoint version answers at it
             self.batch.version = self.live.version

@@ -33,7 +33,7 @@ class TestCorrectness:
             assert p.source == s and p.target == t
 
     def test_dijkstra_kernel(self, medium_er):
-        batch = BatchPeeK(medium_er, kernel="dijkstra")
+        batch = BatchPeeK(medium_er)
         s, t = random_reachable_pair(medium_er, seed=4)
         assert np.allclose(
             batch.query(s, t, 4).distances, peek_ksp(medium_er, s, t, 4).distances
@@ -52,7 +52,7 @@ class TestCorrectness:
             batch.query(0, 1, 0)
 
 
-def _front_end_run(front, batch, graph, s, t, k, kernel, strong, alpha):
+def _front_end_run(front, batch, graph, s, t, k, strong, alpha):
     """One query through a shared-pipeline front end, plus its artefacts."""
     if front == "batch":
         res = batch.query(s, t, k)
@@ -63,7 +63,6 @@ def _front_end_run(front, batch, graph, s, t, k, kernel, strong, alpha):
         t,
         inner="OptYen",
         alpha=alpha,
-        kernel=kernel,
         strong_edge_prune=strong,
     )
     res = solver.run(k)
@@ -74,21 +73,19 @@ def _front_end_run(front, batch, graph, s, t, k, kernel, strong, alpha):
 _ALPHAS = {0.1: None, 1.0: "regeneration", 0.0: "edge-swap"}
 
 
-def _bitwise_case_id(front, kernel, strong, alpha):
+def _bitwise_case_id(front, strong, alpha):
+    # the ids name the prune kernel every case runs on: the default
     if front == "batch" and not strong and alpha == 0.1:
-        return kernel  # the original two cases keep their ids
-    parts = [front, kernel] + (["strong"] if strong else [])
+        return "dijkstra"
+    parts = [front, "dijkstra"] + (["strong"] if strong else [])
     return "-".join(parts + [f"alpha{alpha}"])
 
 
 #: BatchPeeK runs at PeeK's defaults (no strong edge prune, alpha 0.1);
 #: PrunedKSP takes both settings, so it is swept over them
 _BITWISE_CASES = [
-    pytest.param(
-        front, kernel, strong, alpha, id=_bitwise_case_id(front, kernel, strong, alpha)
-    )
+    pytest.param(front, strong, alpha, id=_bitwise_case_id(front, strong, alpha))
     for front in ("batch", "pruned")
-    for kernel in ("delta", "dijkstra")
     for strong in (False, True)
     for alpha in _ALPHAS
     if front == "pruned" or (not strong and alpha == 0.1)
@@ -102,23 +99,16 @@ class TestBitwiseEquivalence:
     pruning decision, compaction strategy and inner-solver counters — not
     just approximately."""
 
-    @pytest.mark.parametrize("front, kernel, strong, alpha", _BITWISE_CASES)
-    def test_query_bitwise_identical_to_peek(
-        self, medium_er, front, kernel, strong, alpha
-    ):
-        batch = BatchPeeK(medium_er, kernel=kernel)
+    @pytest.mark.parametrize("front, strong, alpha", _BITWISE_CASES)
+    def test_query_bitwise_identical_to_peek(self, medium_er, front, strong, alpha):
+        batch = BatchPeeK(medium_er)
         for seed in range(4):
             s, t = random_reachable_pair(medium_er, seed=seed)
             ref = PeeK(
-                medium_er,
-                s,
-                t,
-                kernel=kernel,
-                alpha=alpha,
-                strong_edge_prune=strong,
+                medium_er, s, t, alpha=alpha, strong_edge_prune=strong
             ).run(5)
             got, prune, comp, ksp_stats = _front_end_run(
-                front, batch, medium_er, s, t, 5, kernel, strong, alpha
+                front, batch, medium_er, s, t, 5, strong, alpha
             )
             assert got.distances == ref.distances  # exact, no tolerance
             assert [p.vertices for p in got.paths] == [

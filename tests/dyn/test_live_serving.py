@@ -177,7 +177,7 @@ class TestReuseCertificate:
 class TestVersionedBatchPeeK:
     def test_reuse_is_bitwise_identical_to_cold_peek(self):
         live = LiveGraph(fan8())
-        bp = BatchPeeK(live.graph, kernel="dijkstra")
+        bp = BatchPeeK(live.graph)
         bp.prepare(0, 4, 3).run()  # cold, memoises the pruning decision
         snap = live.apply(MutationBatch.build(reweights=[(0, 5, 15.0)]))
         assert snap.summary.increase_only
@@ -197,7 +197,7 @@ class TestVersionedBatchPeeK:
 
     def test_decrease_forces_cold_resolve(self):
         live = LiveGraph(fan8())
-        bp = BatchPeeK(live.graph, kernel="dijkstra")
+        bp = BatchPeeK(live.graph)
         bp.prepare(0, 4, 3)
         snap = live.apply(
             MutationBatch.build(reweights=[(0, 5, 4.0), (5, 4, 4.0)])
@@ -213,7 +213,7 @@ class TestVersionedBatchPeeK:
 
     def test_untouched_region_retains_sssp_cache(self):
         live = LiveGraph(fan8())
-        bp = BatchPeeK(live.graph, kernel="dijkstra")
+        bp = BatchPeeK(live.graph)
         bp.prepare(0, 4, 3)
         snap = live.apply(MutationBatch.build(reweights=[(6, 7, 3.0)]))
         bp.rebind(snap.graph, version=snap.version, summary=snap.summary)
@@ -223,7 +223,7 @@ class TestVersionedBatchPeeK:
 
     def test_touched_region_evicts_sssp_cache(self):
         live = LiveGraph(fan8())
-        bp = BatchPeeK(live.graph, kernel="dijkstra")
+        bp = BatchPeeK(live.graph)
         bp.prepare(0, 4, 3)
         snap = live.apply(MutationBatch.build(reweights=[(0, 1, 9.0)]))
         bp.rebind(snap.graph, version=snap.version, summary=snap.summary)
@@ -235,7 +235,7 @@ class TestVersionedBatchPeeK:
 
     def test_rebind_requires_monotone_version(self):
         live = LiveGraph(fan8())
-        bp = BatchPeeK(live.graph, kernel="dijkstra")
+        bp = BatchPeeK(live.graph)
         snap = live.apply(MutationBatch.build(reweights=[(6, 7, 2.0)]))
         bp.rebind(snap.graph, version=snap.version, summary=snap.summary)
         with pytest.raises(ValueError):
@@ -243,7 +243,7 @@ class TestVersionedBatchPeeK:
 
     def test_san_dyn_audits_reuse(self):
         live = LiveGraph(fan8())
-        bp = BatchPeeK(live.graph, kernel="dijkstra", sanitize=True)
+        bp = BatchPeeK(live.graph, sanitize=True)
         bp.prepare(0, 4, 3)
         snap = live.apply(MutationBatch.build(reweights=[(0, 5, 20.0)]))
         bp.rebind(snap.graph, version=snap.version, summary=snap.summary)
@@ -253,7 +253,7 @@ class TestVersionedBatchPeeK:
     def test_san_dyn_catches_unsound_reuse(self):
         """Force a stale decision past the certificate: SAN-DYN fires."""
         live = LiveGraph(fan8())
-        bp = BatchPeeK(live.graph, kernel="dijkstra", sanitize=True)
+        bp = BatchPeeK(live.graph, sanitize=True)
         bp.prepare(0, 4, 3)
         snap = live.apply(MutationBatch.build(reweights=[(0, 1, 50.0)]))
         bp.graph = snap.graph  # bypass rebind's invalidation on purpose
@@ -270,7 +270,7 @@ class TestServerLiveServing:
 
     def test_graph_version_stamped_on_results(self):
         live = LiveGraph(fan8())
-        server = QueryServer(live, kernel="dijkstra")
+        server = QueryServer(live)
         r0 = server.serve(0, 4, 3)
         server.apply_mutations(MutationBatch.build(reweights=[(0, 5, 11.0)]))
         r1 = server.serve(0, 4, 3)
@@ -280,7 +280,7 @@ class TestServerLiveServing:
 
     def test_served_reuse_matches_cold_peek(self):
         live = LiveGraph(fan8())
-        server = QueryServer(live, kernel="dijkstra", sanitize=True)
+        server = QueryServer(live, sanitize=True)
         server.serve(0, 4, 3)
         server.apply_mutations(MutationBatch.build(reweights=[(5, 4, 30.0)]))
         result = server.serve(0, 4, 3)
@@ -315,7 +315,7 @@ class TestServerLiveServing:
         assert run() == plain
 
     def test_harness_applies_mutation_feed_in_order(self):
-        config = ServerConfig(name="single", kernel="dijkstra")
+        config = ServerConfig(name="single")
         fabric = ServingFabric(fan8(), config=FabricConfig(server=config))
         server = fabric.replicas[0].server
         queries = [

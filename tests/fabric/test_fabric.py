@@ -5,6 +5,7 @@ from dataclasses import replace
 
 import pytest
 
+import repro.fabric.fabric as fabric_module
 from repro.distributed.comm import FaultPlan
 from repro.dyn.stream import IncidentStream
 from repro.fabric.elastic import ElasticPolicy
@@ -13,10 +14,13 @@ from repro.fabric.replica import ACTIVE, STANDBY
 from repro.graph.suite import suite_graph
 from repro.load.arrivals import arrival_process
 from repro.load.mixes import make_mix
+from repro.load.simclock import virtual_time
 
 KILL = "fabric.heartbeat:rankfail:3@R1"
 MIX = {"kind": "hotspot", "scc": True, "k": {"dist": "small_heavy", "k_max": 4}}
 STEADY = {"kind": "poisson", "rate": 400.0}
+#: enough load that the seeded kill finds flights in progress
+LOADED = {"kind": "poisson", "rate": 2000.0}
 
 
 @pytest.fixture(scope="module")
@@ -32,9 +36,9 @@ def build(graph, *, inject=None, seed=0, **over):
     )
 
 
-def run(fabric, *, horizon=0.5, max_queries=150, **kwargs):
+def run(fabric, *, traffic=STEADY, horizon=0.5, max_queries=150, **kwargs):
     return fabric.run(
-        arrival_process(dict(STEADY)),
+        arrival_process(dict(traffic)),
         horizon=horizon,
         max_queries=max_queries,
         **kwargs,
@@ -78,6 +82,22 @@ class TestKillRecovery:
         assert served <= {"complete", "degraded"}
 
 
+def test_fleet_prunes_on_the_compiled_dijkstra(graph, monkeypatch):
+    """Every replica builds its prune trees with the compiled Dijkstra:
+    the fleet's checkpoints, recorded by a fault hook chained under the
+    virtual clock, visit ``sssp.dijkstra`` and never ``sssp.delta``."""
+    stages = set()
+
+    def recording(clock, model=None, hook=None):
+        return virtual_time(clock, model, hook=stages.add)
+
+    monkeypatch.setattr(fabric_module, "virtual_time", recording)
+    report = run(build(graph))
+    assert report.count("complete") > 0
+    assert "sssp.dijkstra" in stages
+    assert "sssp.delta" not in stages
+
+
 class TestDeterminism:
     def test_double_run_byte_identical(self, graph):
         rows = [
@@ -98,8 +118,8 @@ class TestFailoverEquivalence:
     def test_hedged_results_bitwise_match_unfailed_run(self, graph):
         """A query hedged off a killed replica returns exactly the result
         the unfailed fabric would have returned."""
-        clean = run(build(graph), keep_results=True)
-        failed = run(build(graph, inject=[KILL]), keep_results=True)
+        clean = run(build(graph), traffic=LOADED, keep_results=True)
+        failed = run(build(graph, inject=[KILL]), traffic=LOADED, keep_results=True)
         hedged = [log for log in failed.logs if log.hedges > 0]
         assert hedged, "the seeded kill should strand at least one flight"
         for log in hedged:
@@ -197,8 +217,8 @@ class TestElasticPolicy:
             arrival_process(
                 {
                     "kind": "mmpp",
-                    "rate_low": 200.0,
-                    "rate_high": 800.0,
+                    "rate_low": 600.0,
+                    "rate_high": 2400.0,
                     "dwell_low": 0.15,
                     "dwell_high": 0.05,
                 }

@@ -1,8 +1,7 @@
 """Property test over the one serving loop.
 
 Hypothesis draws a seed, open or closed traffic, a fleet of one to three
-replicas (with an optional seeded replica kill), the prune kernel, and a
-mutation rate; every example runs on the tiny LJ graph.  Two invariants:
+replicas (with an optional seeded replica kill), and a mutation rate; every example runs on the tiny LJ graph.  Two invariants:
 
 * a rerun from the same seed gives identical logs and results;
 * every ``complete`` answer is the true top-K on the graph version
@@ -43,7 +42,6 @@ def scenarios(draw) -> dict:
         "seed": draw(st.integers(0, 2**16)),
         "closed": draw(st.booleans()),
         "replicas": replicas,
-        "kernel": draw(st.sampled_from(["delta", "dijkstra"])),
         "kill": kill,
         "mutation_rate": draw(st.sampled_from([0.0, 40.0, 120.0])),
     }
@@ -54,9 +52,7 @@ def run_once(sc: dict):
     seed = sc["seed"]
     mix = make_mix(GRAPH, dict(MIX))
     plan = FaultPlan.from_specs([sc["kill"]], seed=seed) if sc["kill"] else None
-    server = replace(
-        FLEET_SERVER, timeout=0.05, replicas=sc["replicas"], kernel=sc["kernel"]
-    )
+    server = replace(FLEET_SERVER, timeout=0.05, replicas=sc["replicas"])
     loop = ServingFabric(
         GRAPH,
         mix,

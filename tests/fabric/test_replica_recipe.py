@@ -30,7 +30,6 @@ RECIPE = ServerConfig(
     max_in_flight=3,
     queue_depth=2,
     tier1_budget_fraction=0.5,
-    kernel="dijkstra",
     jitter=0.5,
     replicas=2,
 )
@@ -44,7 +43,6 @@ def graph():
 
 def settings(server: QueryServer) -> dict:
     return {
-        "kernel": server.batch.kernel,
         "tier1_budget_fraction": server.tier1_budget_fraction,
         "retry": server.retry,
         "sanitize": server._sanitize,

@@ -29,6 +29,12 @@ class TestCorrectness:
         assert np.allclose(pnc_ksp(g, 0, 35, 10).distances, ref)
 
 
+def test_rejects_bound(fan_graph):
+    # OptYen's bound cut is not wired into the postponed pool or repairs
+    with pytest.raises(TypeError, match="bound"):
+        PostponedNCKSP(fan_graph, 0, 4, bound=10.0)
+
+
 class TestPostponement:
     def test_repairs_only_on_extraction(self, medium_er):
         """PNC should repair at most as many candidates as Yen-style code

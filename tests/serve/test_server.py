@@ -79,6 +79,11 @@ class TestCleanServing:
         with pytest.raises(ValueError):
             server.serve(0, 5, 0)
 
+    def test_no_prune_kernel_option(self, diamond_graph):
+        # every server prunes on the compiled Dijkstra
+        with pytest.raises(TypeError, match="kernel"):
+            QueryServer(diamond_graph, kernel="delta")
+
 
 class TestDegradationChain:
     """A timeout in each stage must degrade, never hang or corrupt."""
@@ -88,14 +93,12 @@ class TestDegradationChain:
         "prune.masks",
         "compact",
         "compact.build",
-        "sssp.delta",
         "sssp.dijkstra",
     ]
 
     @pytest.mark.parametrize("stage", STAGES)
     def test_stage_timeout_degrades_exactly(self, medium_er, stage):
-        kernel = "dijkstra" if stage == "sssp.dijkstra" else "delta"
-        server = QueryServer(medium_er, kernel=kernel, sanitize=True)
+        server = QueryServer(medium_er, sanitize=True)
         s, t = random_reachable_pair(medium_er, seed=7)
         expect = reference_distances(medium_er, s, t, 5)
         inj = FaultInjector([FaultRule(stage, kind="timeout")])
