@@ -38,14 +38,10 @@ import os
 import time
 from pathlib import Path
 
-from repro.distributed.comm import FaultPlan
-from repro.dyn.stream import IncidentStream
-from repro.fabric.cli import MMPP_SPEC
-from repro.fabric.elastic import ElasticPolicy
-from repro.fabric.fabric import FabricConfig, ServingFabric, report_row, slo_text
+from repro.fabric import cli
+from repro.fabric.cli import MIX_SPEC, MMPP_SPEC
+from repro.fabric.fabric import slo_text
 from repro.graph.suite import suite_graph
-from repro.load.arrivals import arrival_process
-from repro.load.mixes import make_mix
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -53,10 +49,6 @@ SCALE = "tiny"
 HORIZON = 1.0
 MAX_QUERIES = 2000
 KILL_SPEC = "fabric.heartbeat:rankfail:3@R1"
-
-#: every sampled pair reachable — availability measures the fabric
-MIX_SPEC = {"kind": "hotspot", "scc": True, "k": {"dist": "small_heavy", "k_max": 8}}
-
 
 STEADY = {"kind": "poisson", "rate": 300.0}
 
@@ -79,27 +71,21 @@ def run_scenario(
     elastic: bool = False,
     mutations: bool = False,
 ) -> dict:
-    config = FabricConfig(  # the default replica recipe: FLEET_SERVER
-        max_replicas=5 if elastic else 3,
-        elastic=ElasticPolicy(min_replicas=2) if elastic else None,
-        seed=seed,
-    )
-    plan = FaultPlan.from_specs(inject, seed=seed) if inject else None
-    mix = make_mix(graph, dict(MIX_SPEC))
-    fabric = ServingFabric(graph, mix, config=config, fault_plan=plan)
-    batches = (
-        IncidentStream(seed=seed, rate=40.0).batches(fabric.authority, HORIZON)
-        if mutations
-        else None
-    )
-    report = fabric.run(
-        arrival_process(dict(workload)),
+    """One scenario on the default 3-replica fleet (``peek-fabric``'s
+    recipe), its row tagged with the scenario's knobs."""
+    inject = list(inject or [])
+    row, _ = cli.run_scenario(
+        name,
+        graph,
+        seed,
+        workload=workload,
+        inject=inject,
+        elastic=elastic,
+        mutations=mutations,
         horizon=HORIZON,
         max_queries=MAX_QUERIES,
-        mutations=batches,
     )
-    row = report_row(name, report)
-    row["inject"] = list(inject or [])
+    row["inject"] = inject
     row["elastic"] = elastic
     row["mutations"] = mutations
     return row

@@ -10,18 +10,14 @@ the *actual* communication volume of the actual algorithm on the actual
 partition.  Results are bit-identical to the serial kernels (tested).
 """
 
-from repro.distributed.comm import (
-    CommModel,
-    DistReport,
-    FaultPlan,
-    SimComm,
-)
+from repro.distributed.comm import CommModel, DistReport, SimComm
 from repro.distributed.checkpoint import CheckpointStore
 from repro.distributed.partition import RowPartition
 from repro.distributed.dist_sssp import distributed_delta_stepping
 from repro.distributed.sample_sort import distributed_sample_sort
 from repro.distributed.supervisor import DistSupervisor, RecoveryConfig
 from repro.distributed.dist_peek import DistributedPeeK, distributed_peek
+from repro.serve.faults import FaultPlan
 
 __all__ = [
     "CommModel",

@@ -15,9 +15,10 @@ Compute work is reported by the algorithm via :meth:`SimComm.compute`
 
 Fault injection
 ---------------
-A seeded :class:`FaultPlan` (rank-scoped :class:`~repro.serve.faults.
-FaultRule` entries, same stage-prefix grammar as the serve-layer
-injector) kills chosen ranks at chosen collectives.  A dead rank raises
+A seeded :class:`~repro.serve.faults.FaultPlan` — the one plan the
+serving layer also injects checkpoint faults with — kills chosen ranks
+at chosen collectives: :meth:`~repro.serve.faults.FaultPlan.poll` fires
+its ``rankfail`` rules.  A dead rank raises
 :class:`~repro.errors.RankFailure` at the next collective it
 participates in — the way real MPI jobs observe node loss — and keeps
 raising until :meth:`SimComm.revive` (normally called by the
@@ -29,15 +30,15 @@ Every collective carries a ``stage`` label (``dist.sssp.route``,
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.errors import CommError, RankFailure
 from repro.obs.tracer import get_tracer
+from repro.serve.faults import FaultPlan
 
-__all__ = ["CommModel", "SimComm", "DistReport", "FaultPlan"]
+__all__ = ["CommModel", "SimComm", "DistReport"]
 
 
 @dataclass(frozen=True)
@@ -133,73 +134,6 @@ class DistReport:
         if self.time_units <= 0:
             return 1.0
         return self.serial_work / (self.time_units * self.num_ranks)
-
-
-class FaultPlan:
-    """A seeded schedule of rank kills over collective stage labels.
-
-    Rules are :class:`~repro.serve.faults.FaultRule` entries with
-    ``kind="rankfail"``; ``stage`` matches collective labels exactly or by
-    dotted prefix (``"dist.sssp"`` matches ``"dist.sssp.route"``), and the
-    rule fires at its ``at_hit``-th matching collective.  ``at_hit=None``
-    draws the firing visit — and ``rank=None`` the victim — from the
-    plan's seeded RNG, so randomised kill campaigns are reproducible from
-    the seed alone.  ``fired`` records ``(stage, rank, superstep)``.
-
-    Rules may target a serving-fabric *replica* instead of a rank (the
-    ``@R<N>`` spelling of the ``--inject`` grammar,
-    :attr:`~repro.serve.faults.FaultRule.replica`).  Replica ``i`` is
-    rank ``i``, which is exactly how :class:`~repro.fabric.ServingFabric`
-    lays its replicas onto its own SimComm.
-    """
-
-    def __init__(self, rules, *, seed: int | None = None) -> None:
-        self.rules = list(rules)
-        for r in self.rules:
-            if r.kind != "rankfail":
-                raise ValueError(
-                    f"FaultPlan rules must have kind='rankfail', got {r.kind!r}"
-                )
-        self._rng = random.Random(seed)
-        self.at_hits = [
-            r.at_hit if r.at_hit is not None else self._rng.randint(1, r.max_hit)
-            for r in self.rules
-        ]
-        self.hits = [0] * len(self.rules)
-        self.fired: list[tuple[str, int, int]] = []
-
-    @classmethod
-    def from_specs(cls, specs, *, seed: int | None = None) -> "FaultPlan":
-        """Build a plan from ``STAGE:rankfail[:AT_HIT][@RANK]`` strings."""
-        from repro.serve.faults import parse_fault_spec
-
-        return cls([parse_fault_spec(s) for s in specs], seed=seed)
-
-    def poll(self, stage: str, num_ranks: int, superstep: int) -> list[int]:
-        """Ranks killed at this collective (usually empty)."""
-        victims: list[int] = []
-        for i, rule in enumerate(self.rules):
-            if not rule.matches(stage):
-                continue
-            self.hits[i] += 1
-            first = self.at_hits[i]
-            if first <= self.hits[i] < first + rule.times:
-                rank = self._victim(rule, num_ranks)
-                if rank is None:
-                    continue  # rule targets a rank this job doesn't have
-                victims.append(rank)
-                self.fired.append((stage, rank, superstep))
-        return victims
-
-    def _victim(self, rule, num_ranks: int) -> int | None:
-        """Resolve a firing rule to a rank (None = out of range, skip)."""
-        if rule.rank is not None:
-            rank = rule.rank
-        elif getattr(rule, "replica", None) is not None:
-            rank = rule.replica  # identity: replica i lives on rank i
-        else:
-            rank = self._rng.randrange(num_ranks)
-        return rank if rank < num_ranks else None
 
 
 class SimComm:

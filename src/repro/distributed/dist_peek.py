@@ -24,7 +24,7 @@ returned :class:`~repro.distributed.comm.DistReport` carries the BSP time
 model that Figure 10's scaling/GTEPS curves are computed from.
 
 Fault tolerance: construct with ``fault_plan=`` (a
-:class:`~repro.distributed.comm.FaultPlan` of seeded rank kills) and
+:class:`~repro.serve.faults.FaultPlan` of seeded rank kills) and
 ``recovery=`` (a :class:`~repro.distributed.supervisor.RecoveryConfig`)
 and the run survives rank loss — each stage is a supervised recovery
 unit, the SSSPs checkpoint at bucket granularity, and the recovered
@@ -47,12 +47,13 @@ import numpy as np
 from repro.cancel import cancellation_active, checkpoint
 from repro.core.batch import PeeKResult, prepare_remnant
 from repro.core.pruning import PruneResult, PruneStats, bound_and_masks
-from repro.distributed.comm import CommModel, DistReport, FaultPlan, SimComm
+from repro.distributed.comm import CommModel, DistReport, SimComm
 from repro.distributed.dist_sssp import distributed_delta_stepping
 from repro.distributed.partition import RowPartition
 from repro.distributed.sample_sort import distributed_sample_sort
 from repro.distributed.supervisor import RecoveryConfig
 from repro.errors import RankFailure, UnreachableTargetError
+from repro.serve.faults import FaultPlan
 
 __all__ = ["DistributedPeeK", "distributed_peek"]
 

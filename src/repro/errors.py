@@ -71,7 +71,7 @@ class RankFailure(ReproError):
     surfaces at the next *collective* the dead rank participates in, not
     at the instant of death.  Raised by
     :class:`~repro.distributed.comm.SimComm` when a
-    :class:`~repro.distributed.comm.FaultPlan` has killed a rank; caught
+    :class:`~repro.serve.faults.FaultPlan` has killed a rank; caught
     and recovered by :class:`~repro.distributed.supervisor.DistSupervisor`
     (or propagated to the caller when no supervisor is attached).
     """

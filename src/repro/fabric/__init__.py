@@ -3,7 +3,7 @@
 ``repro.fabric`` composes the layers the previous milestones built —
 deadline-aware :class:`~repro.serve.QueryServer` replicas (PR 4/7), the
 BSP-accounted :class:`~repro.distributed.comm.SimComm` substrate with
-seeded :class:`~repro.distributed.comm.FaultPlan` kills and the
+seeded :class:`~repro.serve.faults.FaultPlan` kills and the
 checksummed :class:`~repro.distributed.checkpoint.CheckpointStore`
 (PR 5), virtual-clock load generation (PR 8) and live graphs with
 snapshot versions (PR 9) — into one coordination layer:

@@ -8,9 +8,14 @@ the JSON outputs — byte identity is the contract::
 
 ``--inject`` takes the shared fault grammar
 ``STAGE:KIND[:AT_HIT][@RANK | @R<N>]`` (see
-:func:`repro.serve.faults.parse_fault_spec`); ``@R<N>`` targets a
-*replica*.  ``--mutations`` adds a seeded incident stream so kills race
-live-graph updates; ``--elastic`` enables the scaling policy.
+:func:`repro.serve.faults.parse_fault_spec`): ``rankfail`` rules kill
+replica ``N`` (rank ``N`` of the fleet) at a collective, every other
+kind fires at the replicas' pipeline checkpoints.  ``--mutations`` adds
+a seeded incident stream so kills race live-graph updates;
+``--elastic`` enables the scaling policy.
+
+:func:`run_scenario` is the one fleet recipe behind the CLI and
+``benchmarks/bench_fabric.py``.
 """
 
 from __future__ import annotations
@@ -21,7 +26,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from repro.distributed.comm import FaultPlan
 from repro.dyn.stream import IncidentStream
 from repro.fabric.elastic import ElasticPolicy
 from repro.fabric.fabric import (
@@ -37,8 +41,9 @@ from repro.fabric.fabric import (
 from repro.graph.suite import SCALES, suite_graph
 from repro.load.arrivals import arrival_process
 from repro.load.mixes import make_mix
+from repro.serve.faults import FaultPlan, parse_fault_spec
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main", "build_parser", "run_scenario"]
 
 #: the "medium MMPP" workload of the acceptance criteria: bursts to 4x
 #: the floor rate, mean offered load sized for a 3-replica tiny fabric
@@ -49,6 +54,21 @@ MMPP_SPEC = {
     "dwell_low": 0.15,
     "dwell_high": 0.05,
 }
+
+#: hotspot traffic over the largest SCC: every sampled pair is
+#: reachable, so availability measures the fabric, not the topology's
+#: holes
+MIX_SPEC = {"kind": "hotspot", "scc": True, "k": {"dist": "small_heavy", "k_max": 8}}
+
+
+def _fault_spec(spec: str) -> str:
+    """``--inject`` type: a spec :func:`parse_fault_spec` accepts, kept
+    as written (the payload echoes it)."""
+    try:
+        parse_fault_spec(spec)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return spec
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -79,6 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--inject",
         action="append",
         default=[],
+        type=_fault_spec,
         metavar="SPEC",
         help="fault spec STAGE:KIND[:AT_HIT][@RANK | @R<N>] (repeatable)",
     )
@@ -97,49 +118,75 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def run_from_args(args: argparse.Namespace) -> dict:
-    """Build the fabric from parsed args and run it; returns the payload."""
-    graph = suite_graph(args.graph, args.scale)
-    # scc: every sampled pair is reachable, so availability measures the
-    # fabric, not the topology's holes
-    mix = make_mix(
-        graph,
-        {"kind": "hotspot", "scc": True, "k": {"dist": "small_heavy", "k_max": 8}},
-    )
-    max_replicas = args.max_replicas
+def run_scenario(
+    scenario: str,
+    graph,
+    seed: int,
+    *,
+    workload: dict,
+    replicas: int = 3,
+    max_replicas: int | None = None,
+    timeout: float = 0.5,
+    inject=(),
+    elastic: bool = False,
+    mutations: bool = False,
+    horizon: float = 1.0,
+    max_queries: int = 2000,
+) -> tuple[dict, FabricConfig]:
+    """Build one fleet from the ``FLEET_SERVER`` recipe, run ``workload``
+    on it and return its :func:`report_row` plus the fleet's config.
+
+    ``max_replicas`` defaults to ``replicas``, plus two standby slots
+    under ``elastic``; ``inject`` is a list of fault specs and
+    ``mutations`` races a seeded incident stream against the queries.
+    """
     if max_replicas is None:
-        max_replicas = args.replicas + (2 if args.elastic else 0)
+        max_replicas = replicas + (2 if elastic else 0)
     config = FabricConfig(
-        server=replace(FLEET_SERVER, timeout=args.timeout, replicas=args.replicas),
+        server=replace(FLEET_SERVER, timeout=timeout, replicas=replicas),
         max_replicas=max_replicas,
-        elastic=ElasticPolicy(min_replicas=max(1, args.replicas - 1))
-        if args.elastic
-        else None,
-        seed=args.seed,
+        elastic=ElasticPolicy(min_replicas=max(1, replicas - 1)) if elastic else None,
+        seed=seed,
     )
-    plan = (
-        FaultPlan.from_specs(args.inject, seed=args.seed)
-        if args.inject
+    plan = FaultPlan.from_specs(inject, seed=seed) if inject else None
+    fabric = ServingFabric(
+        graph, make_mix(graph, dict(MIX_SPEC)), config=config, fault_plan=plan
+    )
+    batches = (
+        IncidentStream(seed=seed, rate=40.0).batches(fabric.authority, horizon)
+        if mutations
         else None
     )
-    fabric = ServingFabric(graph, mix, config=config, fault_plan=plan)
+    report = fabric.run(
+        arrival_process(dict(workload)),
+        horizon=horizon,
+        max_queries=max_queries,
+        mutations=batches,
+    )
+    return report_row(scenario, report), config
+
+
+def run_from_args(args: argparse.Namespace) -> dict:
+    """Build the fabric from parsed args and run it; returns the payload."""
     spec = (
         dict(MMPP_SPEC)
         if args.workload == "mmpp"
         else {"kind": "poisson", "rate": args.rate}
     )
-    mutations = None
-    if args.mutations:
-        mutations = IncidentStream(seed=args.seed, rate=40.0).batches(
-            fabric.authority, args.horizon
-        )
-    report = fabric.run(
-        arrival_process(spec),
+    row, config = run_scenario(
+        args.workload + ("+kill" if args.inject else ""),
+        suite_graph(args.graph, args.scale),
+        args.seed,
+        workload=spec,
+        replicas=args.replicas,
+        max_replicas=args.max_replicas,
+        timeout=args.timeout,
+        inject=args.inject,
+        elastic=args.elastic,
+        mutations=args.mutations,
         horizon=args.horizon,
         max_queries=args.max_queries,
-        mutations=mutations,
     )
-    row = report_row(args.workload + ("+kill" if args.inject else ""), report)
     return {
         "benchmark": "fabric",
         "graph": args.graph,
@@ -150,7 +197,7 @@ def run_from_args(args: argparse.Namespace) -> dict:
         "inject": list(args.inject),
         "config": {
             "replicas": args.replicas,
-            "max_replicas": max_replicas,
+            "max_replicas": config.max_replicas,
             "shards": SHARDS,
             "timeout": args.timeout,
             "heartbeat_interval": HEARTBEAT_INTERVAL,

@@ -18,9 +18,10 @@ simulated timeline, in a fixed priority order at equal instants
 * **heartbeats** — every :data:`HEARTBEAT_INTERVAL` simulated seconds the
   fabric's :class:`~repro.distributed.comm.SimComm` runs a barrier
   (stage ``fabric.heartbeat``); a seeded
-  :class:`~repro.distributed.comm.FaultPlan` kill surfaces here as
+  :class:`~repro.serve.faults.FaultPlan` kill surfaces here as
   :class:`~repro.errors.RankFailure`, exactly like the distributed
-  solvers observe node loss;
+  solvers observe node loss (the same plan fires its stage faults at
+  the replicas' pipeline checkpoints);
 * **kills** — the dead replica is drained: responses already delivered
   stand, uncommitted flights are *hedged* — re-dispatched to a
   surviving replica under the query's original deadline (wait burns
@@ -63,7 +64,7 @@ from typing import Any, Iterable
 
 import numpy as np
 
-from repro.distributed.comm import CommModel, FaultPlan, SimComm
+from repro.distributed.comm import CommModel, SimComm
 from repro.dyn.live import LiveGraph
 from repro.errors import RankFailure, SanitizerError
 from repro.fabric.elastic import SCALE_DELAY, ElasticEvent, ElasticPolicy
@@ -94,6 +95,7 @@ from repro.load.runner import ServerConfig
 from repro.load.simclock import CostModel, SimClock, virtual_time
 from repro.load.trace import open_loop_queries
 from repro.obs.tracer import get_tracer
+from repro.serve.faults import FaultPlan
 from repro.serve.query import Query
 from repro.serve.server import QueryServer
 
@@ -321,7 +323,7 @@ class _Feed:
 class _Users:
     """A closed-loop population: one pending wake-up per user.
 
-    Initial wake-ups are spread uniformly over the ramp window, and each
+    Initial wake-ups are spread uniformly over one mean think time, and each
     think time is drawn at dispatch, in dispatch order, from the think
     stream.  The heap holds one live entry per user (a moved wake-up
     leaves a stale entry behind, skipped on the way out), which keeps
@@ -331,12 +333,10 @@ class _Users:
     def __init__(self, population: ClosedLoop, seed: int) -> None:
         self._rng = Random(seed + THINK_STREAM_OFFSET)
         self._rate = 1.0 / population.think_mean
-        ramp = (
-            population.ramp
-            if population.ramp is not None
-            else population.think_mean
-        )
-        self._wake = [self._rng.random() * ramp for _ in range(population.users)]
+        self._wake = [
+            self._rng.random() * population.think_mean
+            for _ in range(population.users)
+        ]
         self._heap = [(t, user) for user, t in enumerate(self._wake)]
         heapq.heapify(self._heap)
         #: request_id -> (user, think time) of every issued query
@@ -392,13 +392,15 @@ class ServingFabric:
         busy; ``timeout`` is each query's budget in simulated seconds,
         anchored at its *arrival*, so queue wait burns it) plus the
         fleet-only settings.  ``config.seed`` drives arrival times, query
-        content, think times and the jitter RNGs (docs/load_testing.md,
-        "The seeding contract").
+        content and think times (docs/load_testing.md, "The seeding
+        contract").
     cost_model:
         Per-checkpoint simulated costs (default :class:`CostModel`).
     fault_plan:
-        Seeded :class:`~repro.distributed.comm.FaultPlan`; ``@R<N>``
-        rules target replicas (identity-mapped onto the fabric's ranks).
+        Seeded :class:`~repro.serve.faults.FaultPlan`: its ``rankfail``
+        rules kill replicas at the fabric's collectives (replica ``i`` is
+        rank ``i``, so ``@R<N>`` and ``@N`` name the same replica), its
+        other rules fire at every replica's pipeline checkpoints.
     """
 
     def __init__(
@@ -422,6 +424,7 @@ class ServingFabric:
         self.config = cfg
         self.mix = mix
         self.cost_model = cost_model if cost_model is not None else CostModel()
+        self.fault_plan = fault_plan
         self.replicas: dict[int, Replica] = {}
         #: (version_after, batch) per applied batch — the recovery replay log
         self._batch_log: list[tuple[int, Any]] = []
@@ -451,7 +454,7 @@ class ServingFabric:
         alive = self.authority.alive
         for rid in range(provisioned):  # contracts: disable=CTR201 (bounded)
             if rid < initial:
-                server = self._replica_server(rid, snap.graph, alive, snap.version)
+                server = self._replica_server(snap.graph, alive, snap.version)
                 self.replicas[rid] = Replica(
                     rid, server, queue_depth=depth, state=ACTIVE
                 )
@@ -462,14 +465,12 @@ class ServingFabric:
         self.router = Router(HashRing(range(provisioned)), self.replicas)
 
     # -- construction helpers -------------------------------------------
-    def _replica_server(self, rid: int, csr, alive, version: int) -> QueryServer:
-        """Replica ``rid``'s server over its own live graph rebuilt from
+    def _replica_server(self, csr, alive, version: int) -> QueryServer:
+        """A replica's server over its own live graph rebuilt from
         ``(csr, alive, version)``: the authority's state for a t=0 or
-        scale-up replica, a restored checkpoint for a recovered one.
-        The jitter RNG is seeded per replica (``seed + rid``)."""
-        live = LiveGraph(csr, alive=alive, version=version)
+        scale-up replica, a restored checkpoint for a recovered one."""
         recipe: ServerConfig = self.config.server
-        return recipe.build(live, seed=self.config.seed + rid)
+        return recipe.build(LiveGraph(csr, alive=alive, version=version))
 
     # -- the run --------------------------------------------------------
     def run(
@@ -493,7 +494,7 @@ class ServingFabric:
         """
         self._results = {} if keep_results else None
         feed = _Feed(mutations)
-        with virtual_time(self._clock, self.cost_model):
+        with virtual_time(self._clock, self.cost_model, hook=self.fault_plan):
             # t=0 coordinated checkpoint: recovery always has a base
             self.supervisor.save_shards(self.authority)
             if isinstance(traffic, ClosedLoop):
@@ -590,7 +591,7 @@ class ServingFabric:
         else:  # "scaleup"
             snap = self.authority.snapshot()
             server = self._replica_server(
-                rid, snap.graph, self.authority.alive, snap.version
+                snap.graph, self.authority.alive, snap.version
             )
             self.replicas[rid].reset(server, at=at, state=ACTIVE)
 
@@ -825,7 +826,7 @@ class ServingFabric:
     # -- recovery --------------------------------------------------------
     def _finish_recovery(self, tr: float, rid: int, kill: KillRecord) -> None:
         csr, alive, version = self.supervisor.restore_shards()
-        server = self._replica_server(rid, csr, alive, version)
+        server = self._replica_server(csr, alive, version)
         missed = 0
         for batch_version, batch in self._batch_log:
             if batch_version > version:

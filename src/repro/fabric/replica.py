@@ -4,12 +4,10 @@ A *replica* is the unit of serving failure — it owns one full graph copy
 (every shard; the tiny-suite graphs fit in memory, so sharding buys
 cache affinity and mutation routing rather than capacity), one
 :class:`~repro.serve.QueryServer`, and the per-replica station
-bookkeeping the router's bounded-load rule consults.  Contrast a *rank*,
-the unit of BSP computation inside one distributed solve — the fabric
-maps replica ``i`` onto rank ``i`` of its own
-:class:`~repro.distributed.comm.SimComm`, but the two namespaces stay
-distinct in the fault grammar (``@RANK`` vs ``@R<N>``; see
-``docs/parallel_model.md``).
+bookkeeping the router's bounded-load rule consults.  The fabric lays
+replica ``i`` onto rank ``i`` of its own
+:class:`~repro.distributed.comm.SimComm`, so a fault rule's ``@R<N>``
+is the fleet's spelling of ``@RANK`` (see ``docs/parallel_model.md``).
 
 States::
 

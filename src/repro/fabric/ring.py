@@ -1,6 +1,6 @@
 """Consistent hashing for shard → replica placement.
 
-The ring maps every provisioned replica to ``vnodes`` pseudo-random
+The ring maps every provisioned replica to :data:`VNODES` pseudo-random
 positions on a 32-bit circle; a shard's *preference list* is the
 sequence of distinct replicas encountered walking clockwise from the
 shard's own position.  Two properties the router relies on:
@@ -23,7 +23,10 @@ from __future__ import annotations
 import bisect
 import zlib
 
-__all__ = ["HashRing"]
+__all__ = ["HashRing", "VNODES"]
+
+#: ring positions per replica
+VNODES = 64
 
 
 def _position(key: str) -> int:
@@ -33,17 +36,14 @@ def _position(key: str) -> int:
 class HashRing:
     """A consistent-hash ring over integer replica ids."""
 
-    def __init__(self, members, *, vnodes: int = 64) -> None:
+    def __init__(self, members) -> None:
         members = sorted(set(int(m) for m in members))
         if not members:
             raise ValueError("a hash ring needs at least one member")
-        if vnodes < 1:
-            raise ValueError("vnodes must be >= 1")
-        self.vnodes = vnodes
         self.members = members
         points: list[tuple[int, int]] = []
         for m in members:  # contracts: disable=CTR201 (bounded)
-            for v in range(vnodes):
+            for v in range(VNODES):
                 points.append((_position(f"replica{m}#{v}"), m))
         # CRC collisions between vnode keys are possible in principle;
         # the member id tiebreak keeps the walk order total and stable

@@ -182,9 +182,8 @@ class ClosedLoop:
     Each of ``users`` simulated users loops issue → wait for the answer
     → think (exponential, mean ``think_mean``) → issue again; a user
     whose query was shed or expired backs off for one think time.
-    Initial wake-ups are spread uniformly over ``[0, ramp)``
-    (``ramp=None`` defaults to one mean think time) so a million users
-    don't all fire at t=0.
+    Initial wake-ups are spread uniformly over one mean think time so a
+    million users don't all fire at t=0.
 
     Not an :class:`ArrivalProcess`: arrival times depend on completion
     times, so the schedule only exists inside the serving loop.
@@ -192,7 +191,6 @@ class ClosedLoop:
 
     users: int
     think_mean: float
-    ramp: float | None = None
 
     kind = "closed"
 

@@ -23,7 +23,6 @@ import json
 import zlib
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from random import Random
 from typing import Any, Callable
 
 from repro.graph.suite import suite_graph
@@ -32,7 +31,7 @@ from repro.load.harness import DISPOSITIONS
 from repro.load.mixes import make_mix
 from repro.load.simclock import CostModel
 from repro.obs.tracer import Tracer, use_tracer
-from repro.serve.server import QueryServer, RetryPolicy
+from repro.serve.server import QueryServer
 
 __all__ = [
     "ServerConfig",
@@ -48,11 +47,9 @@ __all__ = [
 #: v2: rows carry "replicas" + unified "dispositions"; v3: every cell is a
 #: fleet, so every row carries the availability/recovery columns; v4:
 #: "configs" entries drop "kernel" and "cache_size" (one prune kernel, one
-#: SSSP cache size for every replica)
-SCHEMA_VERSION = 4
-
-#: decorrelates the server-jitter RNG from the serving loop streams
-JITTER_STREAM_OFFSET = 0xB7E15162
+#: SSSP cache size for every replica); v5: "configs" entries drop
+#: "jitter" (one retry schedule for every replica)
+SCHEMA_VERSION = 5
 
 
 @dataclass(frozen=True)
@@ -74,20 +71,17 @@ class ServerConfig:
     #: wait-queue depth (0 = shed on busy, live-server semantics)
     queue_depth: int = 0
     tier1_budget_fraction: float | None = None
-    jitter: float = 0.0
     #: replicas serving at t=0 in :class:`~repro.fabric.fabric.ServingFabric`
     replicas: int = 1
 
-    def build(self, graph, *, seed: int) -> QueryServer:
+    def build(self, graph) -> QueryServer:
         """One replica's server over ``graph`` (a CSR or a
-        :class:`~repro.dyn.live.LiveGraph`); ``seed`` seeds its jitter RNG."""
+        :class:`~repro.dyn.live.LiveGraph`)."""
         return QueryServer(
             graph,
             default_timeout=self.timeout,
             max_in_flight=self.max_in_flight,
             tier1_budget_fraction=self.tier1_budget_fraction,
-            retry=RetryPolicy(jitter=self.jitter),
-            rng=Random(seed + JITTER_STREAM_OFFSET),
         )
 
 

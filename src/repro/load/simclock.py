@@ -129,7 +129,7 @@ class CostModel:
 
 class _CheckpointAdvance:
     """The fault hook that turns checkpoints into time: advance, then
-    delegate to the wrapped hook (a FaultInjector, usually)."""
+    delegate to the wrapped hook (a FaultPlan, usually)."""
 
     __slots__ = ("clock", "model", "inner")
 
@@ -165,7 +165,7 @@ def virtual_time(
     queries — otherwise deadline-less work would be free.
 
     ``hook`` chains an inner fault hook (e.g. a
-    :class:`~repro.serve.faults.FaultInjector`) so seeded fault campaigns
+    :class:`~repro.serve.faults.FaultPlan`) so seeded fault campaigns
     compose with virtual time.
     """
     model = model if model is not None else CostModel()

@@ -9,10 +9,12 @@ plain-OptYen fallback), ``partial`` (an exact prefix of the K list), or
 a kernel.
 
 :mod:`repro.serve.faults` is the deterministic fault-injection harness the
-degradation paths are tested with.
+degradation paths are tested with: one seeded :class:`FaultPlan` fires
+stage faults at checkpoints and rank kills at
+:class:`~repro.distributed.comm.SimComm` collectives.
 """
 
-from repro.serve.faults import FaultInjector, FaultRule, InjectedFault
+from repro.serve.faults import FaultPlan, FaultRule, InjectedFault
 from repro.serve.query import Query, validate_query
 from repro.serve.server import (
     COMPLETE,
@@ -21,7 +23,6 @@ from repro.serve.server import (
     OUTCOMES,
     PARTIAL,
     QueryServer,
-    RetryPolicy,
     ServeResult,
 )
 
@@ -30,13 +31,12 @@ __all__ = [
     "validate_query",
     "QueryServer",
     "ServeResult",
-    "RetryPolicy",
     "OUTCOMES",
     "COMPLETE",
     "DEGRADED",
     "PARTIAL",
     "FAILED",
-    "FaultInjector",
+    "FaultPlan",
     "FaultRule",
     "InjectedFault",
 ]

@@ -8,17 +8,30 @@ distribution.
 Examples::
 
     peek-serve --graph GT --scale tiny --queries 20 --timeout 0.5 --k 8
-    peek-serve --graph ER --queries 10 --inject prune.scan:timeout --seed 7
+    peek-serve --graph ER --queries 10 --inject prune.scan:timeout:1 --seed 7
 """
 
 from __future__ import annotations
 
 import argparse
 
-from repro.serve.faults import FAULT_KINDS, FaultInjector, FaultRule, parse_fault_spec
+from repro.serve.faults import FAULT_KINDS, RANKFAIL, FaultPlan, FaultRule, parse_fault_spec
 from repro.serve.server import OUTCOMES, QueryServer
 
 __all__ = ["main"]
+
+
+def _checkpoint_rule(spec: str) -> FaultRule:
+    """``--inject`` type: a checkpoint fault rule."""
+    try:
+        rule = parse_fault_spec(spec)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if rule.kind == RANKFAIL:
+        raise argparse.ArgumentTypeError(
+            f"{spec!r}: rankfail fires at collectives, and peek-serve runs none"
+        )
+    return rule
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -46,19 +59,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--inject",
         action="append",
         default=[],
-        metavar="STAGE:KIND[:AT_HIT][@RANK]",
-        help="fault rule, e.g. prune.scan:timeout, sssp:transient:3 or "
-        "dist.sssp.route:rankfail:5@2 "
-        f"(kinds: {', '.join(FAULT_KINDS)}); repeatable",
+        type=_checkpoint_rule,
+        metavar="STAGE:KIND[:AT_HIT]",
+        help="checkpoint fault rule, e.g. prune.scan:timeout:1 or "
+        "sssp:transient:3 (kinds: "
+        f"{', '.join(k for k in FAULT_KINDS if k != RANKFAIL)}); repeatable",
     )
     return p
-
-
-def _parse_rule(spec: str) -> FaultRule:
-    try:
-        return parse_fault_spec(spec)
-    except ValueError as exc:
-        raise SystemExit(f"bad --inject spec: {exc}") from exc
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -68,9 +75,7 @@ def main(argv: list[str] | None = None) -> int:
     g = suite_graph(args.graph, args.scale)
     server = QueryServer(g)
     pairs = random_st_pairs(g, args.queries, seed=args.seed)
-
-    rules = [_parse_rule(s) for s in args.inject]
-    injector = FaultInjector(rules, seed=args.seed) if rules else None
+    plan = FaultPlan(args.inject, seed=args.seed) if args.inject else None
 
     def run_all() -> None:
         for i, (s, t) in enumerate(pairs):
@@ -86,10 +91,10 @@ def main(argv: list[str] | None = None) -> int:
         f"Serving {args.queries} queries on {args.graph} "
         f"(scale={args.scale}, K={args.k}, timeout={args.timeout}):"
     )
-    if injector is not None:
-        with injector.installed():
+    if plan is not None:
+        with plan.installed():
             run_all()
-        print(f"faults fired: {injector.fired or 'none'}")
+        print(f"faults fired: {plan.fired or 'none'}")
     else:
         run_all()
     dist = {o: server.counters[o] for o in OUTCOMES}

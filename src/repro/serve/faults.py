@@ -1,15 +1,21 @@
-"""Deterministic fault injection at pipeline checkpoint boundaries.
+"""Deterministic fault injection: one seeded plan for every seam.
 
-Degradation code is only trustworthy if its failure paths actually run,
-and real timeouts are flaky to provoke (a CI machine may be fast enough
-that a "tiny" budget still finishes).  This harness makes faults *exact*:
-every cooperative-cancellation checkpoint in the pipeline
-(:mod:`repro.cancel`) doubles as an injection seam, and a
-:class:`FaultInjector` installed as the fault hook raises a chosen
-exception at the Nth visit to a named stage — same graph, same seed, same
-fault, every run.
+Degradation and recovery code is only trustworthy if its failure paths
+actually run, and real timeouts or node losses are flaky to provoke (a
+CI machine may be fast enough that a "tiny" budget still finishes).
+This harness makes faults *exact*: a :class:`FaultPlan` fires a chosen
+fault at the Nth visit to a named stage — same graph, same seed, same
+fault, every run.  It watches two seams:
 
-Stage names are the checkpoint labels:
+* **checkpoints** — every cooperative-cancellation checkpoint in the
+  pipeline (:mod:`repro.cancel`) calls the installed fault hook, and a
+  plan installed as that hook raises its ``timeout``, ``unreachable``,
+  ``transient`` and ``fatal`` rules there;
+* **collectives** — every :class:`~repro.distributed.comm.SimComm`
+  collective polls its plan (:meth:`FaultPlan.poll`), which fires its
+  ``rankfail`` rules there and names the ranks that die.
+
+Checkpoint stage names:
 
 ========================  ====================================================
 ``sssp.delta``            Δ-stepping bucket phases (``PeeK(kernel="delta")``)
@@ -21,10 +27,12 @@ Stage names are the checkpoint labels:
 ``serve.attempt``         :class:`~repro.serve.server.QueryServer` boundary
 ========================  ====================================================
 
-A rule matches a stage exactly or by dotted prefix (``"sssp"`` matches
-both kernels).  Rules with ``at_hit=None`` draw the firing hit count from
-the injector's seeded RNG, so randomised fault campaigns are reproducible
-from the seed alone.
+Collective labels (``dist.sssp.route``, ``fabric.heartbeat``, ...) are
+tabulated in ``docs/serving.md``.  A rule matches a stage exactly or by
+dotted prefix (``"sssp"`` matches both kernels).  Rules with
+``at_hit=None`` draw the firing hit count, and ``rankfail`` rules with
+``rank=None`` their victim, from the plan's seeded RNG, so randomised
+fault campaigns are reproducible from the seed alone.
 """
 
 from __future__ import annotations
@@ -33,27 +41,29 @@ import random
 from dataclasses import dataclass
 
 from repro.cancel import fault_scope
-from repro.errors import (
-    KSPTimeout,
-    RankFailure,
-    ReproError,
-    UnreachableTargetError,
-)
+from repro.errors import KSPTimeout, ReproError, UnreachableTargetError
 
 __all__ = [
     "InjectedFault",
     "FaultRule",
-    "FaultInjector",
+    "FaultPlan",
     "FAULT_KINDS",
     "parse_fault_spec",
 ]
+
+#: the one kind that fires at collectives; every other kind fires at
+#: checkpoints
+RANKFAIL = "rankfail"
+
+#: every fault kind a rule may name
+FAULT_KINDS = ("timeout", "unreachable", "transient", "fatal", RANKFAIL)
 
 
 class InjectedFault(ReproError):
     """A synthetic fault raised by the harness (never by production code).
 
     ``transient=True`` marks it retryable: the server's retry-with-backoff
-    policy treats it like a transient infrastructure fault (and anything
+    schedule treats it like a transient infrastructure fault (and anything
     else carrying a truthy ``transient`` attribute the same way).
     """
 
@@ -65,40 +75,33 @@ class InjectedFault(ReproError):
 
 @dataclass
 class FaultRule:
-    """Fire one kind of fault at the Nth checkpoint visit of a stage.
+    """Fire one kind of fault at the Nth visit of a stage.
 
     Parameters
     ----------
     stage:
-        Checkpoint label to match — exact, or a dotted prefix
-        (``"sssp"`` matches ``"sssp.delta"``).
+        Checkpoint or collective label to match — exact, or a dotted
+        prefix (``"sssp"`` matches ``"sssp.delta"``).
     kind:
         ``"timeout"`` raises :class:`~repro.errors.KSPTimeout`;
         ``"unreachable"`` raises
         :class:`~repro.errors.UnreachableTargetError`; ``"transient"``
         raises a retryable :class:`InjectedFault`; ``"fatal"`` raises a
-        non-retryable one.
+        non-retryable one — all four at checkpoints.  ``"rankfail"``
+        kills a rank at a collective instead.
     at_hit:
         1-based visit count at which to start firing.  ``None`` draws it
-        from the injector's seeded RNG in ``[1, max_hit]``.
+        from the plan's seeded RNG in ``[1, max_hit]``.
     times:
         Consecutive visits that fire (lets a "transient" fault survive a
         bounded number of retries before the stage recovers).
     max_hit:
         Upper bound for the seeded draw when ``at_hit`` is ``None``.
     rank:
-        Scope the rule to one simulated MPI rank.  Only meaningful for the
-        distributed substrate (``kind="rankfail"`` kills that rank; see
-        :class:`~repro.distributed.comm.FaultPlan`); ``None`` means
-        unscoped — a ``rankfail`` rule then draws its victim from the
-        plan's seeded RNG.
-    replica:
-        Scope the rule to one serving-fabric *replica* (the ``@R<N>``
-        spelling of the ``--inject`` grammar).  Replicas and ranks are
-        different namespaces — a replica is a unit of serving failure, a
-        rank a unit of BSP computation — even though the fabric maps
-        replica ``i`` onto rank ``i`` of its own communicator (see
-        ``docs/fabric.md``).  Mutually exclusive with ``rank``.
+        The rank a ``rankfail`` rule kills; ``None`` draws the victim
+        from the plan's seeded RNG.  A serving fleet lays replica ``i``
+        onto rank ``i`` of its communicator, so this is also the replica
+        a fleet kill targets (the ``@R<N>`` spelling).
     """
 
     stage: str
@@ -107,113 +110,129 @@ class FaultRule:
     times: int = 1
     max_hit: int = 4
     rank: int | None = None
-    replica: int | None = None
+
+    def __post_init__(self) -> None:
+        # a rule that can never fire would report a fault campaign that
+        # did not happen
+        if self.kind not in FAULT_KINDS:
+            raise ValueError(
+                f"unknown fault kind {self.kind!r} "
+                f"(kinds: {', '.join(FAULT_KINDS)})"
+            )
+        if self.at_hit is not None and self.at_hit < 1:
+            raise ValueError(f"at_hit must be >= 1, got {self.at_hit}")
+        if self.times < 1:
+            raise ValueError(f"times must be >= 1, got {self.times}")
+        if self.max_hit < 1:
+            raise ValueError(f"max_hit must be >= 1, got {self.max_hit}")
 
     def matches(self, stage: str) -> bool:
         return stage == self.stage or stage.startswith(self.stage + ".")
 
     def make_error(self, stage: str) -> ReproError:
+        """The exception a checkpoint rule raises at ``stage``."""
         if self.kind == "timeout":
             return KSPTimeout(f"injected timeout at stage {stage!r}")
         if self.kind == "unreachable":
             return UnreachableTargetError(
                 f"injected unreachable fault at stage {stage!r}"
             )
-        if self.kind == "transient":
-            return InjectedFault(stage, transient=True)
-        if self.kind == "fatal":
-            return InjectedFault(stage, transient=False)
-        if self.kind == "rankfail":
-            return RankFailure(self.rank or 0, stage=stage)
-        raise ValueError(f"unknown fault kind {self.kind!r}")
+        if self.kind in ("transient", "fatal"):
+            return InjectedFault(stage, transient=self.kind == "transient")
+        raise ValueError(f"{self.kind!r} rules fire at collectives, not checkpoints")
 
 
-class FaultInjector:
-    """The callable installed as :mod:`repro.cancel`'s fault hook.
+class FaultPlan:
+    """A seeded fault schedule over checkpoints and collectives.
 
-    >>> inj = FaultInjector([FaultRule("prune.scan", kind="timeout")])
-    >>> with inj.installed():
+    >>> plan = FaultPlan([FaultRule("prune.scan", kind="timeout")])
+    >>> with plan.installed():
     ...     ...  # the next prune.scan checkpoint raises KSPTimeout
 
-    ``seed`` resolves every rule whose ``at_hit`` is ``None``; with all
-    hits pinned the injector is deterministic regardless of seed.
-    ``fired`` records ``(stage, kind)`` per firing for test assertions;
-    ``hits`` counts checkpoint visits per rule.
+    The RNG draws every ``at_hit=None`` rule's firing visit in rule
+    order at construction, then each unscoped ``rankfail`` victim as it
+    fires; with every hit and rank pinned the plan is deterministic
+    regardless of seed.  ``hits`` counts visits per rule (a rule counts
+    only the visits of its own seam); ``fired`` logs ``(stage, kind)``
+    per checkpoint fault and ``(stage, rank, superstep)`` per kill.
     """
 
-    def __init__(
-        self, rules: list[FaultRule], *, seed: int | None = None
-    ) -> None:
-        rng = random.Random(seed)
+    def __init__(self, rules, *, seed: int | None = None) -> None:
         self.rules = list(rules)
+        self._rng = random.Random(seed)
         #: resolved firing hit per rule (index-aligned with ``rules``)
         self.at_hits = [
-            r.at_hit if r.at_hit is not None else rng.randint(1, r.max_hit)
+            r.at_hit if r.at_hit is not None else self._rng.randint(1, r.max_hit)
             for r in self.rules
         ]
         self.hits = [0] * len(self.rules)
-        self.fired: list[tuple[str, str]] = []
+        self.fired: list[tuple] = []
 
-    def __call__(self, stage: str) -> None:
+    @classmethod
+    def from_specs(cls, specs, *, seed: int | None = None) -> "FaultPlan":
+        """Build a plan from :func:`parse_fault_spec` strings."""
+        return cls([parse_fault_spec(s) for s in specs], seed=seed)
+
+    def _firing(self, stage: str, *, collective: bool):
+        """Count this visit of ``stage`` on the seam's matching rules and
+        yield each rule that fires, in rule order."""
         for i, rule in enumerate(self.rules):
-            if not rule.matches(stage):
+            if (rule.kind == RANKFAIL) != collective or not rule.matches(stage):
                 continue
             self.hits[i] += 1
             first = self.at_hits[i]
             if first <= self.hits[i] < first + rule.times:
-                self.fired.append((stage, rule.kind))
-                raise rule.make_error(stage)
+                yield rule
+
+    def __call__(self, stage: str) -> None:
+        """The checkpoint hook: raise the first checkpoint rule that fires."""
+        for rule in self._firing(stage, collective=False):
+            self.fired.append((stage, rule.kind))
+            raise rule.make_error(stage)
+
+    def poll(self, stage: str, num_ranks: int, superstep: int) -> list[int]:
+        """Ranks killed at this collective (usually empty)."""
+        victims: list[int] = []
+        for rule in self._firing(stage, collective=True):
+            rank = rule.rank if rule.rank is not None else self._rng.randrange(num_ranks)
+            if rank >= num_ranks:
+                continue  # rule targets a rank this job doesn't have
+            victims.append(rank)
+            self.fired.append((stage, rank, superstep))
+        return victims
 
     def installed(self):
-        """Context manager installing this injector as the fault hook."""
+        """Context manager installing this plan as the checkpoint hook."""
         return fault_scope(self)
-
-
-#: every fault kind a rule spec may name
-FAULT_KINDS = ("timeout", "unreachable", "transient", "fatal", "rankfail")
 
 
 def parse_fault_spec(spec: str) -> FaultRule:
     """Parse the CLI rule grammar ``STAGE:KIND[:AT_HIT][@RANK | @R<N>]``.
 
-    The ``@RANK`` suffix scopes the rule to one simulated MPI rank (see
-    :class:`FaultRule.rank`); the ``@R<N>`` spelling scopes it to serving
-    replica ``N`` instead (``fabric.heartbeat:rankfail:3@R1`` kills
-    replica 1 at its third heartbeat — see :class:`FaultRule.replica`
-    and ``peek-fabric --inject``).  Omitting ``AT_HIT`` leaves the firing
+    The ``@RANK`` suffix scopes a ``rankfail`` rule to one rank; ``@R<N>``
+    is the serving fleet's spelling of the same thing, since replica
+    ``N`` is rank ``N`` (``fabric.heartbeat:rankfail:3@R1`` kills replica
+    1 at its third heartbeat).  Omitting ``AT_HIT`` leaves the firing
     visit to the seeded draw.  Shared by ``peek-serve --inject``,
-    ``peek-fabric --inject`` and
-    :meth:`~repro.distributed.comm.FaultPlan.from_specs`.  Raises
-    ``ValueError`` on malformed specs.
+    ``peek-fabric --inject`` and :meth:`FaultPlan.from_specs`.  Raises
+    ``ValueError`` on malformed specs and on rules that can never fire.
     """
     body, sep, rank_part = spec.partition("@")
     rank: int | None = None
-    replica: int | None = None
     if sep:
-        target_part = rank_part
-        is_replica = rank_part[:1] in ("R", "r")
-        if is_replica:
-            target_part = rank_part[1:]
+        digits = rank_part[1:] if rank_part[:1] in ("R", "r") else rank_part
         try:
-            target = int(target_part)
+            rank = int(digits)
         except ValueError:
             raise ValueError(
                 f"bad target in fault spec {spec!r} (want @RANK or @R<N>)"
             ) from None
-        if target < 0:
+        if rank < 0:
             raise ValueError(f"negative target in fault spec {spec!r}")
-        if is_replica:
-            replica = target
-        else:
-            rank = target
     parts = body.split(":")
     if len(parts) not in (2, 3) or not parts[0]:
         raise ValueError(
             f"bad fault spec {spec!r} (want STAGE:KIND[:AT_HIT][@RANK])"
-        )
-    if parts[1] not in FAULT_KINDS:
-        raise ValueError(
-            f"unknown fault kind {parts[1]!r} (kinds: {', '.join(FAULT_KINDS)})"
         )
     at_hit: int | None = None
     if len(parts) == 3:
@@ -221,6 +240,7 @@ def parse_fault_spec(spec: str) -> FaultRule:
             at_hit = int(parts[2])
         except ValueError:
             raise ValueError(f"bad AT_HIT in fault spec {spec!r}") from None
-    return FaultRule(
-        stage=parts[0], kind=parts[1], at_hit=at_hit, rank=rank, replica=replica
-    )
+    try:
+        return FaultRule(stage=parts[0], kind=parts[1], at_hit=at_hit, rank=rank)
+    except ValueError as exc:
+        raise ValueError(f"bad fault spec {spec!r}: {exc}") from None

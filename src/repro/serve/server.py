@@ -26,10 +26,12 @@ a stage) blows up.  The server composes three mechanisms:
 
 3. **Retry + admission control.**  Transient faults (anything raising
    with a truthy ``transient`` attribute, e.g. the harness'
-   :class:`~repro.serve.faults.InjectedFault`) are retried with
-   exponential backoff while budget remains; a bounded in-flight count
-   sheds excess load with :class:`~repro.errors.ServerOverloadError`
-   before any pipeline work starts.
+   :class:`~repro.serve.faults.InjectedFault`) are retried on a fixed
+   exponential backoff schedule (:data:`MAX_ATTEMPTS`,
+   :data:`BACKOFF_BASE`, :data:`BACKOFF_MULTIPLIER`) while budget
+   remains; a bounded in-flight count sheds excess load with
+   :class:`~repro.errors.ServerOverloadError` before any pipeline work
+   starts.
 
 Constructed over a :class:`~repro.dyn.live.LiveGraph` the server also
 serves *live* graphs: :meth:`QueryServer.apply_mutations` applies a
@@ -65,7 +67,9 @@ __all__ = [
     "PARTIAL",
     "FAILED",
     "OUTCOMES",
-    "RetryPolicy",
+    "MAX_ATTEMPTS",
+    "BACKOFF_BASE",
+    "BACKOFF_MULTIPLIER",
     "ServeResult",
     "QueryServer",
 ]
@@ -84,43 +88,12 @@ FAILED = "failed"
 OUTCOMES = (COMPLETE, DEGRADED, PARTIAL, FAILED)
 
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """Exponential backoff for transient faults.
-
-    Attempt ``i`` (1-based) sleeps ``backoff_base * multiplier**(i-1)``
-    before retrying, up to ``max_attempts`` total attempts.  A retry is
-    skipped when the query's remaining budget would not cover the sleep.
-
-    ``jitter`` spreads the sleep multiplicatively over
-    ``[1 - jitter, 1 + jitter]`` to decorrelate retry storms.  The draw
-    comes from the *injected* RNG passed to :meth:`backoff` — never from
-    module-level randomness — so a seeded harness run (see
-    ``docs/load_testing.md``, "The seeding contract") reproduces every
-    sleep exactly; with no RNG supplied the schedule stays deterministic
-    even when ``jitter`` is set.
-    """
-
-    max_attempts: int = 3
-    backoff_base: float = 0.02
-    backoff_multiplier: float = 2.0
-    jitter: float = 0.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.jitter < 1.0:
-            raise ValueError("jitter must be in [0, 1)")
-
-    def backoff(self, attempt: int, rng=None) -> float:
-        """Sleep before retry ``attempt`` (1-based).
-
-        ``rng`` is any object with a ``random() -> [0, 1)`` method
-        (``random.Random``, ``numpy.random.Generator``); it is consulted
-        only when ``jitter > 0``.
-        """
-        delay = self.backoff_base * self.backoff_multiplier ** (attempt - 1)
-        if self.jitter and rng is not None:
-            delay *= 1.0 + self.jitter * (2.0 * rng.random() - 1.0)
-        return delay
+#: retry schedule for transient faults: attempt ``i`` (1-based) sleeps
+#: ``BACKOFF_BASE * BACKOFF_MULTIPLIER**(i-1)`` before retrying, up to
+#: ``MAX_ATTEMPTS`` attempts in all
+MAX_ATTEMPTS = 3
+BACKOFF_BASE = 0.02
+BACKOFF_MULTIPLIER = 2.0
 
 
 @dataclass
@@ -201,11 +174,6 @@ class QueryServer:
     default_timeout:
         Per-query budget in seconds when :meth:`serve` is called without
         one (``None`` = unbounded, matching library defaults).
-    retry:
-        The :class:`RetryPolicy` for transient faults.  Backoff sleeps go
-        through :func:`repro.cancel.sleep`, so they land on the installed
-        clock: wall time by default, the :class:`~repro.load.simclock.SimClock`
-        under virtual time.
     max_in_flight:
         Admission-control bound; query ``max_in_flight + 1`` is shed with
         :class:`~repro.errors.ServerOverloadError` instead of queueing.
@@ -222,10 +190,11 @@ class QueryServer:
         Audit every served result with the SAN-PATH battery
         (:func:`repro.analysis.sanitize.check_result_paths`) — including
         degraded and partial ones.  ``None`` defers to ``RPR_SANITIZE``.
-    rng:
-        Injected RNG handed to :meth:`RetryPolicy.backoff` for jitter —
-        part of the seeding contract (``docs/load_testing.md``).  ``None``
-        disables jitter regardless of the policy's ``jitter`` field.
+
+    Transient faults are retried on the module's backoff schedule; the
+    sleeps go through :func:`repro.cancel.sleep`, so they land on the
+    installed clock: wall time by default, the
+    :class:`~repro.load.simclock.SimClock` under virtual time.
     """
 
     def __init__(
@@ -233,11 +202,9 @@ class QueryServer:
         graph,
         *,
         default_timeout: float | None = None,
-        retry: RetryPolicy | None = None,
         max_in_flight: int = 64,
         tier1_budget_fraction: float | None = None,
         sanitize: bool | None = None,
-        rng=None,
     ) -> None:
         if max_in_flight < 1:
             raise ValueError("max_in_flight must be >= 1")
@@ -254,11 +221,9 @@ class QueryServer:
             # a replica rebuilt at a checkpoint version answers at it
             self.batch.version = self.live.version
         self.default_timeout = default_timeout
-        self.retry = retry if retry is not None else RetryPolicy()
         self.max_in_flight = max_in_flight
         self.tier1_budget_fraction = tier1_budget_fraction
         self._sanitize = sanitize
-        self._rng = rng
         self._lock = threading.Lock()
         self._in_flight = 0
         #: outcome name -> count, plus "shed", "retries", and (live
@@ -395,11 +360,8 @@ class QueryServer:
                 except Exception as exc:  # noqa: BLE001 - classified below
                     if not _is_transient(exc):
                         raise
-                    backoff = self.retry.backoff(attempts, rng=self._rng)
-                    if (
-                        attempts >= self.retry.max_attempts
-                        or remaining(deadline) <= backoff
-                    ):
+                    backoff = BACKOFF_BASE * BACKOFF_MULTIPLIER ** (attempts - 1)
+                    if attempts >= MAX_ATTEMPTS or remaining(deadline) <= backoff:
                         att = _Attempt([], FAILED, "", exc, KSPStats())
                         break
                     self.counters["retries"] += 1

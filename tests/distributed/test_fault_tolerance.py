@@ -33,7 +33,7 @@ from repro.errors import (
     SanitizerError,
 )
 from repro.graph.generators import erdos_renyi, preferential_attachment
-from repro.serve.faults import FaultInjector, FaultRule
+from repro.serve.faults import FaultRule
 from tests.conftest import random_reachable_pair
 
 RANKS = 4
@@ -67,9 +67,20 @@ def kill_plan(at_hit, rank=1, stage="dist.sssp", times=1):
 
 
 class TestFaultPlan:
-    def test_rejects_non_rankfail_rules(self):
-        with pytest.raises(ValueError, match="rankfail"):
-            FaultPlan([FaultRule("dist.sssp", kind="timeout")])
+    def test_stage_rules_never_kill_ranks(self):
+        """A stage fault fires at checkpoints only: at a collective it
+        neither counts a hit nor names a victim."""
+        plan = FaultPlan(
+            [
+                FaultRule("dist.sssp", kind="timeout"),
+                FaultRule("dist.sssp", kind="rankfail", rank=1),
+            ]
+        )
+        assert plan.poll("dist.sssp.route", RANKS, 0) == [1]
+        assert plan.hits == [0, 1]
+        with pytest.raises(KSPTimeout):
+            plan("dist.sssp")
+        assert plan.hits == [1, 1]
 
     def test_seed_determinism(self):
         mk = lambda: FaultPlan(
@@ -263,7 +274,7 @@ class TestDeadline:
 
     def test_injected_timeout_at_distributed_stage(self, pa_case):
         g, s, t = pa_case
-        inj = FaultInjector([FaultRule("dist.peek.bound", kind="timeout")])
+        inj = FaultPlan([FaultRule("dist.peek.bound", kind="timeout")])
         with inj.installed():
             with pytest.raises(KSPTimeout):
                 distributed_peek(g, s, t, 6, RANKS)

@@ -9,7 +9,6 @@ when a kill lands mid-stream.
 import numpy as np
 import pytest
 
-from repro.distributed.comm import FaultPlan
 from repro.dyn.live import LiveGraph
 from repro.dyn.stream import IncidentStream
 from repro.dyn.terrace import TerraceGraph
@@ -18,6 +17,7 @@ from repro.fabric.replica import ACTIVE
 from repro.graph.suite import suite_graph
 from repro.load.arrivals import arrival_process
 from repro.load.mixes import make_mix
+from repro.serve.faults import FaultPlan
 
 
 class TestLiveGraphVersionSeed:

@@ -6,7 +6,6 @@ from dataclasses import replace
 import pytest
 
 import repro.fabric.fabric as fabric_module
-from repro.distributed.comm import FaultPlan
 from repro.dyn.stream import IncidentStream
 from repro.fabric.elastic import ElasticPolicy
 from repro.fabric.fabric import FLEET_SERVER, FabricConfig, ServingFabric, report_row
@@ -15,6 +14,7 @@ from repro.graph.suite import suite_graph
 from repro.load.arrivals import arrival_process
 from repro.load.mixes import make_mix
 from repro.load.simclock import virtual_time
+from repro.serve.faults import FaultPlan
 
 KILL = "fabric.heartbeat:rankfail:3@R1"
 MIX = {"kind": "hotspot", "scc": True, "k": {"dist": "small_heavy", "k_max": 4}}
@@ -96,6 +96,35 @@ def test_fleet_prunes_on_the_compiled_dijkstra(graph, monkeypatch):
     assert report.count("complete") > 0
     assert "sssp.dijkstra" in stages
     assert "sssp.delta" not in stages
+
+
+class TestStageFaults:
+    """One plan for both seams: a fleet takes checkpoint faults too."""
+
+    def one_replica(self, graph, inject=None):
+        return build(graph, inject=inject, server=replace(FLEET_SERVER, replicas=1))
+
+    def test_fleet_takes_a_stage_fault(self, graph):
+        clean = run(self.one_replica(graph))
+        fabric = self.one_replica(graph, inject=["prune.scan:timeout:1"])
+        faulted = run(fabric)
+        assert clean.count("degraded") == 0
+        assert faulted.count("degraded") == 1
+        assert fabric.fault_plan.fired == [("prune.scan", "timeout")]
+        assert not faulted.kills
+
+    def test_inert_plan_leaves_the_run_unchanged(self, graph):
+        clean = run(self.one_replica(graph))
+        inert = run(self.one_replica(graph, inject=["nowhere:timeout:1"]))
+        assert inert.logs == clean.logs
+
+    def test_cli_rejects_a_rule_that_cannot_fire(self, capsys):
+        from repro.fabric.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["--inject", "fabric.heartbeat:rankfail:0@R1", "--quiet"])
+        assert exc.value.code == 2
+        assert "at_hit must be >= 1" in capsys.readouterr().err
 
 
 class TestDeterminism:

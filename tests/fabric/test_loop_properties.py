@@ -16,13 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
-from repro.distributed.comm import FaultPlan
 from repro.dyn.live import LiveGraph
 from repro.dyn.stream import IncidentStream
 from repro.fabric.fabric import FLEET_SERVER, FabricConfig, ServingFabric
 from repro.graph.suite import suite_graph
 from repro.load.arrivals import ClosedLoop, PoissonArrivals
 from repro.load.mixes import make_mix
+from repro.serve.faults import FaultPlan
 from repro.verify import verify_ksp_result
 
 GRAPH = suite_graph("LJ", "tiny")

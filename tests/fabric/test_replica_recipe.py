@@ -10,7 +10,6 @@ from dataclasses import replace
 
 import pytest
 
-from repro.distributed.comm import FaultPlan
 from repro.dyn.live import LiveGraph
 from repro.dyn.stream import IncidentStream
 from repro.fabric.cli import MMPP_SPEC
@@ -21,6 +20,7 @@ from repro.graph.suite import suite_graph
 from repro.load.arrivals import arrival_process
 from repro.load.mixes import make_mix
 from repro.load.runner import RunTable, ServerConfig, run_table
+from repro.serve.faults import FaultPlan
 from repro.serve.server import QueryServer
 
 #: every server setting away from its default
@@ -30,7 +30,6 @@ RECIPE = ServerConfig(
     max_in_flight=3,
     queue_depth=2,
     tier1_budget_fraction=0.5,
-    jitter=0.5,
     replicas=2,
 )
 MIX = {"kind": "hotspot", "scc": True, "k": {"dist": "small_heavy", "k_max": 4}}
@@ -44,11 +43,9 @@ def graph():
 def settings(server: QueryServer) -> dict:
     return {
         "tier1_budget_fraction": server.tier1_budget_fraction,
-        "retry": server.retry,
         "sanitize": server._sanitize,
         "default_timeout": server.default_timeout,
         "max_in_flight": server.max_in_flight,
-        "seeded_rng": server._rng is not None,
     }
 
 
@@ -80,8 +77,8 @@ def fleet(graph):
 
 def test_every_replica_carries_the_recipe(graph, fleet):
     fabric, initial, report = fleet
-    want = settings(RECIPE.build(graph, seed=0))
-    assert want["retry"].jitter == 0.5
+    want = settings(RECIPE.build(graph))
+    assert want["tier1_budget_fraction"] == 0.5
 
     single = ServingFabric(
         graph, config=FabricConfig(server=replace(RECIPE, replicas=1), seed=3)
@@ -105,21 +102,22 @@ def test_every_replica_carries_the_recipe(graph, fleet):
             assert fabric.replicas[rid].workers == RECIPE.max_in_flight
 
 
-def test_run_table_fleet_honours_jitter(graph, monkeypatch):
-    """``ServerConfig(jitter=0.5, replicas=2)`` used to build fleet
-    replicas with ``jitter == 0`` and no RNG; a run-table cell of one or
-    two replicas is a fleet built from its config."""
-    config = ServerConfig(name="jittered", timeout=0.5, jitter=0.5, replicas=2)
+def test_run_table_fleet_honours_recipe(graph, monkeypatch):
+    """A run-table cell of one or two replicas is a fleet whose every
+    server is built from the cell's config."""
+    config = ServerConfig(
+        name="split", timeout=0.5, tier1_budget_fraction=0.5, replicas=2
+    )
     built: list[QueryServer] = []
     build = ServerConfig.build
 
-    def recording_build(self, g, *, seed):
-        built.append(build(self, g, seed=seed))
+    def recording_build(self, g):
+        built.append(build(self, g))
         return built[-1]
 
     monkeypatch.setattr(ServerConfig, "build", recording_build)
     table = RunTable(
-        name="jitter",
+        name="recipe",
         traffic=(("poisson", {"kind": "poisson", "rate": 50.0}),),
         graphs=("LJ",),
         configs=(config, replace(config, name="single", replicas=1)),
@@ -131,8 +129,7 @@ def test_run_table_fleet_honours_jitter(graph, monkeypatch):
     assert all("availability" in row and "heartbeats" in row for row in rows)
     assert len(built) == 3
     for server in built:
-        assert server.retry.jitter == 0.5
-        assert server._rng is not None
+        assert server.tier1_budget_fraction == 0.5
 
 
 @pytest.mark.parametrize(

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.cancel import checkpoint, fault_scope, install_fault_hook
-from repro.errors import KSPTimeout, RankFailure, UnreachableTargetError
+from repro.errors import KSPTimeout, UnreachableTargetError
 from repro.serve.faults import (
-    FaultInjector,
+    FaultPlan,
     FaultRule,
     InjectedFault,
     parse_fault_spec,
@@ -43,11 +43,23 @@ class TestFaultRule:
             FaultRule("x", kind="wat").make_error("x")
 
     def test_rankfail_kind(self):
-        err = FaultRule("dist.sssp", kind="rankfail", rank=2).make_error(
-            "dist.sssp.route"
-        )
-        assert isinstance(err, RankFailure)
-        assert err.rank == 2
+        """``rankfail`` kills a rank at a collective and never fires at a
+        checkpoint."""
+        plan = FaultPlan([FaultRule("dist.sssp", kind="rankfail", rank=2)])
+        plan("dist.sssp.route")  # the checkpoint seam: no raise, no hit
+        assert plan.hits == [0]
+        assert plan.poll("dist.sssp.route", 4, 7) == [2]
+        assert plan.fired == [("dist.sssp.route", 2, 7)]
+        with pytest.raises(ValueError, match="collectives"):
+            FaultRule("x", kind="rankfail").make_error("x")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("at_hit", 0), ("at_hit", -1), ("times", 0), ("max_hit", 0)],
+    )
+    def test_rules_that_never_fire_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            FaultRule("x", **{field: value})
 
 
 class TestParseFaultSpec:
@@ -72,16 +84,16 @@ class TestParseFaultSpec:
         assert (r.at_hit, r.rank) == (5, 1)
 
     def test_replica_target(self):
-        """``@R<N>`` scopes the rule to a serving-fabric replica, not a
-        BSP rank — the two namespaces never mix in one rule."""
+        """``@R<N>`` is a fleet's spelling of ``@RANK``: replica ``N`` is
+        rank ``N`` of the fleet's communicator."""
         r = parse_fault_spec("fabric.heartbeat:rankfail:3@R1")
         assert (r.stage, r.kind, r.at_hit) == ("fabric.heartbeat", "rankfail", 3)
-        assert r.replica == 1
-        assert r.rank is None
+        assert r.rank == 1
+        assert r == parse_fault_spec("fabric.heartbeat:rankfail:3@1")
 
     def test_replica_target_lowercase(self):
         r = parse_fault_spec("fabric.mutate:rankfail@r2")
-        assert (r.replica, r.rank) == (2, None)
+        assert r.rank == 2
 
     @pytest.mark.parametrize(
         "bad",
@@ -94,6 +106,9 @@ class TestParseFaultSpec:
             "s:timeout:1:2",
             "s:rankfail@R",
             "s:rankfail@Rx",
+            "s:timeout:0",
+            "s:timeout:-2",
+            "fabric.heartbeat:rankfail:0@R1",
         ],
     )
     def test_malformed_rejected(self, bad):
@@ -102,8 +117,10 @@ class TestParseFaultSpec:
 
 
 class TestFaultInjector:
+    """The plan's checkpoint seam: stage faults raised at the Nth visit."""
+
     def test_fires_at_nth_hit_only(self):
-        inj = FaultInjector([FaultRule("stage", at_hit=3)])
+        inj = FaultPlan([FaultRule("stage", at_hit=3)])
         inj("stage")
         inj("stage")
         with pytest.raises(KSPTimeout):
@@ -113,7 +130,7 @@ class TestFaultInjector:
         assert inj.hits == [4]
 
     def test_times_fires_consecutively(self):
-        inj = FaultInjector([FaultRule("s", kind="transient", at_hit=1, times=2)])
+        inj = FaultPlan([FaultRule("s", kind="transient", at_hit=1, times=2)])
         with pytest.raises(InjectedFault):
             inj("s")
         with pytest.raises(InjectedFault):
@@ -122,7 +139,7 @@ class TestFaultInjector:
         assert len(inj.fired) == 2
 
     def test_seed_is_deterministic(self):
-        mk = lambda: FaultInjector(
+        mk = lambda: FaultPlan(
             [FaultRule("s", at_hit=None, max_hit=10)], seed=42
         )
         assert mk().at_hits == mk().at_hits
@@ -130,7 +147,7 @@ class TestFaultInjector:
 
     def test_different_seeds_can_differ(self):
         hits = {
-            FaultInjector(
+            FaultPlan(
                 [FaultRule("s", at_hit=None, max_hit=1000)], seed=seed
             ).at_hits[0]
             for seed in range(20)
@@ -138,7 +155,7 @@ class TestFaultInjector:
         assert len(hits) > 1
 
     def test_installed_scopes_the_hook(self):
-        inj = FaultInjector([FaultRule("boom", at_hit=1)])
+        inj = FaultPlan([FaultRule("boom", at_hit=1)])
         checkpoint(None, "boom")  # not installed: no fire
         with inj.installed():
             with pytest.raises(KSPTimeout):

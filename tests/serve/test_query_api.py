@@ -1,4 +1,4 @@
-"""The request-object API: Query, shared validation, retry jitter.
+"""The request-object API: Query, shared validation, the retry schedule.
 
 The redesign contract: ``serve(Query(...))`` and the legacy positional
 form are the *same* code path (the legacy form builds a Query
@@ -7,13 +7,11 @@ through one shared function — same error types, same messages, same
 ordering, at both entry points.
 """
 
-from random import Random
-
 import pytest
 
 import repro
 from repro.errors import KSPError, VertexError
-from repro.serve import COMPLETE, Query, QueryServer, RetryPolicy, validate_query
+from repro.serve import COMPLETE, Query, QueryServer, validate_query
 
 from ..conftest import random_reachable_pair
 
@@ -102,28 +100,32 @@ class TestSharedValidation:
 
 
 class TestRetryJitter:
-    def test_no_rng_means_exact_schedule(self):
-        policy = RetryPolicy(backoff_base=0.1, backoff_multiplier=2.0, jitter=0.5)
-        assert policy.backoff(1) == 0.1
-        assert policy.backoff(2) == 0.2
-        assert policy.backoff(1, rng=None) == 0.1
+    def test_no_rng_means_exact_schedule(self, medium_er):
+        """Retry sleeps draw from no RNG: two servers under the same
+        transient faults sleep exactly the constant schedule."""
+        from repro.cancel import clock_scope
+        from repro.serve import FaultPlan, FaultRule
+        from repro.serve.server import BACKOFF_BASE, BACKOFF_MULTIPLIER
 
-    def test_jitter_bounded_and_seeded(self):
-        policy = RetryPolicy(backoff_base=0.1, jitter=0.25)
-        draws = [policy.backoff(1, rng=Random(3)) for _ in range(5)]
-        assert len(set(draws)) == 1  # same seed, same sleep: the contract
-        rng = Random(4)
-        for _ in range(200):
-            d = policy.backoff(1, rng=rng)
-            assert 0.075 <= d <= 0.125  # 0.1 * [1 - j, 1 + j]
+        class FrozenClock:
+            def __init__(self) -> None:
+                self.sleeps: list[float] = []
 
-    def test_jitter_validated(self):
-        with pytest.raises(ValueError, match="jitter"):
-            RetryPolicy(jitter=1.0)
+            def __call__(self) -> float:
+                return 0.0
 
-    def test_zero_jitter_ignores_rng(self):
-        policy = RetryPolicy(backoff_base=0.1)
-        assert policy.backoff(2, rng=Random(0)) == pytest.approx(0.2)
+            def sleep(self, seconds: float) -> None:
+                self.sleeps.append(seconds)
+
+        s, t = random_reachable_pair(medium_er, seed=11)
+        runs = []
+        for _ in range(2):
+            clock = FrozenClock()
+            plan = FaultPlan([FaultRule("serve.attempt", kind="transient", times=2)])
+            with clock_scope(clock), plan.installed():
+                QueryServer(medium_er).serve(Query(s, t, 2))
+            runs.append(clock.sleeps)
+        assert runs[0] == runs[1] == [BACKOFF_BASE, BACKOFF_BASE * BACKOFF_MULTIPLIER]
 
 
 class TestBudgetFractionValidation:

@@ -20,13 +20,13 @@ from repro.serve import (
     DEGRADED,
     FAILED,
     PARTIAL,
-    FaultInjector,
+    FaultPlan,
     FaultRule,
     InjectedFault,
     QueryServer,
-    RetryPolicy,
     ServeResult,
 )
+from repro.serve.server import BACKOFF_BASE, BACKOFF_MULTIPLIER, MAX_ATTEMPTS
 
 from ..conftest import random_reachable_pair
 
@@ -101,7 +101,7 @@ class TestDegradationChain:
         server = QueryServer(medium_er, sanitize=True)
         s, t = random_reachable_pair(medium_er, seed=7)
         expect = reference_distances(medium_er, s, t, 5)
-        inj = FaultInjector([FaultRule(stage, kind="timeout")])
+        inj = FaultPlan([FaultRule(stage, kind="timeout")])
         with inj.installed():
             res = server.serve(s, t, 5)
         assert inj.fired, f"no checkpoint visited for stage {stage!r}"
@@ -118,7 +118,7 @@ class TestDegradationChain:
         expect = reference_distances(medium_er, s, t, 8)
         # let tier 1's deviation loop yield a couple of paths, then cut it;
         # the same rule then also cuts the tier-2 fallback mid-run.
-        inj = FaultInjector([FaultRule("OptYen", at_hit=3, times=1000)])
+        inj = FaultPlan([FaultRule("OptYen", at_hit=3, times=1000)])
         with inj.installed():
             res = server.serve(s, t, 8)
         assert res.outcome == PARTIAL
@@ -128,7 +128,7 @@ class TestDegradationChain:
     def test_unreachable_fault_in_prune_degrades(self, medium_er):
         server = QueryServer(medium_er, sanitize=True)
         s, t = random_reachable_pair(medium_er, seed=9)
-        inj = FaultInjector([FaultRule("prune", kind="unreachable")])
+        inj = FaultPlan([FaultRule("prune", kind="unreachable")])
         with inj.installed():
             res = server.serve(s, t, 4)
         assert res.outcome == DEGRADED
@@ -146,7 +146,7 @@ class TestDegradationChain:
         server = QueryServer(medium_er, sanitize=True)
         s, t = random_reachable_pair(medium_er, seed=10)
         # every prune/sssp/compact/KSP checkpoint raises: no tier survives
-        inj = FaultInjector(
+        inj = FaultPlan(
             [FaultRule(st, times=10**6) for st in ("prune", "sssp", "OptYen")]
         )
         with inj.installed():
@@ -170,36 +170,33 @@ class RecordingClock:
 
 class TestRetryPolicy:
     def test_backoff_schedule(self):
-        p = RetryPolicy(max_attempts=4, backoff_base=0.1, backoff_multiplier=3.0)
-        assert [p.backoff(i) for i in (1, 2, 3)] == pytest.approx([0.1, 0.3, 0.9])
+        assert (MAX_ATTEMPTS, BACKOFF_BASE, BACKOFF_MULTIPLIER) == (3, 0.02, 2.0)
 
     def test_transient_fault_is_retried(self, medium_er):
         clock = RecordingClock()
         server = QueryServer(medium_er, sanitize=True)
         s, t = random_reachable_pair(medium_er, seed=11)
-        inj = FaultInjector([FaultRule("serve.attempt", kind="transient")])
+        inj = FaultPlan([FaultRule("serve.attempt", kind="transient")])
         with clock_scope(clock), inj.installed():
             res = server.serve(s, t, 4)
         assert res.outcome == COMPLETE
         assert res.attempts == 2
-        assert clock.sleeps == [server.retry.backoff(1)]
+        assert clock.sleeps == [BACKOFF_BASE]
         assert server.counters["retries"] == 1
         assert res.distances == reference_distances(medium_er, s, t, 4)
 
     def test_transient_faults_exhaust_to_failed(self, medium_er):
         clock = RecordingClock()
-        server = QueryServer(
-            medium_er, sanitize=True, retry=RetryPolicy(max_attempts=3)
-        )
+        server = QueryServer(medium_er, sanitize=True)
         s, t = random_reachable_pair(medium_er, seed=11)
-        inj = FaultInjector(
+        inj = FaultPlan(
             [FaultRule("serve.attempt", kind="transient", times=10**6)]
         )
         with clock_scope(clock), inj.installed():
             res = server.serve(s, t, 4)
         assert res.outcome == FAILED
-        assert res.attempts == 3
-        assert len(clock.sleeps) == 2
+        assert res.attempts == MAX_ATTEMPTS
+        assert clock.sleeps == [BACKOFF_BASE, BACKOFF_BASE * BACKOFF_MULTIPLIER]
         assert "injected fault" in res.error
 
     def test_backoff_is_billed_to_the_sim_clock(self, medium_er, monkeypatch):
@@ -218,19 +215,18 @@ class TestRetryPolicy:
             return res.service_time, res.attempts
 
         clean, _ = service_time(None)
-        inj = FaultInjector([FaultRule("serve.attempt", kind="transient")])
+        inj = FaultPlan([FaultRule("serve.attempt", kind="transient")])
         retried, attempts = service_time(inj)
         assert attempts == 2
         assert wall_sleeps == []
-        backoff = RetryPolicy().backoff(1)
         assert retried == pytest.approx(
-            clean + model.cost("serve.attempt") + backoff
+            clean + model.cost("serve.attempt") + BACKOFF_BASE
         )
 
     def test_fatal_injected_fault_propagates(self, medium_er):
         server = QueryServer(medium_er, sanitize=True)
         s, t = random_reachable_pair(medium_er, seed=11)
-        inj = FaultInjector([FaultRule("serve.attempt", kind="fatal")])
+        inj = FaultPlan([FaultRule("serve.attempt", kind="fatal")])
         with inj.installed(), pytest.raises(InjectedFault):
             server.serve(s, t, 4)
         # the slot was released even though serve raised
@@ -280,7 +276,7 @@ class TestObservability:
         server = QueryServer(medium_er, sanitize=True)
         s, t = random_reachable_pair(medium_er, seed=12)
         tracer = Tracer()
-        inj = FaultInjector([FaultRule("prune.scan", kind="timeout")])
+        inj = FaultPlan([FaultRule("prune.scan", kind="timeout")])
         with use_tracer(tracer), inj.installed():
             server.serve(s, t, 4)
         (span,) = tracer.find("serve.query")
@@ -318,3 +314,14 @@ class TestCLI:
 
         with pytest.raises(SystemExit):
             main(["--inject", "nonsense"])
+
+    @pytest.mark.parametrize("spec", ["sssp:rankfail", "prune.scan:timeout:0"])
+    def test_inject_spec_that_cannot_fire_is_a_usage_error(self, spec, capsys):
+        """One server runs no collective, so a rankfail rule could never
+        fire; neither can an AT_HIT below 1."""
+        from repro.serve.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["--inject", spec])
+        assert exc.value.code == 2
+        assert "--inject" in capsys.readouterr().err
