@@ -1,7 +1,8 @@
 """Dynamic graphs: the Terrace container (Fig 12) and live-graph serving.
 
-:class:`TerraceGraph` is the hierarchical mutable spine;
-:class:`LiveGraph` wraps it with immutable snapshots of monotone version;
+:class:`TerraceGraph` is the hierarchical container of Fig 12;
+:class:`LiveGraph` is a CSR snapshot of monotone version plus an alive
+mask, updated with Terrace's semantics;
 :class:`MutationBatch` / :class:`IncidentStream` are the mutation-stream
 API the serving loop feeds through
 :meth:`QueryServer.apply_mutations <repro.serve.QueryServer.apply_mutations>`.

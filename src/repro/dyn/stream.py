@@ -29,10 +29,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.errors import InvalidWeightError, VertexError
+
 __all__ = [
     "MutationBatch",
     "MutationSummary",
     "IncidentStream",
+    "check_batch",
 ]
 
 _I64 = np.int64
@@ -49,6 +52,47 @@ def _ws(values) -> np.ndarray:
 
 _EMPTY_I = np.empty(0, dtype=_I64)
 _EMPTY_F = np.empty(0, dtype=_F64)
+
+
+def check_batch(
+    alive: np.ndarray,
+    src: np.ndarray,
+    dst: np.ndarray,
+    weights: np.ndarray | None,
+) -> None:
+    """Validate one edge-update batch against the liveness mask ``alive``.
+
+    :class:`~repro.dyn.live.LiveGraph` and
+    :class:`~repro.dyn.terrace.TerraceGraph` call this before changing
+    anything, so every update is all-or-nothing and both raise the same
+    errors: ``src``/``dst`` in range (:class:`~repro.errors.VertexError`),
+    sources alive (updating a tombstoned vertex's hidden adjacency would
+    drift the edge accounting), weights finite and strictly positive
+    (:class:`~repro.errors.InvalidWeightError`, paper Definition 1).
+    """
+    n = alive.size
+    if src.shape != dst.shape:
+        raise ValueError("src/dst must be parallel arrays")
+    for name, ids in (("src", src), ("dst", dst)):
+        if ids.size and (int(ids.min()) < 0 or int(ids.max()) >= n):
+            bad = ids[(ids < 0) | (ids >= n)][0]
+            raise VertexError(f"{name} vertex {int(bad)} out of range [0, {n})")
+    if src.size:
+        dead = ~alive[src]
+        if dead.any():
+            raise VertexError(
+                f"source vertex {int(src[dead][0])} is tombstoned; "
+                "updates on a dead source are rejected"
+            )
+    if weights is not None:
+        if weights.shape != src.shape:
+            raise ValueError("weights must parallel src/dst")
+        bad = ~np.isfinite(weights) | (weights <= 0.0)
+        if bad.any():
+            raise InvalidWeightError(
+                f"edge weight {float(weights[bad][0])} is not finite and "
+                "strictly positive (paper Definition 1)"
+            )
 
 
 @dataclass(frozen=True)

@@ -15,18 +15,20 @@ compaction, so this reproduction implements the same three-level shape:
 * level 2 — a list of bounded sorted chunks (a flattened B-tree).
 
 The container supports batched edge insertion/deletion/reweighting and
-lazy vertex tombstoning (what the Fig 12 workload and the live-graph
-serving path need), neighbour iteration for SSSP, and CSR snapshot
-extraction (:meth:`TerraceGraph.to_csr`) for the live serving layer
-(:mod:`repro.dyn.live`).
+lazy vertex tombstoning (what the Fig 12 workload needs), neighbour
+iteration for SSSP, and CSR snapshot extraction
+(:meth:`TerraceGraph.to_csr`).  It is the Fig 12 baseline and the test
+oracle of the live graph (:mod:`repro.dyn.live`), which keeps these
+update semantics on a CSR snapshot and serves without this container.
 
 Update semantics (fixed and now locked down by regression tests):
 
-* every batched update validates its inputs up front — ``src``/``dst``
-  in range (:class:`~repro.errors.VertexError`) and weights finite and
-  strictly positive (:class:`~repro.errors.InvalidWeightError`, the
-  paper's Definition 1) — so a bad target can never be stored and later
-  crash ``neighbors()``;
+* every batched update validates its inputs up front
+  (:func:`repro.dyn.stream.check_batch`, shared with the live graph) —
+  ``src``/``dst`` in range (:class:`~repro.errors.VertexError`) and
+  weights finite and strictly positive
+  (:class:`~repro.errors.InvalidWeightError`, the paper's Definition 1)
+  — so a bad target can never be stored and later crash ``neighbors()``;
 * updates on a **tombstoned source raise** :class:`~repro.errors.VertexError`
   — silently mutating hidden adjacency used to drift ``num_edges``
   (inserts on a dead source inflated the count while ``neighbors()``
@@ -49,7 +51,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import InvalidWeightError, VertexError
+from repro.dyn.stream import check_batch
+from repro.errors import VertexError
 from repro.graph.csr import CSRGraph
 from repro.paths import INF
 from repro.sssp.result import SSSPResult, SSSPStats
@@ -111,7 +114,7 @@ class TerraceGraph:
     def from_csr(cls, graph: CSRGraph) -> "TerraceGraph":
         """Bulk-load from a CSR graph (choosing each vertex's level once)."""
         tg = cls(graph.num_vertices)
-        for v in range(graph.num_vertices):  # contracts: disable=CTR201 (bounded)
+        for v in range(graph.num_vertices):
             targets, weights = graph.neighbors(v)
             deg = targets.size
             if deg == 0:
@@ -230,43 +233,6 @@ class TerraceGraph:
     # ------------------------------------------------------------------
     # updates
     # ------------------------------------------------------------------
-    def _check_batch(
-        self, src: np.ndarray, dst: np.ndarray, weights: np.ndarray | None
-    ) -> None:
-        """Validate one update batch up front, before any state changes.
-
-        Batches are applied per-source-vertex as a sequence of rebuilds,
-        so a mid-batch failure would leave the container half-mutated;
-        validating everything first keeps every update all-or-nothing.
-        Sources must additionally be *alive* — updating a tombstoned
-        vertex's hidden adjacency would silently drift the edge
-        accounting (the regression this check pins down).
-        """
-        if src.shape != dst.shape:
-            raise ValueError("src/dst must be parallel arrays")
-        for name, ids in (("src", src), ("dst", dst)):
-            if ids.size and (int(ids.min()) < 0 or int(ids.max()) >= self._n):
-                bad = ids[(ids < 0) | (ids >= self._n)][0]
-                raise VertexError(
-                    f"{name} vertex {int(bad)} out of range [0, {self._n})"
-                )
-        if src.size:
-            dead = ~self._alive[src]
-            if dead.any():
-                raise VertexError(
-                    f"source vertex {int(src[dead][0])} is tombstoned; "
-                    "updates on a dead source are rejected"
-                )
-        if weights is not None:
-            if weights.shape != src.shape:
-                raise ValueError("weights must parallel src/dst")
-            bad = ~np.isfinite(weights) | (weights <= 0.0)
-            if bad.any():
-                raise InvalidWeightError(
-                    f"edge weight {float(weights[bad][0])} is not finite and "
-                    "strictly positive (paper Definition 1)"
-                )
-
     def insert_edges(self, src, dst, weights) -> None:
         """Insert a batch of edges (duplicates allowed, kept lighter one).
 
@@ -284,7 +250,7 @@ class TerraceGraph:
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
         weights = np.asarray(weights, dtype=np.float64)
-        self._check_batch(src, dst, weights)
+        check_batch(self._alive, src, dst, weights)
         proper = src != dst
         if not proper.all():
             src, dst, weights = src[proper], dst[proper], weights[proper]
@@ -317,7 +283,7 @@ class TerraceGraph:
         """
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
-        self._check_batch(src, dst, None)
+        check_batch(self._alive, src, dst, None)
         order = np.argsort(src, kind="stable")
         src, dst = src[order], dst[order]
         removed = 0
@@ -345,14 +311,15 @@ class TerraceGraph:
         ``i`` holds the previous weight of edge ``(src[i], dst[i])``, or
         ``NaN`` when that edge does not exist (missing edges are left
         untouched — a reweight is never an insert).  The old weights are
-        what the live-graph layer needs to classify a mutation batch as
-        weight-increase-only for the prune-bound reuse certificate
-        (:func:`repro.core.pruning.prune_reuse_certificate`).
+        what classifies a mutation batch as weight-increase-only for the
+        prune-bound reuse certificate
+        (:func:`repro.core.pruning.prune_reuse_certificate`), as the
+        live graph does from its own arrays.
         """
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
         weights = np.asarray(weights, dtype=np.float64)
-        self._check_batch(src, dst, weights)
+        check_batch(self._alive, src, dst, weights)
         old = np.full(src.size, np.nan, dtype=np.float64)
         order = np.argsort(src, kind="stable")
         bounds = np.searchsorted(src[order], np.arange(self._n + 1))
@@ -446,9 +413,8 @@ class TerraceGraph:
         become isolated — ids stay stable across versions, which is what
         lets cached SSSP results survive snapshots) and contains exactly
         the live edges in stored (target-sorted) order, so two extractions
-        of the same state are bitwise identical.  The serving layer stamps
-        each snapshot with a monotone version id
-        (:class:`repro.dyn.live.LiveGraph`).
+        of the same state are bitwise identical —
+        :class:`repro.dyn.live.LiveGraph`'s snapshots, byte for byte.
         """
         degrees = np.zeros(self._n, dtype=np.int64)
         parts_t: list[np.ndarray] = []

@@ -43,7 +43,7 @@ from repro.load.arrivals import arrival_process
 from repro.load.mixes import make_mix
 from repro.serve.faults import FaultPlan, parse_fault_spec
 
-__all__ = ["main", "build_parser", "run_scenario"]
+__all__ = ["main", "build_parser", "run_scenario", "scenario_label"]
 
 #: the "medium MMPP" workload of the acceptance criteria: bursts to 4x
 #: the floor rate, mean offered load sized for a 3-replica tiny fabric
@@ -69,6 +69,14 @@ def _fault_spec(spec: str) -> str:
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
     return spec
+
+
+def scenario_label(workload: str, inject) -> str:
+    """``<workload>`` plus ``+<kind>`` per injected fault kind, in spec
+    order (a ``rankfail`` rule reads ``kill``): ``mmpp+timeout``."""
+    kinds = [parse_fault_spec(spec).kind for spec in inject]
+    kinds = ["kill" if kind == "rankfail" else kind for kind in kinds]
+    return "+".join(dict.fromkeys([workload, *kinds]))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -174,7 +182,7 @@ def run_from_args(args: argparse.Namespace) -> dict:
         else {"kind": "poisson", "rate": args.rate}
     )
     row, config = run_scenario(
-        args.workload + ("+kill" if args.inject else ""),
+        scenario_label(args.workload, args.inject),
         suite_graph(args.graph, args.scale),
         args.seed,
         workload=spec,

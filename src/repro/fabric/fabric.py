@@ -95,9 +95,9 @@ from repro.load.runner import ServerConfig
 from repro.load.simclock import CostModel, SimClock, virtual_time
 from repro.load.trace import open_loop_queries
 from repro.obs.tracer import get_tracer
-from repro.serve.faults import FaultPlan
+from repro.serve.faults import FaultPlan, InjectedFault
 from repro.serve.query import Query
-from repro.serve.server import QueryServer
+from repro.serve.server import FAILED, QueryServer, ServeResult
 
 __all__ = [
     "FLEET_SERVER",
@@ -452,7 +452,7 @@ class ServingFabric:
         depth = cfg.server.queue_depth
         snap = self.authority.snapshot()
         alive = self.authority.alive
-        for rid in range(provisioned):  # contracts: disable=CTR201 (bounded)
+        for rid in range(provisioned):
             if rid < initial:
                 server = self._replica_server(snap.graph, alive, snap.version)
                 self.replicas[rid] = Replica(
@@ -683,17 +683,11 @@ class ServingFabric:
             rid = self.router.place(self.shard_map.shard_of(q.source), tk)
         if rid is None:
             log = self._log(
-                QueryLog(
-                    request_id=q.request_id,
-                    source=q.source,
-                    target=q.target,
-                    k=q.k,
-                    issued_at=q.issued_at,
-                    disposition=SHED,
-                    queue_time=tk - q.issued_at,
-                    replica=flight.replica,
-                    hedges=hedges,
-                )
+                q,
+                SHED,
+                queue_time=tk - q.issued_at,
+                replica=flight.replica,
+                hedges=hedges,
             )
         else:
             log = self._serve_on(self.replicas[rid], q, tk, hedges)
@@ -714,16 +708,7 @@ class ServingFabric:
         in_system = sum(r.load_at(t) for r in self.replicas.values())
         rid = self.router.place(self.shard_map.shard_of(q.source), t)
         if rid is None:
-            return self._log(
-                QueryLog(
-                    request_id=q.request_id,
-                    source=q.source,
-                    target=q.target,
-                    k=q.k,
-                    issued_at=t,
-                    disposition=SHED,
-                )
-            )
+            return self._log(q, SHED)
         log = self._serve_on(self.replicas[rid], q, t, 0)
         if log.served:
             self._peak = max(self._peak, in_system + 1)
@@ -737,21 +722,20 @@ class ServingFabric:
         timeout = q.timeout
         if timeout is not None and queue_time >= timeout:
             return self._log(
-                QueryLog(
-                    request_id=q.request_id,
-                    source=q.source,
-                    target=q.target,
-                    k=q.k,
-                    issued_at=q.issued_at,
-                    disposition=EXPIRED,
-                    queue_time=queue_time,
-                    replica=replica.id,
-                    hedges=hedges,
-                )
+                q, EXPIRED, queue_time=queue_time, replica=replica.id, hedges=hedges
             )
         budget = None if timeout is None else timeout - queue_time
         self._clock.jump_to(start)
-        res = replica.server.serve(q.with_timeout(budget), queue_time=queue_time)
+        try:
+            res = replica.server.serve(q.with_timeout(budget), queue_time=queue_time)
+        except InjectedFault as fault:
+            # a fatal fault fails this query, not the fleet's run
+            spent = self._clock.now() - start
+            res = ServeResult(
+                paths=[], k_requested=q.k, outcome=FAILED, tier="", attempts=1,
+                elapsed=spent, error=repr(fault), query=q, queue_time=queue_time,
+                service_time=spent, graph_version=replica.server.batch.version,
+            )
         finish = self._clock.now()
         replica.occupy(
             Flight(
@@ -769,26 +753,31 @@ class ServingFabric:
                 (p.vertices, p.distance) for p in res.paths
             )
         return self._log(
-            QueryLog(
-                request_id=q.request_id,
-                source=q.source,
-                target=q.target,
-                k=q.k,
-                issued_at=q.issued_at,
-                disposition=res.outcome,
-                tier=res.tier,
-                queue_time=queue_time,
-                service_time=res.service_time,
-                latency=finish - q.issued_at,
-                attempts=res.attempts,
-                paths=len(res.paths),
-                replica=replica.id,
-                hedges=hedges,
-                graph_version=res.graph_version,
-            )
+            q,
+            res.outcome,
+            tier=res.tier,
+            queue_time=queue_time,
+            service_time=res.service_time,
+            latency=finish - q.issued_at,
+            attempts=res.attempts,
+            paths=len(res.paths),
+            replica=replica.id,
+            hedges=hedges,
+            graph_version=res.graph_version,
+            error=res.error,
         )
 
-    def _log(self, log: QueryLog) -> QueryLog:
+    def _log(self, q: Query, disposition: str, **fields) -> QueryLog:
+        """Record ``q``'s :class:`QueryLog` with ``disposition``."""
+        log = QueryLog(
+            request_id=q.request_id,
+            source=q.source,
+            target=q.target,
+            k=q.k,
+            issued_at=q.issued_at,
+            disposition=disposition,
+            **fields,
+        )
         self._logs[log.request_id] = log
         if self._results is not None and log.disposition in (SHED, EXPIRED):
             self._results.pop(log.request_id, None)

@@ -78,6 +78,8 @@ class QueryLog:
     #: graph version the answer was computed on (0 = static graph or no
     #: answer)
     graph_version: int = 0
+    #: repr of the fault behind a degraded or failed answer
+    error: str | None = None
 
     @property
     def served(self) -> bool:

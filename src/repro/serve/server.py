@@ -241,7 +241,7 @@ class QueryServer:
         :class:`~repro.dyn.live.LiveGraph`.  Atomically (under the
         server's lock, so concurrent :meth:`serve` calls see either the
         old or the new version, never a torn state): applies the batch to
-        the live spine, swaps the current snapshot in as ``self.graph``,
+        the live graph, swaps the new snapshot in as ``self.graph``,
         and rebinds the :class:`~repro.core.batch.BatchPeeK` —
         which surgically invalidates only the SSSP cache entries whose
         trees touch mutated vertices and only the memoised pruning

@@ -118,6 +118,38 @@ class TestStageFaults:
         inert = run(self.one_replica(graph, inject=["nowhere:timeout:1"]))
         assert inert.logs == clean.logs
 
+    def test_fatal_fault_fails_one_query_and_the_run_goes_on(self, graph):
+        clean = run(self.one_replica(graph))
+        fabric = self.one_replica(graph, inject=["serve.attempt:fatal:1"])
+        faulted = run(fabric)
+        failed = [log for log in faulted.logs if log.disposition == "failed"]
+        assert len(failed) == 1
+        assert failed[0].error == "InjectedFault(\"injected fault at stage 'serve.attempt'\")"
+        assert fabric.fault_plan.fired == [("serve.attempt", "fatal")]
+        assert len(faulted.logs) == len(clean.logs)
+        assert faulted.count("complete") == clean.count("complete") - 1
+
+    def test_cli_survives_a_fatal_fault(self, tmp_path):
+        from repro.fabric.cli import main
+
+        out = tmp_path / "fatal.json"
+        code = main(["--inject", "serve.attempt:fatal:1", "--quiet", "--json", str(out)])
+        assert code == 0
+        row = json.loads(out.read_text())["rows"][0]
+        assert row["dispositions"]["failed"] == 1
+        assert row["scenario"] == "mmpp+fatal"
+
+    def test_scenario_label_names_the_fault_kinds(self):
+        from repro.fabric.cli import scenario_label
+
+        assert scenario_label("mmpp", []) == "mmpp"
+        assert scenario_label("mmpp", [KILL]) == "mmpp+kill"
+        assert scenario_label("mmpp", ["prune.scan:timeout:1"]) == "mmpp+timeout"
+        assert (
+            scenario_label("poisson", [KILL, "prune.scan:timeout:1", "sssp:timeout:2"])
+            == "poisson+kill+timeout"
+        )
+
     def test_cli_rejects_a_rule_that_cannot_fire(self, capsys):
         from repro.fabric.cli import main
 
