@@ -250,7 +250,36 @@ def compact_edge_swap(graph, keep_vertices, keep_edges=None) -> EdgeSwapView:
 def compact_regenerate(graph, keep_vertices, keep_edges=None) -> RegeneratedGraph:
     """Regenerate a fresh, renumbered CSR over the surviving subgraph."""
     keep_vertices = np.asarray(keep_vertices, dtype=bool)
-    live = _combined_edge_mask(graph, keep_vertices, keep_edges)
+    return _regenerate(graph, keep_vertices, _live_edges(graph, keep_vertices, keep_edges))
+
+
+def _live_edges(
+    graph: CSRGraph, keep_vertices: np.ndarray, keep_edges: np.ndarray | None
+) -> np.ndarray:
+    """Ascending positions of the edges :func:`_combined_edge_mask` keeps.
+
+    Gathered from the kept vertices' out-edge slices, so the cost is the
+    kept vertices' out-degree, not m.
+    """
+    if keep_vertices.size != graph.num_vertices:
+        raise GraphFormatError("keep_vertices length must equal n")
+    kept = np.flatnonzero(keep_vertices)
+    lo = graph.indptr[kept]
+    deg = graph.indptr[kept + 1] - lo
+    ends = np.cumsum(deg)
+    # slice i's positions are lo[i] + 0..deg[i]-1, laid end to end
+    pos = np.arange(ends[-1] if ends.size else 0, dtype=np.int64)
+    pos += np.repeat(lo - (ends - deg), deg)
+    live = keep_vertices[graph.indices[pos]]
+    if keep_edges is not None:
+        live &= keep_edges[pos]
+    return pos[live]
+
+
+def _regenerate(
+    graph: CSRGraph, keep_vertices: np.ndarray, live: np.ndarray
+) -> RegeneratedGraph:
+    """The regenerated CSR over the live edge positions ``live``."""
     old_id = np.flatnonzero(keep_vertices).astype(np.int64)
     new_id = np.full(graph.num_vertices, -1, dtype=np.int64)
     new_id[old_id] = np.arange(old_id.size, dtype=np.int64)
@@ -260,8 +289,8 @@ def compact_regenerate(graph, keep_vertices, keep_edges=None) -> RegeneratedGrap
     counts = np.bincount(new_id[src], minlength=old_id.size)
     indptr = np.zeros(old_id.size + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
-    # src is non-decreasing (edge_sources order), so the filtered edges are
-    # already grouped by new source id: no sort needed.
+    # live is ascending, so the edges are already grouped by new source
+    # id: no sort needed.
     sub = CSRGraph(indptr, new_id[dst], w, check=False)
     return RegeneratedGraph(graph=sub, new_id=new_id, old_id=old_id)
 
@@ -310,8 +339,13 @@ def adaptive_compact(
 
     ``force`` overrides the rule with a named strategy (benchmarks use it).
 
+    The live edge list is gathered once, from the kept vertices' out-edge
+    slices, so counting ``m_r`` costs the kept out-degree, not ``m``;
+    regeneration builds from that same list.  Edge-swap and status-array
+    build their own per-edge masks, as they must keep every edge's slot.
+
     ``deadline`` (absolute, on the installed clock) is checked before the
-    mask combination and again before the strategy build — each is one
+    live-edge gather and again before the strategy build — each is one
     vectorised pass, so those two checkpoints bound the overshoot at a
     single build's cost.  Exceeding it raises
     :class:`~repro.errors.KSPTimeout`.
@@ -322,8 +356,8 @@ def adaptive_compact(
     if check_cancel:
         checkpoint(deadline, "compact")
     keep_vertices = np.asarray(keep_vertices, dtype=bool)
-    live = _combined_edge_mask(graph, keep_vertices, keep_edges)
-    m_r = int(live.sum())
+    live = _live_edges(graph, keep_vertices, keep_edges)
+    m_r = int(live.size)
     n_r = int(keep_vertices.sum())
     m = graph.num_edges
 
@@ -338,7 +372,7 @@ def adaptive_compact(
         checkpoint(deadline, "compact.build")
     t0 = now()
     if strategy == "regeneration":
-        compacted: object = compact_regenerate(graph, keep_vertices, keep_edges)
+        compacted: object = _regenerate(graph, keep_vertices, live)
         # reads m_a + 2n, writes m_r + 2n_r (§5.4's accounting)
         build_work = graph.num_edges + 2 * graph.num_vertices + m_r + 2 * n_r
     elif strategy == "edge-swap":

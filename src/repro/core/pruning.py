@@ -30,6 +30,7 @@ from repro.paths import INF
 from repro.serve.query import Query, validate_query
 from repro.sssp.delta_stepping import delta_stepping
 from repro.sssp.dijkstra import dijkstra_tree
+from repro.sssp.result import SSSPStats
 
 __all__ = [
     "PruneStats",
@@ -51,7 +52,9 @@ class PruneStats:
     log); ``sort_work``/``sum_work`` are the O(n log n)/O(n) bulk
     passes (data parallel); ``validation_work`` is the combined length of
     all inspected paths (embarrassingly parallel, per the paper's hash-table
-    design); ``inspected_invalid`` is the paper's λ.
+    design); ``inspected_invalid`` is the paper's λ.  ``edges_relaxed`` is
+    summed from ``sssp`` — the stats of the SSSPs that ran — when it is
+    read: the compiled kernel counts its relaxations on demand.
     """
 
     sssp_phase_work: list[int] = field(default_factory=list)
@@ -61,8 +64,8 @@ class PruneStats:
     prune_scan_work: int = 0
     inspected_paths: int = 0
     inspected_invalid: int = 0
-    edges_relaxed: int = 0
     vertices_settled: int = 0
+    sssp: tuple[SSSPStats, ...] = field(default=(), repr=False)
 
     @classmethod
     def from_sssp(cls, *ran) -> "PruneStats":
@@ -71,9 +74,13 @@ class PruneStats:
         contributes none."""
         return cls(
             sssp_phase_work=[w for res in ran for w in res.stats.phase_work],
-            edges_relaxed=sum(res.stats.edges_relaxed for res in ran),
             vertices_settled=sum(res.stats.vertices_settled for res in ran),
+            sssp=tuple(res.stats for res in ran),
         )
+
+    @property
+    def edges_relaxed(self) -> int:
+        return sum(st.edges_relaxed for st in self.sssp)
 
     @property
     def total_work(self) -> int:
@@ -110,15 +117,36 @@ class PruneResult:
     keep_vertices: np.ndarray
     #: ``bool[m]`` — edges that survive the weight rule (``w <= b``)
     keep_edges: np.ndarray
-    #: forward / reverse shortest distances (the paper's spSrc / spTgt)
-    dist_src: np.ndarray
-    dist_tgt: np.ndarray
-    #: forward / reverse parent arrays (paper's parentSrc / parentTgt)
-    parent_src: np.ndarray
-    parent_tgt: np.ndarray
+    #: the forward SSSP from ``s`` and the reverse SSSP toward ``t`` (any
+    #: objects with ``dist``/``parent`` arrays)
+    tree_src: object
+    tree_tgt: object
     #: spSum[v] = spSrc[v] + spTgt[v]
     sp_sum: np.ndarray
     stats: PruneStats = field(default_factory=PruneStats)
+
+    @property
+    def dist_src(self) -> np.ndarray:
+        """Forward shortest distances (the paper's spSrc)."""
+        return self.tree_src.dist
+
+    @property
+    def dist_tgt(self) -> np.ndarray:
+        """Reverse shortest distances (the paper's spTgt)."""
+        return self.tree_tgt.dist
+
+    @property
+    def parent_src(self) -> np.ndarray:
+        """The forward parent array (the paper's parentSrc).  On the
+        compiled kernel the scan resolves only the parents it walks, so the
+        first read builds the whole array (one pass over every edge)."""
+        return self.tree_src.parent
+
+    @property
+    def parent_tgt(self) -> np.ndarray:
+        """The reverse parent array (parentTgt), next hop toward ``t``;
+        built on first read like :attr:`parent_src`."""
+        return self.tree_tgt.parent
 
     @property
     def threshold(self) -> float:
@@ -172,6 +200,28 @@ def prune_sssp(
     raise ValueError(f"unknown SSSP kernel {kernel!r}")
 
 
+#: The scan sorts only the ``max(4K, SCAN_HEAD)`` smallest spSums up
+#: front: a normal scan finds its K valid combined paths among them.
+SCAN_HEAD = 64
+
+
+def _spsum_order(finite: np.ndarray, sums: np.ndarray, head: int):
+    """Yield ``finite`` in the order of a stable argsort of ``sums``.
+
+    Only the head is sorted up front: every sum ``<=`` the ``head``-th
+    smallest (found with ``np.partition``), taken in index order and
+    stable-sorted.  The rest — all strictly larger — is sorted only if
+    the caller reads past the head.  Ties keep index order in both parts,
+    so the sequence equals ``finite[np.argsort(sums, kind="stable")]``.
+    """
+    if finite.size > head:
+        in_head = sums <= np.partition(sums, head - 1)[head - 1]
+        first = finite[in_head]
+        yield from first[np.argsort(sums[in_head], kind="stable")].tolist()
+        finite, sums = finite[~in_head], sums[~in_head]
+    yield from finite[np.argsort(sums, kind="stable")].tolist()
+
+
 def bound_and_masks(
     fwd,
     rev,
@@ -196,7 +246,10 @@ def bound_and_masks(
     fwd, rev:
         Forward SSSP from ``source`` and reverse SSSP toward ``target``
         (any object with ``dist``/``parent`` arrays over ``graph``'s
-        vertex space).
+        vertex space).  The scan walks a tree's parents through its
+        ``parent_of`` when it has one, so on the compiled kernel only the
+        walked vertices' parents are resolved (see
+        :func:`~repro.core.validation.combined_path`).
     graph:
         The graph the SSSPs were computed on; supplies the edge arrays for
         the weight-rule (and optional strong) edge mask.
@@ -232,17 +285,17 @@ def bound_and_masks(
     stats.sum_work = n
 
     finite = np.flatnonzero(np.isfinite(sp_sum))
-    order = finite[np.argsort(sp_sum[finite], kind="stable")]
-    stats.sort_work = int(order.size * max(int(np.log2(max(order.size, 2))), 1))
+    sums = sp_sum[finite]
+    stats.sort_work = int(finite.size * max(int(np.log2(max(finite.size, 2))), 1))
 
     bound = INF
     seen_paths: set[tuple[int, ...]] = set()
     inspected = 0
-    for v in order.tolist():
+    for v in _spsum_order(finite, sums, max(4 * k, SCAN_HEAD)):
         inspected += 1
         if check_cancel and inspected % SCAN_CHECK_INTERVAL == 1:
             checkpoint(deadline, "prune.scan")  # fires on the first inspection
-        src_tgt = combined_path(fwd.parent, rev.parent, source, target, v)
+        src_tgt = combined_path(fwd, rev, source, target, v)
         if src_tgt is None:  # pragma: no cover - finite spSum implies trees exist
             continue
         src_path, tgt_path = src_tgt
@@ -266,7 +319,7 @@ def bound_and_masks(
         checkpoint(deadline, "prune.masks")
     threshold = prune_threshold(bound)
     keep_vertices = np.zeros(n, dtype=bool)
-    keep_vertices[finite] = sp_sum[finite] <= threshold
+    keep_vertices[finite] = sums <= threshold
     keep_edges = graph.weights <= threshold
     if strong_edge_prune:
         src_of_edge = graph.edge_sources()
@@ -278,10 +331,8 @@ def bound_and_masks(
         bound=bound,
         keep_vertices=keep_vertices,
         keep_edges=keep_edges,
-        dist_src=fwd.dist,
-        dist_tgt=rev.dist,
-        parent_src=fwd.parent,
-        parent_tgt=rev.parent,
+        tree_src=fwd,
+        tree_tgt=rev,
         sp_sum=sp_sum,
         stats=stats,
     )

@@ -17,40 +17,46 @@ __all__ = ["combined_path", "validate_combined_path"]
 
 
 def combined_path(
-    parent_src: np.ndarray,
-    parent_tgt: np.ndarray,
+    parent_src,
+    parent_tgt,
     source: int,
     target: int,
     v: int,
 ) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """The (source-subpath, target-subpath) through ``v``; None if detached.
 
-    ``parent_src`` is a forward-SSSP parent array (``parent[source] ==
-    source``); ``parent_tgt`` is a reverse-SSSP parent array whose entries
-    point at the *next hop toward the target*.  Both subpaths include ``v``
-    itself.
+    ``parent_src`` is the forward SSSP (``parent[source] == source``) and
+    ``parent_tgt`` the reverse one, whose parents point at the *next hop
+    toward the target*.  Each is a parent array or a tree: the walk reads
+    a tree's ``parent_of(v)`` when it has one — the compiled prune kernel
+    resolves parents one vertex at a time (see
+    :class:`~repro.sssp.dijkstra.CompiledTree`) — and indexes its
+    ``parent`` array otherwise.  Both subpaths include ``v`` itself.
     """
-    n = parent_src.size
-    # backtrack s→v
-    if v != source and parent_src[v] < 0:
+    src_path = _walk(parent_src, v, source)
+    if src_path is None:
         return None
-    src_path = [int(v)]
-    while src_path[-1] != source:
-        nxt = int(parent_src[src_path[-1]])
-        if nxt < 0 or len(src_path) > n:
-            return None
-        src_path.append(nxt)
     src_path.reverse()
-    # walk v→t
-    if v != target and parent_tgt[v] < 0:
+    tgt_path = _walk(parent_tgt, v, target)
+    if tgt_path is None:
         return None
-    tgt_path = [int(v)]
-    while tgt_path[-1] != target:
-        nxt = int(parent_tgt[tgt_path[-1]])
-        if nxt < 0 or len(tgt_path) > n:
-            return None
-        tgt_path.append(nxt)
     return tuple(src_path), tuple(tgt_path)
+
+
+def _walk(tree, v: int, root: int) -> list[int] | None:
+    """``[v, parent(v), ..., root]``; None at a ``-1`` or on a cycle."""
+    if isinstance(tree, np.ndarray):
+        step, n = tree.item, tree.size
+    else:
+        step = getattr(tree, "parent_of", None) or tree.parent.item
+        n = tree.dist.size
+    path = [int(v)]
+    while path[-1] != root:
+        nxt = step(path[-1])
+        if nxt < 0 or len(path) > n:
+            return None
+        path.append(nxt)
+    return path
 
 
 def validate_combined_path(

@@ -359,6 +359,8 @@ class QueryServer:
                     break
                 except Exception as exc:  # noqa: BLE001 - classified below
                     if not _is_transient(exc):
+                        # the caller logs this query failed: count it here too
+                        self.counters[FAILED] += 1
                         raise
                     backoff = BACKOFF_BASE * BACKOFF_MULTIPLIER ** (attempts - 1)
                     if attempts >= MAX_ATTEMPTS or remaining(deadline) <= backoff:

@@ -25,8 +25,15 @@ for callers that have no use for a farther target.
 
 A full tree with no bans, no target and no potential — the two SSSPs of
 PeeK's pruning stage — has a compiled twin, :func:`dijkstra_tree`: SciPy's
-Dijkstra plus a vectorised pass that reproduces this loop's parents, work
-counters and checkpoint visits exactly.
+Dijkstra, returning this loop's parents, work counters and checkpoint visits
+exactly.  What costs a pass over every edge is paid only when read: a
+:class:`CompiledTree` resolves the loop's parent of one vertex at a time
+(:meth:`CompiledTree.parent_of`) until more than ``n //
+PARENT_FALLBACK_SHARE`` are resolved, and builds the whole array
+(:func:`loop_parents`) when ``.parent`` is read or past that share;
+``edges_relaxed`` is counted on its first read, or at once under an
+enabled tracer.  ``vertices_settled``, ``phases`` and the checkpoint visits
+stay eager.
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ from repro.paths import INF
 from repro.sssp.result import SSSPResult, SSSPStats
 from repro.sssp.workspace import SSSPWorkspace, WorkspaceResult
 
-__all__ = ["dijkstra", "dijkstra_tree"]
+__all__ = ["CompiledTree", "dijkstra", "dijkstra_tree", "loop_parents"]
 
 
 def dijkstra(
@@ -249,9 +256,155 @@ def dijkstra(
     return SSSPResult(source=source, dist=res.dist, parent=res.parent, stats=stats)
 
 
+
+
+#: A :class:`CompiledTree` resolves parents one vertex at a time until it
+#: has resolved more than ``n // PARENT_FALLBACK_SHARE`` of them; past that
+#: share a scan is walking most of the tree, and one vectorised pass over
+#: every edge is cheaper than per-vertex slices.
+PARENT_FALLBACK_SHARE = 64
+
+
+def _edge_dists(graph: CSRGraph, dist: np.ndarray):
+    """Each edge's endpoints and endpoint distances, NaN where unreached
+    (every comparison against NaN is False)."""
+    src, dst = graph.edge_sources(), graph.indices
+    dn = np.where(np.isfinite(dist), dist, np.nan)
+    return src, dst, dn[src], dn[dst]
+
+
+def loop_parents(
+    graph: CSRGraph, root: int, dist: np.ndarray, pred: np.ndarray
+) -> np.ndarray:
+    """The Python loop's parent array, from SciPy's predecessors ``pred``.
+
+    The loop settles in ``(dist, id)`` order and relaxes with a strict
+    ``<``, so its parent of ``v`` is the tight in-neighbour ``u``
+    (``dist[u] + w == dist[v]``) with the smallest ``(dist[u], u)``.  SciPy's
+    predecessor is *some* tight in-neighbour: when no vertex has two tight
+    in-edges it is that one; otherwise two scatter-min passes over the
+    tight edges pick the loop's.  One vectorised pass over all m edges —
+    what reading :attr:`CompiledTree.parent` costs.
+    """
+    n = graph.num_vertices
+    reached = np.isfinite(dist)
+    parent = pred.astype(np.int64)
+    parent[~reached] = -1
+    parent[root] = root
+    src, dst, du, dv = _edge_dists(graph, dist)
+    tight = np.flatnonzero(du + graph.weights == dv)
+    if tight.size != int(np.count_nonzero(reached)) - 1:
+        # some vertex has two tight in-edges: per target, the smallest
+        # dist[u] among them, then the smallest u among those
+        u, v, d = src[tight], dst[tight], du[tight]
+        best_d = np.full(n, INF)
+        np.minimum.at(best_d, v, d)
+        on = np.flatnonzero(d == best_d[v])
+        best_u = np.full(n, n, dtype=np.int64)
+        np.minimum.at(best_u, v[on], u[on])
+        fix = np.flatnonzero(best_u < n)
+        parent[fix] = best_u[fix]
+    return parent
+
+
+def _relaxed_count(graph: CSRGraph, dist: np.ndarray) -> int:
+    """The loop's ``edges_relaxed``: it scans edge ``(u, v)`` of a reached
+    ``u`` toward an unsettled ``v`` exactly when ``(dist[v], v) > (dist[u],
+    u)``."""
+    src, dst, du, dv = _edge_dists(graph, dist)
+    tied = np.flatnonzero(dv == du)
+    return int(np.count_nonzero(dv > du)) + int(
+        np.count_nonzero(dst[tied] > src[tied])
+    )
+
+
+class _TreeStats(SSSPStats):
+    """:class:`SSSPStats` whose ``edges_relaxed`` is counted on first read
+    (assigning it pins a value and skips the count)."""
+
+    def __init__(self, settled: int, count) -> None:
+        super().__init__(vertices_settled=settled, phases=settled)
+        self._count = count
+
+    @property
+    def edges_relaxed(self) -> int:
+        if self._count is not None:
+            self._relaxed = self._count()
+            self._count = None
+        return self._relaxed
+
+    @edges_relaxed.setter
+    def edges_relaxed(self, value: int) -> None:
+        self._relaxed = value
+        self._count = None
+
+
+class CompiledTree(SSSPResult):
+    """:func:`dijkstra_tree`'s result: the loop's parents, resolved on demand.
+
+    ``dist`` is SciPy's.  :meth:`parent_of` applies the loop's tie rule to
+    one vertex — the smallest ``(dist[u], u)`` among its tight in-edges, a
+    slice of ``graph.reverse()`` — and memoises the answer on the tree, so
+    a cached tree keeps what earlier scans resolved.  Reading
+    :attr:`parent` builds the whole array with :func:`loop_parents`, and so
+    does :meth:`parent_of` once more than ``n // PARENT_FALLBACK_SHARE``
+    vertices are resolved; after that every read indexes the array.
+    """
+
+    def __init__(
+        self,
+        graph: CSRGraph,
+        root: int,
+        dist: np.ndarray,
+        pred: np.ndarray,
+        stats: SSSPStats,
+    ) -> None:
+        # SSSPResult's fields, except ``parent``: a property here
+        self.source = root
+        self.dist = dist
+        self.stats = stats
+        self._graph = graph
+        self._pred = pred
+        self._parent: np.ndarray | None = None
+        self._resolved: dict[int, int] = {}
+
+    @property
+    def parent(self) -> np.ndarray:
+        if self._parent is None:
+            self._parent = loop_parents(self._graph, self.source, self.dist, self._pred)
+            # from now on a parent read is an array read
+            self.parent_of = self._parent.item
+        return self._parent
+
+    def parent_of(self, v: int) -> int:
+        p = self._resolved.get(v)
+        if p is None:
+            if len(self._resolved) > self.dist.size // PARENT_FALLBACK_SHARE:
+                return self.parent.item(v)
+            p = self._resolved[v] = self._resolve(v)
+        return p
+
+    def _resolve(self, v: int) -> int:
+        """:func:`loop_parents`' answer for one vertex."""
+        d = self.dist[v]
+        if d == INF:
+            return -1
+        rev = self._graph.reverse()
+        lo, hi = rev.indptr[v], rev.indptr[v + 1]
+        u = rev.indices[lo:hi]
+        du = self.dist[u]
+        tight = np.flatnonzero(du + rev.weights[lo:hi] == d)
+        if tight.size == 1:
+            return int(u[tight[0]])
+        if tight.size == 0:  # only the root: every other reached vertex has one
+            return v if v == self.source else int(self._pred[v])
+        u, du = u[tight], du[tight]
+        return int(u[du == du.min()].min())
+
+
 def dijkstra_tree(
     graph: CSRGraph, root: int, *, deadline: float | None = None
-) -> SSSPResult:
+) -> CompiledTree:
     """The full shortest-path tree from ``root``, on SciPy's Dijkstra.
 
     Returns what ``dijkstra(graph, root, deadline=deadline)`` returns,
@@ -260,16 +413,18 @@ def dijkstra_tree(
     stays 0 (and the ``sssp.heap_pushes`` tracer counter is not emitted):
     a compiled call does not expose its heap.
 
-    * **Parents.**  SciPy's predecessor is *some* tight in-neighbour.  The
-      loop settles in ``(dist, id)`` order and relaxes with a strict
-      ``<``, so its parent is the tight in-neighbour with the smallest
-      ``(dist[u], u)``.  When no vertex has two tight in-edges SciPy's
-      answer is that one; otherwise two scatter-min passes over the tight
-      edges pick it.
-    * **Counters.**  Every reached vertex is settled once.  The loop scans
-      edge ``(u, v)`` of a reached ``u`` toward an unsettled ``v`` exactly
-      when ``(dist[v], v) > (dist[u], u)``; those edges are
-      ``edges_relaxed``.
+    The call itself pays only for SciPy and what it reads off ``dist``;
+    what needs a pass over all m edges is computed when it is read.
+
+    * **Parents** (:class:`CompiledTree`).  :meth:`~CompiledTree.parent_of`
+      resolves the loop's parent of one vertex from its in-edges and
+      memoises it; reading ``.parent``, or resolving more than ``n //
+      PARENT_FALLBACK_SHARE`` vertices one by one, builds the whole array
+      (:func:`loop_parents`).
+    * **Counters.**  ``vertices_settled = phases = #reached`` are set
+      eagerly.  ``edges_relaxed`` is counted on its first read (the edges
+      the loop scans toward unsettled vertices); under an enabled tracer it
+      is counted at once and emitted as ``sssp.edges_relaxed``.
     * **Checkpoints.**  ``"sssp.dijkstra"`` is visited once at entry and
       then ``settled // SETTLE_CHECK_INTERVAL`` times after the compiled
       call: the loop's sequence, so virtual clocks and fault hooks see the
@@ -293,42 +448,15 @@ def dijkstra_tree(
         indices=int(root),
         return_predecessors=True,
     )
-    reached = np.isfinite(dist)
-    settled = int(np.count_nonzero(reached))
+    settled = int(np.count_nonzero(np.isfinite(dist)))
     if check_cancel:
         for _ in range(settled // SETTLE_CHECK_INTERVAL):
             checkpoint(deadline, "sssp.dijkstra")
 
-    parent = pred.astype(np.int64)
-    parent[~reached] = -1
-    parent[root] = root
-    src, dst = graph.edge_sources(), graph.indices
-    # NaN for unreached vertices: every comparison against it is False
-    dn = np.where(reached, dist, np.nan)
-    du, dv = dn[src], dn[dst]
-    tight = np.flatnonzero(du + graph.weights == dv)
-    if tight.size != settled - 1:
-        # some vertex has two tight in-edges: per target, the smallest
-        # dist[u] among them, then the smallest u among those
-        u, v, d = src[tight], dst[tight], du[tight]
-        best_d = np.full(n, INF)
-        np.minimum.at(best_d, v, d)
-        on = np.flatnonzero(d == best_d[v])
-        best_u = np.full(n, n, dtype=np.int64)
-        np.minimum.at(best_u, v[on], u[on])
-        fix = np.flatnonzero(best_u < n)
-        parent[fix] = best_u[fix]
-    tied = np.flatnonzero(dv == du)
-    relaxed = int(np.count_nonzero(dv > du)) + int(
-        np.count_nonzero(dst[tied] > src[tied])
-    )
-
-    stats = SSSPStats(
-        edges_relaxed=relaxed, vertices_settled=settled, phases=settled
-    )
+    stats = _TreeStats(settled, lambda: _relaxed_count(graph, dist))
     tracer = get_tracer()
     if tracer.enabled:
         tracer.add("sssp.calls")
-        tracer.add("sssp.edges_relaxed", relaxed)
+        tracer.add("sssp.edges_relaxed", stats.edges_relaxed)
         tracer.add("sssp.vertices_settled", settled)
-    return SSSPResult(source=int(root), dist=dist, parent=parent, stats=stats)
+    return CompiledTree(graph, int(root), dist, pred, stats)

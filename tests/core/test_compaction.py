@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.compaction import (
     StatusArrayView,
@@ -11,6 +13,8 @@ from repro.core.compaction import (
     compact_status_array,
 )
 from repro.errors import GraphFormatError, VertexError
+from repro.graph.build import from_edge_array
+from repro.graph.suite import random_st_pairs, suite_graph
 from repro.sssp.delta_stepping import delta_stepping
 from repro.sssp.dijkstra import dijkstra
 
@@ -239,3 +243,99 @@ class TestAdaptive:
         assert 0 <= res.remaining_edge_fraction <= 1
         assert res.build_work > 0
         assert res.build_seconds >= 0
+
+
+# ---------------------------------------------------------------------------
+# Regeneration from the kept set against the mask-built one
+
+
+def mask_regenerate(graph, keep_vertices, keep_edges):
+    """The regenerated CSR as an m-wide edge mask builds it: the reference
+    the kept-set builder must equal byte for byte."""
+    src_all = graph.edge_sources()
+    live = keep_vertices[src_all] & keep_vertices[graph.indices]
+    if keep_edges is not None:
+        live &= keep_edges
+    old_id = np.flatnonzero(keep_vertices).astype(np.int64)
+    new_id = np.full(graph.num_vertices, -1, dtype=np.int64)
+    new_id[old_id] = np.arange(old_id.size, dtype=np.int64)
+    src = src_all[live]
+    counts = np.bincount(new_id[src], minlength=old_id.size)
+    indptr = np.zeros(old_id.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    return indptr, new_id[graph.indices[live]], graph.weights[live], new_id, old_id
+
+
+def assert_regeneration_equal(graph, kv, ke, alpha=1.0):
+    indptr, indices, weights, new_id, old_id = mask_regenerate(graph, kv, ke)
+    m_r, n_r = indices.size, old_id.size
+    res = adaptive_compact(graph, kv, ke, alpha=alpha)
+    expect = "regeneration" if m_r < alpha * graph.num_edges else "edge-swap"
+    assert res.strategy == expect
+    assert res.remaining_edges == m_r
+    assert res.remaining_vertices == n_r
+    forced = adaptive_compact(graph, kv, ke, force="regeneration")
+    assert forced.build_work == (
+        graph.num_edges + 2 * graph.num_vertices + m_r + 2 * n_r
+    )
+    for regen in (forced.compacted, compact_regenerate(graph, kv, ke)):
+        assert regen.graph.indptr.tobytes() == indptr.tobytes()
+        assert regen.graph.indices.tobytes() == indices.tobytes()
+        assert regen.graph.weights.tobytes() == weights.tobytes()
+        assert regen.new_id.tobytes() == new_id.tobytes()
+        assert regen.old_id.tobytes() == old_id.tobytes()
+
+
+@st.composite
+def keep_cases(draw):
+    """A raw digraph (parallel edges, self-loops, unsorted rows) and
+    arbitrary vertex and edge keep masks."""
+    n = draw(st.integers(1, 20))
+    m = draw(st.integers(0, 70))
+    src = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
+    dst = draw(st.lists(st.integers(0, n - 1), min_size=m, max_size=m))
+    w = draw(st.lists(st.integers(1, 4), min_size=m, max_size=m))
+    g = from_edge_array(
+        n, np.asarray(src, dtype=np.int64), np.asarray(dst, dtype=np.int64),
+        np.asarray(w, dtype=np.float64), dedup=False, drop_self_loops=False,
+    )
+    kv = np.asarray(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    ke = None
+    if draw(st.booleans()):
+        ke = np.asarray(draw(st.lists(st.booleans(), min_size=m, max_size=m)), dtype=bool)
+    return g, kv, ke
+
+
+class TestKeptSetRegeneration:
+    @given(keep_cases(), st.sampled_from([0.0, 0.5, 1.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_byte_identical_to_mask_build(self, case, alpha):
+        assert_regeneration_equal(*case, alpha=alpha)
+
+    @pytest.mark.parametrize("strong", [False, True])
+    @pytest.mark.parametrize("name", ["LJ", "WLU"])
+    def test_prune_decisions(self, name, strong):
+        from repro.core.pruning import k_upper_bound_prune
+
+        g = suite_graph(name, "tiny")
+        for s, t in random_st_pairs(g, 3, seed=2):
+            for k in (1, 8, 128):
+                pr = k_upper_bound_prune(g, s, t, k, strong_edge_prune=strong)
+                assert_regeneration_equal(g, pr.keep_vertices, pr.keep_edges, alpha=0.1)
+
+    def test_parallel_edges(self):
+        src = np.array([0, 0, 0, 1, 1, 2, 2, 3, 3, 3])
+        dst = np.array([1, 1, 2, 2, 2, 3, 0, 0, 1, 1])
+        w = np.array([2.0, 1.0, 4.0, 1.0, 3.0, 1.0, 5.0, 1.0, 2.0, 2.0])
+        g = from_edge_array(4, src, dst, w, dedup=False)
+        for kv in ([1, 1, 1, 1], [1, 0, 1, 1], [0, 1, 1, 1]):
+            kv = np.asarray(kv, dtype=bool)
+            assert_regeneration_equal(g, kv, None)
+            assert_regeneration_equal(g, kv, g.weights <= 2.0)
+
+    def test_bad_mask_length_on_every_path(self, medium_er):
+        kv = np.ones(3, dtype=bool)
+        with pytest.raises(GraphFormatError):
+            compact_regenerate(medium_er, kv)
+        with pytest.raises(GraphFormatError):
+            adaptive_compact(medium_er, kv)

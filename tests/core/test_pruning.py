@@ -1,15 +1,28 @@
 """Unit tests for K-upper-bound pruning (Algorithm 2)."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.pruning import k_upper_bound_prune
+from repro.core.pruning import (
+    SCAN_HEAD,
+    PruneStats,
+    _spsum_order,
+    bound_and_masks,
+    k_upper_bound_prune,
+    prune_threshold,
+)
+from repro.core.validation import validate_combined_path
 from repro.errors import UnreachableTargetError, VertexError
-from repro.graph.build import from_edge_list
-from repro.graph.generators import erdos_renyi
+from repro.graph.build import from_edge_array, from_edge_list
+from repro.graph.generators import erdos_renyi, grid_network
 from repro.graph.suite import random_st_pairs, suite_graph
 from repro.ksp.yen import yen_ksp
 from repro.paths import INF
+from repro.sssp.dijkstra import dijkstra
 from tests.conftest import random_reachable_pair
 
 
@@ -174,3 +187,179 @@ class TestSoundness:
         weak = k_upper_bound_prune(medium_er, s, t, 4)
         strong = k_upper_bound_prune(medium_er, s, t, 4, strong_edge_prune=True)
         assert strong.keep_edges.sum() <= weak.keep_edges.sum()
+
+
+# ---------------------------------------------------------------------------
+# The partial spSum order against the full stable argsort
+
+
+def reference_scan(fwd_parent, rev_parent, dist_src, dist_tgt, s, t, k, graph, strong):
+    """The scan and masks as one full stable argsort and eager parent
+    arrays compute them: the reference the partial order must equal."""
+    n = graph.num_vertices
+    stats = PruneStats(sum_work=n)
+    sp_sum = dist_src + dist_tgt
+    finite = np.flatnonzero(np.isfinite(sp_sum))
+    order = finite[np.argsort(sp_sum[finite], kind="stable")]
+    stats.sort_work = int(order.size * max(int(np.log2(max(order.size, 2))), 1))
+    bound, seen = INF, set()
+    for v in order.tolist():
+        src_path = [v]
+        while src_path[-1] != s:
+            src_path.append(int(fwd_parent[src_path[-1]]))
+        tgt_path = [v]
+        while tgt_path[-1] != t:
+            tgt_path.append(int(rev_parent[tgt_path[-1]]))
+        src_path.reverse()
+        stats.validation_work += len(src_path) + len(tgt_path)
+        valid, full = validate_combined_path(tuple(src_path), tuple(tgt_path))
+        stats.inspected_paths += 1
+        if not valid:
+            stats.inspected_invalid += 1
+            continue
+        if full in seen:
+            continue
+        seen.add(full)
+        if len(seen) == k:
+            bound = float(sp_sum[v])
+            break
+    threshold = prune_threshold(bound)
+    keep_vertices = np.zeros(n, dtype=bool)
+    keep_vertices[finite] = sp_sum[finite] <= threshold
+    keep_edges = graph.weights <= threshold
+    if strong:
+        through = dist_src[graph.edge_sources()] + graph.weights + dist_tgt[graph.indices]
+        keep_edges &= ~(through > threshold)
+    stats.prune_scan_work = n + graph.num_edges
+    return bound, keep_vertices, keep_edges, sp_sum, stats
+
+
+STAT_FIELDS = (
+    "sum_work", "sort_work", "validation_work", "prune_scan_work",
+    "inspected_paths", "inspected_invalid",
+)
+
+
+def assert_scan_equal(graph, s, t, k, *, strong=False):
+    """``k_upper_bound_prune`` (lazy trees, partial order) against the
+    reference over the Python loop's trees; returns the result."""
+    got = k_upper_bound_prune(graph, s, t, k, strong_edge_prune=strong)
+    fwd, rev = dijkstra(graph, s), dijkstra(graph.reverse(), t)
+    bound, kv, ke, sp_sum, ref = reference_scan(
+        fwd.parent, rev.parent, fwd.dist, rev.dist, s, t, k, graph, strong
+    )
+    assert got.bound == bound or (np.isinf(got.bound) and np.isinf(bound))
+    assert got.keep_vertices.tobytes() == kv.tobytes()
+    assert got.keep_edges.tobytes() == ke.tobytes()
+    assert got.sp_sum.tobytes() == sp_sum.tobytes()
+    for name in STAT_FIELDS:
+        assert getattr(got.stats, name) == getattr(ref, name), name
+    assert got.stats.edges_relaxed == fwd.stats.edges_relaxed + rev.stats.edges_relaxed
+    assert got.stats.vertices_settled == (
+        fwd.stats.vertices_settled + rev.stats.vertices_settled
+    )
+    assert got.stats.sssp_phase_work == []
+    # parents read after the scan are the loop's arrays
+    assert got.parent_src.tobytes() == fwd.parent.tobytes()
+    assert got.parent_tgt.tobytes() == rev.parent.tobytes()
+    return got
+
+
+def head_is_straddled(pr, k):
+    """Do spSum ties cross the head boundary (more sums equal the head's
+    largest value than the head has room for)?"""
+    sums = np.sort(pr.sp_sum[np.isfinite(pr.sp_sum)])
+    head = max(4 * k, SCAN_HEAD)
+    if sums.size <= head:
+        return False
+    kth = sums[head - 1]
+    return bool(np.count_nonzero(sums <= kth) > head)
+
+
+def unit_grid(rows, cols):
+    return grid_network(rows, cols, weight_scheme="unit", seed=1)
+
+
+def chain_with_detour(n=100):
+    """A bidirectional unit chain 0..n-1 plus one heavy detour n: every
+    chain vertex's combined path is the same chain path, so K=2 scans the
+    whole chain (past any head) before the detour gives a loose finite
+    bound; K=3 never finds a third path (bound inf)."""
+    a = np.arange(n - 1)
+    src = np.concatenate([a, a + 1, [0, n]])
+    dst = np.concatenate([a + 1, a, [n, n - 1]])
+    w = np.concatenate([np.ones(2 * (n - 1)), [1000.0, 1000.0]])
+    return from_edge_array(n + 1, src, dst, w, dedup=False)
+
+
+class TestPartialOrder:
+    @given(
+        st.lists(st.integers(0, 6), min_size=0, max_size=300),
+        st.integers(1, 80),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_equals_stable_argsort(self, values, head):
+        sums = np.asarray(values, dtype=np.float64) / 4
+        finite = np.arange(sums.size, dtype=np.int64) * 3
+        ref = finite[np.argsort(sums, kind="stable")].tolist()
+        assert list(_spsum_order(finite, sums, head)) == ref
+
+    @pytest.mark.parametrize("k", [1, 8, 128])
+    def test_unit_graphs_with_ties_at_the_head(self, k):
+        straddled = 0
+        cases = [(unit_grid(24, 24), [(0, 575), (30, 400), (100, 555)])]
+        for name in ("LJU", "WLU"):
+            g = suite_graph(name, "tiny")
+            cases.append((g, random_st_pairs(g, 4, seed=9)))
+        for g, pairs in cases:
+            for s, t in pairs:
+                got = assert_scan_equal(g, s, t, k)
+                straddled += head_is_straddled(got, k)
+        assert straddled  # the cases do put ties across the boundary
+
+    @pytest.mark.parametrize("name", ["LJ", "WL", "R21U"])
+    @pytest.mark.parametrize("k", [1, 8, 128])
+    def test_suite_pairs(self, name, k):
+        g = suite_graph(name, "tiny")
+        for s, t in random_st_pairs(g, 3, seed=17):
+            assert_scan_equal(g, s, t, k)
+            assert_scan_equal(g, s, t, k, strong=True)
+
+    @pytest.mark.parametrize("k, loose", [(2, True), (3, False)])
+    def test_scan_runs_past_the_head(self, k, loose):
+        g = chain_with_detour()
+        got = assert_scan_equal(g, 0, 99, k)
+        assert got.stats.inspected_paths > max(4 * k, SCAN_HEAD)
+        assert np.isfinite(got.bound) == loose
+
+    @pytest.mark.parametrize("k", [1, 8, 128])
+    def test_scipy_halves_as_plain_arrays(self, k):
+        """perfbench's pair filter passes SimpleNamespace trees of SciPy
+        predecessors: the scan indexes their arrays."""
+        from scipy.sparse.csgraph import dijkstra as sp_dijkstra
+
+        def tree(graph, root):
+            dist, pred = sp_dijkstra(
+                graph.sparse_matrix(), directed=True, indices=root,
+                return_predecessors=True,
+            )
+            parent = pred.astype(np.int64)
+            parent[parent < 0] = -1
+            parent[root] = root
+            return SimpleNamespace(dist=dist, parent=parent)
+
+        for name in ("LJU", "WL"):
+            g = suite_graph(name, "tiny")
+            for s, t in random_st_pairs(g, 3, seed=4):
+                fwd, rev = tree(g, s), tree(g.reverse(), t)
+                got = bound_and_masks(fwd, rev, s, t, k, graph=g)
+                bound, kv, ke, sp_sum, ref = reference_scan(
+                    fwd.parent, rev.parent, fwd.dist, rev.dist, s, t, k, g, False
+                )
+                assert got.bound == bound or (np.isinf(got.bound) and np.isinf(bound))
+                assert got.keep_vertices.tobytes() == kv.tobytes()
+                assert got.keep_edges.tobytes() == ke.tobytes()
+                assert got.sp_sum.tobytes() == sp_sum.tobytes()
+                for field in STAT_FIELDS:
+                    assert getattr(got.stats, field) == getattr(ref, field)
+                assert got.parent_src is fwd.parent

@@ -129,6 +129,11 @@ class TestStageFaults:
         assert len(faulted.logs) == len(clean.logs)
         assert faulted.count("complete") == clean.count("complete") - 1
 
+    def test_fatal_fault_is_in_the_server_counters(self, graph):
+        """The ledger and the servers agree on a fatally faulted query."""
+        report = run(self.one_replica(graph, inject=["serve.attempt:fatal:1"]))
+        assert report.count("failed") == report.server_counters["failed"] == 1
+
     def test_cli_survives_a_fatal_fault(self, tmp_path):
         from repro.fabric.cli import main
 

@@ -55,3 +55,38 @@ def test_medium_pruning_converges_toward_paper():
     (s, t), = random_st_pairs(g, 1, seed=5)
     pr = k_upper_bound_prune(g, s, t, 8)
     assert pr.pruned_vertex_fraction > 0.99  # paper: 98.4% average
+
+
+@slow
+def test_weak_pair_prune_keeps_pace_with_eager_trees():
+    """LJ-medium 14306→13790 scans ~21k (K=8) and ~30k (K=128) vertices:
+    lazy parents must fall back to the eager array and stay within 10 % of
+    a prune over eagerly built trees, timed in one process."""
+    import time
+    from types import SimpleNamespace
+
+    from repro.core.pruning import bound_and_masks, k_upper_bound_prune
+    from repro.graph.suite import suite_graph
+    from repro.sssp.dijkstra import dijkstra_tree
+
+    g = suite_graph("LJ", "medium")
+    s, t = 14306, 13790
+
+    def eager(k):
+        halves = []
+        for graph, root in ((g, s), (g.reverse(), t)):
+            tree = dijkstra_tree(graph, root)
+            assert tree.stats.edges_relaxed > 0  # the eager count
+            halves.append(SimpleNamespace(dist=tree.dist, parent=tree.parent))
+        return bound_and_masks(*halves, s, t, k, graph=g)
+
+    for k in (8, 128):
+        walls = {eager: [], k_upper_bound_prune: []}
+        for _ in range(5):
+            for fn in walls:
+                t0 = time.perf_counter()
+                pr = fn(g, s, t, k) if fn is k_upper_bound_prune else fn(k)
+                walls[fn].append(time.perf_counter() - t0)
+        assert pr.stats.inspected_paths > 20_000
+        ratio = np.median(walls[k_upper_bound_prune]) / np.median(walls[eager])
+        assert ratio <= 1.10, (k, ratio)
