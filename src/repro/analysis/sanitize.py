@@ -21,8 +21,8 @@ under 2× the untraced runtime on the medium suite).
 Check ids: ``SAN-CSR`` (CSR structure), ``SAN-VIEW`` (compaction views),
 ``SAN-PATH`` (result paths), ``SAN-PRUNE`` (PeeK prune certificate),
 ``SAN-WS`` (workspace epoch integrity), ``SAN-DYN`` (live-graph
-prune-bound reuse: a reused prune must match a cold re-prune on the
-current snapshot).
+reuse: a reused prune must match a cold re-prune on the current snapshot,
+and a carried SSSP tree a cold tree).
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ __all__ = [
     "check_result_paths",
     "check_prune_certificate",
     "check_dyn_reuse",
+    "check_carried_tree",
     "check_workspace",
     "run_sanitized",
 ]
@@ -342,6 +343,57 @@ def check_dyn_reuse(graph, prune, source: int, target: int, k: int) -> None:
             k=k,
             vertex=v,
         )
+
+
+def check_carried_tree(graph, tree) -> None:
+    """Live-graph repair audit: a carried SSSP tree must equal a cold one.
+
+    :meth:`repro.core.batch.BatchPeeK.rebind` carries each cached tree
+    onto the new snapshot, repairing what the batch changed
+    (:func:`repro.sssp.repair.carry_tree`).  This check runs a cold
+    :func:`~repro.sssp.dijkstra.dijkstra_tree` on ``graph`` and asserts
+    bitwise equality of ``dist``, of the parents the tree would build
+    from its SciPy predecessors, of every memoised parent and of a built
+    parent array.  It reads the tree's state without resolving anything,
+    so the audited tree is left as it was.
+    """
+    from repro.sssp.dijkstra import dijkstra_tree, loop_parents
+
+    root = tree.source
+    with fault_scope(None), use_tracer(NOOP_TRACER):
+        cold = dijkstra_tree(graph, root)
+    want = cold.parent
+    if tree._graph is not graph:
+        _fail("SAN-DYN", f"carried tree from {root} is not on the new snapshot", root=root)
+    got, want_d = tree.dist, cold.dist
+    bad = np.flatnonzero(got != want_d)
+    if bad.size:
+        v = int(bad[0])
+        _fail(
+            "SAN-DYN",
+            f"carried tree from {root} has dist {got[v]!r} at vertex {v}, "
+            f"a cold tree {want_d[v]!r}",
+            root=root,
+            vertex=v,
+        )
+    parents = [("predecessor", loop_parents(graph, root, tree.dist, tree._pred))]
+    if tree._parent is not None:
+        parents.append(("parent array", tree._parent))
+    memo = np.fromiter(tree._resolved, dtype=np.int64, count=len(tree._resolved))
+    memo_parent = np.full(want.size, -2, dtype=np.int64)
+    memo_parent[memo] = list(tree._resolved.values())
+    parents.append(("memoised", np.where(memo_parent == -2, want, memo_parent)))
+    for what, got in parents:
+        bad = np.flatnonzero(got != want)
+        if bad.size:
+            v = int(bad[0])
+            _fail(
+                "SAN-DYN",
+                f"carried tree from {root}: {what} parent of vertex {v} is "
+                f"{int(got[v])}, a cold tree's is {int(want[v])}",
+                root=root,
+                vertex=v,
+            )
 
 
 def check_workspace(ws) -> None:

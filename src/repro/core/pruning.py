@@ -205,20 +205,23 @@ def prune_sssp(
 SCAN_HEAD = 64
 
 
-def _spsum_order(finite: np.ndarray, sums: np.ndarray, head: int):
+def _spsum_order(finite: np.ndarray, sums: np.ndarray, head: int, on_tail=None):
     """Yield ``finite`` in the order of a stable argsort of ``sums``.
 
     Only the head is sorted up front: every sum ``<=`` the ``head``-th
     smallest (found with ``np.partition``), taken in index order and
     stable-sorted.  The rest — all strictly larger — is sorted only if
-    the caller reads past the head.  Ties keep index order in both parts,
-    so the sequence equals ``finite[np.argsort(sums, kind="stable")]``.
+    the caller reads past the head, and ``on_tail()`` is called first.
+    Ties keep index order in both parts, so the sequence equals
+    ``finite[np.argsort(sums, kind="stable")]``.
     """
     if finite.size > head:
         in_head = sums <= np.partition(sums, head - 1)[head - 1]
         first = finite[in_head]
         yield from first[np.argsort(sums[in_head], kind="stable")].tolist()
         finite, sums = finite[~in_head], sums[~in_head]
+        if on_tail is not None:
+            on_tail()
     yield from finite[np.argsort(sums, kind="stable")].tolist()
 
 
@@ -249,7 +252,9 @@ def bound_and_masks(
         vertex space).  The scan walks a tree's parents through its
         ``parent_of`` when it has one, so on the compiled kernel only the
         walked vertices' parents are resolved (see
-        :func:`~repro.core.validation.combined_path`).
+        :func:`~repro.core.validation.combined_path`) — until the scan
+        reads past its sorted head, where it reads both trees' ``parent``
+        arrays once.
     graph:
         The graph the SSSPs were computed on; supplies the edge arrays for
         the weight-rule (and optional strong) edge mask.
@@ -288,10 +293,16 @@ def bound_and_masks(
     sums = sp_sum[finite]
     stats.sort_work = int(finite.size * max(int(np.log2(max(finite.size, 2))), 1))
 
+    def build_parents() -> None:
+        # a scan past its head walks much of both trees: one pass over the
+        # edges per tree is cheaper than resolving its parents one by one
+        for tree in (fwd, rev):
+            tree.parent
+
     bound = INF
     seen_paths: set[tuple[int, ...]] = set()
     inspected = 0
-    for v in _spsum_order(finite, sums, max(4 * k, SCAN_HEAD)):
+    for v in _spsum_order(finite, sums, max(4 * k, SCAN_HEAD), build_parents):
         inspected += 1
         if check_cancel and inspected % SCAN_CHECK_INTERVAL == 1:
             checkpoint(deadline, "prune.scan")  # fires on the first inspection

@@ -164,7 +164,8 @@ def _summary_lines(payload: dict) -> list[str]:
         f"(final version {payload['final_version']})",
         f"  prune reuse rate    {payload['prune_reuse_rate']} "
         f"({info['prune_reused']} reused / {info['prune_cold']} cold)",
-        f"  cache entries       {info['retained']} retained, "
+        f"  cache entries       {info['retained']} retained "
+        f"({info['repaired']} trees repaired), "
         f"{info['invalidated']} invalidated across rebinds",
     ]
 

@@ -109,6 +109,8 @@ class LiveGraph:
         if not self._alive.all():
             keys, weights = self._live_edges(keys, weights)
         self._snapshot = Snapshot(version=int(version), graph=_csr(keys, weights, n))
+        #: the snapshot's edges as sorted ``src * n + dst`` keys
+        self._keys = keys
         self._terrace: tuple | None = None  # (snapshot, view)
 
     # ------------------------------------------------------------------
@@ -194,17 +196,20 @@ class LiveGraph:
             raise VertexError("tombstone vertex id out of range")
 
         prev = self._snapshot.graph
-        keys = first_keys = prev.edge_sources() * n + prev.indices
+        keys = first_keys = self._keys
         weights = prev.weights.copy()
 
         # deletes — effective iff the edge was live before (snapshot edges
-        # are exactly the live ones); every parallel copy goes
+        # are exactly the live ones); every parallel copy goes, so the old
+        # weight is the lightest copy's
         lo, hi = _find(keys, del_s * n + del_d)
         hit = hi > lo
-        up = [(del_s[hit], del_d[hit], weights[lo[hit]])]
+        lightest = weights[:0]
         if hit.any():
-            gone = _spans(lo[hit], hi[hit])
+            gone, lens = _spans(lo[hit], hi[hit]), hi[hit] - lo[hit]
+            lightest = np.minimum.reduceat(weights[gone], np.cumsum(lens) - lens)
             keys, weights = np.delete(keys, gone), np.delete(weights, gone)
+        up = [(del_s[hit], del_d[hit], lightest)]
 
         # reweights — classify by old live weight (a missing edge is a
         # no-op); every request reads the weight before the batch, and
@@ -212,9 +217,10 @@ class LiveGraph:
         lo, hi = _find(keys, rw_s * n + rw_d)
         hit = hi > lo
         old_w, new_w = weights[lo[hit]], rw_w[hit]
-        raised = new_w > old_w
+        raised, lowered = new_w > old_w, new_w < old_w
         up.append((rw_s[hit][raised], rw_d[hit][raised], old_w[raised]))
-        has_decrease = bool((new_w < old_w).any())
+        down = [(rw_s[hit][lowered], rw_d[hit][lowered], new_w[lowered])]
+        has_decrease = bool(lowered.any())
         weights[lo[hit]] = new_w
 
         # inserts — dedup keeps the lighter weight, so inserting over an
@@ -225,9 +231,13 @@ class LiveGraph:
         ins_k = ins_s * n + ins_d
         live = proper & alive[ins_d]
         lo, hi = _find(keys, ins_k)
-        has_insert = bool((live & (hi == lo)).any())
+        new_edge = live & (hi == lo)
+        has_insert = bool(new_edge.any())
         lighter = live & (hi > lo)
-        has_decrease |= bool((ins_w[lighter] < weights[lo[lighter]]).any())
+        lighter[lighter] = ins_w[lighter] < weights[lo[lighter]]
+        has_decrease |= bool(lighter.any())
+        down.append((ins_s[new_edge | lighter], ins_d[new_edge | lighter],
+                     ins_w[new_edge | lighter]))
         order = np.lexsort((ins_w[live], ins_k[live]))
         add_k, add_w = ins_k[live][order], ins_w[live][order]
         first = np.diff(add_k, prepend=-1) != 0
@@ -254,20 +264,27 @@ class LiveGraph:
 
         version = self._snapshot.version + 1
         up_s, up_d, up_w = (np.concatenate(column) for column in zip(*up))
+        down_s, down_d, down_w = (np.concatenate(column) for column in zip(*down))
+        # a lowered or inserted edge at a vertex killed by this batch is gone
+        kept = alive[down_s] & alive[down_d]
         summary = MutationSummary(
             version=version,
-            touched=batch.touched_vertices(),
             has_insert=has_insert,
             has_decrease=has_decrease,
             up_src=up_s,
             up_dst=up_d,
             up_old_w=up_w,
             tombstoned=newly_dead,
+            down_src=down_s[kept],
+            down_dst=down_d[kept],
+            down_w=down_w[kept],
         )
         if keys is first_keys:
-            # no edge came or went: reuse the structure, new weights only
-            graph = CSRGraph(prev.indptr, prev.indices, weights, check=False)
+            # no edge came or went: reuse the structure (and a built
+            # transpose), new weights only
+            graph = prev.with_weights(weights)
         else:
             graph = _csr(keys, weights, n)
         self._snapshot = Snapshot(version=version, graph=graph, summary=summary)
+        self._keys = keys
         return self._snapshot

@@ -37,8 +37,8 @@ Constructed over a :class:`~repro.dyn.live.LiveGraph` the server also
 serves *live* graphs: :meth:`QueryServer.apply_mutations` applies a
 :class:`~repro.dyn.stream.MutationBatch`, swaps in the new snapshot
 version, and rebinds the underlying
-:class:`~repro.core.batch.BatchPeeK` (region-keyed cache invalidation +
-certificate-carried prune reuse).  Every :class:`ServeResult` records the
+:class:`~repro.core.batch.BatchPeeK` (cached SSSP trees repaired onto the
+new snapshot + certificate-carried prune reuse).  Every :class:`ServeResult` records the
 ``graph_version`` it was answered against.
 """
 
@@ -242,10 +242,11 @@ class QueryServer:
         server's lock, so concurrent :meth:`serve` calls see either the
         old or the new version, never a torn state): applies the batch to
         the live graph, swaps the new snapshot in as ``self.graph``,
-        and rebinds the :class:`~repro.core.batch.BatchPeeK` —
-        which surgically invalidates only the SSSP cache entries whose
-        trees touch mutated vertices and only the memoised pruning
-        decisions the reuse certificate cannot carry forward.
+        and rebinds the :class:`~repro.core.batch.BatchPeeK` — which
+        repairs its cached SSSP trees onto the new snapshot (evicting only
+        those a tombstone reaches or that a repair would mostly redo) and
+        drops only the memoised pruning decisions the reuse certificate
+        cannot carry forward.
         """
         if self.live is None:
             raise ValueError(

@@ -19,6 +19,8 @@ Four kernels with one result contract (:class:`SSSPResult`):
 * :mod:`repro.sssp.bellman_ford` — reference implementation for tests.
 * :mod:`repro.sssp.lazy_dijkstra` — pausable/resumable Dijkstra used by the
   SB* algorithm's SSSP-reuse optimisation (bans, too, are vertex ids).
+* :mod:`repro.sssp.repair` — carries a compiled tree across one live-graph
+  mutation batch, recomputing only what the batch changed.
 
 Plus the reuse layer the KSP hot path is built on:
 

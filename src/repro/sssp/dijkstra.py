@@ -339,6 +339,12 @@ class _TreeStats(SSSPStats):
         self._count = None
 
 
+def _tree_stats(graph: CSRGraph, dist: np.ndarray, settled: int) -> _TreeStats:
+    """The loop's counters for a tree with distances ``dist`` on ``graph``
+    that reaches ``settled`` vertices."""
+    return _TreeStats(settled, lambda: _relaxed_count(graph, dist))
+
+
 class CompiledTree(SSSPResult):
     """:func:`dijkstra_tree`'s result: the loop's parents, resolved on demand.
 
@@ -349,6 +355,11 @@ class CompiledTree(SSSPResult):
     :attr:`parent` builds the whole array with :func:`loop_parents`, and so
     does :meth:`parent_of` once more than ``n // PARENT_FALLBACK_SHARE``
     vertices are resolved; after that every read indexes the array.
+
+    A tree carried across a live-graph write
+    (:func:`repro.sssp.repair.carry_tree`) starts with the memo
+    (``resolved``) and any built ``parent`` array of the tree it was
+    carried from, patched where the write moved a parent.
     """
 
     def __init__(
@@ -358,6 +369,9 @@ class CompiledTree(SSSPResult):
         dist: np.ndarray,
         pred: np.ndarray,
         stats: SSSPStats,
+        *,
+        resolved: dict[int, int] | None = None,
+        parent: np.ndarray | None = None,
     ) -> None:
         # SSSPResult's fields, except ``parent``: a property here
         self.source = root
@@ -365,8 +379,10 @@ class CompiledTree(SSSPResult):
         self.stats = stats
         self._graph = graph
         self._pred = pred
-        self._parent: np.ndarray | None = None
-        self._resolved: dict[int, int] = {}
+        self._parent: np.ndarray | None = parent
+        self._resolved: dict[int, int] = {} if resolved is None else resolved
+        if parent is not None:
+            self.parent_of = parent.item
 
     @property
     def parent(self) -> np.ndarray:
@@ -453,7 +469,7 @@ def dijkstra_tree(
         for _ in range(settled // SETTLE_CHECK_INTERVAL):
             checkpoint(deadline, "sssp.dijkstra")
 
-    stats = _TreeStats(settled, lambda: _relaxed_count(graph, dist))
+    stats = _tree_stats(graph, dist, settled)
     tracer = get_tracer()
     if tracer.enabled:
         tracer.add("sssp.calls")

@@ -95,13 +95,14 @@ class TerraceLiveGraph:
         up_w: list[float] = []
         has_insert = False
         has_decrease = False
+        down: list[tuple[int, int, float]] = []
 
         for u, v in zip(del_s.tolist(), del_d.tolist()):
-            w_old = t.edge_weight(u, v)
-            if w_old is not None:
+            targets, weights = t.neighbors(u)
+            if np.any(targets == v):  # every copy goes: the lightest's weight
                 up_s.append(u)
                 up_d.append(v)
-                up_w.append(w_old)
+                up_w.append(float(weights[targets == v].min()))
         t.delete_edges(del_s, del_d)
 
         old_w = t.reweight_edges(rw_s, rw_d, rw_w)
@@ -114,6 +115,7 @@ class TerraceLiveGraph:
                 up_w.append(float(old_w[i]))
             elif rw_w[i] < old_w[i]:
                 has_decrease = True
+                down.append((int(rw_s[i]), int(rw_d[i]), float(rw_w[i])))
 
         for i in range(ins_s.size):
             u, v = int(ins_s[i]), int(ins_d[i])
@@ -124,21 +126,27 @@ class TerraceLiveGraph:
                 has_insert = True
             elif float(ins_w[i]) < cur:
                 has_decrease = True
+            if cur is None or float(ins_w[i]) < cur:
+                down.append((u, v, float(ins_w[i])))
         t.insert_edges(ins_s, ins_d, ins_w)
 
         newly_dead = tomb[alive_before[tomb]] if tomb.size else tomb
         t.delete_vertices(tomb)
+        alive = t.alive_mask()
+        down = [(u, v, w) for u, v, w in down if alive[u] and alive[v]]
 
         self._version += 1
         summary = MutationSummary(
             version=self._version,
-            touched=batch.touched_vertices(),
             has_insert=has_insert,
             has_decrease=has_decrease,
             up_src=np.asarray(up_s, dtype=np.int64),
             up_dst=np.asarray(up_d, dtype=np.int64),
             up_old_w=np.asarray(up_w, dtype=np.float64),
             tombstoned=np.unique(newly_dead),
+            down_src=np.asarray([e[0] for e in down], dtype=np.int64),
+            down_dst=np.asarray([e[1] for e in down], dtype=np.int64),
+            down_w=np.asarray([e[2] for e in down], dtype=np.float64),
         )
         self._snapshot = Snapshot(
             version=self._version, graph=t.to_csr(), summary=summary
@@ -166,7 +174,9 @@ def assert_same_summary(got: MutationSummary, want: MutationSummary) -> None:
     assert got.version == want.version
     assert got.has_insert is want.has_insert
     assert got.has_decrease is want.has_decrease
-    for name in ("touched", "up_src", "up_dst", "up_old_w", "tombstoned"):
+    for name in (
+        "up_src", "up_dst", "up_old_w", "tombstoned", "down_src", "down_dst", "down_w"
+    ):
         assert _same_array(getattr(got, name), getattr(want, name)), name
 
 
