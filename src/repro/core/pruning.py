@@ -5,7 +5,8 @@ Given (G, s, t, K):
 1. run a forward SSSP from ``s`` and a reverse SSSP from ``t`` (the
    paper prescribes Δ-stepping for its parallelism; Theorem 4.3 holds for
    any exact shortest-path trees, and the default here is SciPy's compiled
-   Dijkstra, see :func:`prune_sssp`);
+   Dijkstra, see :func:`~repro.sssp.pair.prune_trees`, which runs the
+   two concurrently when the host has two cores);
 2. ``spSum[v] = spSrc[v] + spTgt[v]`` — the shortest s→t distance through
    ``v`` (Lemma 4.1: a lower bound when the combined path is not simple);
 3. scan vertices in increasing ``spSum``, counting *valid, unique* combined
@@ -28,8 +29,7 @@ from repro.core.validation import combined_path, validate_combined_path
 from repro.errors import UnreachableTargetError
 from repro.paths import INF
 from repro.serve.query import Query, validate_query
-from repro.sssp.delta_stepping import delta_stepping
-from repro.sssp.dijkstra import dijkstra_tree
+from repro.sssp.pair import prune_sssp, prune_trees
 from repro.sssp.result import SSSPStats
 
 __all__ = [
@@ -174,30 +174,6 @@ class PruneResult:
             & self.keep_vertices[graph.indices]
         )
         return 1.0 - float(live.sum()) / m
-
-
-def prune_sssp(
-    graph,
-    root: int,
-    *,
-    kernel: str = "dijkstra",
-    deadline: float | None = None,
-):
-    """One of Algorithm 2's two SSSPs, on the named kernel.
-
-    The single kernel dispatch behind :func:`k_upper_bound_prune` and
-    :class:`~repro.core.batch.BatchPeeK`'s SSSP cache.  ``kernel`` is
-    ``"dijkstra"`` (SciPy's compiled Dijkstra via
-    :func:`~repro.sssp.dijkstra.dijkstra_tree`, pinned bitwise to the
-    Python loop of :func:`~repro.sssp.dijkstra.dijkstra`; the default) or
-    ``"delta"`` (vectorized Δ-stepping, the paper's parallel kernel, whose
-    per-phase work log the parallel simulator replays).
-    """
-    if kernel == "delta":
-        return delta_stepping(graph, root, deadline=deadline)
-    if kernel == "dijkstra":
-        return dijkstra_tree(graph, root, deadline=deadline)
-    raise ValueError(f"unknown SSSP kernel {kernel!r}")
 
 
 #: The scan sorts only the ``max(4K, SCAN_HEAD)`` smallest spSums up
@@ -409,7 +385,11 @@ def k_upper_bound_prune(
         ``"dijkstra"`` (the default: SciPy's compiled Dijkstra, the faster
         serial kernel) or ``"delta"`` (the paper's parallel choice; emits
         the per-phase work log the parallel simulator replays).  Both give
-        the same distances; see :func:`prune_sssp`.
+        the same distances; see :func:`~repro.sssp.pair.prune_sssp`.  On
+        the default kernel, with no deadline and no fault hook, a large
+        graph's reverse tree is computed in a helper process while this
+        one computes the forward tree (:func:`~repro.sssp.pair.prune_trees`;
+        same result, bitwise).
     strong_edge_prune:
         Library extension beyond the paper's weight rule: additionally drop
         every edge ``(u, v)`` with ``spSrc[u] + w + spTgt[v] > b`` — the
@@ -432,8 +412,7 @@ def k_upper_bound_prune(
     validate_query(graph, Query(source, target, k))
 
     # ---- Step 1: the two SSSPs -------------------------------------------
-    fwd = prune_sssp(graph, source, kernel=kernel, deadline=deadline)
-    rev = prune_sssp(graph.reverse(), target, kernel=kernel, deadline=deadline)
+    fwd, rev = prune_trees(graph, source, target, kernel=kernel, deadline=deadline)
 
     return bound_and_masks(
         fwd,

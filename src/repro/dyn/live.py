@@ -222,6 +222,9 @@ class LiveGraph:
         down = [(rw_s[hit][lowered], rw_d[hit][lowered], new_w[lowered])]
         has_decrease = bool(lowered.any())
         weights[lo[hit]] = new_w
+        # the positions a weights-only batch changes (meaningful only while
+        # ``keys`` is still ``first_keys``)
+        changed = [lo[hit]]
 
         # inserts — dedup keeps the lighter weight, so inserting over an
         # existing lighter edge is a no-op and over a heavier one is a
@@ -245,6 +248,7 @@ class LiveGraph:
         lo, hi = _find(keys, add_k)
         found = hi > lo
         weights[lo[found]] = np.minimum(weights[lo[found]], add_w[found])
+        changed.append(lo[found])
         if not found.all():
             keys = np.insert(keys, lo[~found], add_k[~found])
             weights = np.insert(weights, lo[~found], add_w[~found])
@@ -282,7 +286,7 @@ class LiveGraph:
         if keys is first_keys:
             # no edge came or went: reuse the structure (and a built
             # transpose), new weights only
-            graph = prev.with_weights(weights)
+            graph = prev.with_weights(weights, np.concatenate(changed))
         else:
             graph = _csr(keys, weights, n)
         self._snapshot = Snapshot(version=version, graph=graph, summary=summary)

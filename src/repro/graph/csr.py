@@ -158,10 +158,12 @@ class CSRGraph:
         "weights",
         "_reverse",
         "_transpose_order",
+        "_transpose_slot",
         "_edge_index",
         "_split",
         "_sources",
         "_matrix",
+        "__weakref__",
     )
 
     def __init__(
@@ -178,6 +180,9 @@ class CSRGraph:
         self._reverse: "CSRGraph | None" = None
         #: the edge order of the transpose (kept by :meth:`reverse`)
         self._transpose_order: np.ndarray | None = None
+        #: its inverse: where each edge sits in the transpose (built by the
+        #: first :meth:`with_weights`)
+        self._transpose_slot: np.ndarray | None = None
         self._edge_index: dict[tuple[int, int], float] | None = None
         self._split: tuple | None = None
         self._sources: np.ndarray | None = None
@@ -365,24 +370,34 @@ class CSRGraph:
             self._transpose_order = order
         return self._reverse
 
-    def with_weights(self, weights: np.ndarray) -> "CSRGraph":
+    def with_weights(self, weights: np.ndarray, changed: np.ndarray) -> "CSRGraph":
         """The same edges with new ``weights``, in the same order.
 
-        The structure is shared, not copied.  When this graph's transpose
-        is built, the new graph's is derived from it instead of sorted
-        again: the same ``indptr`` and ``indices``, and the new weights in
-        the transpose's kept edge order.  It equals what :meth:`reverse`
-        would build, array for array.
+        ``changed`` holds the position of every edge whose weight differs
+        from this graph's (a superset is fine).  The structure is shared,
+        not copied.  When this graph's transpose is built, the new graph's
+        is derived from it instead of sorted again: the same ``indptr`` and
+        ``indices``, and a copy of its weights with the changed edges
+        scattered in through the inverse of the kept edge order (built
+        once, then handed on).  It equals what :meth:`reverse` would build,
+        array for array.
         """
         graph = CSRGraph(self.indptr, self.indices, weights, check=False)
         graph._sources = self._sources
         rev, order = self._reverse, self._transpose_order
         if rev is not None and order is not None:
-            derived = CSRGraph(rev.indptr, rev.indices, graph.weights[order], check=False)
+            slot = self._transpose_slot
+            if slot is None:
+                slot = np.empty_like(order)
+                slot[order] = np.arange(order.size)
+            rweights = rev.weights.copy()
+            rweights[slot[changed]] = graph.weights[changed]
+            derived = CSRGraph(rev.indptr, rev.indices, rweights, check=False)
             derived._sources = rev._sources
             derived._reverse = graph
             graph._reverse = derived
             graph._transpose_order = order
+            graph._transpose_slot = slot
         return graph
 
     def sorted_copy(self) -> "CSRGraph":

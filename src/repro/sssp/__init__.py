@@ -21,6 +21,9 @@ Four kernels with one result contract (:class:`SSSPResult`):
   SB* algorithm's SSSP-reuse optimisation (bans, too, are vertex ids).
 * :mod:`repro.sssp.repair` — carries a compiled tree across one live-graph
   mutation batch, recomputing only what the batch changed.
+* :mod:`repro.sssp.pair` — PeeK's two pruning trees; on a host with two
+  cores the reverse one runs in a helper process, bitwise equal to the
+  serial pair.
 
 Plus the reuse layer the KSP hot path is built on:
 

@@ -51,7 +51,7 @@ from repro.paths import INF
 from repro.sssp.result import SSSPResult, SSSPStats
 from repro.sssp.workspace import SSSPWorkspace, WorkspaceResult
 
-__all__ = ["CompiledTree", "dijkstra", "dijkstra_tree", "loop_parents"]
+__all__ = ["CompiledTree", "compiled_tree", "dijkstra", "dijkstra_tree", "loop_parents"]
 
 
 def dijkstra(
@@ -464,11 +464,22 @@ def dijkstra_tree(
         indices=int(root),
         return_predecessors=True,
     )
-    settled = int(np.count_nonzero(np.isfinite(dist)))
     if check_cancel:
+        settled = int(np.count_nonzero(np.isfinite(dist)))
         for _ in range(settled // SETTLE_CHECK_INTERVAL):
             checkpoint(deadline, "sssp.dijkstra")
+    return compiled_tree(graph, root, dist, pred)
 
+
+def compiled_tree(
+    graph: CSRGraph, root: int, dist: np.ndarray, pred: np.ndarray
+) -> CompiledTree:
+    """The :class:`CompiledTree` of SciPy's ``dist``/``pred`` from ``root``
+    on ``graph``, with its counters and the tracer's: what
+    :func:`dijkstra_tree` returns after its SciPy call, wherever that call
+    ran (:func:`repro.sssp.pair.prune_trees` runs one in a helper
+    process)."""
+    settled = int(np.count_nonzero(np.isfinite(dist)))
     stats = _tree_stats(graph, dist, settled)
     tracer = get_tracer()
     if tracer.enabled:

@@ -235,7 +235,7 @@ def test_derived_transpose_equals_a_fresh_one():
     graph = suite_graph("LJ", "tiny")
     graph.reverse()
     weights = graph.weights * np.random.default_rng(0).uniform(0.5, 2.0, graph.num_edges)
-    derived = graph.with_weights(weights)
+    derived = graph.with_weights(weights, np.arange(graph.num_edges))
     fresh = CSRGraph(graph.indptr, graph.indices, weights).reverse()
     rev = derived._reverse
     assert rev is not None and rev._reverse is derived
@@ -256,3 +256,23 @@ def test_live_graph_derives_the_transpose_of_a_weights_only_batch():
     for name in ("indptr", "indices", "weights"):
         assert _same(getattr(snap.graph.reverse(), name), getattr(fresh, name)), name
 
+
+
+def test_live_graph_derives_the_transpose_of_a_lighter_insert():
+    # the batch's only change lowers an existing edge through an insert,
+    # so the derivation scatters that one edge into the old transpose
+    live = LiveGraph(suite_graph("LJ", "tiny"))
+    live.graph.reverse()
+    g = live.graph
+    u = int(np.flatnonzero(np.diff(g.indptr))[0])
+    e = int(g.indptr[u])
+    v, w = int(g.indices[e]), float(g.weights[e])
+    for _ in range(2):  # the second write reuses the handed-on slot array
+        snap = live.apply(MutationBatch.build(inserts=[(u, v, w / 2)]))
+        w /= 2
+        assert snap.graph.indptr is g.indptr  # weights-only: structure shared
+        assert snap.graph._reverse is not None
+        assert snap.graph._transpose_slot is not None
+        fresh = CSRGraph(snap.graph.indptr, snap.graph.indices, snap.graph.weights).reverse()
+        for name in ("indptr", "indices", "weights"):
+            assert _same(getattr(snap.graph.reverse(), name), getattr(fresh, name)), name
