@@ -40,7 +40,7 @@ import time
 import zlib
 from pathlib import Path
 
-from repro.dyn.cli import run_smoke
+from repro.load.cli import run_smoke
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 

@@ -38,10 +38,10 @@ import os
 import time
 from pathlib import Path
 
-from repro.fabric import cli
-from repro.fabric.cli import MIX_SPEC, MMPP_SPEC
 from repro.fabric.fabric import slo_text
 from repro.graph.suite import suite_graph
+from repro.load import cli
+from repro.load.cli import MIX_SPEC, MMPP_SPEC, STEADY_SPEC
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -50,11 +50,9 @@ HORIZON = 1.0
 MAX_QUERIES = 2000
 KILL_SPEC = "fabric.heartbeat:rankfail:3@R1"
 
-STEADY = {"kind": "poisson", "rate": 300.0}
-
 #: scenario name -> :func:`run_scenario` keyword arguments, in table order
 SCENARIOS = {
-    "steady": dict(workload=STEADY),
+    "steady": dict(workload=STEADY_SPEC),
     "mmpp_kill": dict(workload=MMPP_SPEC, inject=[KILL_SPEC]),
     "mmpp_kill_elastic": dict(workload=MMPP_SPEC, inject=[KILL_SPEC], elastic=True),
     "mutate_kill": dict(workload=MMPP_SPEC, inject=[KILL_SPEC], mutations=True),
@@ -71,8 +69,8 @@ def run_scenario(
     elastic: bool = False,
     mutations: bool = False,
 ) -> dict:
-    """One scenario on the default 3-replica fleet (``peek-fabric``'s
-    recipe), its row tagged with the scenario's knobs."""
+    """One scenario on the default 3-replica fleet (``peek-load
+    fabric``'s recipe), its row tagged with the scenario's knobs."""
     inject = list(inject or [])
     row, _ = cli.run_scenario(
         name,
@@ -150,7 +148,7 @@ def main() -> None:
         "horizon": HORIZON,
         "max_queries": MAX_QUERIES,
         "mix": MIX_SPEC,
-        "workloads": {"steady": STEADY, "mmpp": MMPP_SPEC},
+        "workloads": {"steady": STEADY_SPEC, "mmpp": MMPP_SPEC},
         "kill": KILL_SPEC,
         "rows": rows,
     }

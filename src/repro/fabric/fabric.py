@@ -1,7 +1,7 @@
 """``ServingFabric`` — the one discrete-event serving loop.
 
 Every simulated serving run goes through this loop: a run-table cell, a
-``peek-dyn`` smoke, a ``peek-load replay``, a replicated fleet under
+``peek-load smoke``, a ``peek-load replay``, a replicated fleet under
 seeded kills.  One run interleaves five event streams on a single
 simulated timeline, in a fixed priority order at equal instants
 (recoveries → heartbeats → mutations → query arrivals):
@@ -42,7 +42,7 @@ One way to build the loop: ``ServingFabric(graph, ...)`` is a fleet of
 ``config.server.replicas`` replicas, each server built by
 :meth:`ServerConfig.build <repro.load.runner.ServerConfig.build>` over
 its own copy of the authority's ``LiveGraph``.  A single server — a
-run-table cell's G/G/c/K station, a ``peek-dyn`` smoke, a ``peek-load
+run-table cell's G/G/c/K station, a ``peek-load smoke``, a ``peek-load
 replay`` — is a one-replica fleet: its answers equal those of a server
 over the static graph, since every ``BatchPeeK`` memoises its pruning
 decisions whether or not the graph ever changes, and its heartbeats
@@ -892,7 +892,7 @@ class ServingFabric:
 
 def report_row(scenario: str, report: FabricReport) -> dict[str, Any]:
     """One JSON-ready row per fabric run — the shared shape of
-    ``peek-fabric`` payloads and ``BENCH_fabric.json``."""
+    ``peek-load fabric`` payloads and ``BENCH_fabric.json``."""
     return {
         "scenario": scenario,
         **report.metrics(),
@@ -909,7 +909,7 @@ def report_row(scenario: str, report: FabricReport) -> dict[str, Any]:
 def slo_text(rows: list[dict[str, Any]], *, title: str = "fabric SLO") -> str:
     """Human-readable SLO table over scenario rows (``metrics()`` dicts
     extended with ``scenario`` and ``kill_records`` keys) — shared by
-    ``peek-fabric`` and ``benchmarks/bench_fabric.py``."""
+    ``peek-load fabric`` and ``benchmarks/bench_fabric.py``."""
 
     def ms(value) -> str:
         return f"{value * 1e3:8.2f}" if value is not None else f"{'-':>8}"

@@ -86,7 +86,10 @@ def load_trace(path: str | Path) -> list[Query]:
     """
     out: list[Query] = []
     with Path(path).open() as fh:
-        header = json.loads(fh.readline())
+        try:
+            header = dict(json.loads(fh.readline()))
+        except (TypeError, ValueError):  # not a JSON object
+            header = {}
         if header.get("type") != "meta" or header.get("version") != TRACE_VERSION:
             raise ValueError(
                 f"{path}: not a version-{TRACE_VERSION} query trace"

@@ -214,7 +214,7 @@ def parse_fault_spec(spec: str) -> FaultRule:
     ``N`` is rank ``N`` (``fabric.heartbeat:rankfail:3@R1`` kills replica
     1 at its third heartbeat).  Omitting ``AT_HIT`` leaves the firing
     visit to the seeded draw.  Shared by ``peek-serve --inject``,
-    ``peek-fabric --inject`` and :meth:`FaultPlan.from_specs`.  Raises
+    ``peek-load fabric --inject`` and :meth:`FaultPlan.from_specs`.  Raises
     ``ValueError`` on malformed specs and on rules that can never fire.
     """
     body, sep, rank_part = spec.partition("@")

@@ -53,8 +53,11 @@ FIXTURE_FINDINGS = {
 #: being read as a module call; less the 2 CTR201 pragmas on the fleet's
 #: replica-build loop and TerraceGraph.from_csr's vertex loop, which went
 #: away when LiveGraph stopped building a TerraceGraph (no serving entry
-#: point reaches from_csr any more)
-SOURCE_SUPPRESSED = 11
+#: point reaches from_csr any more); and the 4 CTR501 pragmas on the three
+#: simulated-serving CLIs (load/cli.py's `run` and `replay`, dyn/cli.py's
+#: `smoke`, fabric/cli.py's run) became the 1 on load/cli.py's command
+#: dispatch when peek-dyn and peek-fabric became peek-load subcommands
+SOURCE_SUPPRESSED = 8
 
 
 def _located(result):

@@ -1,12 +1,12 @@
-"""``peek-dyn smoke``: the mutation feed stops at the last query."""
+"""``peek-load smoke``: the mutation feed stops at the last query."""
 
 from random import Random
 
-from repro.dyn.cli import STREAM_SEED_OFFSET, run_smoke
 from repro.dyn.live import LiveGraph
 from repro.dyn.stream import IncidentStream
 from repro.graph.suite import suite_graph
 from repro.load.arrivals import PoissonArrivals
+from repro.load.cli import STREAM_SEED_OFFSET, run_smoke
 
 
 def test_default_smoke_applies_no_batch_after_its_last_query():

@@ -135,17 +135,19 @@ class TestStageFaults:
         assert report.count("failed") == report.server_counters["failed"] == 1
 
     def test_cli_survives_a_fatal_fault(self, tmp_path):
-        from repro.fabric.cli import main
+        from repro.load.cli import main
 
         out = tmp_path / "fatal.json"
-        code = main(["--inject", "serve.attempt:fatal:1", "--quiet", "--json", str(out)])
+        code = main(
+            ["fabric", "--inject", "serve.attempt:fatal:1", "--quiet", "--json", str(out)]
+        )
         assert code == 0
         row = json.loads(out.read_text())["rows"][0]
         assert row["dispositions"]["failed"] == 1
         assert row["scenario"] == "mmpp+fatal"
 
     def test_scenario_label_names_the_fault_kinds(self):
-        from repro.fabric.cli import scenario_label
+        from repro.load.cli import scenario_label
 
         assert scenario_label("mmpp", []) == "mmpp"
         assert scenario_label("mmpp", [KILL]) == "mmpp+kill"
@@ -156,10 +158,10 @@ class TestStageFaults:
         )
 
     def test_cli_rejects_a_rule_that_cannot_fire(self, capsys):
-        from repro.fabric.cli import main
+        from repro.load.cli import main
 
         with pytest.raises(SystemExit) as exc:
-            main(["--inject", "fabric.heartbeat:rankfail:0@R1", "--quiet"])
+            main(["fabric", "--inject", "fabric.heartbeat:rankfail:0@R1", "--quiet"])
         assert exc.value.code == 2
         assert "at_hit must be >= 1" in capsys.readouterr().err
 

@@ -12,12 +12,12 @@ import pytest
 
 from repro.dyn.live import LiveGraph
 from repro.dyn.stream import IncidentStream
-from repro.fabric.cli import MMPP_SPEC
 from repro.fabric.elastic import ElasticPolicy
 from repro.fabric.fabric import FabricConfig, ServingFabric
 from repro.fabric.replica import ACTIVE
 from repro.graph.suite import suite_graph
 from repro.load.arrivals import arrival_process
+from repro.load.cli import MMPP_SPEC
 from repro.load.mixes import make_mix
 from repro.load.runner import RunTable, ServerConfig, run_table
 from repro.serve.faults import FaultPlan

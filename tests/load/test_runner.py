@@ -129,6 +129,25 @@ class TestStockTables:
         assert table.seed == 3
 
 
+#: (subcommand, option, value) rejected at parse time: the shared
+#: options on every subcommand that takes them, plus a few of the others
+BAD_OPTION_VALUES = [
+    (command, option, value)
+    for command in ("record", "replay", "smoke", "fabric")
+    for option, value in (
+        ("--graph", "XX"),
+        ("--horizon", "0"),
+        ("--horizon", "-1"),
+        ("--timeout", "0"),
+        ("--timeout", "-0.5"),
+    )
+] + [
+    ("fabric", "--replicas", "0"),
+    ("record", "--rate-low", "0"),
+    ("record", "--max-queries", "-1"),
+]
+
+
 class TestCLI:
     def test_record_and_replay(self, tmp_path, capsys):
         from repro.load.cli import main
@@ -146,6 +165,71 @@ class TestCLI:
         ]) == 0
         out = capsys.readouterr().out
         assert '"queries"' in out
+
+    def test_replay_runs_on_the_graph_the_trace_was_recorded_on(
+        self, tmp_path, capsys
+    ):
+        from repro.load.cli import main
+
+        trace = tmp_path / "small.jsonl"
+        assert main([
+            "record", "--graph", "LJ", "--scale", "small", "--horizon", "0.05",
+            "--rate", "200", "--out", str(trace),
+        ]) == 0
+        recorded = json.loads(trace.read_text().splitlines()[0])["queries"]
+        capsys.readouterr()
+        assert main(["replay", "--trace", str(trace), "--quiet", "--json",
+                     str(tmp_path / "m.json")]) == 0
+        metrics = json.loads((tmp_path / "m.json").read_text())
+        assert metrics["queries"] == recorded > 0
+
+        # --horizon replays the trace's first seconds only
+        arrivals = [json.loads(line)["at"] for line in trace.read_text().splitlines()[1:]]
+        assert main(["replay", "--trace", str(trace), "--horizon", "0.02", "--quiet",
+                     "--json", str(tmp_path / "m.json")]) == 0
+        metrics = json.loads((tmp_path / "m.json").read_text())
+        assert 0 < metrics["queries"] == sum(at < 0.02 for at in arrivals) < recorded
+
+        # a flag that contradicts the trace's meta is a usage error
+        with pytest.raises(SystemExit) as exc:
+            main(["replay", "--trace", str(trace), "--scale", "tiny"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert str(trace) in err and "--scale small" in err
+
+    def test_replay_rejects_a_query_outside_the_graph(self, tmp_path, capsys):
+        from repro.load.cli import main
+        from repro.load.trace import dump_trace
+        from repro.serve.query import Query
+
+        trace = dump_trace(
+            [Query(source=0, target=10**6, k=2, issued_at=0.01)],
+            tmp_path / "far.jsonl",
+        )
+        with pytest.raises(SystemExit) as exc:
+            main(["replay", "--trace", str(trace)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert str(trace) in err and "out of range" in err
+
+        # so is a file that is not a trace
+        with pytest.raises(SystemExit) as exc:
+            main(["replay", "--trace", __file__])
+        assert exc.value.code == 2
+        assert f"{__file__}: not a version-1 query trace" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, option, value", BAD_OPTION_VALUES)
+    def test_bad_option_values_are_usage_errors(
+        self, command, option, value, tmp_path, capsys
+    ):
+        from repro.load.cli import main
+
+        trace = str(tmp_path / "t.jsonl")
+        required = {"record": ["--out", trace], "replay": ["--trace", trace]}
+        with pytest.raises(SystemExit) as exc:
+            main([command, *required.get(command, []), option, value])
+        assert exc.value.code == 2
+        assert f"argument {option}" in capsys.readouterr().err
 
     def test_run_writes_outputs(self, tmp_path, capsys, monkeypatch):
         import repro.load.cli as cli
