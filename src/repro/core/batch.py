@@ -16,8 +16,8 @@ opportunities fall out of PeeK's structure:
 
 * **shared targets** — the reverse SSSP of the pruning stage depends only
   on the target, so queries with a common target share it (a routing
-  engine answering "everyone → this gateway" pays one reverse Δ-stepping
-  total);
+  engine answering "everyone → this gateway" computes one reverse tree,
+  SciPy's compiled Dijkstra, and reads it from the cache after that);
 * **shared sources** — symmetrically for the forward SSSP.
 
 :class:`BatchPeeK` memoises both against an LRU-bounded cache and exposes
@@ -205,7 +205,9 @@ def prepare_remnant(
         inner solver runs on ``graph`` itself (PeeK's "Base" ablation).
     alpha, force:
         Forwarded to :func:`~repro.core.compaction.adaptive_compact`
-        (``force="status-array"`` is PeeK's "Base + Pruning" ablation).
+        (``force="status-array"`` is PeeK's "Base + Pruning" ablation),
+        with the prune's :attr:`~repro.core.pruning.PruneResult.threshold`
+        as its weight rule and its strong edge mask, if any.
     compaction:
         A compaction already built for ``prune`` (a memoised decision);
         the compact stage is then skipped.
@@ -225,10 +227,13 @@ def prepare_remnant(
     if prune is not None and compaction is None:
         tracer = get_tracer()
         with tracer.span("compact") as span:
+            # the weight rule goes in as the threshold, so no m-wide edge
+            # mask is built unless edge-swap or status-array is chosen
             compaction = adaptive_compact(
                 graph,
                 prune.keep_vertices,
-                prune.keep_edges,
+                prune.strong_edges,
+                threshold=prune.threshold,
                 alpha=alpha,
                 force=force,
                 deadline=deadline,

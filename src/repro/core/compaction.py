@@ -250,20 +250,30 @@ def compact_edge_swap(graph, keep_vertices, keep_edges=None) -> EdgeSwapView:
 def compact_regenerate(graph, keep_vertices, keep_edges=None) -> RegeneratedGraph:
     """Regenerate a fresh, renumbered CSR over the surviving subgraph."""
     keep_vertices = np.asarray(keep_vertices, dtype=bool)
-    return _regenerate(graph, keep_vertices, _live_edges(graph, keep_vertices, keep_edges))
+    kept = _kept_ids(graph, keep_vertices)
+    return _regenerate(graph, kept, _live_edges(graph, keep_vertices, kept, keep_edges))
+
+
+def _kept_ids(graph: CSRGraph, keep_vertices: np.ndarray) -> np.ndarray:
+    """Ascending ids of the kept vertices (the regenerated graph's old ids)."""
+    if keep_vertices.size != graph.num_vertices:
+        raise GraphFormatError("keep_vertices length must equal n")
+    return np.flatnonzero(keep_vertices)
 
 
 def _live_edges(
-    graph: CSRGraph, keep_vertices: np.ndarray, keep_edges: np.ndarray | None
+    graph: CSRGraph,
+    keep_vertices: np.ndarray,
+    kept: np.ndarray,
+    keep_edges: np.ndarray | None,
+    threshold: float | None = None,
 ) -> np.ndarray:
-    """Ascending positions of the edges :func:`_combined_edge_mask` keeps.
+    """Ascending positions of the edges :func:`_combined_edge_mask` keeps,
+    and, given a ``threshold``, whose weight is at most it.
 
-    Gathered from the kept vertices' out-edge slices, so the cost is the
-    kept vertices' out-degree, not m.
+    Gathered from the kept vertices' (``kept``) out-edge slices, so the
+    cost is the kept vertices' out-degree, not m.
     """
-    if keep_vertices.size != graph.num_vertices:
-        raise GraphFormatError("keep_vertices length must equal n")
-    kept = np.flatnonzero(keep_vertices)
     lo = graph.indptr[kept]
     deg = graph.indptr[kept + 1] - lo
     ends = np.cumsum(deg)
@@ -273,26 +283,26 @@ def _live_edges(
     live = keep_vertices[graph.indices[pos]]
     if keep_edges is not None:
         live &= keep_edges[pos]
+    if threshold is not None:
+        live &= graph.weights[pos] <= threshold
     return pos[live]
 
 
-def _regenerate(
-    graph: CSRGraph, keep_vertices: np.ndarray, live: np.ndarray
-) -> RegeneratedGraph:
-    """The regenerated CSR over the live edge positions ``live``."""
-    old_id = np.flatnonzero(keep_vertices).astype(np.int64)
+def _regenerate(graph: CSRGraph, kept: np.ndarray, live: np.ndarray) -> RegeneratedGraph:
+    """The regenerated CSR over the kept vertex ids ``kept`` and the live
+    edge positions ``live``."""
     new_id = np.full(graph.num_vertices, -1, dtype=np.int64)
-    new_id[old_id] = np.arange(old_id.size, dtype=np.int64)
+    new_id[kept] = np.arange(kept.size, dtype=np.int64)
     src = graph.edge_sources()[live]
     dst = graph.indices[live]
     w = graph.weights[live]
-    counts = np.bincount(new_id[src], minlength=old_id.size)
-    indptr = np.zeros(old_id.size + 1, dtype=np.int64)
+    counts = np.bincount(new_id[src], minlength=kept.size)
+    indptr = np.zeros(kept.size + 1, dtype=np.int64)
     np.cumsum(counts, out=indptr[1:])
     # live is ascending, so the edges are already grouped by new source
     # id: no sort needed.
     sub = CSRGraph(indptr, new_id[dst], w, check=False)
-    return RegeneratedGraph(graph=sub, new_id=new_id, old_id=old_id)
+    return RegeneratedGraph(graph=sub, new_id=new_id, old_id=kept)
 
 
 @dataclass
@@ -307,7 +317,9 @@ class CompactionResult:
     remaining_edges: int
     original_edges: int
     build_seconds: float = 0.0
-    #: work units for the parallel simulator (embarrassingly parallel job)
+    #: work units for the parallel simulator (embarrassingly parallel job):
+    #: the paper's full-width build kernels (§5.4's accounting), whatever
+    #: this implementation's gather skips
     build_work: int = 0
 
     @property
@@ -324,6 +336,7 @@ def adaptive_compact(
     keep_vertices: np.ndarray,
     keep_edges: np.ndarray | None = None,
     *,
+    threshold: float | None = None,
     alpha: float = 0.1,
     force: str | None = None,
     deadline: float | None = None,
@@ -339,10 +352,19 @@ def adaptive_compact(
 
     ``force`` overrides the rule with a named strategy (benchmarks use it).
 
+    ``threshold`` adds the weight rule — an edge survives only if its
+    weight is at most ``threshold`` — without an ``m``-wide ``keep_edges``
+    mask: :func:`~repro.core.batch.prepare_remnant` passes the prune's
+    :attr:`~repro.core.pruning.PruneResult.threshold` here.  Both may be
+    given; an edge then needs to pass both.
+
     The live edge list is gathered once, from the kept vertices' out-edge
-    slices, so counting ``m_r`` costs the kept out-degree, not ``m``;
-    regeneration builds from that same list.  Edge-swap and status-array
-    build their own per-edge masks, as they must keep every edge's slot.
+    slices (the weight rule applied to those slices only), so counting
+    ``m_r`` costs the kept out-degree, not ``m``; regeneration builds from
+    that same list and from the one ``flatnonzero`` of the kept set.
+    Edge-swap and status-array build their own per-edge masks, the
+    weight rule's included, as they must keep every edge's slot — only
+    when they are chosen.
 
     ``deadline`` (absolute, on the installed clock) is checked before the
     live-edge gather and again before the strategy build — each is one
@@ -356,9 +378,10 @@ def adaptive_compact(
     if check_cancel:
         checkpoint(deadline, "compact")
     keep_vertices = np.asarray(keep_vertices, dtype=bool)
-    live = _live_edges(graph, keep_vertices, keep_edges)
+    kept = _kept_ids(graph, keep_vertices)
+    live = _live_edges(graph, keep_vertices, kept, keep_edges, threshold)
     m_r = int(live.size)
-    n_r = int(keep_vertices.sum())
+    n_r = int(kept.size)
     m = graph.num_edges
 
     if force is not None:
@@ -372,14 +395,17 @@ def adaptive_compact(
         checkpoint(deadline, "compact.build")
     t0 = now()
     if strategy == "regeneration":
-        compacted: object = _regenerate(graph, keep_vertices, live)
+        compacted: object = _regenerate(graph, kept, live)
         # reads m_a + 2n, writes m_r + 2n_r (§5.4's accounting)
         build_work = graph.num_edges + 2 * graph.num_vertices + m_r + 2 * n_r
-    elif strategy == "edge-swap":
-        compacted = compact_edge_swap(graph, keep_vertices, keep_edges)
-        build_work = graph.num_vertices + graph.num_edges
-    elif strategy == "status-array":
-        compacted = compact_status_array(graph, keep_vertices, keep_edges)
+    elif strategy in ("edge-swap", "status-array"):
+        if threshold is not None:
+            light = graph.weights <= threshold
+            keep_edges = light if keep_edges is None else keep_edges & light
+        if strategy == "edge-swap":
+            compacted = compact_edge_swap(graph, keep_vertices, keep_edges)
+        else:
+            compacted = compact_status_array(graph, keep_vertices, keep_edges)
         build_work = graph.num_vertices + graph.num_edges
     else:
         raise ValueError(f"unknown compaction strategy {strategy!r}")

@@ -52,7 +52,11 @@ class PruneStats:
     log); ``sort_work``/``sum_work`` are the O(n log n)/O(n) bulk
     passes (data parallel); ``validation_work`` is the combined length of
     all inspected paths (embarrassingly parallel, per the paper's hash-table
-    design); ``inspected_invalid`` is the paper's λ.  ``edges_relaxed`` is
+    design); ``prune_scan_work`` (``n + m``) is the paper's full-width
+    vertex and edge mask kernels — the parallel simulator and the paper
+    tables read it, though this implementation builds the edge mask only
+    when something reads it (see :attr:`PruneResult.keep_edges`);
+    ``inspected_invalid`` is the paper's λ.  ``edges_relaxed`` is
     summed from ``sssp`` — the stats of the SSSPs that ran — when it is
     read: the compiled kernel counts its relaxations on demand.
     """
@@ -115,8 +119,6 @@ class PruneResult:
     bound: float
     #: ``bool[n]`` — vertices that survive (``spSum <= b``)
     keep_vertices: np.ndarray
-    #: ``bool[m]`` — edges that survive the weight rule (``w <= b``)
-    keep_edges: np.ndarray
     #: the forward SSSP from ``s`` and the reverse SSSP toward ``t`` (any
     #: objects with ``dist``/``parent`` arrays)
     tree_src: object
@@ -124,6 +126,25 @@ class PruneResult:
     #: spSum[v] = spSrc[v] + spTgt[v]
     sp_sum: np.ndarray
     stats: PruneStats = field(default_factory=PruneStats)
+    #: the pruned graph's edge weights, which :attr:`keep_edges` reads
+    weights: np.ndarray | None = field(default=None, repr=False)
+    #: ``bool[m]`` — the edge mask ``strong_edge_prune`` builds eagerly
+    #: (weight rule included); ``None`` under the weight rule alone
+    strong_edges: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self) -> None:
+        self._keep_edges = self.strong_edges
+
+    @property
+    def keep_edges(self) -> np.ndarray:
+        """``bool[m]`` — edges that survive the weight rule (``w <=``
+        :attr:`threshold`), and the edge-level rule under
+        ``strong_edge_prune``.  Built on first read and cached: no solve
+        or serve path reads it, since compaction applies the weight rule
+        to the kept vertices' slices only."""
+        if self._keep_edges is None:
+            self._keep_edges = self.weights <= self.threshold
+        return self._keep_edges
 
     @property
     def dist_src(self) -> np.ndarray:
@@ -181,24 +202,33 @@ class PruneResult:
 SCAN_HEAD = 64
 
 
-def _spsum_order(finite: np.ndarray, sums: np.ndarray, head: int, on_tail=None):
-    """Yield ``finite`` in the order of a stable argsort of ``sums``.
+def _spsum_order(sp_sum: np.ndarray, head: int, on_tail=None):
+    """Yield the vertices with a finite spSum, in the order of a stable
+    argsort of their sums.
 
     Only the head is sorted up front: every sum ``<=`` the ``head``-th
-    smallest (found with ``np.partition``), taken in index order and
-    stable-sorted.  The rest — all strictly larger — is sorted only if
-    the caller reads past the head, and ``on_tail()`` is called first.
-    Ties keep index order in both parts, so the sequence equals
-    ``finite[np.argsort(sums, kind="stable")]``.
+    smallest, found with ``np.partition`` over ``sp_sum`` itself (``inf``
+    sorts last), taken in index order and stable-sorted.  When that pivot
+    is ``inf``, fewer than ``head`` sums are finite and the head is all of
+    them.  The rest — all strictly larger — is found and sorted only if
+    the caller reads past the head, and ``on_tail()`` is called first if
+    there is any.  Ties keep index order in both parts, so the sequence
+    equals ``finite[np.argsort(sp_sum[finite], kind="stable")]`` for
+    ``finite = np.flatnonzero(np.isfinite(sp_sum))``.
     """
-    if finite.size > head:
-        in_head = sums <= np.partition(sums, head - 1)[head - 1]
-        first = finite[in_head]
-        yield from first[np.argsort(sums[in_head], kind="stable")].tolist()
-        finite, sums = finite[~in_head], sums[~in_head]
-        if on_tail is not None:
-            on_tail()
-    yield from finite[np.argsort(sums, kind="stable")].tolist()
+    pivot = np.partition(sp_sum, head - 1)[head - 1] if sp_sum.size > head else INF
+    if pivot == INF:
+        first = np.flatnonzero(np.isfinite(sp_sum))
+    else:
+        first = np.flatnonzero(sp_sum <= pivot)
+    yield from first[np.argsort(sp_sum[first], kind="stable")].tolist()
+    if pivot == INF:
+        return
+    rest = np.flatnonzero(sp_sum > pivot)
+    rest = rest[np.isfinite(sp_sum[rest])]
+    if rest.size and on_tail is not None:
+        on_tail()
+    yield from rest[np.argsort(sp_sum[rest], kind="stable")].tolist()
 
 
 def bound_and_masks(
@@ -232,8 +262,10 @@ def bound_and_masks(
         reads past its sorted head, where it reads both trees' ``parent``
         arrays once.
     graph:
-        The graph the SSSPs were computed on; supplies the edge arrays for
-        the weight-rule (and optional strong) edge mask.
+        The graph the SSSPs were computed on.  The result keeps its
+        ``weights`` for the weight-rule edge mask, built when
+        :attr:`PruneResult.keep_edges` is first read; the optional strong
+        mask reads the edge arrays here.
     strong_edge_prune:
         The edge-level Lemma-4.2 extension (see
         :func:`k_upper_bound_prune`).
@@ -265,9 +297,8 @@ def bound_and_masks(
     sp_sum = fwd.dist + rev.dist  # inf propagates for unreachable vertices
     stats.sum_work = n
 
-    finite = np.flatnonzero(np.isfinite(sp_sum))
-    sums = sp_sum[finite]
-    stats.sort_work = int(finite.size * max(int(np.log2(max(finite.size, 2))), 1))
+    num_finite = int(np.count_nonzero(np.isfinite(sp_sum)))
+    stats.sort_work = int(num_finite * max(int(np.log2(max(num_finite, 2))), 1))
 
     def build_parents() -> None:
         # a scan past its head walks much of both trees: one pass over the
@@ -278,7 +309,7 @@ def bound_and_masks(
     bound = INF
     seen_paths: set[tuple[int, ...]] = set()
     inspected = 0
-    for v in _spsum_order(finite, sums, max(4 * k, SCAN_HEAD), build_parents):
+    for v in _spsum_order(sp_sum, max(4 * k, SCAN_HEAD), build_parents):
         inspected += 1
         if check_cancel and inspected % SCAN_CHECK_INTERVAL == 1:
             checkpoint(deadline, "prune.scan")  # fires on the first inspection
@@ -305,23 +336,29 @@ def bound_and_masks(
     if check_cancel:
         checkpoint(deadline, "prune.masks")
     threshold = prune_threshold(bound)
-    keep_vertices = np.zeros(n, dtype=bool)
-    keep_vertices[finite] = sums <= threshold
-    keep_edges = graph.weights <= threshold
+    # one compare: inf <= a finite threshold is False, and an infinite
+    # bound keeps exactly the finite sums
+    if np.isfinite(threshold):
+        keep_vertices = sp_sum <= threshold
+    else:
+        keep_vertices = np.isfinite(sp_sum)
+    strong_edges = None
     if strong_edge_prune:
         src_of_edge = graph.edge_sources()
         through = fwd.dist[src_of_edge] + graph.weights + rev.dist[graph.indices]
-        keep_edges &= ~(through > threshold)  # inf+inf stays inf; > is NaN-safe
+        strong_edges = graph.weights <= threshold
+        strong_edges &= ~(through > threshold)  # inf+inf stays inf; > is NaN-safe
     stats.prune_scan_work = n + graph.num_edges
 
     return PruneResult(
         bound=bound,
         keep_vertices=keep_vertices,
-        keep_edges=keep_edges,
         tree_src=fwd,
         tree_tgt=rev,
         sp_sum=sp_sum,
         stats=stats,
+        weights=graph.weights,
+        strong_edges=strong_edges,
     )
 
 

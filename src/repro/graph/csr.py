@@ -163,6 +163,7 @@ class CSRGraph:
         "_split",
         "_sources",
         "_matrix",
+        "_matrix_index",
         "__weakref__",
     )
 
@@ -187,6 +188,9 @@ class CSRGraph:
         self._split: tuple | None = None
         self._sources: np.ndarray | None = None
         self._matrix = None
+        #: a weights-only predecessor's matrix ``(indices, indptr)``, which
+        #: :meth:`sparse_matrix` reuses (set by :meth:`with_weights`)
+        self._matrix_index: tuple[np.ndarray, np.ndarray] | None = None
         if check:
             self._validate()
 
@@ -294,18 +298,25 @@ class CSRGraph:
 
         Built on first use, for :func:`repro.sssp.dijkstra.dijkstra_tree`.
         The matrix shares ``weights`` (no copy) and holds its own int32 copy
-        of the index arrays when they fit.  Parallel edges stay separate
-        entries and unsorted rows stay unsorted: SciPy's shortest-path
-        routines take the lightest of parallel edges and need no order.
+        of the index arrays when they fit; a graph from :meth:`with_weights`
+        shares its predecessor's copy instead, when that was made.
+        Parallel edges stay separate entries and unsorted rows stay
+        unsorted: SciPy's shortest-path routines take the lightest of
+        parallel edges and need no order.
         """
         if self._matrix is None:
             from scipy.sparse import csr_matrix
 
             n = self.num_vertices
-            self._matrix = csr_matrix(
-                (self.weights, self.indices, self.indptr), shape=(n, n)
-            )
+            indices, indptr = self._matrix_index or (self.indices, self.indptr)
+            self._matrix = csr_matrix((self.weights, indices, indptr), shape=(n, n))
         return self._matrix
+
+    def _matrix_arrays(self) -> tuple[np.ndarray, np.ndarray] | None:
+        """The ``(indices, indptr)`` a matrix of this structure can share."""
+        if self._matrix is not None:
+            return self._matrix.indices, self._matrix.indptr
+        return self._matrix_index
 
     def light_heavy_split(
         self, delta: float
@@ -380,10 +391,12 @@ class CSRGraph:
         ``indices``, and a copy of its weights with the changed edges
         scattered in through the inverse of the kept edge order (built
         once, then handed on).  It equals what :meth:`reverse` would build,
-        array for array.
+        array for array.  Either graph's :meth:`sparse_matrix` shares the
+        int32 index arrays of its predecessor's, once that is built.
         """
         graph = CSRGraph(self.indptr, self.indices, weights, check=False)
         graph._sources = self._sources
+        graph._matrix_index = self._matrix_arrays()
         rev, order = self._reverse, self._transpose_order
         if rev is not None and order is not None:
             slot = self._transpose_slot
@@ -394,6 +407,7 @@ class CSRGraph:
             rweights[slot[changed]] = graph.weights[changed]
             derived = CSRGraph(rev.indptr, rev.indices, rweights, check=False)
             derived._sources = rev._sources
+            derived._matrix_index = rev._matrix_arrays()
             derived._reverse = graph
             graph._reverse = derived
             graph._transpose_order = order

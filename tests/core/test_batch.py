@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import repro
 from repro.core import batch as batch_module
 from repro.core.batch import BatchPeeK
 from repro.core.integrate import PrunedKSP
@@ -176,6 +177,28 @@ class TestBitwiseEquivalence:
         assert warm.edges_relaxed == warm.vertices_settled == 0
         assert warm.sssp_phase_work == []
         assert warm.inspected_paths > 0  # the spSum scan did run
+
+
+class TestEdgeMaskBuiltOnRead:
+    """No solve or serve path builds the prune's m-wide weight-rule mask:
+    compaction applies the rule to the kept slices it gathers."""
+
+    @staticmethod
+    def assert_unbuilt_then_weight_rule(prune, graph):
+        assert prune._keep_edges is None
+        rule = graph.weights <= prune.threshold
+        assert prune.keep_edges.tobytes() == rule.tobytes()
+
+    @pytest.mark.parametrize("name", ["LJ", "WL"])
+    def test_after_solve_and_prepare(self, name):
+        g = suite_graph(name, "tiny")
+        batch = BatchPeeK(g)
+        for s, t in random_st_pairs(g, 3, seed=8):
+            for k in (1, 8, 128):
+                self.assert_unbuilt_then_weight_rule(repro.solve(g, s, t, k).prune, g)
+                self.assert_unbuilt_then_weight_rule(batch.prepare(s, t, k).prune, g)
+                # a memoised decision is answered from a copy of the prune
+                self.assert_unbuilt_then_weight_rule(batch.prepare(s, t, k).prune, g)
 
 
 class TestKernelEquivalence:

@@ -339,3 +339,58 @@ class TestKeptSetRegeneration:
             compact_regenerate(medium_er, kv)
         with pytest.raises(GraphFormatError):
             adaptive_compact(medium_er, kv)
+
+
+# ---------------------------------------------------------------------------
+# The weight rule applied to the kept slices against the m-wide mask
+
+
+def compacted_arrays(res):
+    """Every array a compaction result hands downstream, as bytes."""
+    c = res.compacted
+    if res.strategy == "regeneration":
+        arrays = (c.graph.indptr, c.graph.indices, c.graph.weights, c.new_id, c.old_id)
+    elif res.strategy == "edge-swap":
+        arrays = (c.indices, c.weights, c.adjacency_arrays()[1], c.keep_vertices)
+    else:
+        arrays = (c.edge_mask, c.keep_vertices)
+    return [a.tobytes() for a in arrays] + [
+        res.strategy, res.remaining_vertices, res.remaining_edges, res.build_work,
+    ]
+
+
+class TestThresholdRule:
+    @pytest.mark.parametrize("strong", [False, True])
+    @pytest.mark.parametrize("name", ["LJ", "WL", "WLU"])
+    def test_equals_the_mask_built_compaction(self, name, strong):
+        """``threshold=`` (and the strong mask, if any) gives what the
+        eager ``weights <= threshold`` mask gives, under every strategy
+        and under the α rule."""
+        from repro.core.pruning import k_upper_bound_prune
+
+        g = suite_graph(name, "tiny")
+        for s, t in random_st_pairs(g, 3, seed=5):
+            for k in (1, 8, 128):
+                pr = k_upper_bound_prune(g, s, t, k, strong_edge_prune=strong)
+                mask = g.weights <= pr.threshold
+                if strong:
+                    mask &= pr.strong_edges
+                for force in (None, "regeneration", "edge-swap", "status-array"):
+                    got = adaptive_compact(
+                        g, pr.keep_vertices, pr.strong_edges,
+                        threshold=pr.threshold, force=force,
+                    )
+                    ref = adaptive_compact(g, pr.keep_vertices, mask, force=force)
+                    assert compacted_arrays(got) == compacted_arrays(ref)
+
+    def test_threshold_drops_heavy_edges_between_kept_vertices(self):
+        src = np.array([0, 0, 1, 1, 2])
+        dst = np.array([1, 2, 2, 0, 0])
+        w = np.array([1.0, 5.0, 2.0, 3.0, 2.5])
+        g = from_edge_array(3, src, dst, w, dedup=False)
+        kv = np.ones(3, dtype=bool)
+        for force in ("regeneration", "edge-swap", "status-array"):
+            got = adaptive_compact(g, kv, threshold=2.5, force=force)
+            ref = adaptive_compact(g, kv, g.weights <= 2.5, force=force)
+            assert got.remaining_edges == 3
+            assert compacted_arrays(got) == compacted_arrays(ref)

@@ -250,6 +250,8 @@ def assert_scan_equal(graph, s, t, k, *, strong=False):
     )
     assert got.bound == bound or (np.isinf(got.bound) and np.isinf(bound))
     assert got.keep_vertices.tobytes() == kv.tobytes()
+    # the weight-rule mask is built on its first read, after the scan
+    assert (got._keep_edges is None) == (not strong)
     assert got.keep_edges.tobytes() == ke.tobytes()
     assert got.sp_sum.tobytes() == sp_sum.tobytes()
     for name in STAT_FIELDS:
@@ -292,17 +294,81 @@ def chain_with_detour(n=100):
     return from_edge_array(n + 1, src, dst, w, dedup=False)
 
 
+def fan_with_dead_ends(width, dead=100, stranded=12):
+    """s = 0 and t = 1 joined through ``width`` two-hop routes, with route
+    weights cycling through 2, 3 and 4 so spSums tie, plus ``dead``
+    vertices that s reaches and that never reach t, and ``stranded`` ones
+    s never reaches (half of them with an edge into t): exactly ``width +
+    2`` spSums are finite, and the route count caps the valid paths."""
+    mid = np.arange(2, 2 + width)
+    dead_ids = np.arange(2 + width, 2 + width + dead)
+    into_t = np.arange(2 + width + dead, 2 + width + dead + stranded // 2)
+    n = 2 + width + dead + stranded
+    src = np.concatenate([np.zeros(width + dead, dtype=np.int64), mid, into_t])
+    dst = np.concatenate([mid, dead_ids, np.ones(width + into_t.size, dtype=np.int64)])
+    w = np.concatenate([
+        1.0 + mid % 3, np.ones(dead), np.ones(width), np.ones(into_t.size),
+    ])
+    return from_edge_array(n, src, dst, w, dedup=False)
+
+
 class TestPartialOrder:
     @given(
-        st.lists(st.integers(0, 6), min_size=0, max_size=300),
+        st.lists(st.integers(0, 7), min_size=0, max_size=300),
         st.integers(1, 80),
     )
     @settings(max_examples=200, deadline=None)
     def test_equals_stable_argsort(self, values, head):
+        """spSums straight off the trees, ``inf`` (drawn as 7) included:
+        the order is the stable argsort of the finite ones, and the tail
+        hook fires once, just when a finite sum lies beyond the head."""
         sums = np.asarray(values, dtype=np.float64) / 4
-        finite = np.arange(sums.size, dtype=np.int64) * 3
-        ref = finite[np.argsort(sums, kind="stable")].tolist()
-        assert list(_spsum_order(finite, sums, head)) == ref
+        sums[np.asarray(values, dtype=np.int64) == 7] = INF
+        finite = np.flatnonzero(np.isfinite(sums))
+        ref = finite[np.argsort(sums[finite], kind="stable")].tolist()
+        tails = []
+        assert list(_spsum_order(sums, head, lambda: tails.append(1))) == ref
+        beyond = False
+        if sums.size > head:
+            pivot = np.sort(sums)[head - 1]
+            beyond = bool(np.isfinite(pivot) and (sums[finite] > pivot).any())
+        assert len(tails) == beyond
+
+    @pytest.mark.parametrize("strong", [False, True])
+    @pytest.mark.parametrize(
+        "k, width, finite_vs_head, loose",
+        [
+            (1, 62, 0, False),  # exactly max(4K, 64) finite spSums
+            (16, 62, 0, False),
+            (32, 126, 0, False),
+            (4, 20, -1, False),  # fewer finite spSums than the head: pivot inf
+            (21, 20, -1, True),  # and b = inf: 20 routes, 21 paths asked
+        ],
+    )
+    def test_finite_counts_around_the_head(self, k, width, finite_vs_head, loose, strong):
+        g = fan_with_dead_ends(width)
+        got = assert_scan_equal(g, 0, 1, k, strong=strong)
+        head = max(4 * k, SCAN_HEAD)
+        finite = int(np.isfinite(got.sp_sum).sum())
+        assert g.num_vertices > head  # the partition runs
+        assert np.sign(finite - head) == finite_vs_head
+        assert np.isinf(got.bound) == loose
+        assert not got.keep_vertices[width + 2:].any()  # unreachable sums fall
+
+    @pytest.mark.parametrize("strong", [False, True])
+    def test_unbounded_scan_past_the_head_with_unreachable_vertices(self, strong):
+        """b = inf after the whole tail: K=3 on the chain, whose detour
+        vertex has its only out-edge cut, plus vertices s never reaches."""
+        chain = chain_with_detour()
+        n = chain.num_vertices
+        src = np.concatenate([chain.edge_sources(), [n, n + 1]])
+        dst = np.concatenate([chain.indices, [0, n + 2]])
+        w = np.concatenate([chain.weights, [1.0, 1.0]])
+        g = from_edge_array(n + 3, src, dst, w, dedup=False)
+        got = assert_scan_equal(g, 0, 99, 3, strong=strong)
+        assert np.isinf(got.bound)
+        assert got.stats.inspected_paths > SCAN_HEAD
+        assert not got.keep_vertices[n:].any()
 
     @pytest.mark.parametrize("k", [1, 8, 128])
     def test_unit_graphs_with_ties_at_the_head(self, k):

@@ -244,6 +244,45 @@ def test_derived_transpose_equals_a_fresh_one():
     assert derived.reverse() is rev
 
 
+def assert_matrix_shares_structure(graph, prev) -> None:
+    """``graph``'s SciPy matrix equals a freshly built ``csr_matrix``
+    array for array and shares ``prev``'s int32 index buffers."""
+    from scipy.sparse import csr_matrix
+
+    n = graph.num_vertices
+    got = graph.sparse_matrix()
+    fresh = csr_matrix((graph.weights, graph.indices, graph.indptr), shape=(n, n))
+    for name in ("data", "indices", "indptr"):
+        assert _same(getattr(got, name), getattr(fresh, name)), name
+    assert got.shape == fresh.shape
+    assert np.shares_memory(got.data, graph.weights)
+    assert np.shares_memory(got.indices, prev.sparse_matrix().indices)
+    assert np.shares_memory(got.indptr, prev.sparse_matrix().indptr)
+
+
+def test_weights_only_snapshot_shares_the_matrix_index_arrays():
+    graph = suite_graph("LJ", "tiny")
+    graph.sparse_matrix()
+    graph.reverse().sparse_matrix()
+    rng = np.random.default_rng(1)
+    snap = graph
+    for _ in range(3):  # handed on down a chain of snapshots
+        changed = rng.choice(graph.num_edges, 5, replace=False)
+        weights = snap.weights.copy()
+        weights[changed] *= 2.0
+        snap = snap.with_weights(weights, changed)
+        assert_matrix_shares_structure(snap, graph)
+        assert_matrix_shares_structure(snap.reverse(), graph.reverse())
+
+
+def test_an_unbuilt_matrix_hands_nothing_on():
+    base = suite_graph("WL", "tiny")  # cached: other tests build its matrix
+    graph = CSRGraph(base.indptr, base.indices, base.weights)
+    snap = graph.with_weights(graph.weights * 2.0, np.arange(graph.num_edges))
+    assert snap._matrix_index is None
+    assert graph._matrix is None  # nothing was built behind the caller's back
+
+
 def test_live_graph_derives_the_transpose_of_a_weights_only_batch():
     live = LiveGraph(suite_graph("WL", "tiny"))
     live.graph.reverse()
