@@ -350,7 +350,8 @@ def check_carried_tree(graph, tree) -> None:
 
     :meth:`repro.core.batch.BatchPeeK.rebind` carries each cached tree
     onto the new snapshot, repairing what the batch changed
-    (:func:`repro.sssp.repair.carry_tree`).  This check runs a cold
+    (:func:`repro.sssp.repair.carry_trees`), or re-homes it when the
+    batch cannot change it.  This check runs a cold
     :func:`~repro.sssp.dijkstra.dijkstra_tree` on ``graph`` and asserts
     bitwise equality of ``dist``, of the parents the tree would build
     from its SciPy predecessors, of every memoised parent and of a built

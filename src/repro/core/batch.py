@@ -39,8 +39,10 @@ the compaction build.  The same memo serves *live* graphs
 (:class:`repro.dyn.live.LiveGraph`): :meth:`BatchPeeK.rebind` moves the
 solver to a new snapshot.  It carries every cached SSSP tree onto the new
 snapshot, recomputing only the part the batch can change
-(:func:`repro.sssp.repair.carry_tree`, Ramalingam–Reps-style subtree
-repair), and drops only the prepared pruning decisions the
+(:func:`repro.sssp.repair.carry_trees`, Ramalingam–Reps-style subtree
+repair).  One vectorised touch test over all cached trees of a direction
+finds the trees the batch cannot change; those are re-homed with their
+arrays shared, so a write costs what it changes.  It drops only the prepared pruning decisions the
 Yamane–Kitajima-style reuse certificate
 (:func:`~repro.core.pruning.prune_reuse_certificate`) cannot carry
 forward.  A certificate-carried query skips both SSSPs and the spSum
@@ -77,7 +79,7 @@ from repro.ksp.registry import ALGORITHMS, make_algorithm
 from repro.obs.tracer import get_tracer
 from repro.paths import Path
 from repro.serve.query import Query, validate_query
-from repro.sssp.repair import carry_tree
+from repro.sssp.repair import carry_trees
 
 __all__ = [
     "PREPARED_CACHE_SIZE",
@@ -302,6 +304,7 @@ class BatchPeeK:
         self.invalidated = 0
         self.retained = 0
         self.repaired = 0
+        self.untouched = 0
         self.prune_reused = 0
         self.prune_cold = 0
 
@@ -331,30 +334,39 @@ class BatchPeeK:
         return self._sssp("rev", self.graph.reverse(), target, deadline)
 
     # ------------------------------------------------------------------
-    def rebind(self, graph, *, version: int, summary) -> None:
-        """Move the solver to a new graph snapshot.
+    def rebind(self, snapshot) -> None:
+        """Move the solver to ``snapshot``, the
+        :class:`~repro.dyn.live.Snapshot` a
+        :meth:`~repro.dyn.live.LiveGraph.apply` returned: its ``graph``,
+        its monotone ``version`` and the ``summary`` of the batch that
+        produced it.
 
         Repair instead of :meth:`clear_cache`'s wholesale drop:
 
-        * every SSSP cache entry is carried onto ``graph`` (or its
-          transpose) by :func:`~repro.sssp.repair.carry_tree`: a new tree,
-          bitwise-equal to a cold one there, with only the vertices the
-          batch's raised, removed, lowered and inserted edges can reach
-          recomputed.  An entry is evicted when it reaches a tombstoned
-          vertex, or when its repair would reset or relabel more than
+        * the SSSP cache entries of each direction are carried onto the
+          new graph (or its transpose) together by
+          :func:`~repro.sssp.repair.carry_trees`.  Its touch test reads
+          every tree's distances at the batch's endpoints at once: a tree
+          with no tight raised edge, no shortening or tying lowered edge
+          and no reached tombstone is *untouched* and re-homed, sharing
+          its arrays and parent memo with the old tree.  Every other tree
+          is repaired: a new tree, bitwise-equal to a cold one there, with
+          only the vertices the batch's edges can reach recomputed.  An
+          entry is evicted when it reaches a tombstoned vertex, or when
+          its repair would reset or relabel more than
           :func:`~repro.sssp.repair.repair_limit` vertices (a cold SciPy
-          tree is then cheaper).  The old tree is left as it was:
-          prepared decisions still hold it.  Under sanitizers SAN-DYN
-          compares every carried tree with a cold one;
+          tree is then cheaper).  The repaired tree patches the old
+          tree's arrays in place, and the old tree (prepared decisions
+          still hold it) keeps an undo log, so it still reads its own
+          distances and parents.  Under
+          sanitizers SAN-DYN compares every carried tree, re-homed ones
+          included, with a cold one;
         * a memoised pruning decision survives iff
           :func:`~repro.core.pruning.prune_reuse_certificate` accepts the
-          batch, and is then answered at ``version`` (eager per-batch
+          batch, and is then answered at the new version (eager per-batch
           evaluation, so certificates compose across batches).
-
-        ``summary`` is the :class:`~repro.dyn.stream.MutationSummary` of
-        the batch that produced ``graph``; ``version`` the new snapshot's
-        monotone id.
         """
+        graph, version, summary = snapshot.graph, snapshot.version, snapshot.summary
         if version <= self.version:
             raise ValueError(
                 f"rebind version {version} is not beyond {self.version}"
@@ -364,21 +376,27 @@ class BatchPeeK:
         raised = (summary.up_src, summary.up_dst, summary.up_old_w)
         lowered = (summary.down_src, summary.down_dst, summary.down_w)
         audit = self.sanitize or sanitize_enabled_from_env()
+        carried = {}
+        for direction, on, up, down in (
+            ("fwd", graph, raised, lowered),
+            # the transpose's edges run the other way
+            ("rev", graph.reverse(), _mirror(raised), _mirror(lowered)),
+        ):
+            keys = [key for key in self._cache if key[0] == direction]
+            trees = [self._cache[key] for key in keys]
+            outs = carry_trees(trees, on, up, down, summary.tombstoned)
+            carried.update((key, (on, out)) for key, out in zip(keys, outs))
         stale = repaired = 0
-        for key, tree in list(self._cache.items()):
-            if key[0] == "fwd":
-                on, up, down = graph, raised, lowered
-            else:  # the transpose's edges run the other way
-                on, up, down = graph.reverse(), _mirror(raised), _mirror(lowered)
-            carried = carry_tree(tree, on, up, down, summary.tombstoned)
-            if carried is None:
+        for key, (on, out) in carried.items():
+            if out is None:
                 del self._cache[key]
                 stale += 1
                 continue
-            self._cache[key] = carried[0]
-            repaired += carried[1]
+            self._cache[key] = out[0]
+            repaired += out[1]
             if audit:
-                check_carried_tree(on, carried[0])
+                check_carried_tree(on, out[0])
+        untouched = len(carried) - stale - repaired
         dead = [
             key
             for key, (prune, _) in self._prepared.items()
@@ -389,10 +407,12 @@ class BatchPeeK:
         self.invalidated += stale + len(dead)
         self.retained += len(self._cache) + len(self._prepared)
         self.repaired += repaired
+        self.untouched += untouched
         tracer = get_tracer()
         tracer.add("batch.invalidated", stale + len(dead))
         tracer.add("batch.retained", len(self._cache) + len(self._prepared))
         tracer.add("batch.repaired", repaired)
+        tracer.add("batch.untouched", untouched)
 
     # ------------------------------------------------------------------
     def prepare(
@@ -500,8 +520,9 @@ class BatchPeeK:
         Also the memoised pruning-decision occupancy, the reuse split
         (``prune_reused``/``prune_cold``) and the rebind accounting:
         cumulative entries ``invalidated``/``retained`` across all
-        rebinds, and ``repaired``: the retained SSSP trees that had part
-        of themselves recomputed.
+        rebinds, ``repaired``: the retained SSSP trees that had part of
+        themselves recomputed, and ``untouched``: those the touch test
+        re-homed with no repair work.
         """
         fwd = sum(1 for d, _ in self._cache if d == "fwd")
         return {
@@ -513,6 +534,7 @@ class BatchPeeK:
             "invalidated": self.invalidated,
             "retained": self.retained,
             "repaired": self.repaired,
+            "untouched": self.untouched,
             "prune_reused": self.prune_reused,
             "prune_cold": self.prune_cold,
         }

@@ -196,7 +196,7 @@ class MutationSummary:
     the pre-mutation state (old weights, liveness), which is exactly the
     information the prune-bound reuse certificate
     (:func:`repro.core.pruning.prune_reuse_certificate`) and the SSSP tree
-    repair (:func:`repro.sssp.repair.carry_tree`) need and the raw batch
+    repair (:func:`repro.sssp.repair.carry_trees`) need and the raw batch
     cannot carry.
     """
 

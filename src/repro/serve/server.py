@@ -238,9 +238,9 @@ class QueryServer:
         """Apply one :class:`~repro.dyn.stream.MutationBatch`; new snapshot.
 
         Only valid for servers constructed over a
-        :class:`~repro.dyn.live.LiveGraph`.  Atomically (under the
-        server's lock, so concurrent :meth:`serve` calls see either the
-        old or the new version, never a torn state): applies the batch to
+        :class:`~repro.dyn.live.LiveGraph`.  Under the server's lock (a
+        rebind patches repaired trees in place, so call :meth:`serve` and
+        this from one thread at a time): applies the batch to
         the live graph, swaps the new snapshot in as ``self.graph``,
         and rebinds the :class:`~repro.core.batch.BatchPeeK` — which
         repairs its cached SSSP trees onto the new snapshot (evicting only
@@ -256,9 +256,7 @@ class QueryServer:
         with self._lock:
             snap = self.live.apply(batch)
             self.graph = snap.graph
-            self.batch.rebind(
-                snap.graph, version=snap.version, summary=snap.summary
-            )
+            self.batch.rebind(snap)
             self.counters["mutation_batches"] += 1
         get_tracer().add("serve.mutation_batches")
         return snap

@@ -51,7 +51,14 @@ from repro.paths import INF
 from repro.sssp.result import SSSPResult, SSSPStats
 from repro.sssp.workspace import SSSPWorkspace, WorkspaceResult
 
-__all__ = ["CompiledTree", "compiled_tree", "dijkstra", "dijkstra_tree", "loop_parents"]
+__all__ = [
+    "CompiledTree",
+    "TreeArrays",
+    "compiled_tree",
+    "dijkstra",
+    "dijkstra_tree",
+    "loop_parents",
+]
 
 
 def dijkstra(
@@ -339,10 +346,69 @@ class _TreeStats(SSSPStats):
         self._count = None
 
 
-def _tree_stats(graph: CSRGraph, dist: np.ndarray, settled: int) -> _TreeStats:
-    """The loop's counters for a tree with distances ``dist`` on ``graph``
-    that reaches ``settled`` vertices."""
-    return _TreeStats(settled, lambda: _relaxed_count(graph, dist))
+def _tree_stats(graph: CSRGraph, arrays: TreeArrays, settled: int) -> _TreeStats:
+    """The loop's counters for a tree with ``arrays`` on ``graph`` that
+    reaches ``settled`` vertices."""
+    return _TreeStats(settled, lambda: _relaxed_count(graph, arrays.dist))
+
+
+class TreeArrays:
+    """One tree version's ``dist`` and SciPy predecessors (``pred``).
+
+    Every tree carried onto a later snapshot unchanged shares the object
+    (:func:`repro.sssp.repair.carry_trees` re-homes it).  A repair does not
+    copy the arrays: :meth:`hand_over` gives them to the repaired version,
+    which patches them in place, and this version keeps the entries the
+    patch overwrote (an undo log).  Reading a superseded version rebuilds
+    its own copy, once, from the live arrays at the end of the chain of
+    heirs and the undo logs along it.
+    """
+
+    __slots__ = ("_dist", "_pred", "_heir", "_undo")
+
+    def __init__(self, dist: np.ndarray, pred: np.ndarray) -> None:
+        self._dist, self._pred = dist, pred
+        self._heir: TreeArrays | None = None
+        self._undo: tuple[dict[int, float], dict[int, int]] | None = None
+
+    @property
+    def dist(self) -> np.ndarray:
+        if self._heir is not None:
+            self._restore()
+        return self._dist
+
+    @property
+    def pred(self) -> np.ndarray:
+        if self._heir is not None:
+            self._restore()
+        return self._pred
+
+    def hand_over(
+        self, dist_undo: dict[int, float], pred_undo: dict[int, int]
+    ) -> TreeArrays:
+        """The next version, which takes these arrays to patch in place.
+
+        ``dist_undo`` and ``pred_undo`` map each entry the patch overwrites
+        to this version's value there; they must be complete before this
+        version is next read.
+        """
+        heir = TreeArrays(self.dist, self.pred)
+        self._dist = self._pred = None
+        self._heir, self._undo = heir, (dist_undo, pred_undo)
+        return heir
+
+    def _restore(self) -> None:
+        logs, at = [], self
+        while at._heir is not None:
+            logs.append(at._undo)
+            at = at._heir
+        dist, pred = at._dist.copy(), at._pred.copy()
+        for dist_undo, pred_undo in reversed(logs):  # newest version first
+            for v, d in dist_undo.items():
+                dist[v] = d
+            for v, p in pred_undo.items():
+                pred[v] = p
+        self._dist, self._pred, self._heir, self._undo = dist, pred, None, None
 
 
 class CompiledTree(SSSPResult):
@@ -356,33 +422,40 @@ class CompiledTree(SSSPResult):
     does :meth:`parent_of` once more than ``n // PARENT_FALLBACK_SHARE``
     vertices are resolved; after that every read indexes the array.
 
-    A tree carried across a live-graph write
-    (:func:`repro.sssp.repair.carry_tree`) starts with the memo
-    (``resolved``) and any built ``parent`` array of the tree it was
-    carried from, patched where the write moved a parent.
+    ``dist`` and the predecessors live in a :class:`TreeArrays`.  A tree
+    carried across a live-graph write (:func:`repro.sssp.repair.carry_trees`)
+    starts with the memo (``resolved``) and any built ``parent`` array of
+    the tree it was carried from, patched where the write moved a parent;
+    an untouched one shares that tree's :class:`TreeArrays` and memo.
     """
 
     def __init__(
         self,
         graph: CSRGraph,
         root: int,
-        dist: np.ndarray,
-        pred: np.ndarray,
+        arrays: TreeArrays,
         stats: SSSPStats,
         *,
         resolved: dict[int, int] | None = None,
         parent: np.ndarray | None = None,
     ) -> None:
-        # SSSPResult's fields, except ``parent``: a property here
+        # SSSPResult's fields, except ``dist`` and ``parent``: properties here
         self.source = root
-        self.dist = dist
         self.stats = stats
         self._graph = graph
-        self._pred = pred
+        self._arrays = arrays
         self._parent: np.ndarray | None = parent
         self._resolved: dict[int, int] = {} if resolved is None else resolved
         if parent is not None:
             self.parent_of = parent.item
+
+    @property
+    def dist(self) -> np.ndarray:
+        return self._arrays.dist
+
+    @property
+    def _pred(self) -> np.ndarray:
+        return self._arrays.pred
 
     @property
     def parent(self) -> np.ndarray:
@@ -480,10 +553,11 @@ def compiled_tree(
     ran (:func:`repro.sssp.pair.prune_trees` runs one in a helper
     process)."""
     settled = int(np.count_nonzero(np.isfinite(dist)))
-    stats = _tree_stats(graph, dist, settled)
+    arrays = TreeArrays(dist, pred)
+    stats = _tree_stats(graph, arrays, settled)
     tracer = get_tracer()
     if tracer.enabled:
         tracer.add("sssp.calls")
         tracer.add("sssp.edges_relaxed", stats.edges_relaxed)
         tracer.add("sssp.vertices_settled", settled)
-    return CompiledTree(graph, int(root), dist, pred, stats)
+    return CompiledTree(graph, int(root), arrays, stats)

@@ -1,10 +1,24 @@
-"""Carry a compiled shortest-path tree across one live-graph mutation batch.
+"""Carry compiled shortest-path trees across one live-graph mutation batch.
 
 A write to a live graph (:meth:`repro.dyn.live.LiveGraph.apply`) changes a
-few edges, and most of a cached :class:`~repro.sssp.dijkstra.CompiledTree`
-cannot feel them.  :func:`carry_tree` moves a tree onto the new snapshot
-and recomputes only what the batch can change (Ramalingam–Reps-style
-subtree repair):
+few edges, and most cached trees
+(:class:`~repro.sssp.dijkstra.CompiledTree`) cannot feel them.
+:func:`carry_trees` moves every cached tree of one direction onto the new
+snapshot at once, and a write costs what it changes:
+
+* **Touch test.**  One (trees x endpoints) matrix of every tree's ``dist``
+  at the batch's raised, lowered and tombstoned endpoints, and the three
+  conditions below on all of it in one vectorised pass.  A tree no
+  condition touches has no changed distance and no reached vertex with a
+  changed set of tight in-edges: it is *re-homed*, sharing its
+  :class:`~repro.sssp.dijkstra.TreeArrays`, parent array and parent memo
+  with the old tree.
+* **Repair** (Ramalingam–Reps-style) of the other trees, priced by their
+  region: Python sets and scalar reads, and no copy of the n-wide arrays
+  (the repaired tree takes them over and patches them in place; the old
+  one keeps an undo log, :meth:`~repro.sssp.dijkstra.TreeArrays.hand_over`).
+
+The conditions, and what the repair does for each:
 
 * **Raised or removed edges.**  An edge ``(u, v)`` matters only if it was
   tight, ``dist[u] + w_old == dist[v]``.  If ``u`` is also ``v``'s loop
@@ -29,7 +43,7 @@ of each is set to that parent: what
 vertex has exactly one tight in-edge must stay *a* tight in-neighbour, so a
 stale one would come back as a wrong parent.
 
-The result is a new tree on the new graph (the old one keeps its own
+The result is a new tree on the new graph (the old one still reads its own
 distances and parents: prepared pruning decisions still hold it),
 bitwise-equal in ``dist``,
 ``parent`` and every ``parent_of(v)`` to a cold
@@ -42,6 +56,7 @@ re-resolved vertices.  A repair that would reset or relabel more than
 from __future__ import annotations
 
 import heapq
+from typing import Sequence
 
 import numpy as np
 
@@ -49,7 +64,7 @@ from repro.graph.csr import CSRGraph
 from repro.paths import INF
 from repro.sssp.dijkstra import CompiledTree, _tree_stats
 
-__all__ = ["REPAIR_FLOOR", "REPAIR_SHARE", "carry_tree", "repair_limit"]
+__all__ = ["REPAIR_FLOOR", "REPAIR_SHARE", "carry_trees", "repair_limit"]
 
 #: A repair may reset or relabel at most ``n // REPAIR_SHARE`` vertices
 #: (a heap Dijkstra in Python over that many costs about one SciPy tree)...
@@ -66,87 +81,158 @@ def repair_limit(n: int) -> int:
     return max(n // REPAIR_SHARE, REPAIR_FLOOR)
 
 
-def carry_tree(
-    tree: CompiledTree,
+def carry_trees(
+    trees: Sequence[CompiledTree],
     graph: CSRGraph,
     raised: tuple[np.ndarray, np.ndarray, np.ndarray],
     lowered: tuple[np.ndarray, np.ndarray, np.ndarray],
     tombstoned: np.ndarray,
-) -> tuple[CompiledTree, bool] | None:
-    """``tree`` on ``graph``, the snapshot after one batch; ``None`` to evict.
+) -> list[tuple[CompiledTree, bool] | None]:
+    """Every tree in ``trees`` on ``graph``, the snapshot after one batch.
 
     ``raised`` are the batch's removed or weight-increased edges as
     ``(src, dst, old_w)`` and ``lowered`` its inserted or weight-decreased
     ones as ``(src, dst, new_w)``, both in the direction of ``graph`` (a
-    reverse tree's edges are mirrored).  Returns the carried tree and
-    whether anything in it had to be recomputed.
+    reverse tree's edges are mirrored).  Per tree, in order: ``None`` to
+    evict it, else the carried tree and whether anything in it had to be
+    recomputed.
+
+    The touch test reads every tree's ``dist`` at the batch's endpoints
+    into one (trees x endpoints) matrix and applies the three conditions
+    to all trees at once.  A tree that no condition touches is re-homed
+    (:func:`_rehome`); only the others run the repair.
     """
-    old, root = tree.dist, tree.source
+    if not trees:
+        return []
+    a, b, up_w = raised
+    c, d, down_w = lowered
+    cuts = np.cumsum([a.size, b.size, c.size, d.size])
+    ends = np.concatenate([a, b, c, d, tombstoned])
+    at = np.array([tree.dist[ends] for tree in trees]).reshape(len(trees), ends.size)
+    da, db, dc, dd, dead = np.split(at, cuts, axis=1)
+    roots = np.array([tree.source for tree in trees])[:, None]
+    evict = np.isfinite(dead).any(axis=1)
+    hit = (da + up_w == db) & (db < INF) & (b != roots)
+    du = dc + down_w
+    near = (du < INF) & (d != roots)
+    gain, tie = near & (du < dd), near & (du == dd)
+    touched = hit.any(axis=1) | gain.any(axis=1) | tie.any(axis=1)
+
+    hits = _by_tree(hit, list(zip(a.tolist(), b.tolist())))
+    heads = d.tolist()
+    gains, ties = _by_tree(gain, heads), _by_tree(tie, heads)
     limit = repair_limit(graph.num_vertices)
-    if tombstoned.size and np.isfinite(old[tombstoned]).any():
-        return None
-    a, b, w = raised
-    ob = old[b]
-    hit = (old[a] + w == ob) & (ob < INF) & (b != root)
-    heads, region = b[hit], set()
-    if heads.size:
-        # a raised loop-parent edge cuts its head's subtree off the tree
-        cut = [v for u, v in zip(a[hit].tolist(), heads.tolist()) if tree.parent_of(v) == u]
-        region = _subtree(tree, cut, limit)
-        if region is None:
-            return None
-    c, d, w = lowered
-    du, od = old[c] + w, old[d]
-    near = (du < INF) & (d != root)
-    gains, ties = d[near & (du < od)], d[near & (du == od)]
-    if not (heads.size or gains.size or ties.size):
-        stats = _tree_stats(graph, old, tree.stats.vertices_settled)
-        carried = CompiledTree(
-            graph, root, old, tree._pred, stats,
-            resolved=dict(tree._resolved), parent=tree._parent,
-        )
-        return carried, False
+    out: list[tuple[CompiledTree, bool] | None] = []
+    for i, tree in enumerate(trees):
+        if evict[i]:
+            out.append(None)
+        elif not touched[i]:
+            out.append((_rehome(tree, graph), False))
+        else:
+            carried = _repair(
+                tree, graph, hits.get(i, []), gains.get(i, []), ties.get(i, []), limit
+            )
+            out.append(None if carried is None else (carried, True))
+    return out
 
-    new = old.copy()
-    members = sorted(region)
-    new[members] = INF
-    relabelled = _relabel(graph, new, members + gains.tolist(), limit)
-    if relabelled is None:
-        return None
-    touched = np.unique(np.asarray(members + relabelled, dtype=np.int64))
-    changed = touched[new[touched] != old[touched]]
-    redo = np.unique(np.concatenate([touched, heads, ties, *_moved(tree, graph, new, changed)]))
-    redo = redo[redo != root]
 
-    reached = np.isfinite(new[changed])
-    settled = tree.stats.vertices_settled + int(reached.sum()) - int(
-        np.isfinite(old[changed]).sum()
+def _by_tree(mask: np.ndarray, edges: list) -> dict[int, list]:
+    """Per row of a (trees x edges) ``mask``, the ``edges`` entries of its
+    set columns."""
+    rows, cols = np.nonzero(mask)
+    out: dict[int, list] = {}
+    for i, j in zip(rows.tolist(), cols.tolist()):
+        out.setdefault(i, []).append(edges[j])
+    return out
+
+
+def _rehome(tree: CompiledTree, graph: CSRGraph) -> CompiledTree:
+    """``tree`` on ``graph``, for a batch that touches none of it.
+
+    Such a batch changes no distance and no reached vertex's set of tight
+    in-edges, so every parent either graph resolves is the same: the new
+    tree shares the :class:`~repro.sssp.dijkstra.TreeArrays`, any built
+    parent array and the memo of resolved parents with the old one.
+    """
+    arrays = tree._arrays
+    stats = _tree_stats(graph, arrays, tree.stats.vertices_settled)
+    return CompiledTree(
+        graph, tree.source, arrays, stats, resolved=tree._resolved, parent=tree._parent
     )
-    resolved = dict(tree._resolved)
+
+
+def _repair(
+    tree: CompiledTree,
+    graph: CSRGraph,
+    hits: list[tuple[int, int]],
+    gains: list[int],
+    ties: list[int],
+    limit: int,
+) -> CompiledTree | None:
+    """``tree`` repaired onto ``graph``; ``None`` past ``limit``.
+
+    ``hits`` are the batch's tight raised edges ``(u, v)``, ``gains`` and
+    ``ties`` the heads of its lowered edges that shorten or tie a
+    distance.  The region is a handful of vertices, so it is kept in
+    Python sets and read one scalar at a time.  The repaired tree takes
+    ``tree``'s distance and predecessor arrays over and patches them in
+    place; ``tree`` keeps what the patch overwrote
+    (:meth:`~repro.sssp.dijkstra.TreeArrays.hand_over`).
+    """
+    root = tree.source
+    # a raised loop-parent edge cuts its head's subtree off the tree
+    cut = [v for u, v in hits if tree.parent_of(v) == u]
+    region = _subtree(tree, cut, limit) if cut else set()
+    if region is None:
+        return None
+    dist, pred = tree.dist, tree._pred
+    # every distance the repair overwrites, at its old value
+    saved = {v: dist.item(v) for v in region}
+    for v in region:
+        dist[v] = INF
+    if not _relabel(graph, dist, list(region) + gains, limit, saved):
+        for v, d in saved.items():
+            dist[v] = d
+        return None
+    changed = [v for v, d in saved.items() if dist.item(v) != d]
+    redo = set(saved).union([v for _, v in hits], ties, _moved(graph, pred, dist, changed))
+    redo.discard(root)
+
+    settled = tree.stats.vertices_settled + sum(
+        (dist.item(v) < INF) - (d < INF) for v, d in saved.items()
+    )
+    saved_pred: dict[int, int] = {}
+    arrays = tree._arrays.hand_over(saved, saved_pred)
     parent = None if tree._parent is None else tree._parent.copy()
+    # a built parent array answers every parent_of: the memo is not read
+    resolved = {} if parent is not None else dict(tree._resolved)
     carried = CompiledTree(
-        graph, root, new, tree._pred.copy(), _tree_stats(graph, new, settled),
+        graph, root, arrays, _tree_stats(graph, arrays, settled),
         resolved=resolved, parent=parent,
     )
-    pred = carried._pred
-    for v in redo.tolist():
+    for v in sorted(redo):
         p = carried._resolve(v)
+        saved_pred[v] = pred.item(v)
         pred[v] = _NO_PRED if p < 0 else p
         if v in resolved:
             resolved[v] = p
         if parent is not None:
             parent[v] = p
-    return carried, True
+    return carried
 
 
-def _moved(tree: CompiledTree, graph: CSRGraph, new: np.ndarray, changed: np.ndarray):
-    """Per vertex ``x`` whose distance changed, the out-neighbours whose
-    parent or predecessor it can move: those it now reaches tightly (a tie
-    can move the parent) and those whose SciPy predecessor it was."""
-    for x in changed.tolist():
+def _moved(graph: CSRGraph, pred: np.ndarray, new: np.ndarray, changed: list[int]):
+    """The out-neighbours whose parent or predecessor a vertex ``x`` whose
+    distance changed can move: those it now reaches tightly (a tie can move
+    the parent) and those whose SciPy predecessor (``pred``, before the
+    batch) it was."""
+    moved: set[int] = set()
+    for x in changed:
         lo, hi = graph.indptr[x], graph.indptr[x + 1]
         ys = graph.indices[lo:hi]
-        yield ys[(tree._pred[ys] == x) | (new[x] + graph.weights[lo:hi] == new[ys])]
+        hit = (pred[ys] == x) | (new[x] + graph.weights[lo:hi] == new[ys])
+        moved.update(ys[hit].tolist())
+    return moved
 
 
 def _subtree(tree: CompiledTree, roots: list[int], limit: int) -> set[int] | None:
@@ -167,14 +253,19 @@ def _subtree(tree: CompiledTree, roots: list[int], limit: int) -> set[int] | Non
 
 
 def _relabel(
-    graph: CSRGraph, label: np.ndarray, seeds: list[int], limit: int
-) -> list[int] | None:
+    graph: CSRGraph,
+    label: np.ndarray,
+    seeds: list[int],
+    limit: int,
+    saved: dict[int, float],
+) -> bool:
     """Lower ``label`` to the shortest distances on ``graph``, in place.
 
     ``label`` must bound every distance from above, and be consistent on
     every edge not into a seed.  Each seed takes its best in-edge, then a
-    heap Dijkstra runs while labels drop.  Returns the settled vertices,
-    or ``None`` once more than ``limit`` have settled.
+    heap Dijkstra runs while labels drop.  Every lowered label's first
+    value goes into ``saved`` (unless it is there already).  Returns
+    ``False`` once more than ``limit`` vertices have settled.
     """
     rev = graph.reverse()
     heap = []
@@ -183,23 +274,25 @@ def _relabel(
         if lo < hi:
             best = float((label[rev.indices[lo:hi]] + rev.weights[lo:hi]).min())
             if best < label[x]:
+                saved.setdefault(x, label.item(x))
                 label[x] = best
                 heap.append((best, x))
     heapq.heapify(heap)
-    settled: list[int] = []
+    settled = 0
     while heap:
         d, x = heapq.heappop(heap)
         if d != label[x]:
             continue  # a label that dropped again after this push
-        settled.append(x)
-        if len(settled) > limit:
-            return None
+        settled += 1
+        if settled > limit:
+            return False
         lo, hi = graph.indptr[x], graph.indptr[x + 1]
         ys = graph.indices[lo:hi]
         nd = d + graph.weights[lo:hi]
         drop = nd < label[ys]
         for y, dy in zip(ys[drop].tolist(), nd[drop].tolist()):
             if dy < label[y]:  # parallel edges: the lightest wins
+                saved.setdefault(y, label.item(y))
                 label[y] = dy
                 heapq.heappush(heap, (dy, y))
-    return settled
+    return True

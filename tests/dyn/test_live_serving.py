@@ -210,7 +210,7 @@ class TestVersionedBatchPeeK:
         bp.prepare(0, 4, 3).run()  # cold, memoises the pruning decision
         snap = live.apply(MutationBatch.build(reweights=[(0, 5, 15.0)]))
         assert snap.summary.increase_only
-        bp.rebind(snap.graph, version=snap.version, summary=snap.summary)
+        bp.rebind(snap)
 
         prep = bp.prepare(0, 4, 3)
         assert bp.prune_reused == 1 and prep.version == 1
@@ -232,7 +232,7 @@ class TestVersionedBatchPeeK:
             MutationBatch.build(reweights=[(0, 5, 4.0), (5, 4, 4.0)])
         )
         assert snap.summary.has_decrease
-        bp.rebind(snap.graph, version=snap.version, summary=snap.summary)
+        bp.rebind(snap)
         assert bp.cache_info["prepared_cached"] == 0
         bp.prepare(0, 4, 3)
         assert bp.prune_reused == 0 and bp.prune_cold == 2
@@ -245,7 +245,7 @@ class TestVersionedBatchPeeK:
         bp = BatchPeeK(live.graph)
         bp.prepare(0, 4, 3)
         snap = live.apply(MutationBatch.build(reweights=[(6, 7, 3.0)]))
-        bp.rebind(snap.graph, version=snap.version, summary=snap.summary)
+        bp.rebind(snap)
         info = bp.cache_info
         assert info["invalidated"] == 0
         assert info["retained"] == 3  # fwd(0) + rev(4) + prepared(0,4,3)
@@ -255,7 +255,7 @@ class TestVersionedBatchPeeK:
         bp = BatchPeeK(live.graph)
         bp.prepare(0, 4, 3)
         snap = live.apply(MutationBatch.build(reweights=[(0, 1, 9.0)]))
-        bp.rebind(snap.graph, version=snap.version, summary=snap.summary)
+        bp.rebind(snap)
         info = bp.cache_info
         # (0,1) is a tree edge of both halves and a kept up-edge: the
         # pruning decision goes, both SSSP halves are repaired onto the
@@ -276,16 +276,16 @@ class TestVersionedBatchPeeK:
         live = LiveGraph(fan8())
         bp = BatchPeeK(live.graph)
         snap = live.apply(MutationBatch.build(reweights=[(6, 7, 2.0)]))
-        bp.rebind(snap.graph, version=snap.version, summary=snap.summary)
+        bp.rebind(snap)
         with pytest.raises(ValueError):
-            bp.rebind(snap.graph, version=snap.version, summary=snap.summary)
+            bp.rebind(snap)
 
     def test_san_dyn_audits_reuse(self):
         live = LiveGraph(fan8())
         bp = BatchPeeK(live.graph, sanitize=True)
         bp.prepare(0, 4, 3)
         snap = live.apply(MutationBatch.build(reweights=[(0, 5, 20.0)]))
-        bp.rebind(snap.graph, version=snap.version, summary=snap.summary)
+        bp.rebind(snap)
         bp.prepare(0, 4, 3)  # sound reuse: SAN-DYN passes silently
         assert bp.prune_reused == 1
 

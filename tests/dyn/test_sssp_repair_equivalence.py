@@ -1,7 +1,7 @@
 """Carried SSSP trees equal cold trees at every live-graph version.
 
 :meth:`repro.core.batch.BatchPeeK.rebind` carries each cached tree onto
-the new snapshot (:func:`repro.sssp.repair.carry_tree`) instead of
+the new snapshot (:func:`repro.sssp.repair.carry_trees`) instead of
 evicting it.  The guard: after every batch, each entry still cached —
 untouched, repaired, or refilled — has the ``dist``, the ``parent_of(v)``
 answers (read before ``.parent``) and the ``parent`` array of a cold
@@ -24,7 +24,7 @@ from repro.graph.build import from_edge_list
 from repro.graph.csr import CSRGraph
 from repro.graph.generators import erdos_renyi
 from repro.graph.suite import suite_graph
-from repro.sssp.dijkstra import CompiledTree, dijkstra_tree
+from repro.sssp.dijkstra import CompiledTree, TreeArrays, dijkstra_tree
 from repro.sssp.repair import REPAIR_FLOOR, repair_limit
 from tests.dyn.test_live_csr_equivalence import batches, loaded_graphs
 
@@ -41,13 +41,13 @@ def assert_cold_equal(bp: BatchPeeK, key, tree) -> None:
     cold = dijkstra_tree(graph, root)
     assert _same(tree.dist, cold.dist), key
     probe = CompiledTree(
-        tree._graph, root, tree.dist, tree._pred, tree.stats,
+        tree._graph, root, TreeArrays(tree.dist, tree._pred), tree.stats,
         resolved=dict(tree._resolved), parent=tree._parent,
     )
     want = cold.parent
     assert [probe.parent_of(v) for v in range(want.size)] == want.tolist(), key
     assert _same(probe.parent, want), key
-    fresh = CompiledTree(tree._graph, root, tree.dist, tree._pred, tree.stats)
+    fresh = CompiledTree(tree._graph, root, TreeArrays(tree.dist, tree._pred), tree.stats)
     assert _same(fresh.parent, want), key  # the predecessors alone
 
 
@@ -73,7 +73,7 @@ def drive(graph, *, seed: int, versions: int, **kinds) -> dict:
     for _ in range(versions):
         fill(bp, roots, rng)
         snap = live.apply(stream.next_batch(live))
-        bp.rebind(snap.graph, version=snap.version, summary=snap.summary)
+        bp.rebind(snap)
         for key, tree in bp._cache.items():
             assert tree._graph is (snap.graph if key[0] == "fwd" else snap.graph.reverse())
             assert_cold_equal(bp, key, tree)
@@ -120,7 +120,7 @@ def test_hypothesis_multigraph_streams(case, data):
             snap = live.apply(data.draw(batches(live.graph, live.alive)))
         except (InvalidWeightError, VertexError):
             continue  # an invalid batch changes nothing
-        bp.rebind(snap.graph, version=snap.version, summary=snap.summary)
+        bp.rebind(snap)
         for key, tree in bp._cache.items():
             assert_cold_equal(bp, key, tree)
 
@@ -136,7 +136,7 @@ def test_unit_weights_with_ties():
 # ----------------------------------------------------------------------
 def _rebind(live: LiveGraph, bp: BatchPeeK, batch: MutationBatch):
     snap = live.apply(batch)
-    bp.rebind(snap.graph, version=snap.version, summary=snap.summary)
+    bp.rebind(snap)
     return snap
 
 
@@ -199,6 +199,19 @@ def test_subtree_over_the_cap_is_evicted():
     assert bp.cache_info["repaired"] == 1  # a short subtree is repaired
 
 
+def test_a_relabel_over_the_cap_leaves_the_old_tree_whole():
+    n = 3 * REPAIR_FLOOR
+    live = LiveGraph(from_edge_list(n, [(v, v + 1, 1.0) for v in range(n - 1)]))
+    bp = BatchPeeK(live.graph)
+    held = bp.forward_sssp(0)
+    cold = dijkstra_tree(live.graph, 0)
+    # a shortcut lowers the n - 5 vertices past 4: the relabel gives up
+    # midway, and what it lowered goes back
+    _rebind(live, bp, MutationBatch.build(inserts=[(0, 5, 0.5)]))
+    assert bp.cache_info["invalidated"] == 1 and not bp._cache
+    assert _same(held.dist, cold.dist) and _same(held._pred, cold._pred)
+
+
 def test_tombstone_keeps_the_region_rule():
     live = LiveGraph(from_edge_list(4, [(0, 1, 1.0), (1, 2, 1.0), (3, 2, 1.0)]))
     bp = BatchPeeK(live.graph)
@@ -221,10 +234,10 @@ def test_san_dyn_audits_carried_trees(monkeypatch):
         _rebind(live, bp, stream.next_batch(live))  # sound carries pass
     assert bp.cache_info["repaired"] > 0
 
-    def stale(tree, graph, *args, **kwargs):  # re-home without repairing
-        return CompiledTree(graph, tree.source, tree.dist, tree._pred, tree.stats), True
+    def stale(trees, graph, *args, **kwargs):  # re-home without repairing
+        return [(CompiledTree(graph, t.source, t._arrays, t.stats), True) for t in trees]
 
-    monkeypatch.setattr("repro.core.batch.carry_tree", stale)
+    monkeypatch.setattr("repro.core.batch.carry_trees", stale)
     bp.forward_sssp(0)
     with pytest.raises(SanitizerError, match="SAN-DYN"):
         for _ in range(10):
@@ -315,3 +328,132 @@ def test_live_graph_derives_the_transpose_of_a_lighter_insert():
         fresh = CSRGraph(snap.graph.indptr, snap.graph.indices, snap.graph.weights).reverse()
         for name in ("indptr", "indices", "weights"):
             assert _same(getattr(snap.graph.reverse(), name), getattr(fresh, name)), name
+
+
+# ----------------------------------------------------------------------
+# several batches in a row
+# ----------------------------------------------------------------------
+# tie-free: every reached vertex has one tight in-edge, so a carried
+# tree's SciPy predecessors must equal a cold tree's, bitwise
+CHAIN = [(0, 1, 1.0), (1, 2, 1.5), (0, 2, 3.25), (2, 3, 1.25), (3, 4, 0.75),
+         (1, 4, 4.5), (4, 5, 2.0), (0, 5, 9.0)]
+
+
+def assert_all_cold(bp: BatchPeeK) -> None:
+    """Every cached tree equals a cold one: ``dist``, ``parent``, every
+    ``parent_of`` and, on a tie-free graph, the SciPy predecessors."""
+    for key, tree in bp._cache.items():
+        assert_cold_equal(bp, key, tree)
+        direction, root = key
+        graph = bp.graph if direction == "fwd" else bp.graph.reverse()
+        assert _same(tree._pred, dijkstra_tree(graph, root)._pred), key
+
+
+def carry_through(edges, batches, *, n=6, dedup=True) -> BatchPeeK:
+    """Cache both trees at every root, then rebind through ``batches``,
+    checking every surviving tree after each one."""
+    live = LiveGraph(from_edge_list(n, edges, dedup=dedup))
+    bp = BatchPeeK(live.graph)
+    for r in range(n):
+        bp.forward_sssp(r).parent_of(n - 1)
+        bp.reverse_sssp(r)
+    bp.forward_sssp(0).parent  # one built parent array
+    for batch in batches:
+        _rebind(live, bp, batch)
+        assert_all_cold(bp)
+    return bp
+
+
+def test_insert_then_delete_one_edge():
+    bp = carry_through(CHAIN, [
+        MutationBatch.build(inserts=[(0, 3, 2.0)]),  # a shortcut to 3, 4 and 5
+        MutationBatch.build(deletes=[(0, 3)]),
+    ])
+    info = bp.cache_info
+    assert info["repaired"] > 0 and info["untouched"] > 0 and info["invalidated"] == 0
+
+
+def test_raise_then_lower_back():
+    bp = carry_through(CHAIN, [
+        MutationBatch.build(reweights=[(1, 2, 4.0)]),  # 2 moves to 0 -> 2
+        MutationBatch.build(reweights=[(1, 2, 1.5)]),
+    ])
+    assert bp.cache_info["repaired"] > 0
+
+
+def test_tombstone_between_two_batches():
+    bp = carry_through(CHAIN, [
+        MutationBatch.build(reweights=[(3, 4, 0.5)]),
+        MutationBatch.build(tombstones=[5]),
+        MutationBatch.build(reweights=[(2, 3, 2.0)]),
+    ])
+    info = bp.cache_info
+    # every tree that reaches 5 went: all six forward ones and rev(5)
+    assert info["invalidated"] == 7 and info["repaired"] > 0
+    assert sorted(bp._cache) == [("rev", r) for r in range(5)]
+
+
+def test_parallel_edges():
+    edges = CHAIN + [(1, 2, 2.125), (3, 4, 1.625)]
+    bp = carry_through(edges, [
+        MutationBatch.build(reweights=[(1, 2, 3.0)]),  # the first copy: 2.125 now leads
+        MutationBatch.build(reweights=[(3, 4, 0.25)]),
+        MutationBatch.build(deletes=[(1, 2)]),  # every copy goes
+        MutationBatch.build(inserts=[(1, 2, 1.5)]),
+    ], dedup=False)
+    assert bp.cache_info["repaired"] > 0
+
+
+def test_a_missed_tree_shares_its_arrays_and_a_touched_one_does_not():
+    live = LiveGraph(from_edge_list(6, CHAIN))
+    bp = BatchPeeK(live.graph)
+    near, far = bp.forward_sssp(0), bp.forward_sssp(3)
+    near.parent, far.parent  # built arrays, to see them shared or not
+    far.parent_of(4)
+    # (1, 2) is a tree edge from 0 and unreached from 3
+    _rebind(live, bp, MutationBatch.build(reweights=[(1, 2, 4.0)]))
+    assert (bp.cache_info["repaired"], bp.cache_info["untouched"]) == (1, 1)
+    moved, kept = bp._cache[("fwd", 0)], bp._cache[("fwd", 3)]
+    assert kept is not far and kept._graph is bp.graph
+    for name in ("dist", "_pred", "_parent", "_resolved"):
+        assert getattr(kept, name) is getattr(far, name), name
+        assert getattr(moved, name) is not getattr(near, name), name
+    assert_all_cold(bp)
+
+
+@pytest.mark.parametrize("reads", [(0, 1, 2), (2,)], ids=["each", "last"])
+def test_superseded_tree_keeps_its_version(reads):
+    """A tree a memoised decision held from before the writes reads its
+    own version's ``dist``, predecessors and ``parent_of`` after one carry
+    and after three (an untouched re-home, then two repairs), whether it
+    was read in between or first after the third."""
+    live = LiveGraph(from_edge_list(6, CHAIN))
+    bp = BatchPeeK(live.graph)
+    held = bp.prepare(0, 5, 2).prune.tree_src
+    held.parent_of(4)  # some memo, shared with the re-homed tree
+    cold = dijkstra_tree(live.graph, 0)
+
+    def assert_own_version():
+        assert _same(held.dist, cold.dist) and _same(held._pred, cold._pred)
+        probe = CompiledTree(
+            held._graph, 0, TreeArrays(held.dist, held._pred), held.stats,
+            resolved=dict(held._resolved), parent=held._parent,
+        )
+        assert [probe.parent_of(v) for v in range(6)] == cold.parent.tolist()
+        assert [held.parent_of(v) for v in range(6)] == cold.parent.tolist()
+
+    batches = [
+        MutationBatch.build(reweights=[(0, 5, 12.0)]),  # not tight: re-homed
+        # two repairs, the second wider than the first, so a reader that
+        # skips or misorders an undo log sees the wrong version
+        MutationBatch.build(reweights=[(4, 5, 2.5)]),  # moves 5
+        MutationBatch.build(reweights=[(1, 2, 4.0)]),  # moves 2, 3, 4 and 5
+    ]
+    for i, batch in enumerate(batches):
+        _rebind(live, bp, batch)
+        bp.forward_sssp(0).parent_of(5)  # reads on the carried tree
+        if i in reads:
+            assert_own_version()
+    assert bp.cache_info["untouched"] >= 1 and bp.cache_info["repaired"] >= 2
+    assert held.stats.edges_relaxed == cold.stats.edges_relaxed
+    assert_all_cold(bp)
